@@ -3,13 +3,17 @@
 Subcommands mirror the library stages: visibility, optimize, export-milp,
 coverage, compare, simulate, fuse, evaluate, and an end-to-end pipeline.
 Options come from flags first, then an optional --config JSON file, then
-built-in defaults.
+built-in defaults.  Each stage has one settings reader and one stage
+function: a subcommand passes them its --config dict and flags, and
+``pipeline`` passes the matching section of its own config, so both paths
+write the same data files.
 
-Every command that writes files also writes a ``<first-output>.manifest``
+A command that writes files also writes a ``<first-output>.manifest``
 sidecar recording the command, input digests, effective config and wall
-time; data files reference the manifest by name.  Exit codes: 0 success,
-2 usage, 3 unreadable or malformed input file, 4 invalid values or scene,
-5 instance too large for the requested solver, 1 unexpected failure.
+time (``compare`` and ``evaluate`` write files only with --out); data files
+reference the manifest by name.  Exit codes: 0 success, 2 usage, 3
+unreadable or malformed input file, 4 invalid values or scene, 5 instance
+too large for the requested solver, 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import json
 import sys
 import time
 import traceback
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -86,24 +91,29 @@ def _load_config_file(path) -> dict:
     return obj
 
 
-def _pick(flag_value, config: dict, key: str, default):
-    """Flag beats config file beats default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
+def _pick(args, flag: str, config: dict, key: str, default):
+    """Flag beats config value beats default; ``args`` is None in pipeline mode."""
+    value = getattr(args, flag, None)
+    if value is not None:
+        return value
+    return config.get(key, default)
 
 
-def _manifest_record(command: str, inputs, outputs, config: dict, started: float) -> dict:
-    return {
+def _check_keys(config: dict, allowed: frozenset, where: str) -> None:
+    unknown = sorted(config.keys() - allowed)
+    if unknown:
+        raise ValueError(f"{where}: unknown key {unknown[0]!r}")
+
+
+def _save_manifest(path, command: str, inputs, outputs, config: dict, started: float) -> None:
+    save_manifest(path, {
         "command": command,
         "tool_version": __version__,
         "inputs": {str(p): file_sha256(p) for p in inputs},
         "outputs": [Path(o).name for o in outputs],
         "config": config,
         "wall_time_s": time.perf_counter() - started,
-    }
+    })
 
 
 def _checked_scene(path):
@@ -114,40 +124,39 @@ def _checked_scene(path):
     return scene
 
 
-def _visibility_config(config: dict, args) -> VisibilityConfig:
-    sample_height = _pick(getattr(args, "sample_height", None), config, "sample_height_m", None)
+def _visibility_config(config: dict, args=None) -> VisibilityConfig:
+    sample_height = _pick(args, "sample_height", config, "sample_height_m", None)
     return VisibilityConfig(
-        samples_per_cell=int(_pick(getattr(args, "samples_per_cell", None),
-                                   config, "samples_per_cell", 9)),
-        object_height_m=float(_pick(getattr(args, "object_height", None),
-                                    config, "object_height_m", 1.7)),
+        samples_per_cell=int(_pick(args, "samples_per_cell", config, "samples_per_cell", 9)),
+        object_height_m=float(_pick(args, "object_height", config, "object_height_m", 1.7)),
         sample_height_m=None if sample_height is None else float(sample_height),
-        epsilon=float(_pick(getattr(args, "epsilon", None), config, "epsilon", 1e-6)),
+        epsilon=float(_pick(args, "epsilon", config, "epsilon", 1e-6)),
     )
 
 
-def _matrix_files(scene, lidar, radar, digest: str, manifest: str) -> tuple[MatrixFile, MatrixFile]:
+def _visibility_stage(scene, vis_cfg: VisibilityConfig, workers: int, paths,
+                      manifest: str) -> list[MatrixFile]:
+    """Ray-cast both modalities and save the lidar and radar matrix files."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     cells = tuple(scene.roi.sorted_cells())
     weights = np.array([scene.roi.weight_of(j) for j in cells])
-    lf = MatrixFile(
-        matrix=lidar,
-        scene_hash=digest,
-        cells=cells,
-        weights=weights,
-        costs=np.array([m.spec.unit_cost for m in scene.lidar_candidates]),
-        ids=tuple(m.id for m in scene.lidar_candidates),
-        manifest=manifest,
-    )
-    rf = MatrixFile(
-        matrix=radar,
-        scene_hash=digest,
-        cells=cells,
-        weights=weights,
-        costs=np.array([m.spec.unit_cost for m in scene.radar_candidates]),
-        ids=tuple(m.id for m in scene.radar_candidates),
-        manifest=manifest,
-    )
-    return lf, rf
+    digest = scene_hash(scene)
+    files = []
+    for matrix, mounts, path in zip(build_visibility(scene, vis_cfg, workers),
+                                    (scene.lidar_candidates, scene.radar_candidates), paths):
+        mf = MatrixFile(
+            matrix=matrix,
+            scene_hash=digest,
+            cells=cells,
+            weights=weights,
+            costs=np.array([m.spec.unit_cost for m in mounts]),
+            ids=tuple(m.id for m in mounts),
+            manifest=manifest,
+        )
+        save_matrix(path, mf)
+        files.append(mf)
+    return files
 
 
 def cmd_visibility(args) -> int:
@@ -155,29 +164,14 @@ def cmd_visibility(args) -> int:
     config = _load_config_file(args.config)
     scene = _checked_scene(args.scene)
     vis_cfg = _visibility_config(config, args)
-    workers = int(_pick(args.workers, config, "workers", 1))
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    lidar, radar = build_visibility(scene, vis_cfg, workers)
-    digest = scene_hash(scene)
+    workers = int(_pick(args, "workers", config, "workers", 1))
+    outputs = [args.out_lidar, args.out_radar]
     manifest_path = f"{args.out_lidar}.manifest"
-    lf, rf = _matrix_files(scene, lidar, radar, digest, Path(manifest_path).name)
-    save_matrix(args.out_lidar, lf)
-    save_matrix(args.out_radar, rf)
-    effective = {
-        "samples_per_cell": vis_cfg.samples_per_cell,
-        "object_height_m": vis_cfg.object_height_m,
-        "sample_height_m": vis_cfg.sample_height_m,
-        "epsilon": vis_cfg.epsilon,
-        "workers": workers,
-    }
-    save_manifest(
-        manifest_path,
-        _manifest_record("visibility", [args.scene],
-                         [args.out_lidar, args.out_radar], effective, started),
-    )
-    print(f"wrote {args.out_lidar} ({lidar.n_candidates}x{lidar.n_cells})")
-    print(f"wrote {args.out_radar} ({radar.n_candidates}x{radar.n_cells})")
+    files = _visibility_stage(scene, vis_cfg, workers, outputs, Path(manifest_path).name)
+    _save_manifest(manifest_path, "visibility", [args.scene], outputs,
+                   {**asdict(vis_cfg), "workers": workers}, started)
+    for path, mf in zip(outputs, files):
+        print(f"wrote {path} ({mf.matrix.n_candidates}x{mf.matrix.n_cells})")
     return 0
 
 
@@ -197,62 +191,64 @@ def _load_matrix_pair(lidar_path, radar_path):
     return lf, rf
 
 
-def _problem_from_files(lf: MatrixFile, rf: MatrixFile, budget: float,
-                        budget_mode: str, threshold: float) -> PlacementProblem:
+def _problem_from_files(lf: MatrixFile, rf: MatrixFile, settings: dict) -> PlacementProblem:
+    """The placement problem for ``settings``' budget, budget_mode and seen_threshold."""
     return PlacementProblem.from_matrices(
         lf.matrix,
         rf.matrix,
         lf.weights,
-        budget=budget,
-        seen_threshold=threshold,
-        budget_mode=budget_mode,
+        budget=settings["budget"],
+        seen_threshold=settings["seen_threshold"],
+        budget_mode=settings["budget_mode"],
         lidar_costs=lf.costs,
         radar_costs=rf.costs,
     )
 
 
-def _optimize_settings(args, config: dict) -> tuple[float, str, float, str]:
-    budget = _pick(args.budget, config, "budget", None)
+def _optimize_settings(config: dict, args=None) -> dict:
+    budget = _pick(args, "budget", config, "budget", None)
     if budget is None:
         raise ValueError("budget is required (flag --budget or config key 'budget')")
-    budget_mode = _pick(args.budget_mode, config, "budget_mode", "count")
-    threshold = float(_pick(args.threshold, config, "seen_threshold", 1.0))
-    solver = _pick(getattr(args, "solver", None), config, "solver", "branch-bound")
+    budget_mode = _pick(args, "budget_mode", config, "budget_mode", "count")
+    threshold = float(_pick(args, "threshold", config, "seen_threshold", 1.0))
+    solver = _pick(args, "solver", config, "solver", "branch-bound")
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {sorted(SOLVERS)}")
-    return float(budget), budget_mode, threshold, solver
+    return {"budget": float(budget), "budget_mode": budget_mode,
+            "seen_threshold": threshold, "solver": solver}
+
+
+def _optimize_stage(lf: MatrixFile, rf: MatrixFile, settings: dict, path, manifest: str):
+    """Solve the placement problem and save its solution file."""
+    problem = _problem_from_files(lf, rf, settings)
+    solution = SOLVERS[settings["solver"]](problem)
+    lidar_ids, radar_ids = solution.selection.canonical_key()
+    sol_file = SolutionFile(
+        lidar_ids=lidar_ids,
+        radar_ids=radar_ids,
+        lidar_candidate_ids=tuple(lf.ids[i] for i in lidar_ids),
+        radar_candidate_ids=tuple(rf.ids[i] for i in radar_ids),
+        objective=solution.objective,
+        optimal=solution.optimal,
+        budget=settings["budget"],
+        budget_mode=settings["budget_mode"],
+        seen_threshold=settings["seen_threshold"],
+        scene_hash=lf.scene_hash,
+        manifest=manifest,
+    )
+    save_solution(path, sol_file)
+    return problem, solution, sol_file
 
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
     config = _load_config_file(args.config)
     lf, rf = _load_matrix_pair(args.lidar, args.radar)
-    budget, budget_mode, threshold, solver = _optimize_settings(args, config)
-    problem = _problem_from_files(lf, rf, budget, budget_mode, threshold)
-    solution = SOLVERS[solver](problem)
-    sel = solution.selection
+    settings = _optimize_settings(config, args)
     manifest_path = f"{args.out}.manifest"
-    sol_file = SolutionFile(
-        lidar_ids=tuple(sorted(sel.lidar_ids)),
-        radar_ids=tuple(sorted(sel.radar_ids)),
-        lidar_candidate_ids=tuple(lf.ids[i] for i in sorted(sel.lidar_ids)),
-        radar_candidate_ids=tuple(rf.ids[i] for i in sorted(sel.radar_ids)),
-        objective=solution.objective,
-        optimal=solution.optimal,
-        budget=budget,
-        budget_mode=budget_mode,
-        seen_threshold=threshold,
-        scene_hash=lf.scene_hash,
-        manifest=Path(manifest_path).name,
-    )
-    save_solution(args.out, sol_file)
-    effective = {"budget": budget, "budget_mode": budget_mode,
-                 "seen_threshold": threshold, "solver": solver}
-    save_manifest(
-        manifest_path,
-        _manifest_record("optimize", [args.lidar, args.radar], [args.out],
-                         effective, started),
-    )
+    _, solution, sol_file = _optimize_stage(lf, rf, settings, args.out, Path(manifest_path).name)
+    _save_manifest(manifest_path, "optimize", [args.lidar, args.radar], [args.out],
+                   settings, started)
     lidar_names = ", ".join(sol_file.lidar_candidate_ids) or "-"
     radar_names = ", ".join(sol_file.radar_candidate_ids) or "-"
     print(f"objective {solution.objective:.9g} ({'optimal' if solution.optimal else 'heuristic'})")
@@ -266,17 +262,12 @@ def cmd_export_milp(args) -> int:
     started = time.perf_counter()
     config = _load_config_file(args.config)
     lf, rf = _load_matrix_pair(args.lidar, args.radar)
-    budget, budget_mode, threshold, _ = _optimize_settings(args, config)
-    problem = _problem_from_files(lf, rf, budget, budget_mode, threshold)
-    text = export_milp(problem)
+    settings = _optimize_settings(config, args)
+    text = export_milp(_problem_from_files(lf, rf, settings))
     Path(args.out).write_text(text)
-    manifest_path = f"{args.out}.manifest"
-    effective = {"budget": budget, "budget_mode": budget_mode, "seen_threshold": threshold}
-    save_manifest(
-        manifest_path,
-        _manifest_record("export-milp", [args.lidar, args.radar], [args.out],
-                         effective, started),
-    )
+    effective = {k: settings[k] for k in ("budget", "budget_mode", "seen_threshold")}
+    _save_manifest(f"{args.out}.manifest", "export-milp", [args.lidar, args.radar],
+                   [args.out], effective, started)
     print(f"wrote {args.out} ({len(text.splitlines())} lines)")
     return 0
 
@@ -299,17 +290,14 @@ def cmd_coverage(args) -> int:
     if sol.scene_hash != lf.scene_hash:
         _warn("solution scene hash differs from the matrices")
     selection = _selection_from_solution(sol, lf, rf)
-    theta = float(_pick(args.theta, config, "theta", 0.0))
-    name = _pick(args.name, config, "name", Path(args.solution).stem)
-    problem = _problem_from_files(lf, rf, sol.budget, sol.budget_mode, sol.seen_threshold)
+    theta = float(_pick(args, "theta", config, "theta", 0.0))
+    name = _pick(args, "name", config, "name", Path(args.solution).stem)
+    problem = _problem_from_files(lf, rf, asdict(sol))
     report = coverage_report(problem, selection, config_name=name, theta=theta)
     manifest_path = f"{args.out}.manifest"
     save_report(args.out, "coverage", report.to_record(), Path(manifest_path).name)
-    save_manifest(
-        manifest_path,
-        _manifest_record("coverage", [args.lidar, args.radar, args.solution],
-                         [args.out], {"theta": theta, "name": name}, started),
-    )
+    _save_manifest(manifest_path, "coverage", [args.lidar, args.radar, args.solution],
+                   [args.out], {"theta": theta, "name": name}, started)
     print(
         f"{name}: coverage {report.central_coverage:.1%}"
         f" ({report.covered_cells}/{report.total_roi_cells}), cost {report.total_cost:.2f}"
@@ -335,10 +323,7 @@ def cmd_compare(args) -> int:
         manifest_path = f"{args.out}.manifest"
         save_report(args.out, "coverage_comparison", comparison.to_record(),
                     Path(manifest_path).name)
-        save_manifest(
-            manifest_path,
-            _manifest_record("compare", list(args.reports), [args.out], {}, started),
-        )
+        _save_manifest(manifest_path, "compare", list(args.reports), [args.out], {}, started)
         print(f"wrote {args.out}")
     return 0
 
@@ -353,7 +338,7 @@ def _noise_spec(record, where: str) -> NoiseSpec:
     return NoiseSpec(**{k: float(v) for k, v in record.items()})
 
 
-def _scenario_config(args, config: dict) -> ScenarioConfig:
+def _scenario_config(config: dict, args=None) -> ScenarioConfig:
     class_mix = config.get("class_mix", None)
     speed_ranges = config.get("speed_ranges", None)
     kwargs = {}
@@ -364,14 +349,23 @@ def _scenario_config(args, config: dict) -> ScenarioConfig:
             str(k): (float(v[0]), float(v[1])) for k, v in speed_ranges.items()
         }
     return ScenarioConfig(
-        seed=int(_pick(args.seed, config, "seed", 0)),
-        duration_frames=int(_pick(args.frames, config, "duration_frames", 100)),
-        frame_dt_s=float(_pick(args.dt, config, "frame_dt_s", 0.1)),
+        seed=int(_pick(args, "seed", config, "seed", 0)),
+        duration_frames=int(_pick(args, "frames", config, "duration_frames", 100)),
+        frame_dt_s=float(_pick(args, "dt", config, "frame_dt_s", 0.1)),
         lidar_noise=_noise_spec(config.get("lidar_noise", {}), "lidar_noise"),
         radar_noise=_noise_spec(config.get("radar_noise", {}), "radar_noise"),
-        dropout_rule=_pick(args.dropout, config, "dropout_rule", "visibility"),
+        dropout_rule=_pick(args, "dropout", config, "dropout_rule", "visibility"),
         **kwargs,
     )
+
+
+def _simulate_stage(scene, lf: MatrixFile, rf: MatrixFile, selection: Selection,
+                    scenario_cfg: ScenarioConfig, paths, manifest: str):
+    """Simulate traffic and detections; save the truth, lidar and radar frames."""
+    result = generate_scenario(scene, lf.matrix, rf.matrix, selection, scenario_cfg)
+    for path, frames in zip(paths, (result.ground_truth, result.lidar, result.radar)):
+        save_frames(path, frames, manifest)
+    return result
 
 
 def cmd_simulate(args) -> int:
@@ -385,29 +379,19 @@ def cmd_simulate(args) -> int:
     if sol.scene_hash != lf.scene_hash:
         _warn("solution scene hash differs from the matrices")
     selection = _selection_from_solution(sol, lf, rf)
-    scenario_cfg = _scenario_config(args, config)
-    result = generate_scenario(scene, lf.matrix, rf.matrix, selection, scenario_cfg)
+    scenario_cfg = _scenario_config(config, args)
+    outputs = [args.out_truth, args.out_lidar, args.out_radar]
     manifest_path = f"{args.out_truth}.manifest"
-    manifest_name = Path(manifest_path).name
-    save_frames(args.out_truth, result.ground_truth, manifest_name)
-    save_frames(args.out_lidar, result.lidar, manifest_name)
-    save_frames(args.out_radar, result.radar, manifest_name)
+    result = _simulate_stage(scene, lf, rf, selection, scenario_cfg, outputs,
+                             Path(manifest_path).name)
     effective = {
         "seed": scenario_cfg.seed,
         "duration_frames": scenario_cfg.duration_frames,
         "frame_dt_s": scenario_cfg.frame_dt_s,
         "dropout_rule": scenario_cfg.dropout_rule,
     }
-    save_manifest(
-        manifest_path,
-        _manifest_record(
-            "simulate",
-            [args.scene, args.lidar, args.radar, args.solution],
-            [args.out_truth, args.out_lidar, args.out_radar],
-            effective,
-            started,
-        ),
-    )
+    _save_manifest(manifest_path, "simulate", [args.scene, args.lidar, args.radar, args.solution],
+                   outputs, effective, started)
     n_truth = sum(len(b) for b in result.ground_truth.values())
     n_lidar = sum(len(b) for b in result.lidar.values())
     n_radar = sum(len(b) for b in result.radar.values())
@@ -418,26 +402,31 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _fusion_config(config: dict, args=None) -> FusionConfig:
+    return FusionConfig(
+        iou_threshold=float(_pick(args, "iou_threshold", config, "iou_threshold", 0.3))
+    )
+
+
+def _fuse_frames(lidar: dict, radar: dict, fusion_cfg: FusionConfig) -> dict:
+    """Late-fuse every frame id present in either stream."""
+    return {
+        fid: fuse_late(lidar.get(fid, []), radar.get(fid, []), fusion_cfg)
+        for fid in sorted(set(lidar) | set(radar))
+    }
+
+
 def cmd_fuse(args) -> int:
     started = time.perf_counter()
     config = _load_config_file(args.config)
     lidar = load_frames(args.lidar)
     radar = load_frames(args.radar)
-    fusion_cfg = FusionConfig(
-        iou_threshold=float(_pick(args.iou_threshold, config, "iou_threshold", 0.3))
-    )
-    ids = sorted(set(lidar) | set(radar))
-    fused = {
-        fid: fuse_late(lidar.get(fid, []), radar.get(fid, []), fusion_cfg)
-        for fid in ids
-    }
+    fusion_cfg = _fusion_config(config, args)
+    fused = _fuse_frames(lidar, radar, fusion_cfg)
     manifest_path = f"{args.out}.manifest"
     save_frames(args.out, fused, Path(manifest_path).name)
-    save_manifest(
-        manifest_path,
-        _manifest_record("fuse", [args.lidar, args.radar], [args.out],
-                         {"iou_threshold": fusion_cfg.iou_threshold}, started),
-    )
+    _save_manifest(manifest_path, "fuse", [args.lidar, args.radar], [args.out],
+                   asdict(fusion_cfg), started)
     n_in = sum(len(b) for b in lidar.values()) + sum(len(b) for b in radar.values())
     n_out = sum(len(b) for b in fused.values())
     print(f"fused {n_in} detections into {n_out} boxes ({n_in - n_out} merges)")
@@ -448,8 +437,31 @@ def _ap_text(ap: float | None) -> str:
     return "undefined" if ap is None else f"{ap:.3f}"
 
 
-def _evaluation_record(result, classes) -> dict:
-    return {
+def _evaluation_settings(config: dict, args=None) -> tuple[str, tuple[str, ...], dict | None]:
+    """Matching mode, evaluated classes and per-class thresholds (None: defaults)."""
+    mode = _pick(args, "mode", config, "matching_mode", "iou")
+    if mode not in MATCHING_MODES:
+        raise ValueError(f"unknown matching mode {mode!r}")
+    classes_value = _pick(args, "classes", config, "classes", None)
+    if classes_value is None:
+        classes = CLASSES
+    elif isinstance(classes_value, str):
+        classes = tuple(c.strip() for c in classes_value.split(",") if c.strip())
+    else:
+        classes = tuple(classes_value)
+    thresholds = config.get("thresholds")
+    if thresholds is not None:
+        thresholds = {str(k): float(v) for k, v in thresholds.items()}
+    threshold = getattr(args, "threshold", None)
+    if threshold is not None:
+        thresholds = {label: threshold for label in classes}
+    return mode, classes, thresholds
+
+
+def _evaluate_stage(pairs, mode: str, classes, thresholds):
+    """mAP over ``classes`` plus its evaluation report record."""
+    result = evaluate_map(pairs, classes, mode, thresholds)
+    record = {
         "matching_mode": result.matching_mode,
         "mean_ap": result.mean_ap,
         "per_class": {
@@ -462,28 +474,15 @@ def _evaluation_record(result, classes) -> dict:
             for label in classes
         },
     }
+    return result, record
 
 
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     config = _load_config_file(args.config)
     pairs = load_frame_pairs(args.truth, args.predictions)
-    mode = _pick(args.mode, config, "matching_mode", "iou")
-    if mode not in MATCHING_MODES:
-        raise ValueError(f"unknown matching mode {mode!r}")
-    classes_value = _pick(args.classes, config, "classes", None)
-    if classes_value is None:
-        classes = CLASSES
-    elif isinstance(classes_value, str):
-        classes = tuple(c.strip() for c in classes_value.split(",") if c.strip())
-    else:
-        classes = tuple(classes_value)
-    thresholds = config.get("thresholds")
-    if thresholds is not None:
-        thresholds = {str(k): float(v) for k, v in thresholds.items()}
-    if args.threshold is not None:
-        thresholds = {label: args.threshold for label in classes}
-    result = evaluate_map(pairs, classes, mode, thresholds)
+    mode, classes, thresholds = _evaluation_settings(config, args)
+    result, record = _evaluate_stage(pairs, mode, classes, thresholds)
 
     print(f"{'class':<12} {'AP':>9} {'gt':>6} {'preds':>6}")
     for label in classes:
@@ -491,7 +490,6 @@ def cmd_evaluate(args) -> int:
         print(f"{label:<12} {_ap_text(r.ap):>9} {r.num_gt:>6} {r.num_predictions:>6}")
     print(f"mAP {result.mean_ap:.3f} ({mode})")
 
-    record = _evaluation_record(result, classes)
     if args.baseline:
         kind, base = load_report(args.baseline)
         if kind != "evaluation":
@@ -523,18 +521,25 @@ def cmd_evaluate(args) -> int:
         if args.baseline:
             inputs.append(args.baseline)
         save_report(args.out, "evaluation", record, Path(manifest_path).name)
-        save_manifest(
-            manifest_path,
-            _manifest_record("evaluate", inputs, [args.out],
-                             {"matching_mode": mode, "classes": list(classes)}, started),
-        )
+        _save_manifest(manifest_path, "evaluate", inputs, [args.out],
+                       {"matching_mode": mode, "classes": list(classes)}, started)
         print(f"wrote {args.out}")
     return 0
+
+
+# Each section takes the keys of the matching subcommand's --config; a
+# configs[] entry takes optimize's keys plus a name, a coverage theta and
+# scenario overrides.
+_PIPELINE_KEYS = frozenset(
+    {"scene", "workers", "configs", "visibility", "scenario", "fusion", "evaluation"})
+_VARIANT_KEYS = frozenset(
+    {"name", "budget", "budget_mode", "seen_threshold", "solver", "theta", "scenario"})
 
 
 def _pipeline_entry(entry: dict, index: int) -> dict:
     if not isinstance(entry, dict):
         raise ValueError(f"pipeline configs[{index}] must be an object")
+    _check_keys(entry, _VARIANT_KEYS, f"pipeline configs[{index}]")
     name = entry.get("name")
     if not isinstance(name, str) or not name:
         raise ValueError(f"pipeline configs[{index}] needs a nonempty 'name'")
@@ -549,15 +554,14 @@ def _pipeline_entry(entry: dict, index: int) -> dict:
 def cmd_pipeline(args) -> int:
     started = time.perf_counter()
     config = _load_config_file(args.config)
+    _check_keys(config, _PIPELINE_KEYS, "pipeline config")
     if "scene" not in config:
         raise ValueError("pipeline config requires a 'scene' path")
     scene_file = Path(args.config).parent / config["scene"]
     scene = _checked_scene(scene_file)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = int(_pick(args.workers, config, "workers", 1))
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    workers = int(_pick(args, "workers", config, "workers", 1))
 
     entries = config.get("configs")
     if not isinstance(entries, list) or not entries:
@@ -566,103 +570,39 @@ def cmd_pipeline(args) -> int:
     names = [e["name"] for e in entries]
     if len(set(names)) != len(names):
         raise ValueError("pipeline config names must be unique")
+    settings = [_optimize_settings(e) for e in entries]
+    vis_cfg = _visibility_config(config.get("visibility", {}))
+    fusion_cfg = _fusion_config(config.get("fusion", {}))
+    evaluation = _evaluation_settings(config.get("evaluation", {}))
 
-    vis_over = config.get("visibility", {})
-    vis_cfg = VisibilityConfig(
-        samples_per_cell=int(vis_over.get("samples_per_cell", 9)),
-        object_height_m=float(vis_over.get("object_height_m", 1.7)),
-        sample_height_m=(None if vis_over.get("sample_height_m") is None
-                         else float(vis_over["sample_height_m"])),
-        epsilon=float(vis_over.get("epsilon", 1e-6)),
-    )
-    lidar, radar = build_visibility(scene, vis_cfg, workers)
-    digest = scene_hash(scene)
     manifest_path = out_dir / "pipeline.manifest"
-    manifest_name = manifest_path.name
-    lf, rf = _matrix_files(scene, lidar, radar, digest, manifest_name)
-    lidar_path = out_dir / "lidar.vismatrix"
-    radar_path = out_dir / "radar.vismatrix"
-    save_matrix(lidar_path, lf)
-    save_matrix(radar_path, rf)
-
-    scenario_base = config.get("scenario", {})
-    fusion_cfg = FusionConfig(
-        iou_threshold=float(config.get("fusion", {}).get("iou_threshold", 0.3))
-    )
-    eval_cfg = config.get("evaluation", {})
-    eval_mode = eval_cfg.get("matching_mode", "iou")
-    if eval_mode not in MATCHING_MODES:
-        raise ValueError(f"unknown matching mode {eval_mode!r}")
-    eval_thresholds = eval_cfg.get("thresholds")
-    if eval_thresholds is not None:
-        eval_thresholds = {str(k): float(v) for k, v in eval_thresholds.items()}
-
-    outputs = [lidar_path, radar_path]
+    manifest = manifest_path.name
+    outputs = [out_dir / "lidar.vismatrix", out_dir / "radar.vismatrix"]
+    lf, rf = _visibility_stage(scene, vis_cfg, workers, outputs, manifest)
     coverage_reports = []
     summary_rows = []
-    for entry in entries:
+    for entry, optimize in zip(entries, settings):
         name = entry["name"]
-        budget = float(entry["budget"])
-        budget_mode = entry.get("budget_mode", "count")
-        threshold = float(entry.get("seen_threshold", 1.0))
-        solver = entry.get("solver", "branch-bound")
-        if solver not in SOLVERS:
-            raise ValueError(f"unknown solver {solver!r} in config {name!r}")
-        theta = float(entry.get("theta", 0.0))
+        paths = [out_dir / f"{name}.{suffix}" for suffix in (
+            "solution", "coverage", "truth.frames", "lidar.frames", "radar.frames",
+            "fused.frames", "evaluation")]
+        sol_path, cov_path, *frames_paths, fused_path, eval_path = paths
 
-        problem = _problem_from_files(lf, rf, budget, budget_mode, threshold)
-        solution = SOLVERS[solver](problem)
-        sel = solution.selection
-        sol_path = out_dir / f"{name}.solution"
-        sol_file = SolutionFile(
-            lidar_ids=tuple(sorted(sel.lidar_ids)),
-            radar_ids=tuple(sorted(sel.radar_ids)),
-            lidar_candidate_ids=tuple(lf.ids[i] for i in sorted(sel.lidar_ids)),
-            radar_candidate_ids=tuple(rf.ids[i] for i in sorted(sel.radar_ids)),
-            objective=solution.objective,
-            optimal=solution.optimal,
-            budget=budget,
-            budget_mode=budget_mode,
-            seen_threshold=threshold,
-            scene_hash=digest,
-            manifest=manifest_name,
-        )
-        save_solution(sol_path, sol_file)
-        outputs.append(sol_path)
-
-        report = coverage_report(problem, sel, config_name=name, theta=theta)
+        problem, solution, _ = _optimize_stage(lf, rf, optimize, sol_path, manifest)
+        report = coverage_report(problem, solution.selection, config_name=name,
+                                 theta=float(entry.get("theta", 0.0)))
         coverage_reports.append(report)
-        cov_path = out_dir / f"{name}.coverage"
-        save_report(cov_path, "coverage", report.to_record(), manifest_name)
-        outputs.append(cov_path)
-
-        scenario_cfg = _scenario_config(
-            argparse.Namespace(seed=None, frames=None, dt=None, dropout=None),
-            {**scenario_base, **entry.get("scenario", {})},
-        )
-        result = generate_scenario(scene, lf.matrix, rf.matrix, sel, scenario_cfg)
-        truth_path = out_dir / f"{name}.truth.frames"
-        lidar_frames_path = out_dir / f"{name}.lidar.frames"
-        radar_frames_path = out_dir / f"{name}.radar.frames"
-        save_frames(truth_path, result.ground_truth, manifest_name)
-        save_frames(lidar_frames_path, result.lidar, manifest_name)
-        save_frames(radar_frames_path, result.radar, manifest_name)
-        outputs += [truth_path, lidar_frames_path, radar_frames_path]
-
-        fused = {
-            fid: fuse_late(result.lidar.get(fid, []), result.radar.get(fid, []), fusion_cfg)
-            for fid in sorted(result.ground_truth)
-        }
-        fused_path = out_dir / f"{name}.fused.frames"
-        save_frames(fused_path, fused, manifest_name)
-        outputs.append(fused_path)
-
-        pairs = pair_frames(result.ground_truth, fused)
-        eval_result = evaluate_map(pairs, CLASSES, eval_mode, eval_thresholds)
-        eval_record = _evaluation_record(eval_result, CLASSES)
-        eval_path = out_dir / f"{name}.evaluation"
-        save_report(eval_path, "evaluation", eval_record, manifest_name)
-        outputs.append(eval_path)
+        save_report(cov_path, "coverage", report.to_record(), manifest)
+        scenario_cfg = _scenario_config({**config.get("scenario", {}),
+                                         **entry.get("scenario", {})})
+        result = _simulate_stage(scene, lf, rf, solution.selection, scenario_cfg,
+                                 frames_paths, manifest)
+        fused = _fuse_frames(result.lidar, result.radar, fusion_cfg)
+        save_frames(fused_path, fused, manifest)
+        eval_result, eval_record = _evaluate_stage(
+            pair_frames(result.ground_truth, fused), *evaluation)
+        save_report(eval_path, "evaluation", eval_record, manifest)
+        outputs += paths
 
         summary_rows.append(
             {
@@ -687,13 +627,10 @@ def cmd_pipeline(args) -> int:
         print()
         print(comparison.to_text(), end="")
     summary_path = out_dir / "summary.report"
-    save_report(summary_path, "pipeline_summary", summary, manifest_name)
+    save_report(summary_path, "pipeline_summary", summary, manifest)
     outputs.append(summary_path)
-    save_manifest(
-        manifest_path,
-        _manifest_record("pipeline", [scene_file, args.config], outputs,
-                         {"workers": workers}, started),
-    )
+    _save_manifest(manifest_path, "pipeline", [scene_file, args.config], outputs,
+                   {"workers": workers}, started)
     print(f"wrote {summary_path}")
     return 0
 

@@ -8,7 +8,7 @@ the optimizer so thinly covered cells still count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,16 +28,7 @@ class CoverageReport:
     theta: float = 0.0
 
     def to_record(self) -> dict:
-        return {
-            "config_name": self.config_name,
-            "central_coverage": self.central_coverage,
-            "covered_cells": self.covered_cells,
-            "total_roi_cells": self.total_roi_cells,
-            "total_cost": self.total_cost,
-            "per_modality_cost": dict(self.per_modality_cost),
-            "per_modality_covered": dict(self.per_modality_covered),
-            "theta": self.theta,
-        }
+        return asdict(self)
 
 
 def _modality_covered(matrix: np.ndarray, ids: frozenset[int], theta: float) -> np.ndarray:
@@ -59,13 +50,8 @@ def coverage_report(
     radar_cov = _modality_covered(problem.radar_vis, selection.radar_ids, theta)
     either = lidar_cov | radar_cov
     total = problem.n_cells
-    if problem.budget_mode == "cost":
-        assert problem.lidar_costs is not None and problem.radar_costs is not None
-        lidar_cost = float(sum(problem.lidar_costs[i] for i in sorted(selection.lidar_ids)))
-        radar_cost = float(sum(problem.radar_costs[i] for i in sorted(selection.radar_ids)))
-    else:
-        lidar_cost = float(len(selection.lidar_ids))
-        radar_cost = float(len(selection.radar_ids))
+    lidar_cost = problem.selection_cost(Selection.of(lidar_ids=selection.lidar_ids))
+    radar_cost = problem.selection_cost(Selection.of(radar_ids=selection.radar_ids))
     return CoverageReport(
         config_name=config_name,
         central_coverage=float(either.sum()) / total if total else 0.0,
@@ -88,12 +74,7 @@ class PairDelta:
     cost_reduction_pct: float | None
 
     def to_record(self) -> dict:
-        return {
-            "base": self.base,
-            "other": self.other,
-            "coverage_delta": self.coverage_delta,
-            "cost_reduction_pct": self.cost_reduction_pct,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -102,10 +83,7 @@ class ConfigComparison:
     pairs: tuple[PairDelta, ...]
 
     def to_record(self) -> dict:
-        return {
-            "reports": [r.to_record() for r in self.reports],
-            "pairs": [p.to_record() for p in self.pairs],
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = []

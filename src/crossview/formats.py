@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -143,78 +143,71 @@ def _as_float_tuple(value, n: int, where: str) -> tuple[float, ...]:
 
 # -- scenes -----------------------------------------------------------------
 
-def _spec_record(spec: SensorSpec) -> dict:
-    return {
-        "modality": spec.modality,
-        "hfov_deg": spec.hfov_deg,
-        "vfov_deg": spec.vfov_deg,
-        "max_range_m": spec.max_range_m,
-        "rate_hz": spec.rate_hz,
-        "unit_cost": spec.unit_cost,
-        "beams": spec.beams,
-    }
+def _object(value, required: set[str], optional: set[str], where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected an object")
+    _require_keys(value, required, optional, where)
+    return value
 
 
-def _spec_from_record(rec: dict, where: str) -> SensorSpec:
-    _require_keys(
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list")
+    return value
+
+
+def _number(value, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _spec_from_record(rec, where: str) -> SensorSpec:
+    rec = _object(
         rec,
         {"modality", "hfov_deg", "vfov_deg", "max_range_m", "rate_hz"},
         {"unit_cost", "beams"},
         where,
     )
     beams = rec.get("beams")
-    if beams is not None and not isinstance(beams, int):
-        raise ParseError(f"{where}: beams must be an integer or null")
     return SensorSpec(
         modality=rec["modality"],
-        hfov_deg=float(rec["hfov_deg"]),
-        vfov_deg=float(rec["vfov_deg"]),
-        max_range_m=float(rec["max_range_m"]),
-        rate_hz=float(rec["rate_hz"]),
-        unit_cost=float(rec.get("unit_cost", 0.0)),
-        beams=beams,
+        hfov_deg=_number(rec["hfov_deg"], f"{where}.hfov_deg"),
+        vfov_deg=_number(rec["vfov_deg"], f"{where}.vfov_deg"),
+        max_range_m=_number(rec["max_range_m"], f"{where}.max_range_m"),
+        rate_hz=_number(rec["rate_hz"], f"{where}.rate_hz"),
+        unit_cost=_number(rec.get("unit_cost", 0.0), f"{where}.unit_cost"),
+        beams=None if beams is None else _integer(beams, f"{where}.beams"),
     )
 
 
-def _candidate_record(mount: CandidateMount) -> dict:
-    return {
-        "id": mount.id,
-        "position": list(mount.position),
-        "yaw_deg": mount.yaw_deg,
-        "pitch_deg": mount.pitch_deg,
-        "spec": _spec_record(mount.spec),
-    }
-
-
-def _candidate_from_record(rec: dict, where: str) -> CandidateMount:
-    _require_keys(rec, {"id", "position", "spec"}, {"yaw_deg", "pitch_deg"}, where)
+def _candidate_from_record(rec, where: str) -> CandidateMount:
+    rec = _object(rec, {"id", "position", "spec"}, {"yaw_deg", "pitch_deg"}, where)
     if not isinstance(rec["id"], str) or not rec["id"]:
         raise ParseError(f"{where}: id must be a nonempty string")
     return CandidateMount(
         id=rec["id"],
         position=_as_float_tuple(rec["position"], 3, f"{where}.position"),
         spec=_spec_from_record(rec["spec"], f"{where}.spec"),
-        yaw_deg=float(rec.get("yaw_deg", 0.0)),
-        pitch_deg=float(rec.get("pitch_deg", 0.0)),
+        yaw_deg=_number(rec.get("yaw_deg", 0.0), f"{where}.yaw_deg"),
+        pitch_deg=_number(rec.get("pitch_deg", 0.0), f"{where}.pitch_deg"),
     )
 
 
 def scene_payload(scene: Scene) -> dict:
     weights = {str(j): w for j, w in sorted(scene.roi.weights.items())}
     return {
-        "grid": {
-            "origin_xy": list(scene.grid.origin_xy),
-            "cell_size": scene.grid.cell_size,
-            "nx": scene.grid.nx,
-            "ny": scene.grid.ny,
-        },
+        "grid": asdict(scene.grid),
         "roi": {"cells": scene.roi.sorted_cells(), "weights": weights},
-        "occluders": [
-            {"min_corner": list(o.min_corner), "max_corner": list(o.max_corner)}
-            for o in scene.occluders
-        ],
-        "lidar_candidates": [_candidate_record(m) for m in scene.lidar_candidates],
-        "radar_candidates": [_candidate_record(m) for m in scene.radar_candidates],
+        "occluders": [asdict(o) for o in scene.occluders],
+        "lidar_candidates": [asdict(m) for m in scene.lidar_candidates],
+        "radar_candidates": [asdict(m) for m in scene.radar_candidates],
     }
 
 
@@ -236,32 +229,31 @@ def load_scene(path) -> Scene:
         set(),
         where,
     )
-    grid_rec = payload["grid"]
-    _require_keys(grid_rec, {"origin_xy", "cell_size", "nx", "ny"}, set(), f"{where}.grid")
-    if not isinstance(grid_rec["nx"], int) or not isinstance(grid_rec["ny"], int):
-        raise ParseError(f"{where}.grid: nx and ny must be integers")
+    grid_rec = _object(payload["grid"], {"origin_xy", "cell_size", "nx", "ny"}, set(),
+                       f"{where}.grid")
     grid = GridSpec(
         origin_xy=_as_float_tuple(grid_rec["origin_xy"], 2, f"{where}.grid.origin_xy"),
-        cell_size=float(grid_rec["cell_size"]),
-        nx=grid_rec["nx"],
-        ny=grid_rec["ny"],
+        cell_size=_number(grid_rec["cell_size"], f"{where}.grid.cell_size"),
+        nx=_integer(grid_rec["nx"], f"{where}.grid.nx"),
+        ny=_integer(grid_rec["ny"], f"{where}.grid.ny"),
     )
-    roi_rec = payload["roi"]
-    _require_keys(roi_rec, {"cells"}, {"weights"}, f"{where}.roi")
-    cells = roi_rec["cells"]
-    if not isinstance(cells, list) or not all(isinstance(c, int) for c in cells):
-        raise ParseError(f"{where}.roi.cells must be a list of integers")
+    roi_rec = _object(payload["roi"], {"cells"}, {"weights"}, f"{where}.roi")
+    cells = [_integer(c, f"{where}.roi.cells")
+             for c in _list(roi_rec["cells"], f"{where}.roi.cells")]
+    weights_rec = roi_rec.get("weights", {})
+    if not isinstance(weights_rec, dict):
+        raise ParseError(f"{where}.roi.weights: expected an object")
     weights = {}
-    for key, value in roi_rec.get("weights", {}).items():
+    for key, value in weights_rec.items():
         try:
             j = int(key)
         except ValueError as exc:
             raise ParseError(f"{where}.roi.weights: bad cell key {key!r}") from exc
-        weights[j] = float(value)
+        weights[j] = _number(value, f"{where}.roi.weights[{key}]")
     occluders = []
-    for k, rec in enumerate(payload["occluders"]):
+    for k, rec in enumerate(_list(payload["occluders"], f"{where}.occluders")):
         o_where = f"{where}.occluders[{k}]"
-        _require_keys(rec, {"min_corner", "max_corner"}, set(), o_where)
+        rec = _object(rec, {"min_corner", "max_corner"}, set(), o_where)
         occluders.append(
             Occluder(
                 min_corner=_as_float_tuple(rec["min_corner"], 3, o_where),
@@ -270,11 +262,11 @@ def load_scene(path) -> Scene:
         )
     lidar = [
         _candidate_from_record(rec, f"{where}.lidar_candidates[{k}]")
-        for k, rec in enumerate(payload["lidar_candidates"])
+        for k, rec in enumerate(_list(payload["lidar_candidates"], f"{where}.lidar_candidates"))
     ]
     radar = [
         _candidate_from_record(rec, f"{where}.radar_candidates[{k}]")
-        for k, rec in enumerate(payload["radar_candidates"])
+        for k, rec in enumerate(_list(payload["radar_candidates"], f"{where}.radar_candidates"))
     ]
     return Scene(
         grid=grid,
@@ -510,20 +502,7 @@ class SolutionFile:
 
 
 def save_solution(path, sol: SolutionFile) -> None:
-    payload = {
-        "lidar_ids": list(sol.lidar_ids),
-        "radar_ids": list(sol.radar_ids),
-        "lidar_candidate_ids": list(sol.lidar_candidate_ids),
-        "radar_candidate_ids": list(sol.radar_candidate_ids),
-        "objective": sol.objective,
-        "optimal": sol.optimal,
-        "budget": sol.budget,
-        "budget_mode": sol.budget_mode,
-        "seen_threshold": sol.seen_threshold,
-        "scene_hash": sol.scene_hash,
-        "manifest": sol.manifest,
-    }
-    Path(path).write_text(_dump_document(SOLUTION_MAGIC, payload))
+    Path(path).write_text(_dump_document(SOLUTION_MAGIC, asdict(sol)))
 
 
 def load_solution(path) -> SolutionFile:

@@ -16,7 +16,7 @@ Solvers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Iterable
 
@@ -220,13 +220,7 @@ def solve_exhaustive(problem: PlacementProblem) -> PlacementSolution:
             ):
                 best, best_key = cand, key
     assert best is not None  # the empty selection is always feasible
-    return PlacementSolution(
-        selection=best.selection,
-        seen=best.seen,
-        cell_mass=best.cell_mass,
-        objective=best.objective,
-        optimal=True,
-    )
+    return replace(best, optimal=True)
 
 
 def solve_greedy(problem: PlacementProblem) -> PlacementSolution:
@@ -274,14 +268,7 @@ def solve_greedy(problem: PlacementProblem) -> PlacementSolution:
             break
         current = best_next
         value += best_gain
-    result = evaluate_selection(problem, current)
-    return PlacementSolution(
-        selection=result.selection,
-        seen=result.seen,
-        cell_mass=result.cell_mass,
-        objective=result.objective,
-        optimal=False,
-    )
+    return evaluate_selection(problem, current)
 
 
 class _BranchBound:
@@ -385,14 +372,7 @@ class _BranchBound:
             visit(depth + 1, sel_l, sel_r, spent, llog, rlog, lvis, rvis)
 
         visit(0, frozenset(), frozenset(), 0.0, zeros, zeros, zeros, zeros)
-        final = evaluate_selection(problem, self.best_sel)
-        return PlacementSolution(
-            selection=final.selection,
-            seen=final.seen,
-            cell_mass=final.cell_mass,
-            objective=final.objective,
-            optimal=True,
-        )
+        return replace(evaluate_selection(problem, self.best_sel), optimal=True)
 
 
 def solve_branch_bound(problem: PlacementProblem) -> PlacementSolution:
@@ -400,12 +380,5 @@ def solve_branch_bound(problem: PlacementProblem) -> PlacementSolution:
     # If even taking everything covers nothing, the empty pick is optimal.
     everything = Selection.of(range(problem.n_lidar), range(problem.n_radar))
     if evaluate_selection(problem, everything).objective <= 0.0:
-        empty = evaluate_selection(problem, Selection.of())
-        return PlacementSolution(
-            selection=empty.selection,
-            seen=empty.seen,
-            cell_mass=empty.cell_mass,
-            objective=empty.objective,
-            optimal=True,
-        )
+        return replace(evaluate_selection(problem, Selection.of()), optimal=True)
     return _BranchBound(problem).run()

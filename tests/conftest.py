@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -23,6 +25,15 @@ WIDE_LIDAR = SensorSpec("lidar", hfov_deg=360.0, vfov_deg=170.0, max_range_m=90.
                         rate_hz=20.0, unit_cost=100.0, beams=256)
 WIDE_RADAR = SensorSpec("radar", hfov_deg=360.0, vfov_deg=120.0, max_range_m=90.0,
                         rate_hz=20.0, unit_cost=20.0)
+
+
+def make_document(magic: str, payload: dict, version: int = 1) -> str:
+    """Hand-rolled writer so tests can craft arbitrary documents."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    body = json.dumps({"content_hash": digest, "payload": payload},
+                      sort_keys=True, indent=2)
+    return f"{magic} {version}\n{body}\n"
 
 
 def square_scene(

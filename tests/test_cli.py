@@ -23,7 +23,7 @@ from crossview import (
 )
 from crossview.cli import main
 
-from conftest import square_scene
+from conftest import make_document, square_scene
 
 
 @pytest.fixture(scope="module")
@@ -376,3 +376,134 @@ def test_workers_must_be_positive(workspace, tmp_path, capsys):
     ])
     assert rc == 4
     assert "workers" in capsys.readouterr().err
+
+
+def _payload(path) -> dict:
+    return json.loads(path.read_text().split("\n", 1)[1])["payload"]
+
+
+BAD_SCENE_FIELDS = [
+    (("grid",), None),
+    (("roi",), [1, 2]),
+    (("roi", "weights"), [1.0]),
+    (("roi", "weights", "3"), "heavy"),
+    (("occluders",), {}),
+    (("occluders", 0), "wall"),
+    (("lidar_candidates",), "L0"),
+    (("radar_candidates", 1), 7),
+    (("lidar_candidates", 0, "spec"), None),
+    (("lidar_candidates", 0, "spec", "hfov_deg"), "wide"),
+    (("radar_candidates", 0, "spec", "unit_cost"), "cheap"),
+    (("radar_candidates", 0, "yaw_deg"), "north"),
+    (("grid", "cell_size"), "2"),
+    (("grid", "nx"), True),
+    (("grid", "ny"), 10.0),
+]
+
+
+@pytest.mark.parametrize("where, value", BAD_SCENE_FIELDS, ids=[
+    ".".join(map(str, where)) + f"={value!r}" for where, value in BAD_SCENE_FIELDS])
+def test_malformed_scene_payload_exits_3(tmp_path, capsys, where, value):
+    """A hashed but malformed scene is a ParseError, never a traceback."""
+    path = tmp_path / "site.scene"
+    save_scene(path, square_scene(occluders=[((4.0, 4.0, 0.0), (6.0, 6.0, 3.0))],
+                                  weights={3: 2.0}))
+    payload = _payload(path)
+    parent = payload
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    path.write_text(make_document("crossview.scene", payload))
+    rc = main([
+        "visibility",
+        "--scene", str(path),
+        "--out-lidar", str(tmp_path / "l.vismatrix"),
+        "--out-radar", str(tmp_path / "r.vismatrix"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"samples_per_cell": 1}, "samples_per_cell"),
+    ({"configs": [{"name": "lean", "budget": 150, "budget_mod": "cost"}]}, "budget_mod"),
+], ids=["top-level", "configs-entry"])
+def test_pipeline_rejects_unknown_keys(tmp_path, capsys, change, key):
+    save_scene(tmp_path / "scene.scene", square_scene())
+    cfg = {"scene": "scene.scene", "configs": [{"name": "dense", "budget": 4}], **change}
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 4
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_pipeline_matches_subcommand_chain(tmp_path, capsys):
+    """pipeline and the subcommands fed its config sections write the same data."""
+    save_scene(tmp_path / "scene.scene", square_scene())
+    cfg = {
+        "scene": "scene.scene",
+        "visibility": {"samples_per_cell": 4, "object_height_m": 1.2, "sample_height_m": 0.5},
+        "configs": [
+            {"name": "lean", "budget": 150, "budget_mode": "cost", "solver": "greedy",
+             "theta": 0.05},
+            {"name": "dense", "budget": 3, "seen_threshold": 0.8},
+        ],
+        "scenario": {"seed": 4, "duration_frames": 10,
+                     "lidar_noise": {"position_sigma": 0.4}},
+        "fusion": {"iou_threshold": 0.2},
+        "evaluation": {"matching_mode": "center_distance", "thresholds": {"car": 1.5}},
+    }
+    for section in ("visibility", "scenario", "fusion", "evaluation"):
+        (tmp_path / f"{section}.json").write_text(json.dumps(cfg[section]))
+    (tmp_path / "pipeline.json").write_text(json.dumps(cfg))
+    pipe, chain = tmp_path / "pipe", tmp_path / "chain"
+    assert main(["pipeline", "--config", str(tmp_path / "pipeline.json"),
+                 "--out-dir", str(pipe)]) == 0
+
+    chain.mkdir()
+    lidar, radar = str(chain / "lidar.vismatrix"), str(chain / "radar.vismatrix")
+    assert main(["visibility", "--scene", str(tmp_path / "scene.scene"),
+                 "--out-lidar", lidar, "--out-radar", radar,
+                 "--config", str(tmp_path / "visibility.json")]) == 0
+    for entry in cfg["configs"]:
+        name = entry["name"]
+        entry_path = tmp_path / f"{name}.json"
+        entry_path.write_text(json.dumps(entry))
+        out = {s: str(chain / f"{name}.{s}") for s in (
+            "solution", "coverage", "truth.frames", "lidar.frames", "radar.frames",
+            "fused.frames", "evaluation")}
+        commands = [
+            ["optimize", "--lidar", lidar, "--radar", radar, "--config", str(entry_path),
+             "--out", out["solution"]],
+            ["coverage", "--lidar", lidar, "--radar", radar, "--solution", out["solution"],
+             "--config", str(entry_path), "--out", out["coverage"]],
+            ["simulate", "--scene", str(tmp_path / "scene.scene"), "--lidar", lidar,
+             "--radar", radar, "--solution", out["solution"],
+             "--config", str(tmp_path / "scenario.json"), "--out-truth", out["truth.frames"],
+             "--out-lidar", out["lidar.frames"], "--out-radar", out["radar.frames"]],
+            ["fuse", "--lidar", out["lidar.frames"], "--radar", out["radar.frames"],
+             "--config", str(tmp_path / "fusion.json"), "--out", out["fused.frames"]],
+            ["evaluate", "--truth", out["truth.frames"], "--predictions", out["fused.frames"],
+             "--config", str(tmp_path / "evaluation.json"), "--out", out["evaluation"]],
+        ]
+        for argv in commands:
+            assert main(argv) == 0, argv
+    capsys.readouterr()
+
+    compared = 0
+    for path in sorted(chain.iterdir()):
+        if path.suffix == ".manifest":
+            continue
+        ours = pipe / path.name
+        if path.suffix == ".vismatrix":
+            strip = [ln for ln in path.read_text().splitlines() if not ln.startswith("manifest ")]
+            theirs = [ln for ln in ours.read_text().splitlines() if not ln.startswith("manifest ")]
+            assert strip == theirs, path.name
+        else:
+            a, b = _payload(path), _payload(ours)
+            del a["manifest"], b["manifest"]
+            assert a == b, path.name
+        compared += 1
+    assert compared == 2 + 7 * len(cfg["configs"])

@@ -31,16 +31,7 @@ from crossview import (
     SolutionFile,
 )
 
-from conftest import random_box, square_scene
-
-
-def make_document(magic: str, payload: dict, version: int = 1) -> str:
-    """Hand-rolled writer so tests can craft arbitrary documents."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-    body = json.dumps({"content_hash": digest, "payload": payload},
-                      sort_keys=True, indent=2)
-    return f"{magic} {version}\n{body}\n"
+from conftest import make_document, random_box, square_scene
 
 
 def sample_matrix_file(scene=None) -> MatrixFile:

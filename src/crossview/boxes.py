@@ -49,9 +49,8 @@ class DetectionBox:
             raise ValueError("center must have exactly three components")
         if len(self.size) != 3:
             raise ValueError("size must have exactly three components")
-        for v in (*self.center, *self.size, self.yaw, self.score):
-            if not math.isfinite(v):
-                raise ValueError("box fields must be finite numbers")
+        if not all(map(math.isfinite, (*self.center, *self.size, self.yaw, self.score))):
+            raise ValueError("box fields must be finite numbers")
         if min(self.size) <= 0:
             raise ValueError("size components must be positive")
         if not 0.0 <= self.score <= 1.0:
@@ -63,13 +62,14 @@ class DetectionBox:
         if self.velocity is not None:
             if len(self.velocity) != 2:
                 raise ValueError("velocity must be planar (vx, vy)")
-            if not all(math.isfinite(v) for v in self.velocity):
+            if not all(map(math.isfinite, self.velocity)):
                 raise ValueError("velocity components must be finite")
-        object.__setattr__(self, "yaw", normalize_yaw(self.yaw))
-        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
-        object.__setattr__(self, "size", tuple(float(v) for v in self.size))
+        object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
+        object.__setattr__(self, "score", float(self.score))
+        object.__setattr__(self, "center", tuple(map(float, self.center)))
+        object.__setattr__(self, "size", tuple(map(float, self.size)))
         if self.velocity is not None:
-            object.__setattr__(self, "velocity", tuple(float(v) for v in self.velocity))
+            object.__setattr__(self, "velocity", tuple(map(float, self.velocity)))
 
     def sort_key(self) -> tuple:
         """Total deterministic order used for canonical tie-breaking."""
@@ -137,26 +137,31 @@ def _clip_polygon(
     return output
 
 
-def _volume(box: DetectionBox) -> float:
-    # Area via the same shoelace path as the intersection, so identical
-    # boxes produce an IoU of exactly 1.
-    return _polygon_area(footprint(box)) * box.size[2]
-
-
 def iou_3d(a: DetectionBox, b: DetectionBox) -> float:
     """Exact intersection-over-union of two oriented boxes; symmetric."""
-    if b.sort_key() < a.sort_key():
-        a, b = b, a
     lo = max(a.center[2] - a.size[2] / 2.0, b.center[2] - b.size[2] / 2.0)
     hi = min(a.center[2] + a.size[2] / 2.0, b.center[2] + b.size[2] / 2.0)
     dz = hi - lo
     if dz <= 0.0:
         return 0.0
-    inter_bev = _polygon_area(_clip_polygon(footprint(a), footprint(b)))
+    # Each footprint lies inside its circumscribed circle, so disjoint
+    # circles mean disjoint footprints.  The 1e-9 slack keeps the reject
+    # clear of rounding in the corner coordinates near tangency.
+    dx = a.center[0] - b.center[0]
+    dy = a.center[1] - b.center[1]
+    reach = 0.5 * (math.hypot(a.size[0], a.size[1]) + math.hypot(b.size[0], b.size[1]))
+    if dx * dx + dy * dy > reach * reach * (1.0 + 1e-9):
+        return 0.0
+    if b.sort_key() < a.sort_key():
+        a, b = b, a
+    fa, fb = footprint(a), footprint(b)
+    inter_bev = _polygon_area(_clip_polygon(fa, fb))
     if inter_bev <= 0.0:
         return 0.0
     inter = inter_bev * dz
-    union = _volume(a) + _volume(b) - inter
+    # Volumes take the same shoelace path as the intersection, so
+    # identical boxes produce an IoU of exactly 1.
+    union = _polygon_area(fa) * a.size[2] + _polygon_area(fb) * b.size[2] - inter
     if union <= 0.0:
         return 0.0
     return min(1.0, max(0.0, inter / union))

@@ -3,10 +3,11 @@
 Subcommands mirror the library stages: visibility, optimize, export-milp,
 coverage, compare, simulate, fuse, evaluate, and an end-to-end pipeline.
 Options come from flags first, then an optional --config JSON file, then
-built-in defaults.  Each stage has one settings reader and one stage
-function: a subcommand passes them its --config dict and flags, and
-``pipeline`` passes the matching section of its own config, so both paths
-write the same data files.
+built-in defaults; a --config key the command does not read is an error.
+Each stage has one settings reader and one stage function: a subcommand
+passes them its --config dict and flags, and ``pipeline`` passes the
+matching section of its own config, so both paths write the same data
+files.
 
 A command that writes files also writes a ``<first-output>.manifest``
 sidecar recording the command, input digests, effective config and wall
@@ -79,7 +80,8 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _load_config_file(path) -> dict:
+def _load_config_file(path, allowed: frozenset) -> dict:
+    """A --config file's object; a key outside ``allowed`` is a typo, not a no-op."""
     if path is None:
         return {}
     try:
@@ -88,6 +90,7 @@ def _load_config_file(path) -> dict:
         raise ParseError(f"{path}: invalid JSON config: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: config must be a JSON object")
+    _check_keys(obj, allowed, str(path))
     return obj
 
 
@@ -103,6 +106,15 @@ def _check_keys(config: dict, allowed: frozenset, where: str) -> None:
     unknown = sorted(config.keys() - allowed)
     if unknown:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}")
+
+
+def _section(config: dict, key: str, allowed: frozenset, where: str) -> dict:
+    """The object under ``key`` (empty if absent), with its keys checked."""
+    value = config.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} {key!r} must be an object")
+    _check_keys(value, allowed, f"{where} {key!r}")
+    return value
 
 
 def _save_manifest(path, command: str, inputs, outputs, config: dict, started: float) -> None:
@@ -122,6 +134,10 @@ def _checked_scene(path):
     if violations:
         raise ValueError("; ".join(f"scene: {v}" for v in violations))
     return scene
+
+
+_VISIBILITY_KEYS = frozenset(
+    {"samples_per_cell", "object_height_m", "sample_height_m", "epsilon"})
 
 
 def _visibility_config(config: dict, args=None) -> VisibilityConfig:
@@ -161,7 +177,7 @@ def _visibility_stage(scene, vis_cfg: VisibilityConfig, workers: int, paths,
 
 def cmd_visibility(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config)
+    config = _load_config_file(args.config, _VISIBILITY_KEYS | {"workers"})
     scene = _checked_scene(args.scene)
     vis_cfg = _visibility_config(config, args)
     workers = int(_pick(args, "workers", config, "workers", 1))
@@ -205,6 +221,9 @@ def _problem_from_files(lf: MatrixFile, rf: MatrixFile, settings: dict) -> Place
     )
 
 
+_OPTIMIZE_KEYS = frozenset({"budget", "budget_mode", "seen_threshold", "solver"})
+
+
 def _optimize_settings(config: dict, args=None) -> dict:
     budget = _pick(args, "budget", config, "budget", None)
     if budget is None:
@@ -242,7 +261,7 @@ def _optimize_stage(lf: MatrixFile, rf: MatrixFile, settings: dict, path, manife
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config)
+    config = _load_config_file(args.config, _OPTIMIZE_KEYS)
     lf, rf = _load_matrix_pair(args.lidar, args.radar)
     settings = _optimize_settings(config, args)
     manifest_path = f"{args.out}.manifest"
@@ -260,7 +279,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_export_milp(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config)
+    config = _load_config_file(args.config, _OPTIMIZE_KEYS)
     lf, rf = _load_matrix_pair(args.lidar, args.radar)
     settings = _optimize_settings(config, args)
     text = export_milp(_problem_from_files(lf, rf, settings))
@@ -282,9 +301,12 @@ def _selection_from_solution(sol: SolutionFile, lf: MatrixFile, rf: MatrixFile) 
     return Selection.of(sol.lidar_ids, sol.radar_ids)
 
 
+_COVERAGE_KEYS = frozenset({"theta", "name"})
+
+
 def cmd_coverage(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config)
+    config = _load_config_file(args.config, _COVERAGE_KEYS)
     lf, rf = _load_matrix_pair(args.lidar, args.radar)
     sol = load_solution(args.solution)
     if sol.scene_hash != lf.scene_hash:
@@ -338,6 +360,11 @@ def _noise_spec(record, where: str) -> NoiseSpec:
     return NoiseSpec(**{k: float(v) for k, v in record.items()})
 
 
+_SCENARIO_KEYS = frozenset(
+    {"seed", "duration_frames", "frame_dt_s", "class_mix", "speed_ranges", "lidar_noise",
+     "radar_noise", "dropout_rule"})
+
+
 def _scenario_config(config: dict, args=None) -> ScenarioConfig:
     class_mix = config.get("class_mix", None)
     speed_ranges = config.get("speed_ranges", None)
@@ -370,7 +397,7 @@ def _simulate_stage(scene, lf: MatrixFile, rf: MatrixFile, selection: Selection,
 
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config)
+    config = _load_config_file(args.config, _SCENARIO_KEYS)
     scene = _checked_scene(args.scene)
     lf, rf = _load_matrix_pair(args.lidar, args.radar)
     if lf.scene_hash != scene_hash(scene):
@@ -402,6 +429,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+_FUSION_KEYS = frozenset({"iou_threshold"})
+
+
 def _fusion_config(config: dict, args=None) -> FusionConfig:
     return FusionConfig(
         iou_threshold=float(_pick(args, "iou_threshold", config, "iou_threshold", 0.3))
@@ -418,7 +448,7 @@ def _fuse_frames(lidar: dict, radar: dict, fusion_cfg: FusionConfig) -> dict:
 
 def cmd_fuse(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config)
+    config = _load_config_file(args.config, _FUSION_KEYS)
     lidar = load_frames(args.lidar)
     radar = load_frames(args.radar)
     fusion_cfg = _fusion_config(config, args)
@@ -435,6 +465,9 @@ def cmd_fuse(args) -> int:
 
 def _ap_text(ap: float | None) -> str:
     return "undefined" if ap is None else f"{ap:.3f}"
+
+
+_EVALUATION_KEYS = frozenset({"matching_mode", "classes", "thresholds"})
 
 
 def _evaluation_settings(config: dict, args=None) -> tuple[str, tuple[str, ...], dict | None]:
@@ -479,7 +512,7 @@ def _evaluate_stage(pairs, mode: str, classes, thresholds):
 
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config)
+    config = _load_config_file(args.config, _EVALUATION_KEYS)
     pairs = load_frame_pairs(args.truth, args.predictions)
     mode, classes, thresholds = _evaluation_settings(config, args)
     result, record = _evaluate_stage(pairs, mode, classes, thresholds)
@@ -528,12 +561,11 @@ def cmd_evaluate(args) -> int:
 
 
 # Each section takes the keys of the matching subcommand's --config; a
-# configs[] entry takes optimize's keys plus a name, a coverage theta and
-# scenario overrides.
+# configs[] entry takes optimize's and coverage's keys plus scenario
+# overrides.
 _PIPELINE_KEYS = frozenset(
     {"scene", "workers", "configs", "visibility", "scenario", "fusion", "evaluation"})
-_VARIANT_KEYS = frozenset(
-    {"name", "budget", "budget_mode", "seen_threshold", "solver", "theta", "scenario"})
+_VARIANT_KEYS = _OPTIMIZE_KEYS | _COVERAGE_KEYS | {"scenario"}
 
 
 def _pipeline_entry(entry: dict, index: int) -> dict:
@@ -548,13 +580,13 @@ def _pipeline_entry(entry: dict, index: int) -> dict:
         raise ValueError(f"pipeline config name {name!r} has unsafe characters")
     if "budget" not in entry:
         raise ValueError(f"pipeline config {name!r} needs a 'budget'")
+    _section(entry, "scenario", _SCENARIO_KEYS, f"pipeline configs[{index}]")
     return entry
 
 
 def cmd_pipeline(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config)
-    _check_keys(config, _PIPELINE_KEYS, "pipeline config")
+    config = _load_config_file(args.config, _PIPELINE_KEYS)
     if "scene" not in config:
         raise ValueError("pipeline config requires a 'scene' path")
     scene_file = Path(args.config).parent / config["scene"]
@@ -571,9 +603,10 @@ def cmd_pipeline(args) -> int:
     if len(set(names)) != len(names):
         raise ValueError("pipeline config names must be unique")
     settings = [_optimize_settings(e) for e in entries]
-    vis_cfg = _visibility_config(config.get("visibility", {}))
-    fusion_cfg = _fusion_config(config.get("fusion", {}))
-    evaluation = _evaluation_settings(config.get("evaluation", {}))
+    vis_cfg = _visibility_config(_section(config, "visibility", _VISIBILITY_KEYS, "pipeline"))
+    scenario = _section(config, "scenario", _SCENARIO_KEYS, "pipeline")
+    fusion_cfg = _fusion_config(_section(config, "fusion", _FUSION_KEYS, "pipeline"))
+    evaluation = _evaluation_settings(_section(config, "evaluation", _EVALUATION_KEYS, "pipeline"))
 
     manifest_path = out_dir / "pipeline.manifest"
     manifest = manifest_path.name
@@ -593,8 +626,7 @@ def cmd_pipeline(args) -> int:
                                  theta=float(entry.get("theta", 0.0)))
         coverage_reports.append(report)
         save_report(cov_path, "coverage", report.to_record(), manifest)
-        scenario_cfg = _scenario_config({**config.get("scenario", {}),
-                                         **entry.get("scenario", {})})
+        scenario_cfg = _scenario_config({**scenario, **entry.get("scenario", {})})
         result = _simulate_stage(scene, lf, rf, solution.selection, scenario_cfg,
                                  frames_paths, manifest)
         fused = _fuse_frames(result.lidar, result.radar, fusion_cfg)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import DetectionBox
+from .boxes import CLASSES, SOURCES, DetectionBox
 from .metrics import FramePair, pair_frames
 from .scene import (
     CandidateMount,
@@ -407,41 +407,90 @@ def _box_record(box: DetectionBox) -> dict:
     }
 
 
-def _box_from_record(rec: dict, where: str) -> DetectionBox:
-    _require_keys(
-        rec,
-        {"center", "size", "yaw", "class_label", "score", "source"},
-        {"velocity"},
-        where,
-    )
-    velocity = rec.get("velocity")
-    if velocity is not None:
-        velocity = _as_float_tuple(velocity, 2, f"{where}.velocity")
+# The types a JSON number loads as; ``true`` loads as a bool, which is neither.
+_JSON_NUMBERS = frozenset({int, float})
+_BOX_REQUIRED = frozenset({"center", "size", "yaw", "class_label", "score", "source"})
+_BOX_KEYS = _BOX_REQUIRED | {"velocity"}
+
+
+def _is_numbers(value, n: int) -> bool:
+    return type(value) is list and len(value) == n and _JSON_NUMBERS.issuperset(map(type, value))
+
+
+def _box_from_record(rec) -> DetectionBox:
+    """Check one box record's types; DetectionBox checks the ranges.
+
+    Messages name the field relative to the box, and the caller adds the
+    box's location, so a well-formed box costs no message strings.
+    """
+    if not isinstance(rec, dict):
+        raise ParseError(": expected an object")
+    if rec.keys() != _BOX_KEYS:
+        _require_keys(rec, _BOX_REQUIRED, {"velocity"}, "")
+    center, size, velocity = rec["center"], rec["size"], rec.get("velocity")
+    if not _is_numbers(center, 3):
+        raise ParseError(f".center: expected a list of 3 numbers, got {center!r}")
+    if not _is_numbers(size, 3):
+        raise ParseError(f".size: expected a list of 3 numbers, got {size!r}")
+    if velocity is not None and not _is_numbers(velocity, 2):
+        raise ParseError(f".velocity: expected a list of 2 numbers, got {velocity!r}")
+    for key in ("yaw", "score"):
+        if type(rec[key]) not in _JSON_NUMBERS:
+            raise ParseError(f".{key}: expected a number, got {rec[key]!r}")
     try:
-        return DetectionBox(
-            center=_as_float_tuple(rec["center"], 3, f"{where}.center"),
-            size=_as_float_tuple(rec["size"], 3, f"{where}.size"),
-            yaw=float(rec["yaw"]),
-            class_label=rec["class_label"],
-            score=float(rec["score"]),
-            source=rec["source"],
-            velocity=velocity,
-        )
+        return DetectionBox(center, size, rec["yaw"], rec["class_label"], rec["score"],
+                            rec["source"], velocity)
     except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+        raise ParseError(f": {exc}") from exc
+
+
+def _numbers_text(values) -> str:
+    """A list of floats laid out as a box field by ``json.dumps(indent=2)``."""
+    items = ",\n              ".join(map(float.__repr__, values))
+    return f"[\n              {items}\n            ]"
+
+
+# Box labels come from fixed vocabularies, so their JSON text is looked up.
+_QUOTED = {name: json.dumps(name) for name in (*CLASSES, *SOURCES)}
+
+
+def _box_text(box: DetectionBox) -> str:
+    velocity = "null" if box.velocity is None else _numbers_text(box.velocity)
+    return (f'          {{\n            "center": {_numbers_text(box.center)},\n'
+            f'            "class_label": {_QUOTED[box.class_label]},\n'
+            f'            "score": {float.__repr__(box.score)},\n'
+            f'            "size": {_numbers_text(box.size)},\n'
+            f'            "source": {_QUOTED[box.source]},\n'
+            f'            "velocity": {velocity},\n'
+            f'            "yaw": {float.__repr__(box.yaw)}\n          }}')
+
+
+def _frames_document(ordered, manifest: str | None, digest: str) -> str:
+    """The bytes ``_dump_document`` writes for a frames payload, laid out directly.
+
+    With ``indent`` set, stdlib's JSON writer falls back to its pure-Python
+    encoder, a generator step per token; a test pins this writer to it
+    byte for byte.
+    """
+    frames = []
+    for frame_id, boxes in ordered:
+        box_list = "[\n" + ",\n".join(map(_box_text, boxes)) + "\n        ]" if boxes else "[]"
+        frames.append(f'      {{\n        "boxes": {box_list},\n'
+                      f'        "frame_id": {json.dumps(frame_id)}\n      }}')
+    frame_list = "[\n" + ",\n".join(frames) + "\n    ]" if frames else "[]"
+    tail = "" if manifest is None else f',\n    "manifest": {json.dumps(manifest)}'
+    return (f'{FRAMES_MAGIC} {FORMAT_VERSION}\n{{\n  "content_hash": "{digest}",\n'
+            f'  "payload": {{\n    "frames": {frame_list}{tail}\n  }}\n}}\n')
 
 
 def save_frames(path, frames: dict[str, list[DetectionBox]], manifest: str | None = None) -> None:
-    records = []
-    for frame_id in sorted(frames):
-        boxes = sorted(frames[frame_id], key=lambda b: (-b.score, b.sort_key()))
-        records.append(
-            {"frame_id": frame_id, "boxes": [_box_record(b) for b in boxes]}
-        )
-    payload: dict = {"frames": records}
+    ordered = [(frame_id, sorted(frames[frame_id], key=lambda b: (-b.score, b.sort_key())))
+               for frame_id in sorted(frames)]
+    payload: dict = {"frames": [{"frame_id": frame_id, "boxes": [_box_record(b) for b in boxes]}
+                                for frame_id, boxes in ordered]}
     if manifest is not None:
         payload["manifest"] = manifest
-    Path(path).write_text(_dump_document(FRAMES_MAGIC, payload))
+    Path(path).write_text(_frames_document(ordered, manifest, _payload_hash(payload)))
 
 
 def load_frames(path) -> dict[str, list[DetectionBox]]:
@@ -452,17 +501,25 @@ def load_frames(path) -> dict[str, list[DetectionBox]]:
         raise ParseError(f"{where}: frames must be a list")
     out: dict[str, list[DetectionBox]] = {}
     for k, rec in enumerate(payload["frames"]):
-        f_where = f"{where}.frames[{k}]"
-        _require_keys(rec, {"frame_id", "boxes"}, set(), f_where)
-        frame_id = rec["frame_id"]
-        if not isinstance(frame_id, str):
-            raise ParseError(f"{f_where}: frame_id must be a string")
-        if frame_id in out:
-            raise ParseError(f"{f_where}: duplicate frame_id {frame_id!r}")
-        out[frame_id] = [
-            _box_from_record(b, f"{f_where}.boxes[{i}]")
-            for i, b in enumerate(rec["boxes"])
-        ]
+        boxes = None
+        try:
+            if not isinstance(rec, dict):
+                raise ParseError(": expected an object")
+            _require_keys(rec, {"frame_id", "boxes"}, set(), "")
+            frame_id = rec["frame_id"]
+            if not isinstance(frame_id, str):
+                raise ParseError(f".frame_id: expected a string, got {frame_id!r}")
+            if frame_id in out:
+                raise ParseError(f": duplicate frame_id {frame_id!r}")
+            if not isinstance(rec["boxes"], list):
+                raise ParseError(".boxes: expected a list")
+            boxes = []
+            for b in rec["boxes"]:
+                boxes.append(_box_from_record(b))
+        except ParseError as exc:
+            at = "" if boxes is None else f".boxes[{len(boxes)}]"
+            raise ParseError(f"{where}.frames[{k}]{at}{exc}") from exc
+        out[frame_id] = boxes
     return out
 
 

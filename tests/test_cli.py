@@ -18,12 +18,13 @@ from crossview import (
     load_scene,
     load_solution,
     save_matrix,
+    save_frames,
     save_report,
     save_scene,
 )
 from crossview.cli import main
 
-from conftest import make_document, square_scene
+from conftest import make_document, random_box, square_scene
 
 
 @pytest.fixture(scope="module")
@@ -425,18 +426,115 @@ def test_malformed_scene_payload_exits_3(tmp_path, capsys, where, value):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("change, key", [
-    ({"samples_per_cell": 1}, "samples_per_cell"),
-    ({"configs": [{"name": "lean", "budget": 150, "budget_mod": "cost"}]}, "budget_mod"),
-], ids=["top-level", "configs-entry"])
-def test_pipeline_rejects_unknown_keys(tmp_path, capsys, change, key):
+@pytest.mark.parametrize("change, message", [
+    ({"samples_per_cell": 1}, "unknown key 'samples_per_cell'"),
+    ({"configs": [{"name": "lean", "budget": 150, "budget_mod": "cost"}]},
+     "unknown key 'budget_mod'"),
+    ({"fusion": 0.3}, "'fusion' must be an object"),
+    ({"configs": [{"name": "lean", "budget": 2, "scenario": 5}]},
+     "configs[0] 'scenario' must be an object"),
+    ({"visibility": {"workers": 2}}, "unknown key 'workers'"),
+], ids=["top-level", "configs-entry", "fusion-not-object", "entry-scenario-not-object",
+        "section-key"])
+def test_pipeline_rejects_unknown_keys(tmp_path, capsys, change, message):
     save_scene(tmp_path / "scene.scene", square_scene())
     cfg = {"scene": "scene.scene", "configs": [{"name": "dense", "budget": 4}], **change}
     cfg_path = tmp_path / "pipeline.json"
     cfg_path.write_text(json.dumps(cfg))
     rc = main(["pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("optimize", {"budget": 150, "budget_mod": "cost"}, "budget_mod"),
+    ("visibility", {"visibility": {"samples_per_cell": 1}}, "visibility"),
+    ("fuse", {"iou_threshold": 0.2, "iou": 0.5}, "iou"),
+], ids=["optimize-typo", "visibility-nested", "fuse-extra"])
+def test_subcommand_config_rejects_unknown_keys(workspace, tmp_path, capsys, command, config,
+                                                key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    argv = {
+        "optimize": ["--lidar", str(workspace / "lidar.vismatrix"),
+                     "--radar", str(workspace / "radar.vismatrix"),
+                     "--out", str(tmp_path / "x.solution")],
+        "visibility": ["--scene", str(workspace / "scene.scene"),
+                       "--out-lidar", str(tmp_path / "l.vismatrix"),
+                       "--out-radar", str(tmp_path / "r.vismatrix")],
+        "fuse": ["--lidar", str(tmp_path / "none.frames"), "--radar", str(tmp_path / "none.frames"),
+                 "--out", str(tmp_path / "fused.frames")],
+    }[command]
+    rc = main([command, *argv, "--config", str(cfg)])
     assert rc == 4
     assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not any(p.suffix != ".json" for p in tmp_path.iterdir())
+
+
+def test_simulate_config_takes_every_scenario_key(workspace, tmp_path, capsys):
+    assert main(["optimize", "--lidar", str(workspace / "lidar.vismatrix"),
+                 "--radar", str(workspace / "radar.vismatrix"), "--budget", "2",
+                 "--out", str(tmp_path / "x.solution")]) == 0
+    cfg = tmp_path / "clip.json"
+    cfg.write_text(json.dumps({
+        "seed": 3, "duration_frames": 4, "frame_dt_s": 60.0, "dropout_rule": "none",
+        "class_mix": {"car": 3.0, "bus": 1.0}, "speed_ranges": {"car": [5.0, 15.0]},
+        "lidar_noise": {"position_sigma": 0.15}, "radar_noise": {"velocity_sigma": 0.2},
+    }))
+    rc = main(["simulate", "--scene", str(workspace / "scene.scene"),
+               "--lidar", str(workspace / "lidar.vismatrix"),
+               "--radar", str(workspace / "radar.vismatrix"),
+               "--solution", str(tmp_path / "x.solution"), "--config", str(cfg),
+               "--out-truth", str(tmp_path / "t.frames"), "--out-lidar", str(tmp_path / "l.frames"),
+               "--out-radar", str(tmp_path / "r.frames")])
+    assert rc == 0, capsys.readouterr().err
+
+
+def _frames_file(path) -> dict:
+    """A small valid lidar frames file; returns its payload for editing."""
+    rng = np.random.default_rng(6)
+    save_frames(path, {"000000": [random_box(rng, source="lidar") for _ in range(2)],
+                       "000001": []})
+    return _payload(path)
+
+
+BAD_FRAMES_FIELDS = [
+    (("frames", 0), "000000"),
+    (("frames", 0, "frame_id"), 0),
+    (("frames", 0, "boxes"), {"0": []}),
+    (("frames", 0, "boxes", 1), 7),
+    (("frames", 0, "boxes", 0, "yaw"), [1]),
+    (("frames", 0, "boxes", 0, "yaw"), True),
+    (("frames", 0, "boxes", 0, "score"), "0.5"),
+    (("frames", 0, "boxes", 1, "center", 2), False),
+    (("frames", 0, "boxes", 0, "size"), [1.0, 2.0]),
+    (("frames", 0, "boxes", 0, "velocity"), "fast"),
+    (("frames", 0, "boxes", 0, "class_label"), ["car"]),
+    (("frames", 0, "boxes", 0, "score"), 2),
+]
+
+
+@pytest.mark.parametrize("where, value", BAD_FRAMES_FIELDS, ids=[
+    ".".join(map(str, where)) + f"={value!r}" for where, value in BAD_FRAMES_FIELDS])
+def test_malformed_frames_payload_exits_3(tmp_path, capsys, where, value):
+    """A hashed but malformed frames file is a ParseError naming the spot."""
+    path = tmp_path / "lidar.frames"
+    payload = _frames_file(path)
+    save_frames(tmp_path / "radar.frames", {})
+    parent = payload
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    path.write_text(make_document("crossview.frames", payload))
+    rc = main(["fuse", "--lidar", str(path), "--radar", str(tmp_path / "radar.frames"),
+               "--out", str(tmp_path / "fused.frames")])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    location = "".join(f"[{w}]" if isinstance(w, int) else f".{w}" for w in where[:4])
+    assert f"lidar.frames{location}" in err, err
+    assert len(where) < 5 or where[4] in err, err
 
 
 def test_pipeline_matches_subcommand_chain(tmp_path, capsys):
@@ -469,16 +567,21 @@ def test_pipeline_matches_subcommand_chain(tmp_path, capsys):
                  "--config", str(tmp_path / "visibility.json")]) == 0
     for entry in cfg["configs"]:
         name = entry["name"]
-        entry_path = tmp_path / f"{name}.json"
-        entry_path.write_text(json.dumps(entry))
+        # A configs[] entry holds optimize's keys plus coverage's name and theta.
+        coverage_keys = ("name", "theta")
+        optimize_path, coverage_path = tmp_path / f"{name}.json", tmp_path / f"{name}.cov.json"
+        optimize_path.write_text(json.dumps(
+            {k: v for k, v in entry.items() if k not in coverage_keys}))
+        coverage_path.write_text(json.dumps(
+            {k: v for k, v in entry.items() if k in coverage_keys}))
         out = {s: str(chain / f"{name}.{s}") for s in (
             "solution", "coverage", "truth.frames", "lidar.frames", "radar.frames",
             "fused.frames", "evaluation")}
         commands = [
-            ["optimize", "--lidar", lidar, "--radar", radar, "--config", str(entry_path),
+            ["optimize", "--lidar", lidar, "--radar", radar, "--config", str(optimize_path),
              "--out", out["solution"]],
             ["coverage", "--lidar", lidar, "--radar", radar, "--solution", out["solution"],
-             "--config", str(entry_path), "--out", out["coverage"]],
+             "--config", str(coverage_path), "--out", out["coverage"]],
             ["simulate", "--scene", str(tmp_path / "scene.scene"), "--lidar", lidar,
              "--radar", radar, "--solution", out["solution"],
              "--config", str(tmp_path / "scenario.json"), "--out-truth", out["truth.frames"],

@@ -28,8 +28,13 @@ from crossview import (
     save_scene,
     save_solution,
     scene_hash,
+    ScenarioConfig,
+    Selection,
     SolutionFile,
+    generate_scenario,
 )
+
+from crossview.formats import FRAMES_MAGIC, _dump_document
 
 from conftest import make_document, random_box, square_scene
 
@@ -288,6 +293,58 @@ def test_bad_box_field_named_in_error(tmp_path):
         "crossview.frames", {"frames": [{"frame_id": "000000", "boxes": [box]}]}))
     with pytest.raises(ParseError, match=r"frames\[0\].boxes\[0\]"):
         load_frames(path)
+
+
+def _frames_payload(frames: dict, manifest=None) -> dict:
+    """The payload the generic envelope would be given for ``frames``."""
+    records = []
+    for frame_id in sorted(frames):
+        boxes = sorted(frames[frame_id], key=lambda b: (-b.score, b.sort_key()))
+        records.append({"frame_id": frame_id, "boxes": [{
+            "center": b.center, "size": b.size, "yaw": b.yaw, "class_label": b.class_label,
+            "score": b.score, "source": b.source, "velocity": b.velocity} for b in boxes]})
+    payload = {"frames": records}
+    if manifest is not None:
+        payload["manifest"] = manifest
+    return payload
+
+
+def _odd_floats_box() -> DetectionBox:
+    return DetectionBox(center=(-0.0, 1e-07, 1e16), size=(5.0, 1e-07, 2.5), yaw=-0.0,
+                        class_label="bus", score=5e-324, source="radar",
+                        velocity=(1e16, -0.0))
+
+
+def _scenario_frames() -> dict:
+    scene = square_scene()
+    full = VisibilityMatrix("lidar", np.full((2, 100), 0.9))
+    result = generate_scenario(scene, full, VisibilityMatrix("radar", full.values),
+                               Selection.of([0, 1], [0]), ScenarioConfig(seed=2, duration_frames=6))
+    return {**result.ground_truth, **{f"l{k}": v for k, v in result.lidar.items()},
+            **{f"r{k}": v for k, v in result.radar.items()}}
+
+
+FRAMES_CASES = {
+    "empty": ({}, None),
+    "frame-without-boxes": ({"000000": []}, "x.manifest"),
+    "velocity-none-and-set": ({"a": [random_box(np.random.default_rng(1), source="lidar"),
+                                     random_box(np.random.default_rng(2), source="radar")]},
+                              None),
+    "manifest-set": ({"a": [random_box(np.random.default_rng(3))], "b": []}, "run.manifest"),
+    "quote-and-non-ascii-id": ({'cam "north" \u00e9\u6771': [_odd_floats_box()]}, 'm "q" \u00fc'),
+    "odd-floats": ({"z": [_odd_floats_box(), _odd_floats_box()]}, None),
+    "generate-scenario": (_scenario_frames(), "sim.manifest"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAMES_CASES))
+def test_save_frames_matches_generic_envelope(tmp_path, case):
+    """The dedicated frames writer emits exactly the generic envelope's bytes."""
+    frames, manifest = FRAMES_CASES[case]
+    save_frames(tmp_path / "x.frames", frames, manifest)
+    expected = _dump_document(FRAMES_MAGIC, _frames_payload(frames, manifest))
+    assert (tmp_path / "x.frames").read_text() == expected
+    assert load_frames(tmp_path / "x.frames").keys() == frames.keys()
 
 
 def test_load_frame_pairs_unions_ids(tmp_path):

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from crossview import DetectionBox, center_distance_bev, iou_3d
+from crossview import boxes as boxes_module
+from crossview.boxes import _clip_polygon, _polygon_area, footprint
 
-from conftest import random_box
+from conftest import random_box, shifted_copy
 from oracles import mc_iou_3d
 
 
@@ -108,6 +110,55 @@ def test_center_distance_is_planar():
     assert center_distance_bev(a, b) == 5.0
 
 
+def _unfiltered_iou(a, b):
+    """iou_3d as it reads without the circle reject: always clip the footprints."""
+    if b.sort_key() < a.sort_key():
+        a, b = b, a
+    lo = max(a.center[2] - a.size[2] / 2.0, b.center[2] - b.size[2] / 2.0)
+    hi = min(a.center[2] + a.size[2] / 2.0, b.center[2] + b.size[2] / 2.0)
+    if hi - lo <= 0.0:
+        return 0.0
+    fa, fb = footprint(a), footprint(b)
+    inter = _polygon_area(_clip_polygon(fa, fb)) * (hi - lo)
+    if inter <= 0.0:
+        return 0.0
+    union = _polygon_area(fa) * a.size[2] + _polygon_area(fb) * b.size[2] - inter
+    if union <= 0.0:
+        return 0.0
+    return min(1.0, max(0.0, inter / union))
+
+
+def test_circle_reject_matches_unfiltered_iou(monkeypatch):
+    """The BEV circle reject never changes a value, even near tangency."""
+    rng = np.random.default_rng(31)
+    calls = []
+
+    def counted_footprint(box):
+        calls.append(box)
+        return footprint(box)
+
+    monkeypatch.setattr(boxes_module, "footprint", counted_footprint)
+    rejected = clipped = 0
+    for _ in range(12_000):
+        a = random_box(rng, spread=5.0)
+        b = random_box(rng, center=(0.0, 0.0, a.center[2]))
+        # Put b's center near the distance at which the two circumscribed
+        # circles touch, in a random direction.
+        reach = 0.5 * (math.hypot(*a.size[:2]) + math.hypot(*b.size[:2]))
+        angle = float(rng.uniform(-math.pi, math.pi))
+        dist = reach * float(rng.choice([rng.uniform(0.97, 1.03), rng.uniform(0.0, 1.0),
+                                         1.0 + float(rng.normal(0.0, 1e-6))]))
+        b = shifted_copy(b, a.center[0] + dist * math.cos(angle),
+                         a.center[1] + dist * math.sin(angle))
+        calls.clear()
+        assert iou_3d(a, b) == _unfiltered_iou(a, b)
+        if calls:
+            clipped += 1
+        else:
+            rejected += 1
+    assert rejected > 2000 and clipped > 2000
+
+
 def test_yaw_normalization():
     assert box(yaw=3.0 * math.pi).yaw == pytest.approx(math.pi, abs=0.0)
     assert box(yaw=-math.pi).yaw == pytest.approx(math.pi, abs=0.0)
@@ -132,6 +183,18 @@ def test_box_validation():
         box(velocity=(1.0,))
     with pytest.raises(ValueError):
         box(velocity=(math.inf, 0.0))
+
+
+@pytest.mark.parametrize("kind, value", [(np.float64, 0.3), (np.float32, 0.3), (int, 1)],
+                         ids=["float64", "float32", "int"])
+def test_box_fields_are_stored_as_plain_floats(kind, value):
+    b = DetectionBox(center=(kind(value), kind(2), kind(1)), size=(kind(4), kind(2), kind(2)),
+                     yaw=kind(value), class_label="car", score=kind(value), source="radar",
+                     velocity=(kind(value), kind(0)))
+    for v in (*b.center, *b.size, b.yaw, b.score, *b.velocity):
+        assert type(v) is float
+    assert b.score == float(kind(value)) and b.yaw == float(kind(value))
+    assert float.__repr__(b.score) == repr(float(kind(value)))
 
 
 def test_rotation_preserves_iou_structure():

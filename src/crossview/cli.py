@@ -108,11 +108,21 @@ def _check_keys(config: dict, allowed: frozenset, where: str) -> None:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}")
 
 
+def _config_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object")
+    return value
+
+
+def _config_number(value, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 def _section(config: dict, key: str, allowed: frozenset, where: str) -> dict:
     """The object under ``key`` (empty if absent), with its keys checked."""
-    value = config.get(key, {})
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} {key!r} must be an object")
+    value = _config_object(config.get(key, {}), f"{where} {key!r}")
     _check_keys(value, allowed, f"{where} {key!r}")
     return value
 
@@ -357,7 +367,13 @@ def _noise_spec(record, where: str) -> NoiseSpec:
     for key in record:
         if key not in allowed:
             raise ValueError(f"{where}: unknown noise field {key!r}")
-    return NoiseSpec(**{k: float(v) for k, v in record.items()})
+    return NoiseSpec(**{k: _config_number(v, f"{where}.{k}") for k, v in record.items()})
+
+
+def _speed_range(value, where: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{where} must be a [low, high] pair of numbers, got {value!r}")
+    return _config_number(value[0], where), _config_number(value[1], where)
 
 
 _SCENARIO_KEYS = frozenset(
@@ -370,11 +386,11 @@ def _scenario_config(config: dict, args=None) -> ScenarioConfig:
     speed_ranges = config.get("speed_ranges", None)
     kwargs = {}
     if class_mix is not None:
-        kwargs["class_mix"] = {str(k): float(v) for k, v in class_mix.items()}
+        kwargs["class_mix"] = {str(k): _config_number(v, f"class_mix.{k}")
+                               for k, v in _config_object(class_mix, "class_mix").items()}
     if speed_ranges is not None:
-        kwargs["speed_ranges"] = {
-            str(k): (float(v[0]), float(v[1])) for k, v in speed_ranges.items()
-        }
+        kwargs["speed_ranges"] = {str(k): _speed_range(v, f"speed_ranges.{k}")
+                                  for k, v in _config_object(speed_ranges, "speed_ranges").items()}
     return ScenarioConfig(
         seed=int(_pick(args, "seed", config, "seed", 0)),
         duration_frames=int(_pick(args, "frames", config, "duration_frames", 100)),
@@ -480,11 +496,14 @@ def _evaluation_settings(config: dict, args=None) -> tuple[str, tuple[str, ...],
         classes = CLASSES
     elif isinstance(classes_value, str):
         classes = tuple(c.strip() for c in classes_value.split(",") if c.strip())
-    else:
+    elif isinstance(classes_value, list) and all(isinstance(c, str) for c in classes_value):
         classes = tuple(classes_value)
+    else:
+        raise ValueError(f"classes must be a list of class names, got {classes_value!r}")
     thresholds = config.get("thresholds")
     if thresholds is not None:
-        thresholds = {str(k): float(v) for k, v in thresholds.items()}
+        thresholds = {str(k): _config_number(v, f"thresholds.{k}")
+                      for k, v in _config_object(thresholds, "thresholds").items()}
     threshold = getattr(args, "threshold", None)
     if threshold is not None:
         thresholds = {label: threshold for label in classes}
@@ -605,6 +624,7 @@ def cmd_pipeline(args) -> int:
     settings = [_optimize_settings(e) for e in entries]
     vis_cfg = _visibility_config(_section(config, "visibility", _VISIBILITY_KEYS, "pipeline"))
     scenario = _section(config, "scenario", _SCENARIO_KEYS, "pipeline")
+    scenario_cfgs = [_scenario_config({**scenario, **e.get("scenario", {})}) for e in entries]
     fusion_cfg = _fusion_config(_section(config, "fusion", _FUSION_KEYS, "pipeline"))
     evaluation = _evaluation_settings(_section(config, "evaluation", _EVALUATION_KEYS, "pipeline"))
 
@@ -614,7 +634,7 @@ def cmd_pipeline(args) -> int:
     lf, rf = _visibility_stage(scene, vis_cfg, workers, outputs, manifest)
     coverage_reports = []
     summary_rows = []
-    for entry, optimize in zip(entries, settings):
+    for entry, optimize, scenario_cfg in zip(entries, settings, scenario_cfgs):
         name = entry["name"]
         paths = [out_dir / f"{name}.{suffix}" for suffix in (
             "solution", "coverage", "truth.frames", "lidar.frames", "radar.frames",
@@ -626,7 +646,6 @@ def cmd_pipeline(args) -> int:
                                  theta=float(entry.get("theta", 0.0)))
         coverage_reports.append(report)
         save_report(cov_path, "coverage", report.to_record(), manifest)
-        scenario_cfg = _scenario_config({**scenario, **entry.get("scenario", {})})
         result = _simulate_stage(scene, lf, rf, solution.selection, scenario_cfg,
                                  frames_paths, manifest)
         fused = _fuse_frames(result.lidar, result.radar, fusion_cfg)

@@ -1,11 +1,14 @@
 """Text file formats: scenes, visibility matrices, frames, reports.
 
-Every file opens with a one-line magic token and format version, e.g.
-``crossview.scene 1``.  JSON-bodied formats carry a sha256 content hash of
-the canonical (sorted, compact) payload so truncation and hand edits fail
-loudly on load.  The matrix format is a plain header plus one text row per
-candidate; values are printed with 9 significant digits, which reparses to
-the same printed form, so a load/save cycle is byte stable.
+Every kind, the matrix included, has one envelope: a header line
+``<magic> <version> <sha256>`` (e.g. ``crossview.scene 2 9f86...``), then a
+body whose bytes on disk the digest covers, so truncation and edits fail
+loudly on load; version 1 files are rejected.  ``scene_hash`` is the digest
+a scene file's header carries.  JSON bodies hold ``{"payload": ...}`` with
+sorted keys and two-space indents.  A matrix body is plain header lines plus
+one row per candidate, printed to 9 significant digits, which reparse to the
+same text, so a load/save cycle is byte stable.  Writes go to a temp file
+that is then renamed over the target, so no reader sees half a file.
 
 Loaders are strict: unknown fields, missing fields, version mismatches and
 malformed numbers all raise ParseError naming the offending part.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -38,7 +42,7 @@ FRAMES_MAGIC = "crossview.frames"
 REPORT_MAGIC = "crossview.report"
 SOLUTION_MAGIC = "crossview.solution"
 MANIFEST_MAGIC = "crossview.manifest"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ParseError(ValueError):
@@ -47,6 +51,47 @@ class ParseError(ValueError):
 
 def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _body_digest(body: bytes) -> str:
+    return hashlib.sha256(body).hexdigest()
+
+
+def _write_artifact(path, magic: str, body: str) -> None:
+    """Write the header line and ``body``; the target is replaced whole or not at all."""
+    path = Path(path)
+    data = body.encode("utf-8")
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(f"{magic} {FORMAT_VERSION} {_body_digest(data)}\n".encode() + data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_artifact(path, magic: str) -> str:
+    """The body of a ``magic`` file whose header and digest check out."""
+    head, newline, body = Path(path).read_bytes().partition(b"\n")
+    if not newline:
+        raise ParseError(f"{path}: missing magic line")
+    first = head.decode("utf-8", "replace")
+    parts = first.split()
+    if len(parts) not in (2, 3):
+        raise ParseError(f"{path}: malformed magic line {first!r}")
+    if parts[0] != magic:
+        raise ParseError(f"{path}: expected {magic} file, found {parts[0]!r}")
+    if parts[1] != str(FORMAT_VERSION) or len(parts) != 3:
+        raise ParseError(
+            f"{path}: unsupported {magic} version {' '.join(parts[1:])!r}"
+            f" (this build reads version {FORMAT_VERSION} followed by a sha256 digest)"
+        )
+    if _body_digest(body) != parts[2]:
+        raise ParseError(f"{path}: content hash mismatch; file is truncated, corrupt or edited")
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: body is not UTF-8 text: {exc}") from exc
 
 
 def _jsonable(obj):
@@ -62,40 +107,9 @@ def _jsonable(obj):
     return obj
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def _payload_hash(payload: dict) -> str:
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-
-
-def _dump_document(magic: str, payload: dict) -> str:
-    payload = _jsonable(payload)
-    body = {"content_hash": _payload_hash(payload), "payload": payload}
-    text = json.dumps(body, sort_keys=True, indent=2, allow_nan=False)
-    return f"{magic} {FORMAT_VERSION}\n{text}\n"
-
-
-def _split_magic(text: str, path) -> tuple[str, str, str]:
-    newline = text.find("\n")
-    if newline < 0:
-        raise ParseError(f"{path}: missing magic line")
-    first = text[:newline]
-    parts = first.split()
-    if len(parts) != 2:
-        raise ParseError(f"{path}: malformed magic line {first!r}")
-    return parts[0], parts[1], text[newline + 1 :]
-
-
-def _check_magic(magic: str, version: str, expected: str, path) -> None:
-    if magic != expected:
-        raise ParseError(f"{path}: expected {expected} file, found {magic!r}")
-    if version != str(FORMAT_VERSION):
-        raise ParseError(
-            f"{path}: unsupported {expected} version {version!r}"
-            f" (this build reads version {FORMAT_VERSION})"
-        )
+def _json_body(payload: dict) -> str:
+    return json.dumps({"payload": _jsonable(payload)}, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _reject_constant(name: str):
@@ -103,21 +117,14 @@ def _reject_constant(name: str):
 
 
 def _load_document(path, expected_magic: str) -> dict:
-    text = Path(path).read_text()
-    magic, version, rest = _split_magic(text, path)
-    _check_magic(magic, version, expected_magic, path)
+    text = _read_artifact(path, expected_magic)
     try:
-        body = json.loads(rest, parse_constant=_reject_constant)
+        body = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid or truncated JSON body: {exc}") from exc
-    if not isinstance(body, dict):
-        raise ParseError(f"{path}: JSON body must be an object")
-    _require_keys(body, {"content_hash", "payload"}, set(), f"{path} body")
-    payload = body["payload"]
+    payload = _object(body, {"payload"}, set(), f"{path} body")["payload"]
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: payload must be an object")
-    if _payload_hash(payload) != body["content_hash"]:
-        raise ParseError(f"{path}: content hash mismatch; file is corrupt or edited")
     return payload
 
 
@@ -133,12 +140,7 @@ def _require_keys(d: dict, required: set[str], optional: set[str], where: str) -
 def _as_float_tuple(value, n: int, where: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise ParseError(f"{where}: expected a list of {n} numbers")
-    out = []
-    for v in value:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ParseError(f"{where}: expected a number, got {v!r}")
-        out.append(float(v))
-    return tuple(out)
+    return tuple(_number(v, where) for v in value)
 
 
 # -- scenes -----------------------------------------------------------------
@@ -165,6 +167,12 @@ def _number(value, where: str) -> float:
 def _integer(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: expected a string, got {value!r}")
     return value
 
 
@@ -212,12 +220,12 @@ def scene_payload(scene: Scene) -> dict:
 
 
 def scene_hash(scene: Scene) -> str:
-    """Stable provenance digest of a scene's canonical payload."""
-    return _payload_hash(_jsonable(scene_payload(scene)))
+    """The digest in the header of the file ``save_scene`` writes for ``scene``."""
+    return _body_digest(_json_body(scene_payload(scene)).encode("utf-8"))
 
 
 def save_scene(path, scene: Scene) -> None:
-    Path(path).write_text(_dump_document(SCENE_MAGIC, scene_payload(scene)))
+    _write_artifact(path, SCENE_MAGIC, _json_body(scene_payload(scene)))
 
 
 def load_scene(path) -> Scene:
@@ -304,8 +312,7 @@ def save_matrix(path, mf: MatrixFile) -> None:
         raise ValueError("weights length must match matrix columns")
     if mf.costs.shape != (rows,) or len(mf.ids) != rows:
         raise ValueError("costs and ids length must match matrix rows")
-    lines = [f"{MATRIX_MAGIC} {FORMAT_VERSION}"]
-    lines.append(f"modality {mf.matrix.modality}")
+    lines = [f"modality {mf.matrix.modality}"]
     lines.append(f"rows {rows}")
     lines.append(f"cols {cols}")
     lines.append(f"epsilon {_fmt(mf.matrix.epsilon)}")
@@ -318,7 +325,7 @@ def save_matrix(path, mf: MatrixFile) -> None:
         lines.append(f"manifest {mf.manifest}")
     for i in range(rows):
         lines.append(" ".join(_fmt(v) for v in mf.matrix.values[i]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_artifact(path, MATRIX_MAGIC, "\n".join(lines) + "\n")
 
 
 def _parse_floats(text: str, n: int, where: str) -> np.ndarray:
@@ -332,10 +339,7 @@ def _parse_floats(text: str, n: int, where: str) -> np.ndarray:
 
 
 def load_matrix(path) -> MatrixFile:
-    text = Path(path).read_text()
-    magic, version, rest = _split_magic(text, path)
-    _check_magic(magic, version, MATRIX_MAGIC, path)
-    lines = rest.splitlines()
+    lines = _read_artifact(path, MATRIX_MAGIC).splitlines()
     header: dict[str, str] = {}
     required = {"modality", "rows", "cols", "epsilon", "scene_hash",
                 "cells", "weights", "costs", "ids"}
@@ -395,18 +399,6 @@ def load_matrix(path) -> MatrixFile:
 
 # -- detection frames -------------------------------------------------------
 
-def _box_record(box: DetectionBox) -> dict:
-    return {
-        "center": list(box.center),
-        "size": list(box.size),
-        "yaw": box.yaw,
-        "class_label": box.class_label,
-        "score": box.score,
-        "source": box.source,
-        "velocity": None if box.velocity is None else list(box.velocity),
-    }
-
-
 # The types a JSON number loads as; ``true`` loads as a bool, which is neither.
 _JSON_NUMBERS = frozenset({int, float})
 _BOX_REQUIRED = frozenset({"center", "size", "yaw", "class_label", "score", "source"})
@@ -465,8 +457,8 @@ def _box_text(box: DetectionBox) -> str:
             f'            "yaw": {float.__repr__(box.yaw)}\n          }}')
 
 
-def _frames_document(ordered, manifest: str | None, digest: str) -> str:
-    """The bytes ``_dump_document`` writes for a frames payload, laid out directly.
+def _frames_body(ordered, manifest: str | None) -> str:
+    """The body ``_json_body`` makes of a frames payload, laid out directly.
 
     With ``indent`` set, stdlib's JSON writer falls back to its pure-Python
     encoder, a generator step per token; a test pins this writer to it
@@ -479,18 +471,13 @@ def _frames_document(ordered, manifest: str | None, digest: str) -> str:
                       f'        "frame_id": {json.dumps(frame_id)}\n      }}')
     frame_list = "[\n" + ",\n".join(frames) + "\n    ]" if frames else "[]"
     tail = "" if manifest is None else f',\n    "manifest": {json.dumps(manifest)}'
-    return (f'{FRAMES_MAGIC} {FORMAT_VERSION}\n{{\n  "content_hash": "{digest}",\n'
-            f'  "payload": {{\n    "frames": {frame_list}{tail}\n  }}\n}}\n')
+    return f'{{\n  "payload": {{\n    "frames": {frame_list}{tail}\n  }}\n}}\n'
 
 
 def save_frames(path, frames: dict[str, list[DetectionBox]], manifest: str | None = None) -> None:
     ordered = [(frame_id, sorted(frames[frame_id], key=lambda b: (-b.score, b.sort_key())))
                for frame_id in sorted(frames)]
-    payload: dict = {"frames": [{"frame_id": frame_id, "boxes": [_box_record(b) for b in boxes]}
-                                for frame_id, boxes in ordered]}
-    if manifest is not None:
-        payload["manifest"] = manifest
-    Path(path).write_text(_frames_document(ordered, manifest, _payload_hash(payload)))
+    _write_artifact(path, FRAMES_MAGIC, _frames_body(ordered, manifest))
 
 
 def load_frames(path) -> dict[str, list[DetectionBox]]:
@@ -534,7 +521,7 @@ def save_report(path, kind: str, record: dict, manifest: str | None = None) -> N
     payload: dict = {"kind": kind, "record": record}
     if manifest is not None:
         payload["manifest"] = manifest
-    Path(path).write_text(_dump_document(REPORT_MAGIC, payload))
+    _write_artifact(path, REPORT_MAGIC, _json_body(payload))
 
 
 def load_report(path) -> tuple[str, dict]:
@@ -559,35 +546,38 @@ class SolutionFile:
 
 
 def save_solution(path, sol: SolutionFile) -> None:
-    Path(path).write_text(_dump_document(SOLUTION_MAGIC, asdict(sol)))
+    _write_artifact(path, SOLUTION_MAGIC, _json_body(asdict(sol)))
 
 
 def load_solution(path) -> SolutionFile:
-    payload = _load_document(path, SOLUTION_MAGIC)
     where = str(path)
-    _require_keys(
-        payload,
+    payload = _object(
+        _load_document(path, SOLUTION_MAGIC),
         {"lidar_ids", "radar_ids", "lidar_candidate_ids", "radar_candidate_ids",
          "objective", "optimal", "budget", "budget_mode", "seen_threshold",
          "scene_hash"},
         {"manifest"},
         where,
     )
-    for key in ("lidar_ids", "radar_ids"):
-        if not all(isinstance(i, int) for i in payload[key]):
-            raise ParseError(f"{where}: {key} must be integers")
+
+    def items(key: str, check) -> tuple:
+        return tuple(check(v, f"{where}.{key}") for v in _list(payload[key], f"{where}.{key}"))
+
+    if not isinstance(payload["optimal"], bool):
+        raise ParseError(f"{where}.optimal: expected true or false, got {payload['optimal']!r}")
+    manifest = payload.get("manifest")
     return SolutionFile(
-        lidar_ids=tuple(payload["lidar_ids"]),
-        radar_ids=tuple(payload["radar_ids"]),
-        lidar_candidate_ids=tuple(payload["lidar_candidate_ids"]),
-        radar_candidate_ids=tuple(payload["radar_candidate_ids"]),
-        objective=float(payload["objective"]),
-        optimal=bool(payload["optimal"]),
-        budget=float(payload["budget"]),
-        budget_mode=payload["budget_mode"],
-        seen_threshold=float(payload["seen_threshold"]),
-        scene_hash=payload["scene_hash"],
-        manifest=payload.get("manifest"),
+        lidar_ids=items("lidar_ids", _integer),
+        radar_ids=items("radar_ids", _integer),
+        lidar_candidate_ids=items("lidar_candidate_ids", _string),
+        radar_candidate_ids=items("radar_candidate_ids", _string),
+        objective=_number(payload["objective"], f"{where}.objective"),
+        optimal=payload["optimal"],
+        budget=_number(payload["budget"], f"{where}.budget"),
+        budget_mode=_string(payload["budget_mode"], f"{where}.budget_mode"),
+        seen_threshold=_number(payload["seen_threshold"], f"{where}.seen_threshold"),
+        scene_hash=_string(payload["scene_hash"], f"{where}.scene_hash"),
+        manifest=None if manifest is None else _string(manifest, f"{where}.manifest"),
     )
 
 
@@ -596,7 +586,7 @@ def save_manifest(path, record: dict) -> None:
     missing = required - record.keys()
     if missing:
         raise ValueError(f"manifest record missing {sorted(missing)[0]!r}")
-    Path(path).write_text(_dump_document(MANIFEST_MAGIC, record))
+    _write_artifact(path, MANIFEST_MAGIC, _json_body(record))
 
 
 def load_manifest(path) -> dict:

@@ -27,13 +27,18 @@ WIDE_RADAR = SensorSpec("radar", hfov_deg=360.0, vfov_deg=120.0, max_range_m=90.
                         rate_hz=20.0, unit_cost=20.0)
 
 
-def make_document(magic: str, payload: dict, version: int = 1) -> str:
+def make_document(magic: str, payload: dict, version: int = 2) -> str:
     """Hand-rolled writer so tests can craft arbitrary documents."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-    body = json.dumps({"content_hash": digest, "payload": payload},
-                      sort_keys=True, indent=2)
-    return f"{magic} {version}\n{body}\n"
+    body = json.dumps({"payload": payload}, sort_keys=True, indent=2) + "\n"
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    return f"{magic} {version} {digest}\n{body}"
+
+
+def rehash(text: str) -> str:
+    """``text`` with its header digest recomputed over its edited body."""
+    head, body = text.split("\n", 1)
+    magic, version = head.split()[:2]
+    return f"{magic} {version} {hashlib.sha256(body.encode()).hexdigest()}\n{body}"
 
 
 def square_scene(

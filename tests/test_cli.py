@@ -491,6 +491,83 @@ def test_simulate_config_takes_every_scenario_key(workspace, tmp_path, capsys):
     assert rc == 0, capsys.readouterr().err
 
 
+BAD_SOLUTION_FIELDS = [
+    ("lidar_ids", 5),
+    ("radar_ids", [0.5]),
+    ("lidar_candidate_ids", [1]),
+    ("radar_candidate_ids", "R0"),
+    ("objective", "high"),
+    ("optimal", 1),
+    ("budget", None),
+    ("budget_mode", 3),
+    ("seen_threshold", True),
+    ("scene_hash", 0),
+    ("manifest", 7),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_SOLUTION_FIELDS, ids=[
+    f"{key}={value!r}" for key, value in BAD_SOLUTION_FIELDS])
+def test_malformed_solution_payload_exits_3(workspace, tmp_path, capsys, key, value):
+    """A hashed but malformed solution is a ParseError naming the field."""
+    path = tmp_path / "plan.solution"
+    assert main(["optimize", "--lidar", str(workspace / "lidar.vismatrix"),
+                 "--radar", str(workspace / "radar.vismatrix"), "--budget", "2",
+                 "--out", str(path)]) == 0
+    payload = _payload(path)
+    payload[key] = value
+    path.write_text(make_document("crossview.solution", payload))
+    rc = main(["coverage", "--lidar", str(workspace / "lidar.vismatrix"),
+               "--radar", str(workspace / "radar.vismatrix"), "--solution", str(path),
+               "--out", str(tmp_path / "plan.coverage")])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("error: ") and f"plan.solution.{key}" in err, err
+
+
+V1_SCENE = ('crossview.scene 1\n{\n  "content_hash": "' + "0" * 64 + '",\n'
+            '  "payload": {}\n}\n')
+
+
+@pytest.mark.parametrize("text, found", [
+    (V1_SCENE, "'1'"),
+    ("crossview.scene 2\n{}\n", "'2'"),
+], ids=["version-1", "no-digest"])
+def test_old_or_undigested_header_exits_3(tmp_path, capsys, text, found):
+    path = tmp_path / "old.scene"
+    path.write_text(text)
+    rc = main(["visibility", "--scene", str(path), "--out-lidar", str(tmp_path / "l.vismatrix"),
+               "--out-radar", str(tmp_path / "r.vismatrix")])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert f"unsupported crossview.scene version {found}" in err, err
+
+
+BAD_CONFIG_VALUES = [
+    ({"scenario": {"class_mix": 5}}, "class_mix"),
+    ({"scenario": {"speed_ranges": {"car": 3}}}, "speed_ranges.car"),
+    ({"scenario": {"lidar_noise": {"position_sigma": "x"}}}, "lidar_noise.position_sigma"),
+    ({"evaluation": {"thresholds": 5}}, "thresholds"),
+    ({"evaluation": {"classes": 5}}, "classes"),
+    ({"configs": [{"name": "dense", "budget": 4, "scenario": {"class_mix": {"car": [1]}}}]},
+     "class_mix.car"),
+]
+
+
+@pytest.mark.parametrize("change, key", BAD_CONFIG_VALUES, ids=[
+    key for _, key in BAD_CONFIG_VALUES])
+def test_pipeline_checks_config_values_before_ray_casting(tmp_path, capsys, change, key):
+    save_scene(tmp_path / "scene.scene", square_scene())
+    cfg = {"scene": "scene.scene", "configs": [{"name": "dense", "budget": 4}], **change}
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith(f"error: {key}") and "Traceback" not in err, err
+    assert not list(tmp_path.glob("out/*.vismatrix"))
+
+
 def _frames_file(path) -> dict:
     """A small valid lidar frames file; returns its payload for editing."""
     rng = np.random.default_rng(6)
@@ -601,8 +678,11 @@ def test_pipeline_matches_subcommand_chain(tmp_path, capsys):
             continue
         ours = pipe / path.name
         if path.suffix == ".vismatrix":
-            strip = [ln for ln in path.read_text().splitlines() if not ln.startswith("manifest ")]
-            theirs = [ln for ln in ours.read_text().splitlines() if not ln.startswith("manifest ")]
+            # Line 1 holds the digest, which covers the manifest line too.
+            strip = [ln for ln in path.read_text().splitlines()[1:]
+                     if not ln.startswith("manifest ")]
+            theirs = [ln for ln in ours.read_text().splitlines()[1:]
+                      if not ln.startswith("manifest ")]
             assert strip == theirs, path.name
         else:
             a, b = _payload(path), _payload(ours)

@@ -15,17 +15,22 @@ from crossview.cli import main
 
 from conftest import square_scene
 
-# Recorded before the circle reject in iou_3d and the dedicated frames writer.
+# Re-recorded for envelope version 2: the header line carries the digest
+# of the body bytes, the body loses its "content_hash" field, and matrix
+# and solution files carry scene_hash as the scene file's header digest.
+# Every payload, and every matrix line but scene_hash, equals the version 1
+# chain's, which was recorded before the circle reject in iou_3d and the
+# dedicated frames writer.
 GOLDEN = {
-    "center.evaluation": "d28fe16a24b7449ab26203f6d5f046909ebcca651075dcfa7789d9c6b0e5927b",
-    "fused.frames": "1764b48efa2b8da8b957b380595151e575235f7b9304055cf204950bcfdf7a0a",
-    "iou.evaluation": "906dea13d4ed5cd9c1ca56a6e1937f3c5123e4bca2980edd353eac58adf00bf6",
-    "lidar.frames": "4b372254e1ea308455943cb2da2c55ab42de918d705b353f555fe63b4fdd1e47",
-    "lidar.vismatrix": "6b1c4bd3e5677ff8eb43af8ad1725314ddb30f57ac5ba4e1fd002de0b9e4c9e7",
-    "plan.solution": "ebc62ea2d20295c0395303306c617560a980220fc0765190e3db0e9aaf61cede",
-    "radar.frames": "423c65e9f99fbde794a666748f2e770b7f0d17b17fe3374ee2002b664ab733ca",
-    "radar.vismatrix": "83baaf11e46f7f27b025199d55ad9252437bf0902c8c3ad0de5441d5da0f94d6",
-    "truth.frames": "481b0b2169153a38322adc4511a2b38f3758f1965f5b5c856920062e4ea58bf5",
+    "center.evaluation": "b30c0afc385a944f1ebb1a08d838bcb4d6b5589fcc36076d5bcfa39cbd8b741e",
+    "fused.frames": "3548a2c37ebbef13e581622b4f9d52c5f8ddd1ba1a79d4f9e7634bca0e5d0c1a",
+    "iou.evaluation": "594b9141d012f6724ac8891a2fdef7029e543f28c65e03b1e02cee2201e1bc47",
+    "lidar.frames": "e271b7649998ffee92977a56a18001619b1b2e1530826e302a2ab80284065b63",
+    "lidar.vismatrix": "23359b2b834dcffd435cf9fbc063c578463d18f64eca6cb1e4034fecefb902b7",
+    "plan.solution": "c4aed640faae2f7d598e87daaa60df74d689acd34cb856dfe03d33ced2328c02",
+    "radar.frames": "fa6ef4129dc7db8aec7915f97eec1fd5a5fad0a901465c6bbb2ac1105aa5ab3f",
+    "radar.vismatrix": "dc58d81b9e8c4b352b1072aa8cdff97429c2c437c5164b8fadb26dc1ab03a5a3",
+    "truth.frames": "0c935b7218bde7ace687911068ddeda34caf97d83d078dc675ca570fb1704ffc",
 }
 
 

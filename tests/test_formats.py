@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -34,9 +35,9 @@ from crossview import (
     generate_scenario,
 )
 
-from crossview.formats import FRAMES_MAGIC, _dump_document
+from crossview.formats import FRAMES_MAGIC
 
-from conftest import make_document, random_box, square_scene
+from conftest import make_document, random_box, rehash, square_scene
 
 
 def sample_matrix_file(scene=None) -> MatrixFile:
@@ -187,11 +188,11 @@ def test_matrix_value_range_is_enforced(tmp_path):
     path = tmp_path / "lidar.vismatrix"
     save_matrix(path, mf)
     bad = tmp_path / "bad.vismatrix"
-    bad.write_text(path.read_text().replace("0.97", "1"))
+    bad.write_text(rehash(path.read_text().replace("0.97", "1")))
     with pytest.raises(ParseError, match=r"\[0, 1\)"):
         load_matrix(bad)
     neg = tmp_path / "neg.vismatrix"
-    neg.write_text(path.read_text().replace("0.97", "-0.5"))
+    neg.write_text(rehash(path.read_text().replace("0.97", "-0.5")))
     with pytest.raises(ParseError, match=r"\[0, 1\)"):
         load_matrix(neg)
 
@@ -203,27 +204,27 @@ def test_matrix_count_mismatches(tmp_path):
     text = path.read_text()
 
     short_cells = tmp_path / "cells.vismatrix"
-    short_cells.write_text(text.replace("cells 3 7 11", "cells 3 7"))
+    short_cells.write_text(rehash(text.replace("cells 3 7 11", "cells 3 7")))
     with pytest.raises(ParseError, match="cells"):
         load_matrix(short_cells)
 
     short_rows = tmp_path / "rows.vismatrix"
-    short_rows.write_text("\n".join(text.splitlines()[:-1]) + "\n")
+    short_rows.write_text(rehash("\n".join(text.splitlines()[:-1]) + "\n"))
     with pytest.raises(ParseError, match="matrix rows"):
         load_matrix(short_rows)
 
     bad_number = tmp_path / "number.vismatrix"
-    bad_number.write_text(text.replace("0.25", "0.2x5"))
+    bad_number.write_text(rehash(text.replace("0.25", "0.2x5")))
     with pytest.raises(ParseError, match="malformed number"):
         load_matrix(bad_number)
 
     missing = tmp_path / "missing.vismatrix"
-    missing.write_text(text.replace("epsilon 1e-06\n", ""))
+    missing.write_text(rehash(text.replace("epsilon 1e-06\n", "")))
     with pytest.raises(ParseError, match="missing field 'epsilon'"):
         load_matrix(missing)
 
     doubled = tmp_path / "doubled.vismatrix"
-    doubled.write_text(text.replace("rows 2\n", "rows 2\nrows 2\n"))
+    doubled.write_text(rehash(text.replace("rows 2\n", "rows 2\nrows 2\n")))
     with pytest.raises(ParseError, match="duplicate header"):
         load_matrix(doubled)
 
@@ -296,7 +297,7 @@ def test_bad_box_field_named_in_error(tmp_path):
 
 
 def _frames_payload(frames: dict, manifest=None) -> dict:
-    """The payload the generic envelope would be given for ``frames``."""
+    """The payload a generic JSON writer would be given for ``frames``."""
     records = []
     for frame_id in sorted(frames):
         boxes = sorted(frames[frame_id], key=lambda b: (-b.score, b.sort_key()))
@@ -339,10 +340,10 @@ FRAMES_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FRAMES_CASES))
 def test_save_frames_matches_generic_envelope(tmp_path, case):
-    """The dedicated frames writer emits exactly the generic envelope's bytes."""
+    """The dedicated frames writer emits exactly the reference writer's bytes."""
     frames, manifest = FRAMES_CASES[case]
     save_frames(tmp_path / "x.frames", frames, manifest)
-    expected = _dump_document(FRAMES_MAGIC, _frames_payload(frames, manifest))
+    expected = make_document(FRAMES_MAGIC, _frames_payload(frames, manifest))
     assert (tmp_path / "x.frames").read_text() == expected
     assert load_frames(tmp_path / "x.frames").keys() == frames.keys()
 
@@ -400,7 +401,7 @@ def test_solution_id_type_check(tmp_path):
     payload = json.loads(text.split("\n", 1)[1])["payload"]
     payload["lidar_ids"] = ["L0"]
     bad.write_text(make_document("crossview.solution", payload))
-    with pytest.raises(ParseError, match="lidar_ids must be integers"):
+    with pytest.raises(ParseError, match=r"lidar_ids: expected an integer, got 'L0'"):
         load_solution(bad)
 
 
@@ -424,3 +425,81 @@ def test_file_sha256_matches_hashlib(tmp_path):
     path = tmp_path / "blob.txt"
     path.write_text("forty-two\n")
     assert file_sha256(path) == hashlib.sha256(b"forty-two\n").hexdigest()
+
+
+# -- the envelope ---------------------------------------------------------------
+
+def _one_of_each_kind(tmp_path) -> dict:
+    """A small valid file of every kind, keyed by kind, with its loader."""
+    scene = square_scene(weights={3: 2.0})
+    save_scene(tmp_path / "a.scene", scene)
+    save_matrix(tmp_path / "a.vismatrix", sample_matrix_file(scene))
+    save_frames(tmp_path / "a.frames",
+                {"000000": [random_box(np.random.default_rng(7), source="radar")]}, "m")
+    save_report(tmp_path / "a.report", "coverage", {"covered_cells": 3}, "m")
+    save_solution(tmp_path / "a.solution", SolutionFile(
+        lidar_ids=(0,), radar_ids=(), lidar_candidate_ids=("L0",), radar_candidate_ids=(),
+        objective=1.5, optimal=True, budget=1.0, budget_mode="count", seen_threshold=1.0,
+        scene_hash=scene_hash(scene), manifest="m"))
+    save_manifest(tmp_path / "a.manifest", {
+        "command": "optimize", "tool_version": "0.1.0", "inputs": {}, "outputs": [],
+        "config": {}, "wall_time_s": 0.5})
+    return {"scene": load_scene, "vismatrix": load_matrix, "frames": load_frames,
+            "report": load_report, "solution": load_solution, "manifest": load_manifest}
+
+
+def _flip(data: bytes, at: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
+
+EDITS = {
+    "header-digest": lambda data: _flip(data, data.index(b"\n") - 1),
+    "first-body-byte": lambda data: _flip(data, data.index(b"\n") + 1),
+    "middle-byte": lambda data: _flip(data, (data.index(b"\n") + len(data)) // 2),
+    "last-byte": lambda data: _flip(data, len(data) - 1),
+    "crlf": lambda data: data.replace(b"\n", b"\r\n").replace(b"\r\n", b"\n", 1),
+}
+KINDS = ("scene", "vismatrix", "frames", "report", "solution", "manifest")
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_byte_edit_fails_every_kind(tmp_path, kind, edit):
+    """The header digest covers every body byte on disk, the matrix's too."""
+    loaders = _one_of_each_kind(tmp_path)
+    path = tmp_path / f"a.{kind}"
+    loaders[kind](path)
+    path.write_bytes(EDITS[edit](path.read_bytes()))
+    with pytest.raises(ParseError, match="hash mismatch"):
+        loaders[kind](path)
+
+
+def test_scene_hash_is_the_scene_file_digest(tmp_path):
+    scene = square_scene(weights={3: 2.0})
+    save_scene(tmp_path / "a.scene", scene)
+    header = (tmp_path / "a.scene").read_text().split("\n", 1)[0]
+    assert header == f"crossview.scene 2 {scene_hash(scene)}"
+
+
+def test_non_utf8_body_is_a_parse_error(tmp_path):
+    body = b"modality lidar\xff\n"
+    path = tmp_path / "a.vismatrix"
+    path.write_bytes(b"crossview.vismatrix 2 " + hashlib.sha256(body).hexdigest().encode()
+                     + b"\n" + body)
+    with pytest.raises(ParseError, match="UTF-8"):
+        load_matrix(path)
+
+
+def test_failed_write_leaves_the_target_whole(tmp_path, monkeypatch):
+    path = tmp_path / "site.scene"
+    save_scene(path, square_scene())
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        save_scene(path, square_scene(weights={3: 2.0}))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["site.scene"]

@@ -117,7 +117,22 @@ def _config_object(value, where: str) -> dict:
 def _config_number(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = float("inf")
+    if not np.isfinite(number):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
+    return number
+
+
+def _config_integer(value, where: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _config_number(value, where)
+    if not number.is_integer():
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _section(config: dict, key: str, allowed: frozenset, where: str) -> dict:
@@ -153,10 +168,13 @@ _VISIBILITY_KEYS = frozenset(
 def _visibility_config(config: dict, args=None) -> VisibilityConfig:
     sample_height = _pick(args, "sample_height", config, "sample_height_m", None)
     return VisibilityConfig(
-        samples_per_cell=int(_pick(args, "samples_per_cell", config, "samples_per_cell", 9)),
-        object_height_m=float(_pick(args, "object_height", config, "object_height_m", 1.7)),
-        sample_height_m=None if sample_height is None else float(sample_height),
-        epsilon=float(_pick(args, "epsilon", config, "epsilon", 1e-6)),
+        samples_per_cell=_config_integer(
+            _pick(args, "samples_per_cell", config, "samples_per_cell", 9), "samples_per_cell"),
+        object_height_m=_config_number(
+            _pick(args, "object_height", config, "object_height_m", 1.7), "object_height_m"),
+        sample_height_m=(None if sample_height is None
+                         else _config_number(sample_height, "sample_height_m")),
+        epsilon=_config_number(_pick(args, "epsilon", config, "epsilon", 1e-6), "epsilon"),
     )
 
 
@@ -190,7 +208,7 @@ def cmd_visibility(args) -> int:
     config = _load_config_file(args.config, _VISIBILITY_KEYS | {"workers"})
     scene = _checked_scene(args.scene)
     vis_cfg = _visibility_config(config, args)
-    workers = int(_pick(args, "workers", config, "workers", 1))
+    workers = _config_integer(_pick(args, "workers", config, "workers", 1), "workers")
     outputs = [args.out_lidar, args.out_radar]
     manifest_path = f"{args.out_lidar}.manifest"
     files = _visibility_stage(scene, vis_cfg, workers, outputs, Path(manifest_path).name)
@@ -239,11 +257,12 @@ def _optimize_settings(config: dict, args=None) -> dict:
     if budget is None:
         raise ValueError("budget is required (flag --budget or config key 'budget')")
     budget_mode = _pick(args, "budget_mode", config, "budget_mode", "count")
-    threshold = float(_pick(args, "threshold", config, "seen_threshold", 1.0))
+    threshold = _config_number(_pick(args, "threshold", config, "seen_threshold", 1.0),
+                               "seen_threshold")
     solver = _pick(args, "solver", config, "solver", "branch-bound")
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {sorted(SOLVERS)}")
-    return {"budget": float(budget), "budget_mode": budget_mode,
+    return {"budget": _config_number(budget, "budget"), "budget_mode": budget_mode,
             "seen_threshold": threshold, "solver": solver}
 
 
@@ -322,7 +341,7 @@ def cmd_coverage(args) -> int:
     if sol.scene_hash != lf.scene_hash:
         _warn("solution scene hash differs from the matrices")
     selection = _selection_from_solution(sol, lf, rf)
-    theta = float(_pick(args, "theta", config, "theta", 0.0))
+    theta = _config_number(_pick(args, "theta", config, "theta", 0.0), "theta")
     name = _pick(args, "name", config, "name", Path(args.solution).stem)
     problem = _problem_from_files(lf, rf, asdict(sol))
     report = coverage_report(problem, selection, config_name=name, theta=theta)
@@ -392,9 +411,10 @@ def _scenario_config(config: dict, args=None) -> ScenarioConfig:
         kwargs["speed_ranges"] = {str(k): _speed_range(v, f"speed_ranges.{k}")
                                   for k, v in _config_object(speed_ranges, "speed_ranges").items()}
     return ScenarioConfig(
-        seed=int(_pick(args, "seed", config, "seed", 0)),
-        duration_frames=int(_pick(args, "frames", config, "duration_frames", 100)),
-        frame_dt_s=float(_pick(args, "dt", config, "frame_dt_s", 0.1)),
+        seed=_config_integer(_pick(args, "seed", config, "seed", 0), "seed"),
+        duration_frames=_config_integer(
+            _pick(args, "frames", config, "duration_frames", 100), "duration_frames"),
+        frame_dt_s=_config_number(_pick(args, "dt", config, "frame_dt_s", 0.1), "frame_dt_s"),
         lidar_noise=_noise_spec(config.get("lidar_noise", {}), "lidar_noise"),
         radar_noise=_noise_spec(config.get("radar_noise", {}), "radar_noise"),
         dropout_rule=_pick(args, "dropout", config, "dropout_rule", "visibility"),
@@ -450,7 +470,8 @@ _FUSION_KEYS = frozenset({"iou_threshold"})
 
 def _fusion_config(config: dict, args=None) -> FusionConfig:
     return FusionConfig(
-        iou_threshold=float(_pick(args, "iou_threshold", config, "iou_threshold", 0.3))
+        iou_threshold=_config_number(
+            _pick(args, "iou_threshold", config, "iou_threshold", 0.3), "iou_threshold")
     )
 
 
@@ -600,19 +621,19 @@ def _pipeline_entry(entry: dict, index: int) -> dict:
     if "budget" not in entry:
         raise ValueError(f"pipeline config {name!r} needs a 'budget'")
     _section(entry, "scenario", _SCENARIO_KEYS, f"pipeline configs[{index}]")
-    return entry
+    return {**entry, "theta": _config_number(entry.get("theta", 0.0), "theta")}
 
 
 def cmd_pipeline(args) -> int:
     started = time.perf_counter()
     config = _load_config_file(args.config, _PIPELINE_KEYS)
-    if "scene" not in config:
+    if not isinstance(config.get("scene"), str):
         raise ValueError("pipeline config requires a 'scene' path")
     scene_file = Path(args.config).parent / config["scene"]
     scene = _checked_scene(scene_file)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = int(_pick(args, "workers", config, "workers", 1))
+    workers = _config_integer(_pick(args, "workers", config, "workers", 1), "workers")
 
     entries = config.get("configs")
     if not isinstance(entries, list) or not entries:
@@ -643,7 +664,7 @@ def cmd_pipeline(args) -> int:
 
         problem, solution, _ = _optimize_stage(lf, rf, optimize, sol_path, manifest)
         report = coverage_report(problem, solution.selection, config_name=name,
-                                 theta=float(entry.get("theta", 0.0)))
+                                 theta=entry["theta"])
         coverage_reports.append(report)
         save_report(cov_path, "coverage", report.to_record(), manifest)
         result = _simulate_stage(scene, lf, rf, solution.selection, scenario_cfg,

@@ -333,9 +333,13 @@ def _parse_floats(text: str, n: int, where: str) -> np.ndarray:
     if len(parts) != n:
         raise ParseError(f"{where}: expected {n} values, found {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ParseError(f"{where}: malformed number: {exc}") from exc
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ParseError(f"{where}: non-finite number {parts[int(np.argmin(finite))]!r}")
+    return values
 
 
 def load_matrix(path) -> MatrixFile:

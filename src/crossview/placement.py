@@ -9,8 +9,11 @@ seen threshold, i.e. the combined miss probability drops below e^-threshold.
 Solvers:
 
 * ``solve_exhaustive``  - reference enumeration, guarded to small instances.
-* ``solve_branch_bound`` - exact search with a monotone relaxation bound;
-  returns the same canonical optimum as enumeration.
+* ``solve_branch_bound`` - exact depth-first search, bounded per cell by
+  the best that the picks still affordable under the budget can add;
+  returns the same canonical optimum as enumeration.  It keeps
+  O(candidates x cells) floats and an explicit stack, so neither memory
+  nor recursion depth grows with the search.
 * ``solve_greedy``      - fast warm start, no optimality guarantee.
 """
 
@@ -274,18 +277,35 @@ def solve_greedy(problem: PlacementProblem) -> PlacementSolution:
 class _BranchBound:
     """Depth-first exact search over a fixed candidate ordering.
 
-    The bound for a node assumes every undecided candidate is taken for
-    free: coverage and per-cell mass are monotone in the selection, so the
-    value of (includes + all remaining) ignoring the budget is a valid
-    upper bound for the subtree.
+    Candidates are ordered by falling weighted mass and each is decided
+    include first.  A node bounds its subtree by r, the number of further
+    picks that still fit the budget: the budget left, with the slack
+    ``_within_budget`` allows, over the cheapest undecided cost (a count
+    budget costs 1 per pick).  Coverage and mass are monotone in the
+    selection, and r more picks add at most r times the largest undecided
+    entry of a cell, so a cell's gain is bounded by min(suffix sum,
+    r * suffix max): per modality over the log rows for the seen test, and
+    over both modalities' weighted visibility rows for the mass.  This is
+    the budgeted maximum coverage relaxation (Khuller, Moss & Naor, IPL
+    1999) taken cell by cell.  If an undecided candidate is free, r is
+    every undecided candidate and the bound is the plain suffix sum.
+
+    Memory is O((n + 1) x cells): the suffix sum and max tables are built
+    once along the order, and the search is an explicit stack over
+    preallocated accumulators, one row per pick count.  Including a
+    candidate writes parent row + candidate row into the next row; nothing
+    is subtracted to backtrack, so a node's sums are the same floats
+    however the search reached it.
     """
 
     def __init__(self, problem: PlacementProblem):
         self.problem = problem
+        self.logs = {LIDAR: problem.lidar_log, RADAR: problem.radar_log}
+        self.masses = {LIDAR: problem.lidar_vis * problem.weights,
+                       RADAR: problem.radar_vis * problem.weights}
         order = []
-        for modality, matrix in ((LIDAR, problem.lidar_vis), (RADAR, problem.radar_vis)):
-            mass = matrix * problem.weights
-            for i in range(matrix.shape[0]):
+        for modality, mass in self.masses.items():
+            for i in range(mass.shape[0]):
                 rank = 0 if modality == LIDAR else 1
                 order.append((-float(mass[i].sum()), rank, i, modality))
         order.sort()
@@ -293,24 +313,24 @@ class _BranchBound:
         n = len(self.order)
         n_cells = problem.n_cells
 
-        # Suffix sums over the ordering: adding candidates order[d:] to a
-        # node costs one vector add per array instead of a fresh pass.
-        self.suf_llog = np.zeros((n + 1, n_cells))
-        self.suf_rlog = np.zeros((n + 1, n_cells))
-        self.suf_lvis = np.zeros((n + 1, n_cells))
-        self.suf_rvis = np.zeros((n + 1, n_cells))
+        # Row d of each table covers the undecided candidates order[d:].
+        sums = self.suffix_sum = {key: np.zeros((n + 1, n_cells)) for key in (LIDAR, RADAR, "mass")}
+        maxima = self.suffix_max = {key: np.zeros((n + 1, n_cells)) for key in sums}
+        left = self.left = {LIDAR: [0] * (n + 1), RADAR: [0] * (n + 1),
+                            "mass": list(range(n, -1, -1))}
+        self.cheapest = [float("inf")] * (n + 1)
         for d in range(n - 1, -1, -1):
             modality, i = self.order[d]
-            self.suf_llog[d] = self.suf_llog[d + 1]
-            self.suf_rlog[d] = self.suf_rlog[d + 1]
-            self.suf_lvis[d] = self.suf_lvis[d + 1]
-            self.suf_rvis[d] = self.suf_rvis[d + 1]
-            if modality == LIDAR:
-                self.suf_llog[d] = self.suf_llog[d] + problem.lidar_log[i]
-                self.suf_lvis[d] = self.suf_lvis[d] + problem.lidar_vis[i]
-            else:
-                self.suf_rlog[d] = self.suf_rlog[d] + problem.radar_log[i]
-                self.suf_rvis[d] = self.suf_rvis[d] + problem.radar_vis[i]
+            rows = ((modality, self.logs[modality][i]), ("mass", self.masses[modality][i]))
+            for key, row in rows:
+                np.add(sums[key][d + 1], row, out=sums[key][d])
+                np.maximum(maxima[key][d + 1], row, out=maxima[key][d])
+            other = RADAR if modality == LIDAR else LIDAR
+            sums[other][d] = sums[other][d + 1]
+            maxima[other][d] = maxima[other][d + 1]
+            left[modality][d] = left[modality][d + 1] + 1
+            left[other][d] = left[other][d + 1]
+            self.cheapest[d] = min(self.cheapest[d + 1], self._cost_of(modality, i))
 
         self.best_obj = -1.0
         self.best_key: tuple = ()
@@ -324,14 +344,6 @@ class _BranchBound:
             self.best_key = key
             self.best_sel = selection
 
-    def _bound(self, depth: int, llog, rlog, lvis, rvis) -> float:
-        tau = self.problem.seen_threshold
-        seen = (llog + self.suf_llog[depth] >= tau - SEEN_TOL) & (
-            rlog + self.suf_rlog[depth] >= tau - SEEN_TOL
-        )
-        mass = (lvis + self.suf_lvis[depth] + rvis + self.suf_rvis[depth]) * self.problem.weights
-        return float(mass[seen].sum())
-
     def _cost_of(self, modality: str, i: int) -> float:
         if self.problem.budget_mode == "count":
             return 1.0
@@ -339,39 +351,80 @@ class _BranchBound:
         assert costs is not None
         return float(costs[i])
 
+    def _picks_left(self, depth: int, spent: float) -> int:
+        """How many more candidates of order[depth:] can still be taken."""
+        undecided = len(self.order) - depth
+        cheapest = self.cheapest[depth]
+        if cheapest <= 0.0:
+            return undecided
+        fit = (self.problem.budget + SEEN_TOL - spent) / cheapest
+        if not fit < undecided:  # NaN too: an infinite budget over an infinite cost
+            return undecided
+        # The 1e-9 keeps a quotient rounded just below an integer from
+        # dropping a pick that the include test in ``run`` would allow.
+        return int(fit + 1e-9)
+
+    def _gain(self, key: str, depth: int, r: int, out: np.ndarray) -> np.ndarray:
+        """Per-cell bound on what r more picks add to ``key``'s sums."""
+        if r >= self.left[key][depth]:
+            return self.suffix_sum[key][depth]
+        np.multiply(self.suffix_max[key][depth], r, out=out)
+        return np.minimum(out, self.suffix_sum[key][depth], out=out)
+
     def run(self) -> PlacementSolution:
         problem = self.problem
-        warm = solve_greedy(problem)
-        self._offer(warm.selection)
+        self._offer(solve_greedy(problem).selection)
 
-        n = len(self.order)
         n_cells = problem.n_cells
-        zeros = np.zeros(n_cells)
+        most = self._picks_left(0, 0.0)
+        # Row k holds the sums of a node's k picks of that kind; a node only
+        # ever writes the row above its own, which no pending node reads.
+        acc = {
+            LIDAR: np.zeros((min(most, self.left[LIDAR][0]) + 1, n_cells)),
+            RADAR: np.zeros((min(most, self.left[RADAR][0]) + 1, n_cells)),
+            "mass": np.zeros((most + 1, n_cells)),
+        }
+        picked = [0] * most  # order positions of the current node's picks
+        work = np.empty(n_cells)
+        seen = np.empty(n_cells, dtype=bool)
+        seen_radar = np.empty(n_cells, dtype=bool)
+        threshold = problem.seen_threshold - SEEN_TOL
 
-        def visit(depth: int, sel_l: frozenset[int], sel_r: frozenset[int],
-                  spent: float, llog, rlog, lvis, rvis) -> None:
-            bound = self._bound(depth, llog, rlog, lvis, rvis)
+        stack = [(0, 0, 0, 0.0)]  # depth, lidar picks, radar picks, spent
+        while stack:
+            depth, n_l, n_r, spent = stack.pop()
+            r = self._picks_left(depth, spent)
+            np.add(acc[LIDAR][n_l], self._gain(LIDAR, depth, r, work), out=work)
+            np.greater_equal(work, threshold, out=seen)
+            np.add(acc[RADAR][n_r], self._gain(RADAR, depth, r, work), out=work)
+            np.greater_equal(work, threshold, out=seen_radar)
+            np.logical_and(seen, seen_radar, out=seen)
+            np.add(acc["mass"][n_l + n_r], self._gain("mass", depth, r, work), out=work)
+            np.multiply(work, seen, out=work)
             # Strictly-worse pruning: equal-bound subtrees may still hold a
             # canonically smaller optimum, so they are explored.
-            if bound < self.best_obj - SEEN_TOL:
-                return
-            if depth == n:
-                self._offer(Selection(sel_l, sel_r))
-                return
+            if float(work.sum()) < self.best_obj - SEEN_TOL:
+                continue
+            if r == 0:
+                # No further pick fits, so every branch below excludes the
+                # rest and ends in this node's own selection.
+                chosen = [self.order[d] for d in picked[:n_l + n_r]]
+                self._offer(Selection.of((i for m, i in chosen if m == LIDAR),
+                                         (i for m, i in chosen if m == RADAR)))
+                continue
+            stack.append((depth + 1, n_l, n_r, spent))
             modality, i = self.order[depth]
             cost = self._cost_of(modality, i)
             if spent + cost <= problem.budget + SEEN_TOL:
+                k = n_l if modality == LIDAR else n_r
+                np.add(acc[modality][k], self.logs[modality][i], out=acc[modality][k + 1])
+                np.add(acc["mass"][n_l + n_r], self.masses[modality][i],
+                       out=acc["mass"][n_l + n_r + 1])
+                picked[n_l + n_r] = depth
                 if modality == LIDAR:
-                    visit(depth + 1, sel_l | {i}, sel_r, spent + cost,
-                          llog + problem.lidar_log[i], rlog,
-                          lvis + problem.lidar_vis[i], rvis)
+                    stack.append((depth + 1, n_l + 1, n_r, spent + cost))
                 else:
-                    visit(depth + 1, sel_l, sel_r | {i}, spent + cost,
-                          llog, rlog + problem.radar_log[i],
-                          lvis, rvis + problem.radar_vis[i])
-            visit(depth + 1, sel_l, sel_r, spent, llog, rlog, lvis, rvis)
-
-        visit(0, frozenset(), frozenset(), 0.0, zeros, zeros, zeros, zeros)
+                    stack.append((depth + 1, n_l, n_r + 1, spent + cost))
         return replace(evaluate_selection(problem, self.best_sel), optimal=True)
 
 

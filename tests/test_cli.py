@@ -24,7 +24,7 @@ from crossview import (
 )
 from crossview.cli import main
 
-from conftest import make_document, random_box, square_scene
+from conftest import make_document, random_box, rehash, square_scene
 
 
 @pytest.fixture(scope="module")
@@ -554,6 +554,25 @@ BAD_CONFIG_VALUES = [
 ]
 
 
+# Scalar settings: each goes through one number reader, so a list, a
+# string, a boolean or a fraction where an integer belongs exits 4 naming
+# the key instead of ending in a TypeError traceback (exit 1).
+BAD_CONFIG_VALUES += [
+    ({"workers": "2"}, "workers"),
+    ({"visibility": {"samples_per_cell": 4.5}}, "samples_per_cell"),
+    ({"visibility": {"object_height_m": True}}, "object_height_m"),
+    ({"visibility": {"sample_height_m": [0.8]}}, "sample_height_m"),
+    ({"visibility": {"epsilon": "tiny"}}, "epsilon"),
+    ({"scenario": {"seed": [1]}}, "seed"),
+    ({"scenario": {"duration_frames": 2.5}}, "duration_frames"),
+    ({"scenario": {"frame_dt_s": "0.1"}}, "frame_dt_s"),
+    ({"configs": [{"name": "dense", "budget": [2]}]}, "budget"),
+    ({"configs": [{"name": "dense", "budget": 4, "seen_threshold": None}]}, "seen_threshold"),
+    ({"configs": [{"name": "dense", "budget": 4, "theta": "x"}]}, "theta"),
+    ({"fusion": {"iou_threshold": [0.3]}}, "iou_threshold"),
+]
+
+
 @pytest.mark.parametrize("change, key", BAD_CONFIG_VALUES, ids=[
     key for _, key in BAD_CONFIG_VALUES])
 def test_pipeline_checks_config_values_before_ray_casting(tmp_path, capsys, change, key):
@@ -690,3 +709,91 @@ def test_pipeline_matches_subcommand_chain(tmp_path, capsys):
             assert a == b, path.name
         compared += 1
     assert compared == 2 + 7 * len(cfg["configs"])
+
+
+def test_pipeline_scene_must_be_a_path(tmp_path, capsys):
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps({"scene": 5, "configs": [{"name": "a", "budget": 1}]}))
+    rc = main(["pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert "requires a 'scene' path" in err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("visibility", {"samples_per_cell": "9"}, "samples_per_cell"),
+    ("visibility", {"workers": 1.5}, "workers"),
+    ("optimize", {"budget": [2]}, "budget"),
+    ("coverage", {"theta": "x"}, "theta"),
+    ("simulate", {"seed": 1.5}, "seed"),
+    ("optimize", {"budget": float("nan")}, "budget"),
+    ("simulate", {"frame_dt_s": float("inf")}, "frame_dt_s"),
+])
+def test_subcommand_config_checks_scalar_values(workspace, tmp_path, capsys, command, config,
+                                                key):
+    lidar, radar = str(workspace / "lidar.vismatrix"), str(workspace / "radar.vismatrix")
+    solution = str(tmp_path / "x.solution")
+    assert main(["optimize", "--lidar", lidar, "--radar", radar, "--budget", "2",
+                 "--out", solution]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = {
+        "visibility": ["--scene", str(workspace / "scene.scene"),
+                       "--out-lidar", str(tmp_path / "l.vismatrix"),
+                       "--out-radar", str(tmp_path / "r.vismatrix")],
+        "optimize": ["--lidar", lidar, "--radar", radar, "--out", str(tmp_path / "y.solution")],
+        "coverage": ["--lidar", lidar, "--radar", radar, "--solution", solution,
+                     "--out", str(tmp_path / "x.coverage")],
+        "simulate": ["--scene", str(workspace / "scene.scene"), "--lidar", lidar,
+                     "--radar", radar, "--solution", solution,
+                     "--out-truth", str(tmp_path / "t.frames"),
+                     "--out-lidar", str(tmp_path / "l.frames"),
+                     "--out-radar", str(tmp_path / "r.frames")],
+    }[command]
+    capsys.readouterr()
+    rc = main([command, *argv, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith(f"error: {key} must be") and "Traceback" not in err, err
+
+
+def test_infinite_budget_flag_exits_4(workspace, tmp_path, capsys):
+    # It used to reach int(inf) in the exhaustive solver: a traceback, exit 1.
+    rc = main(["optimize", "--lidar", str(workspace / "lidar.vismatrix"),
+               "--radar", str(workspace / "radar.vismatrix"), "--budget", "inf",
+               "--solver", "exhaustive", "--out", str(tmp_path / "x.solution")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("error: budget must be a finite number"), err
+
+
+# The line that starts each field's numbers in a matrix file (data rows
+# start with a digit), and how the error names the field.
+MATRIX_NUMBERS = {
+    "values": (None, "matrix row 0"),
+    "weights": ("weights ", "weights"),
+    "costs": ("costs ", "costs"),
+    "epsilon": ("epsilon ", "epsilon"),
+}
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", MATRIX_NUMBERS)
+def test_non_finite_matrix_number_exits_3(workspace, tmp_path, capsys, field, token):
+    """A re-hashed matrix file with a NaN or infinity in any number field."""
+    lines = (workspace / "lidar.vismatrix").read_text().split("\n")
+    prefix, where = MATRIX_NUMBERS[field]
+    pos = next(i for i, ln in enumerate(lines)
+               if (ln[:1].isdigit() if prefix is None else ln.startswith(prefix)))
+    parts = lines[pos].split(" ")
+    first = 0 if prefix is None else 1
+    parts[first] = token
+    lines[pos] = " ".join(parts)
+    edited = tmp_path / "lidar.vismatrix"
+    edited.write_text(rehash("\n".join(lines)))
+    rc = main(["optimize", "--lidar", str(edited), "--radar", str(workspace / "radar.vismatrix"),
+               "--budget", "2", "--out", str(tmp_path / "x.solution")])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert f"lidar.vismatrix: {where}: non-finite number {token!r}" in err, err
+    assert not (tmp_path / "x.solution").exists()

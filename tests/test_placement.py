@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +144,86 @@ def test_branch_bound_matches_exhaustive_cost_mode():
         ex = solve_exhaustive(problem)
         assert bb.objective == ex.objective
         assert bb.selection == ex.selection
+
+
+# Costs whose sums land on the budget only within SEEN_TOL (0.1 + 0.2 >
+# 0.3 in floats), free candidates, and visibilities whose log terms sit on
+# the unit seen threshold.
+EDGE_COSTS = (0.0, 0.1, 0.2, 0.3, 0.7)
+EDGE_VIS = (0.0, 0.3, 1.0 - math.exp(-0.5), 1.0 - math.exp(-1.0), 0.9)
+
+
+def edge_problem(rng, mode: str, budget: float, identical: bool) -> PlacementProblem:
+    n_l, n_r, n_c = (int(k) for k in rng.integers(1, [5, 5, 7]))
+    lidar = rng.choice(EDGE_VIS, (n_l, n_c))
+    radar = rng.choice(EDGE_VIS, (n_r, n_c))
+    lidar_costs = rng.choice(EDGE_COSTS, n_l)
+    radar_costs = rng.choice(EDGE_COSTS, n_r)
+    if identical:
+        lidar, radar = np.repeat(lidar[:1], n_l, axis=0), np.repeat(lidar[:1], n_r, axis=0)
+        lidar_costs = np.full(n_l, lidar_costs[0])
+        radar_costs = np.full(n_r, lidar_costs[0])
+    return make_problem(lidar, radar, weights=rng.choice([0.5, 1.0, 2.0], n_c),
+                        budget=budget, mode=mode, lidar_costs=lidar_costs,
+                        radar_costs=radar_costs)
+
+
+@pytest.mark.parametrize("mode, budget", [
+    ("cost", 0.0), ("cost", 0.1), ("cost", 0.3), ("cost", 0.6), ("cost", 1.0),
+    ("count", 9), ("count", 12),
+])
+def test_branch_bound_matches_exhaustive_at_tolerance_edges(mode, budget):
+    # Count budgets 9 and 12 exceed every instance's candidate count (<= 8).
+    rng = np.random.default_rng([19, int(budget * 10)])
+    for trial in range(40):
+        problem = edge_problem(rng, mode, budget, identical=trial % 4 == 0)
+        bb = solve_branch_bound(problem)
+        ex = solve_exhaustive(problem)
+        assert bb.objective == ex.objective
+        assert bb.selection == ex.selection
+
+
+@pytest.mark.parametrize("cost, budget, picks", [
+    (0.1, 0.3 - 5e-10, 3),
+    (0.1, 0.6 - 1e-9, 6),
+    (0.7, 2.1 - 1e-9, 3),
+])
+def test_branch_bound_takes_picks_that_fit_only_within_tolerance(cost, budget, picks):
+    # The last pick fits only through SEEN_TOL, and budget / cost rounds to
+    # just below the pick count.  No cell is seen without several mounts
+    # of each kind, so the greedy warm start covers nothing and only the
+    # search finds the optimum, which takes the last pick.
+    rng = np.random.default_rng(0)
+    lidar, radar = rng.uniform(0.0, 0.7, (4, 5)), rng.uniform(0.0, 0.7, (4, 5))
+    problem = make_problem(lidar, radar, budget=budget, mode="cost",
+                           lidar_costs=[cost] * 4, radar_costs=[cost] * 4)
+    assert solve_greedy(problem).objective == 0.0
+    bb = solve_branch_bound(problem)
+    ex = solve_exhaustive(problem)
+    assert bb.selection.size == picks
+    assert (bb.objective, bb.selection) == (ex.objective, ex.selection)
+
+
+def test_branch_bound_searches_past_the_recursion_limit():
+    # 602 candidates, far more than the lowered limit of frames: a search
+    # that recursed once per decided candidate would raise RecursionError.
+    rng = np.random.default_rng(3)
+    lidar = rng.uniform(0.0, 0.9, (600, 6))
+    radar = rng.uniform(0.0, 0.9, (2, 6))
+    problem = make_problem(lidar, radar, budget=2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        solution = solve_branch_bound(problem)
+    finally:
+        sys.setrecursionlimit(limit)
+    # At count budget 2 only a lidar + radar pair covers anything.
+    best = max(
+        (evaluate_selection(problem, Selection.of([li], [ri])).objective, -li, -ri)
+        for li in range(600) for ri in range(2)
+    )
+    assert solution.objective == best[0]
+    assert solution.selection == Selection.of([-best[1]], [-best[2]])
 
 
 def test_objective_matches_scalar_reference():

@@ -21,8 +21,9 @@ from crossview import (
     cell_visibility,
     log_visibility,
 )
+from crossview import visibility
 
-from conftest import WIDE_RADAR, square_scene
+from conftest import WIDE_LIDAR, WIDE_RADAR, square_scene
 from oracles import visibility_reference
 
 
@@ -260,3 +261,92 @@ def test_matrix_shape_follows_scene():
     assert rvis.values.shape == (2, 100)
     assert lvis.modality == "lidar"
     assert rvis.modality == "radar"
+
+
+def full_loop(origin, sx, sy, pz, covered, occluders):
+    """Every occluder slab-tested on every sample: the ray cast before culling."""
+    pz = np.full(sx.shape, pz)
+    clear = covered.copy()
+    for box in occluders:
+        clear &= ~visibility._segment_hits_box(origin, sx, sy, pz, box)
+    return clear
+
+
+# Samples every 0.5 m, so many sit exactly on the faces, edges and corners
+# of the boxes below, whose corners are whole metres.
+LATTICE = np.meshgrid(np.arange(-4.0, 12.5, 0.5), np.arange(-4.0, 12.5, 0.5))
+BOX = Occluder((2.0, 2.0, 0.0), (6.0, 6.0, 5.0))
+
+OCCLUSION_EDGES = {
+    "mount-inside-footprint-below-top": ((4.0, 4.0, 2.0), [BOX], 1.0),
+    "mount-inside-footprint-above-top": ((4.0, 4.0, 8.0), [BOX], 1.0),
+    "mount-on-side-face-plane": ((2.0, -3.0, 6.0), [BOX], 1.0),
+    "mount-on-side-face": ((2.0, 4.0, 3.0), [BOX], 1.0),
+    "mount-on-top-face-plane": ((0.0, 0.0, 5.0), [BOX], 5.0),
+    "samples-on-top-face": ((-1.0, 7.0, 8.0), [BOX], 5.0),
+    "samples-on-bottom-face": ((-1.0, 7.0, 8.0), [BOX], 0.0),
+    "grazing-corner": ((0.0, 0.0, 3.0), [BOX], 1.0),
+    "grazing-edge": ((-2.0, 2.0, 3.0), [BOX], 1.0),
+    "grazing-top-edge": ((-3.0, 4.0, 9.0), [BOX], 1.0),
+    "zero-height-on-ground": ((0.0, 0.0, 6.0), [Occluder((2.0, 2.0, 0.0), (6.0, 6.0, 0.0))], 0.0),
+    "zero-height-at-probe": ((0.0, 0.0, 6.0), [Occluder((2.0, 2.0, 1.0), (6.0, 6.0, 1.0))], 1.0),
+    "zero-footprint-post": ((0.0, 0.0, 6.0), [Occluder((3.0, 3.0, 0.0), (3.0, 3.0, 4.0))], 1.0),
+    "taller-than-mount": ((0.0, 0.0, 6.0), [Occluder((2.0, 2.0, 0.0), (6.0, 6.0, 10.0))], 0.85),
+    "shorter-than-mount": ((0.0, 0.0, 6.0), [Occluder((2.0, 2.0, 0.0), (6.0, 6.0, 2.0))], 0.85),
+    "several-boxes": ((4.0, -2.0, 6.0), [BOX, Occluder((7.0, 0.0, 0.0), (8.0, 10.0, 3.0)),
+                                         Occluder((-3.0, 8.0, 0.0), (1.0, 9.0, 7.0))], 1.0),
+}
+
+
+@pytest.mark.parametrize("origin, occluders, pz", OCCLUSION_EDGES.values(),
+                         ids=OCCLUSION_EDGES.keys())
+def test_culled_occlusion_equals_full_loop_at_edges(origin, occluders, pz):
+    sx, sy = LATTICE
+    rng = np.random.default_rng(5)
+    for covered in (np.ones(sx.shape, dtype=bool), rng.random(sx.shape) < 0.5):
+        expected = full_loop(origin, sx, sy, pz, covered, occluders)
+        assert np.array_equal(
+            visibility._unoccluded(origin, sx, sy, pz, covered, occluders), expected)
+
+
+def random_occluded_scene(rng) -> Scene:
+    """Snapped boxes and mounts: zero-height, flat, tall, and mounts inside boxes."""
+    def snap(lo, hi, size=None):
+        return rng.integers(int(lo * 2), int(hi * 2) + 1, size) * 0.5
+
+    boxes = []
+    for _ in range(int(rng.integers(3, 8))):
+        x0, y0 = snap(-2.0, 20.0, 2)
+        w, d = snap(0.0, 6.0, 2)
+        z0 = snap(0.0, 1.0) if rng.random() < 0.2 else 0.0
+        top = z0 + snap(0.0, 10.0)
+        boxes.append(Occluder((x0, y0, z0), (x0 + w, y0 + d, top)))
+
+    def mount(k, spec, modality):
+        position = (*snap(-2.0, 22.0, 2), snap(0.5, 8.0))
+        return CandidateMount(f"{modality}{k}", tuple(float(c) for c in position), spec,
+                              yaw_deg=float(snap(-180.0, 180.0)),
+                              pitch_deg=float(snap(-10.0, 10.0)))
+
+    return Scene(
+        grid=GridSpec(origin_xy=(0.0, 0.0), cell_size=2.0, nx=10, ny=10),
+        roi=RegionOfInterest(cells=frozenset(range(100)), weights={}),
+        occluders=tuple(boxes),
+        lidar_candidates=tuple(mount(k, spec, "L") for k, spec in
+                               enumerate((WIDE_LIDAR, lidar_spec(32), lidar_spec(64, hfov=120.0)))),
+        radar_candidates=tuple(mount(k, spec, "R") for k, spec in
+                               enumerate((WIDE_RADAR, radar_spec(), radar_spec(vfov=60.0)))),
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_culled_ray_cast_equals_full_loop_on_random_scenes(seed, monkeypatch):
+    rng = np.random.default_rng([41, seed])
+    scene = random_occluded_scene(rng)
+    cfg = VisibilityConfig(samples_per_cell=int(rng.choice([1, 4, 9])),
+                           sample_height_m=float(rng.choice([0.5, 0.85, 1.0])))
+    culled = build_visibility(scene, cfg)
+    monkeypatch.setattr(visibility, "_unoccluded", full_loop)
+    full = build_visibility(scene, cfg)
+    for got, expected in zip(culled, full):
+        assert np.array_equal(got.values, expected.values)

@@ -31,11 +31,13 @@ import numpy as np
 
 from . import __version__
 from .boxes import CLASSES
-from .coverage import CoverageReport, compare_configs, coverage_report
+from .coverage import compare_configs, coverage_report
 from .formats import (
     MatrixFile,
     ParseError,
     SolutionFile,
+    baseline_from_record,
+    coverage_from_record,
     file_sha256,
     load_frame_pairs,
     load_frames,
@@ -351,7 +353,8 @@ def cmd_coverage(args) -> int:
                    [args.out], {"theta": theta, "name": name}, started)
     print(
         f"{name}: coverage {report.central_coverage:.1%}"
-        f" ({report.covered_cells}/{report.total_roi_cells}), cost {report.total_cost:.2f}"
+        f" ({report.covered_cells}/{report.total_roi_cells}),"
+        f" {report.sensor_count} sensors, cost {report.total_cost:.2f}"
     )
     print(f"wrote {args.out}")
     return 0
@@ -364,10 +367,7 @@ def cmd_compare(args) -> int:
         kind, record = load_report(path)
         if kind != "coverage":
             raise ValueError(f"{path} is a {kind!r} report, expected coverage")
-        try:
-            reports.append(CoverageReport(**record))
-        except TypeError as exc:
-            raise ParseError(f"{path}: malformed coverage record: {exc}") from exc
+        reports.append(coverage_from_record(record, f"{path} record"))
     comparison = compare_configs(reports)
     print(comparison.to_text(), end="")
     if args.out:
@@ -567,24 +567,24 @@ def cmd_evaluate(args) -> int:
         kind, base = load_report(args.baseline)
         if kind != "evaluation":
             raise ValueError(f"{args.baseline} is a {kind!r} report, expected evaluation")
-        base_classes = base.get("per_class", {})
+        base_map, base_aps = baseline_from_record(base, f"{args.baseline} record")
         print()
         print(f"delta vs {Path(args.baseline).name}:")
         deltas = {}
         for label in classes:
-            base_ap = base_classes.get(label, {}).get("ap")
+            base_ap = base_aps.get(label)
             ap = result.per_class[label].ap
             if base_ap is None or ap is None:
                 continue
             delta = ap - base_ap
             deltas[label] = delta
             print(f"{label:<12} {base_ap:.3f} -> {ap:.3f}  ({delta * 100.0:+.1f}%)")
-        map_delta = result.mean_ap - float(base["mean_ap"])
-        print(f"{'mAP':<12} {float(base['mean_ap']):.3f} -> {result.mean_ap:.3f}"
+        map_delta = result.mean_ap - base_map
+        print(f"{'mAP':<12} {base_map:.3f} -> {result.mean_ap:.3f}"
               f"  ({map_delta * 100.0:+.1f}%)")
         record["baseline"] = {
             "report": Path(args.baseline).name,
-            "mean_ap": float(base["mean_ap"]),
+            "mean_ap": base_map,
             "mean_ap_delta": map_delta,
             "per_class_delta": deltas,
         }
@@ -683,6 +683,7 @@ def cmd_pipeline(args) -> int:
                 "optimal": solution.optimal,
                 "central_coverage": report.central_coverage,
                 "total_cost": report.total_cost,
+                "sensor_count": report.sensor_count,
                 "mean_ap": eval_result.mean_ap,
             }
         )

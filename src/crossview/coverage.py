@@ -1,9 +1,16 @@
 """Central-coverage summaries and side-by-side configuration comparisons.
 
-Coverage here is the blunt deployment metric: the fraction of ROI cells
-with any nonzero (above-theta) visibility from at least one selected mount
-of either modality.  It intentionally ignores the seen threshold used by
-the optimizer so thinly covered cells still count.
+Coverage here is the blunt geometric deployment metric: the fraction of
+ROI cells with visibility above theta from at least one selected mount of
+either modality.  It is not "detected": the optimizer sees a cell when both
+modalities' detection probability 1 - prod(1 - v) reaches 1 - e^-tau, and
+the simulator rolls against that same probability, while this test takes
+one mount at a time, either modality, and no tau, so thinly covered cells
+still count.
+
+Costs are money, the selected mounts' unit costs, whatever budget mode
+picked them; the mount count is a separate field.  So reports from count
+and cost budgets compare on the same scale.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ class CoverageReport:
     covered_cells: int
     total_roi_cells: int
     total_cost: float
+    sensor_count: int
     per_modality_cost: dict[str, float] = field(default_factory=dict)
     per_modality_covered: dict[str, int] = field(default_factory=dict)
     theta: float = 0.0
@@ -43,21 +51,26 @@ def coverage_report(
     config_name: str = "config",
     theta: float = 0.0,
 ) -> CoverageReport:
-    """Fraction of ROI cells visible above theta from any selected mount."""
+    """Fraction of ROI cells visible above theta from any selected mount.
+
+    Raises ValueError if the problem carries no unit costs to price the
+    selection with.
+    """
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     lidar_cov = _modality_covered(problem.lidar_vis, selection.lidar_ids, theta)
     radar_cov = _modality_covered(problem.radar_vis, selection.radar_ids, theta)
     either = lidar_cov | radar_cov
     total = problem.n_cells
-    lidar_cost = problem.selection_cost(Selection.of(lidar_ids=selection.lidar_ids))
-    radar_cost = problem.selection_cost(Selection.of(radar_ids=selection.radar_ids))
+    lidar_cost = problem.selection_price(Selection.of(lidar_ids=selection.lidar_ids))
+    radar_cost = problem.selection_price(Selection.of(radar_ids=selection.radar_ids))
     return CoverageReport(
         config_name=config_name,
         central_coverage=float(either.sum()) / total if total else 0.0,
         covered_cells=int(either.sum()),
         total_roi_cells=total,
         total_cost=lidar_cost + radar_cost,
+        sensor_count=selection.size,
         per_modality_cost={LIDAR: lidar_cost, RADAR: radar_cost},
         per_modality_covered={LIDAR: int(lidar_cov.sum()), RADAR: int(radar_cov.sum())},
         theta=theta,
@@ -87,14 +100,14 @@ class ConfigComparison:
 
     def to_text(self) -> str:
         lines = []
-        header = f"{'config':<20} {'coverage':>9} {'cells':>12} {'cost':>10}"
+        header = f"{'config':<20} {'coverage':>9} {'cells':>12} {'sensors':>8} {'cost':>10}"
         lines.append(header)
         lines.append("-" * len(header))
         for r in self.reports:
             cells = f"{r.covered_cells}/{r.total_roi_cells}"
             lines.append(
                 f"{r.config_name:<20} {r.central_coverage:>8.1%} {cells:>12}"
-                f" {r.total_cost:>10.2f}"
+                f" {r.sensor_count:>8} {r.total_cost:>10.2f}"
             )
         lines.append("")
         for p in self.pairs:

@@ -19,14 +19,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .boxes import CLASSES, SOURCES, DetectionBox
+from .coverage import CoverageReport
 from .metrics import FramePair, pair_frames
 from .scene import (
+    LIDAR,
+    RADAR,
     CandidateMount,
     GridSpec,
     Occluder,
@@ -122,10 +125,8 @@ def _load_document(path, expected_magic: str) -> dict:
         body = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid or truncated JSON body: {exc}") from exc
-    payload = _object(body, {"payload"}, set(), f"{path} body")["payload"]
-    if not isinstance(payload, dict):
-        raise ParseError(f"{path}: payload must be an object")
-    return payload
+    return _mapping(_object(body, {"payload"}, set(), f"{path} body")["payload"],
+                    f"{path} payload")
 
 
 def _require_keys(d: dict, required: set[str], optional: set[str], where: str) -> None:
@@ -145,10 +146,14 @@ def _as_float_tuple(value, n: int, where: str) -> tuple[float, ...]:
 
 # -- scenes -----------------------------------------------------------------
 
-def _object(value, required: set[str], optional: set[str], where: str) -> dict:
+def _mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ParseError(f"{where}: expected an object")
-    _require_keys(value, required, optional, where)
+    return value
+
+
+def _object(value, required: set[str], optional: set[str], where: str) -> dict:
+    _require_keys(_mapping(value, where), required, optional, where)
     return value
 
 
@@ -531,7 +536,40 @@ def save_report(path, kind: str, record: dict, manifest: str | None = None) -> N
 def load_report(path) -> tuple[str, dict]:
     payload = _load_document(path, REPORT_MAGIC)
     _require_keys(payload, {"kind", "record"}, {"manifest"}, str(path))
-    return payload["kind"], payload["record"]
+    return (_string(payload["kind"], f"{path} kind"),
+            _mapping(payload["record"], f"{path} record"))
+
+
+def coverage_from_record(record: dict, where: str) -> CoverageReport:
+    """A coverage report record back as a ``CoverageReport``, every field checked."""
+    rec = _object(record, {f.name for f in fields(CoverageReport)}, set(), where)
+
+    def per_modality(key: str, check) -> dict:
+        value = _object(rec[key], set(), {LIDAR, RADAR}, f"{where}.{key}")
+        return {m: check(v, f"{where}.{key}.{m}") for m, v in value.items()}
+
+    return CoverageReport(
+        config_name=_string(rec["config_name"], f"{where}.config_name"),
+        central_coverage=_number(rec["central_coverage"], f"{where}.central_coverage"),
+        covered_cells=_integer(rec["covered_cells"], f"{where}.covered_cells"),
+        total_roi_cells=_integer(rec["total_roi_cells"], f"{where}.total_roi_cells"),
+        total_cost=_number(rec["total_cost"], f"{where}.total_cost"),
+        sensor_count=_integer(rec["sensor_count"], f"{where}.sensor_count"),
+        per_modality_cost=per_modality("per_modality_cost", _number),
+        per_modality_covered=per_modality("per_modality_covered", _integer),
+        theta=_number(rec["theta"], f"{where}.theta"),
+    )
+
+
+def baseline_from_record(record: dict, where: str) -> tuple[float, dict[str, float | None]]:
+    """An evaluation record's mAP and per-class AP (None where undefined)."""
+    rec = _object(record, {"mean_ap", "per_class"}, {"matching_mode", "baseline"}, where)
+    aps = {}
+    for label, entry in _mapping(rec["per_class"], f"{where}.per_class").items():
+        at = f"{where}.per_class.{label}"
+        ap = _object(entry, {"ap"}, {"threshold", "num_gt", "num_predictions"}, at)["ap"]
+        aps[label] = None if ap is None else _number(ap, f"{at}.ap")
+    return _number(rec["mean_ap"], f"{where}.mean_ap"), aps
 
 
 @dataclass(frozen=True)

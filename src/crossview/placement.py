@@ -4,7 +4,10 @@ The planner picks a subset of candidate mounts, at most ``budget`` of them
 (or within a cost cap), to maximize the weighted mass of ROI cells that are
 simultaneously covered by both modalities.  A cell counts as covered by a
 modality when the summed log-visibility of the selected mounts reaches the
-seen threshold, i.e. the combined miss probability drops below e^-threshold.
+seen threshold, i.e. the combined miss probability drops below e^-threshold:
+the detection probability ``visibility.detection_probability`` gives, and
+the simulator rolls against, reaches 1 - e^-threshold.  The test runs on the
+log sums, which add along a search, rather than on that probability.
 
 Solvers:
 
@@ -92,20 +95,23 @@ class PlacementProblem:
             raise ValueError("cell weights must be nonnegative")
         if budget_mode not in ("count", "cost"):
             raise ValueError(f"unknown budget_mode {budget_mode!r}")
-        if seen_threshold <= 0:
-            raise ValueError("seen_threshold must be positive")
-        if budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if budget_mode == "cost":
-            if lidar_costs is None or radar_costs is None:
+        if not (np.isfinite(seen_threshold) and seen_threshold > 0):
+            raise ValueError(f"seen_threshold must be finite and positive, got {seen_threshold!r}")
+        if not (np.isfinite(budget) and budget >= 0):
+            raise ValueError(f"budget must be finite and nonnegative, got {budget!r}")
+        if (lidar_costs is None) != (radar_costs is None):
+            raise ValueError("lidar_costs and radar_costs come together")
+        if lidar_costs is None:
+            if budget_mode == "cost":
                 raise ValueError("cost budget requires lidar_costs and radar_costs")
+        else:
             lidar_costs = np.asarray(lidar_costs, dtype=float)
             radar_costs = np.asarray(radar_costs, dtype=float)
             if lidar_costs.shape != (lidar.n_candidates,):
                 raise ValueError("lidar_costs length must match candidate count")
             if radar_costs.shape != (radar.n_candidates,):
                 raise ValueError("radar_costs length must match candidate count")
-            if np.any(lidar_costs < 0) or np.any(radar_costs < 0):
+            if not (np.all(lidar_costs >= 0) and np.all(radar_costs >= 0)):
                 raise ValueError("candidate costs must be nonnegative")
         return cls(
             lidar_vis=lidar.values,
@@ -133,9 +139,15 @@ class PlacementProblem:
         return self.weights.shape[0]
 
     def selection_cost(self, selection: Selection) -> float:
+        """What ``selection`` spends of the budget: a count or money."""
         if self.budget_mode == "count":
             return float(selection.size)
-        assert self.lidar_costs is not None and self.radar_costs is not None
+        return self.selection_price(selection)
+
+    def selection_price(self, selection: Selection) -> float:
+        """Money: the picks' unit costs summed in index order, whatever the mode."""
+        if self.lidar_costs is None or self.radar_costs is None:
+            raise ValueError("the problem carries no unit costs")
         total = 0.0
         for i in sorted(selection.lidar_ids):
             total += float(self.lidar_costs[i])
@@ -291,8 +303,9 @@ class _BranchBound:
     every undecided candidate and the bound is the plain suffix sum.
 
     Memory is O((n + 1) x cells): the suffix sum and max tables are built
-    once along the order, and the search is an explicit stack over
-    preallocated accumulators, one row per pick count.  Including a
+    once along the order, each over one key's own rows (lidar logs, radar
+    logs, all weighted visibility), and the search is an explicit stack
+    over preallocated accumulators, one row per pick count.  Including a
     candidate writes parent row + candidate row into the next row; nothing
     is subtracted to backtrack, so a node's sums are the same floats
     however the search reached it.
@@ -311,26 +324,27 @@ class _BranchBound:
         order.sort()
         self.order = [(modality, i) for _, _, i, modality in order]
         n = len(self.order)
-        n_cells = problem.n_cells
 
-        # Row d of each table covers the undecided candidates order[d:].
-        sums = self.suffix_sum = {key: np.zeros((n + 1, n_cells)) for key in (LIDAR, RADAR, "mass")}
-        maxima = self.suffix_max = {key: np.zeros((n + 1, n_cells)) for key in sums}
-        left = self.left = {LIDAR: [0] * (n + 1), RADAR: [0] * (n + 1),
-                            "mass": list(range(n, -1, -1))}
+        # Each key's tables run over its own rows in order: row k covers
+        # that key's candidates from its k-th on, so a node at depth d reads
+        # row decided[key][d].  Accumulating a zero row then the rows in
+        # reverse adds in the same sequence as a loop from the back would.
+        rows = {
+            key: np.stack([np.zeros(problem.n_cells)]
+                          + [table[modality][i] for modality, i in reversed(self.order)
+                             if key in (modality, "mass")])
+            for key, table in ((LIDAR, self.logs), (RADAR, self.logs), ("mass", self.masses))
+        }
+        self.suffix_sum = {key: np.add.accumulate(r)[::-1] for key, r in rows.items()}
+        self.suffix_max = {key: np.maximum.accumulate(r, out=r)[::-1] for key, r in rows.items()}
+        self.decided = {key: [0] * (n + 1) for key in (LIDAR, RADAR)}
+        self.decided["mass"] = list(range(n + 1))
+        for d, (modality, _) in enumerate(self.order):
+            for key in (LIDAR, RADAR):
+                self.decided[key][d + 1] = self.decided[key][d] + (key == modality)
         self.cheapest = [float("inf")] * (n + 1)
         for d in range(n - 1, -1, -1):
-            modality, i = self.order[d]
-            rows = ((modality, self.logs[modality][i]), ("mass", self.masses[modality][i]))
-            for key, row in rows:
-                np.add(sums[key][d + 1], row, out=sums[key][d])
-                np.maximum(maxima[key][d + 1], row, out=maxima[key][d])
-            other = RADAR if modality == LIDAR else LIDAR
-            sums[other][d] = sums[other][d + 1]
-            maxima[other][d] = maxima[other][d + 1]
-            left[modality][d] = left[modality][d + 1] + 1
-            left[other][d] = left[other][d + 1]
-            self.cheapest[d] = min(self.cheapest[d + 1], self._cost_of(modality, i))
+            self.cheapest[d] = min(self.cheapest[d + 1], self._cost_of(*self.order[d]))
 
         self.best_obj = -1.0
         self.best_key: tuple = ()
@@ -366,10 +380,12 @@ class _BranchBound:
 
     def _gain(self, key: str, depth: int, r: int, out: np.ndarray) -> np.ndarray:
         """Per-cell bound on what r more picks add to ``key``'s sums."""
-        if r >= self.left[key][depth]:
-            return self.suffix_sum[key][depth]
-        np.multiply(self.suffix_max[key][depth], r, out=out)
-        return np.minimum(out, self.suffix_sum[key][depth], out=out)
+        k = self.decided[key][depth]
+        suffix_sum = self.suffix_sum[key]
+        if r >= len(suffix_sum) - 1 - k:  # r picks can take every undecided one
+            return suffix_sum[k]
+        np.multiply(self.suffix_max[key][k], r, out=out)
+        return np.minimum(out, suffix_sum[k], out=out)
 
     def run(self) -> PlacementSolution:
         problem = self.problem
@@ -379,11 +395,8 @@ class _BranchBound:
         most = self._picks_left(0, 0.0)
         # Row k holds the sums of a node's k picks of that kind; a node only
         # ever writes the row above its own, which no pending node reads.
-        acc = {
-            LIDAR: np.zeros((min(most, self.left[LIDAR][0]) + 1, n_cells)),
-            RADAR: np.zeros((min(most, self.left[RADAR][0]) + 1, n_cells)),
-            "mass": np.zeros((most + 1, n_cells)),
-        }
+        acc = {key: np.zeros((min(most, table.shape[0] - 1) + 1, n_cells))
+               for key, table in self.suffix_sum.items()}
         picked = [0] * most  # order positions of the current node's picks
         work = np.empty(n_cells)
         seen = np.empty(n_cells, dtype=bool)

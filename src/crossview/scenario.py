@@ -2,9 +2,10 @@
 
 Agents spawn by per-class Poisson draws, travel in straight grid-aligned
 lines, and despawn once their center leaves the grid.  Each frame, each
-modality detects an agent with probability equal to the summed visibility
-of the selected mounts at the agent's cell (clamped to 1), then corrupts
-the box with Gaussian noise.
+modality detects an agent with the probability p that
+``visibility.detection_probability`` gives for the selected mounts at the
+agent's cell, 1 - prod(1 - v), the same model the optimizer's seen test
+thresholds; it then corrupts the box with Gaussian noise and scores it p.
 
 Traffic and the detectors draw from two independent seeded streams, so
 the same seed produces identical ground truth no matter which mounts are
@@ -20,7 +21,7 @@ import numpy as np
 from .boxes import CLASSES, DetectionBox
 from .placement import Selection
 from .scene import LIDAR, RADAR, Scene
-from .visibility import VisibilityMatrix
+from .visibility import VisibilityMatrix, detection_probability
 
 CLASS_SIZES = {
     "car": (4.5, 1.9, 1.6),
@@ -123,16 +124,6 @@ class ScenarioFrames:
     radar: dict[str, list[DetectionBox]]
 
 
-def _selected_probabilities(matrix: VisibilityMatrix, ids: frozenset[int]) -> np.ndarray:
-    if not ids:
-        return np.zeros(matrix.n_cells)
-    rows = sorted(ids)
-    for i in rows:
-        if not 0 <= i < matrix.n_candidates:
-            raise IndexError(f"candidate index {i} out of range for {matrix.modality}")
-    return np.minimum(matrix.values[rows].sum(axis=0), 1.0)
-
-
 def _noisy_box(
     agent: _Agent,
     size: tuple[float, float, float],
@@ -178,8 +169,8 @@ def generate_scenario(
     if lidar_vis.n_cells != len(cells) or radar_vis.n_cells != len(cells):
         raise ValueError("visibility matrices do not match the scene ROI")
     column_of = {j: k for k, j in enumerate(cells)}
-    p_lidar = _selected_probabilities(lidar_vis, selection.lidar_ids)
-    p_radar = _selected_probabilities(radar_vis, selection.radar_ids)
+    p_lidar = detection_probability(lidar_vis, selection.lidar_ids)
+    p_radar = detection_probability(radar_vis, selection.radar_ids)
 
     x0, y0 = grid.origin_xy
     x1 = x0 + grid.nx * grid.cell_size

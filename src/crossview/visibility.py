@@ -11,6 +11,10 @@ segment has a bounding box meeting the box.  What it does run is the
 exact slab test (Williams et al., JGT 2005), so the culling changes no
 result.
 
+``detection_probability`` is the one detection model: the chance that at
+least one of a set of mounts detects in a cell, 1 - prod(1 - v), which the
+optimizer thresholds and the simulator rolls against.
+
 All functions here are pure over immutable scenes: results are bitwise
 identical regardless of evaluation order or worker count.
 """
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -295,3 +299,19 @@ def log_visibility(matrix: VisibilityMatrix) -> np.ndarray:
     if values.size and values.min() < 0.0:
         raise ValueError("negative visibility entry encountered")
     return -np.log1p(-values)
+
+
+def detection_probability(matrix: VisibilityMatrix, ids: Iterable[int]) -> np.ndarray:
+    """Per-cell probability that at least one of the rows ``ids`` detects.
+
+    This is the one detection model.  Mounts miss independently, so
+    p = 1 - prod(1 - v_i), computed as -expm1(-S) over the log sum
+    S = sum_i -ln(1 - v_i) of ``log_visibility``: the sum the optimizer
+    thresholds at tau, so S >= tau when p >= 1 - e^-tau, up to rounding at
+    the boundary.
+    """
+    rows = sorted(ids)
+    for i in rows:
+        if not 0 <= i < matrix.n_candidates:
+            raise IndexError(f"candidate index {i} out of range for {matrix.modality}")
+    return -np.expm1(-log_visibility(matrix)[rows].sum(axis=0))

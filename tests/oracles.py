@@ -251,3 +251,11 @@ def coverage_objective_reference(
         mass += sum(radar_vis[i][j] for i in radar_ids)
         total += mass * weights[j]
     return total
+
+
+def detection_probability_reference(values, ids, j: int) -> float:
+    """Noisy-OR at cell j: one minus the product of the rows' misses."""
+    miss = 1.0
+    for i in ids:
+        miss *= 1.0 - values[i][j]
+    return 1.0 - miss

@@ -119,7 +119,8 @@ def test_c03_beam_monotonicity():
             )
             lidar_vis, radar_vis = build_visibility(scene)
             problem = PlacementProblem.from_matrices(
-                lidar_vis, radar_vis, np.ones(2500), budget=1)
+                lidar_vis, radar_vis, np.ones(2500), budget=1,
+                lidar_costs=np.zeros(1), radar_costs=np.zeros(0))
             report = coverage_report(problem, Selection.of([0], []),
                                      config_name=f"beams{spec.beams}")
             coverages.append(report.central_coverage)
@@ -369,11 +370,13 @@ def test_c10_delta_reporting(tmp_path, capsys):
         save_report(tmp_path / "dense.coverage", "coverage", {
             "config_name": "dense", "central_coverage": 0.90,
             "covered_cells": 90, "total_roi_cells": 100, "total_cost": 100.0,
+            "sensor_count": 3,
             "per_modality_cost": {}, "per_modality_covered": {}, "theta": 0.0,
         })
         save_report(tmp_path / "lean.coverage", "coverage", {
             "config_name": "lean", "central_coverage": 0.88,
             "covered_cells": 88, "total_roi_cells": 100, "total_cost": 44.0,
+            "sensor_count": 2,
             "per_modality_cost": {}, "per_modality_covered": {}, "theta": 0.0,
         })
         rc = main(["compare", str(tmp_path / "dense.coverage"),

@@ -275,12 +275,12 @@ def test_compare_command(workspace, tmp_path, capsys):
     lean = tmp_path / "lean.coverage"
     save_report(dense, "coverage", {
         "config_name": "dense", "central_coverage": 0.9, "covered_cells": 90,
-        "total_roi_cells": 100, "total_cost": 100.0, "per_modality_cost": {},
+        "total_roi_cells": 100, "total_cost": 100.0, "sensor_count": 3, "per_modality_cost": {},
         "per_modality_covered": {}, "theta": 0.0,
     })
     save_report(lean, "coverage", {
         "config_name": "lean", "central_coverage": 0.88, "covered_cells": 88,
-        "total_roi_cells": 100, "total_cost": 44.0, "per_modality_cost": {},
+        "total_roi_cells": 100, "total_cost": 44.0, "sensor_count": 2, "per_modality_cost": {},
         "per_modality_covered": {}, "theta": 0.0,
     })
     rc = main(["compare", str(dense), str(lean),
@@ -292,6 +292,55 @@ def test_compare_command(workspace, tmp_path, capsys):
     kind, record = load_report(tmp_path / "cmp.report")
     assert kind == "coverage_comparison"
     assert record["pairs"][0]["cost_reduction_pct"] == pytest.approx(56.0)
+
+
+_COVERAGE_RECORD = {
+    "config_name": "dense", "central_coverage": 0.9, "covered_cells": 90,
+    "total_roi_cells": 100, "total_cost": 100.0, "sensor_count": 3,
+    "per_modality_cost": {"lidar": 80.0, "radar": 20.0},
+    "per_modality_covered": {"lidar": 85, "radar": 40}, "theta": 0.0,
+}
+_BASELINE_RECORD = {
+    "matching_mode": "iou", "mean_ap": 0.5,
+    "per_class": {"car": {"ap": 0.4, "threshold": 0.5, "num_gt": 10, "num_predictions": 12}},
+}
+
+
+@pytest.mark.parametrize("kind, record, field", [
+    ("evaluation", [0.5], "record"),
+    ("evaluation", {**_BASELINE_RECORD, "per_class": {"car": 3}}, "per_class.car"),
+    ("evaluation", {k: v for k, v in _BASELINE_RECORD.items() if k != "mean_ap"}, "mean_ap"),
+    ("evaluation", {**_BASELINE_RECORD, "per_class": {"car": {"ap": "x"}}}, "car.ap"),
+    ("coverage", {**_COVERAGE_RECORD, "central_coverage": "hi"}, "central_coverage"),
+    ("coverage", {k: v for k, v in _COVERAGE_RECORD.items() if k != "sensor_count"},
+     "sensor_count"),
+    ("coverage", {**_COVERAGE_RECORD, "per_modality_covered": {"lidar": 1.5}},
+     "per_modality_covered.lidar"),
+    ("coverage", [], "record"),
+])
+def test_malformed_report_records_exit_3(tmp_path, capsys, kind, record, field):
+    bad = tmp_path / "bad.report"
+    save_report(bad, kind, record)
+    if kind == "evaluation":
+        car = random_box(np.random.default_rng(0), "car")
+        save_frames(tmp_path / "t.frames", {"000000": [car]})
+        argv = ["evaluate", "--truth", str(tmp_path / "t.frames"),
+                "--predictions", str(tmp_path / "t.frames"), "--baseline", str(bad)]
+    else:
+        good = tmp_path / "good.coverage"
+        save_report(good, "coverage", _COVERAGE_RECORD)
+        argv = ["compare", str(good), str(bad)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+
+
+def test_report_kind_must_be_a_string(tmp_path, capsys):
+    bad = tmp_path / "bad.coverage"
+    bad.write_text(make_document("crossview.report", {"kind": 5, "record": {}}))
+    assert main(["compare", str(bad), str(bad)]) == 3
+    assert "kind: expected a string" in capsys.readouterr().err
 
 
 def test_config_file_precedence(workspace, tmp_path):
@@ -352,6 +401,28 @@ def test_pipeline(tmp_path, capsys):
     manifest = load_manifest(out_dir / "pipeline.manifest")
     assert manifest["command"] == "pipeline"
     assert "summary.report" in manifest["outputs"]
+
+
+def test_pipeline_compares_count_and_cost_budgets_in_money(tmp_path, capsys):
+    save_scene(tmp_path / "scene.scene", square_scene())
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps({
+        "scene": "scene.scene",
+        "configs": [{"name": "count2", "budget": 2},
+                    {"name": "cost300", "budget": 300, "budget_mode": "cost"}],
+        "scenario": {"duration_frames": 4, "seed": 3},
+    }))
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    _, summary = load_report(out_dir / "summary.report")
+    rows = {row["name"]: row for row in summary["configs"]}
+    # Unit costs are 100 a lidar and 20 a radar mount.  Set against the
+    # count 2, the cost-300 pick's 240 read as a reduction of -11900%.
+    assert (rows["count2"]["sensor_count"], rows["count2"]["total_cost"]) == (2, 120.0)
+    assert (rows["cost300"]["sensor_count"], rows["cost300"]["total_cost"]) == (4, 240.0)
+    assert summary["comparison"]["pairs"][0]["cost_reduction_pct"] == -100.0
+    assert "count2 -> cost300: coverage +0.0%, cost reduction -100.0%" in out
 
 
 def test_pipeline_rejects_duplicate_names(tmp_path, capsys):

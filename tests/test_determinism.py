@@ -21,12 +21,27 @@ from conftest import square_scene
 # Every payload, and every matrix line but scene_hash, equals the version 1
 # chain's, which was recorded before the circle reject in iou_3d and the
 # dedicated frames writer.
+#
+# Re-recorded again for the one detection model: the simulator now rolls
+# against 1 - prod(1 - v) instead of min(sum v, 1), and scores each box
+# with that probability.  lidar.frames, fused.frames and iou.evaluation
+# follow from that alone (the old code with only that swap writes the same
+# three digests).  truth, both matrices, plan.solution, radar.frames and
+# center.evaluation are unchanged: the plan has one radar mount, whose p is
+# its v to the last bit except one ulp above v = 0.25, and no radar box here
+# sits in such a cell.  The coverage and compare steps, new then, pin the
+# money-based total_cost, sensor_count and cost reduction across a count
+# and a cost budget.
 GOLDEN = {
     "center.evaluation": "b30c0afc385a944f1ebb1a08d838bcb4d6b5589fcc36076d5bcfa39cbd8b741e",
-    "fused.frames": "3548a2c37ebbef13e581622b4f9d52c5f8ddd1ba1a79d4f9e7634bca0e5d0c1a",
-    "iou.evaluation": "594b9141d012f6724ac8891a2fdef7029e543f28c65e03b1e02cee2201e1bc47",
-    "lidar.frames": "e271b7649998ffee92977a56a18001619b1b2e1530826e302a2ab80284065b63",
+    "cost.coverage": "bcf84d41347f02789be66c7a4100923af3b4bd5ae444275010d452f279647b05",
+    "cost.solution": "97ef1306bbe099f7f0d0fc0a7951cd44f581232beb05b745cde4bec5de37b6d9",
+    "fused.frames": "6254396d2ad8e169f4df84c114cdac39b557e69d8bd60a0c40b4052477dc6479",
+    "iou.evaluation": "6f2d75a4b080bd079c90b2c94f607cf81f454dd6d2bf75af813bc1565133c019",
+    "lidar.frames": "10b74725414e053ffd71f4b1d1ad1f2f5ca44865c3a33cf31c81b023955c8027",
     "lidar.vismatrix": "23359b2b834dcffd435cf9fbc063c578463d18f64eca6cb1e4034fecefb902b7",
+    "plan.comparison": "7c18951848e7aad8438d7f7e24cca3ab6dbe427197281f6ee97b22aa029d2fdb",
+    "plan.coverage": "85810eed45dfe352b732a10f985e96101ab5f4d78670eff91e65d2b94390b11b",
     "plan.solution": "c4aed640faae2f7d598e87daaa60df74d689acd34cb856dfe03d33ced2328c02",
     "radar.frames": "fa6ef4129dc7db8aec7915f97eec1fd5a5fad0a901465c6bbb2ac1105aa5ab3f",
     "radar.vismatrix": "dc58d81b9e8c4b352b1072aa8cdff97429c2c437c5164b8fadb26dc1ab03a5a3",
@@ -59,6 +74,13 @@ def test_seeded_chain_bytes_are_pinned(tmp_path, capsys):
          "--mode", "iou", "--out", d + "iou.evaluation"],
         ["evaluate", "--truth", d + "truth.frames", "--predictions", d + "fused.frames",
          "--mode", "center_distance", "--out", d + "center.evaluation"],
+        ["optimize", "--lidar", d + "lidar.vismatrix", "--radar", d + "radar.vismatrix",
+         "--budget-mode", "cost", "--budget", "240", "--out", d + "cost.solution"],
+        ["coverage", "--lidar", d + "lidar.vismatrix", "--radar", d + "radar.vismatrix",
+         "--solution", d + "plan.solution", "--out", d + "plan.coverage"],
+        ["coverage", "--lidar", d + "lidar.vismatrix", "--radar", d + "radar.vismatrix",
+         "--solution", d + "cost.solution", "--theta", "0.5", "--out", d + "cost.coverage"],
+        ["compare", d + "plan.coverage", d + "cost.coverage", "--out", d + "plan.comparison"],
     ]
     for argv in commands:
         assert main(argv) == 0, argv

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from crossview import (
     PlacementProblem,
     Selection,
     VisibilityMatrix,
+    detection_probability,
     evaluate_selection,
     solve_branch_bound,
     solve_exhaustive,
@@ -50,6 +52,29 @@ def test_evaluate_selection_single_cell():
     result = evaluate_selection(problem, Selection.of([0], [0]))
     assert result.seen.tolist() == [True]
     assert result.objective == pytest.approx(2.0 * v, abs=1e-12)
+
+
+def test_seen_test_is_the_detection_model_thresholded():
+    # A cell is seen exactly when both modalities detect it with
+    # probability at least 1 - e^-tau; cells within 1e-9 of that level
+    # fall inside SEEN_TOL and are left out.
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(60):
+        problem = replace(random_problem(rng), seen_threshold=float(rng.uniform(0.2, 3.0)))
+        selection = Selection.of(
+            (i for i in range(problem.n_lidar) if rng.random() < 0.5),
+            (i for i in range(problem.n_radar) if rng.random() < 0.5))
+        level = -math.expm1(-problem.seen_threshold)
+        p_lidar = detection_probability(VisibilityMatrix("lidar", problem.lidar_vis),
+                                        selection.lidar_ids)
+        p_radar = detection_probability(VisibilityMatrix("radar", problem.radar_vis),
+                                        selection.radar_ids)
+        clear = (np.abs(p_lidar - level) > 1e-9) & (np.abs(p_radar - level) > 1e-9)
+        seen = evaluate_selection(problem, selection).seen
+        assert np.array_equal(seen[clear], ((p_lidar >= level) & (p_radar >= level))[clear])
+        checked += int(seen[clear].sum())
+    assert checked > 0
 
 
 def test_seen_requires_both_modalities():
@@ -308,6 +333,20 @@ def test_from_matrices_validation():
         make_problem([[0.5]], [[0.5]], mode="weird")
     with pytest.raises(ValueError):
         make_problem([[0.5]], [[0.5]], mode="cost")  # costs missing
+
+
+@pytest.mark.parametrize("solver", [solve_branch_bound, solve_exhaustive, solve_greedy])
+@pytest.mark.parametrize("mode", ["count", "cost"])
+@pytest.mark.parametrize("field, value", [
+    ("budget", math.nan), ("budget", math.inf), ("budget", -math.inf),
+    ("threshold", math.nan), ("threshold", math.inf), ("threshold", -math.inf),
+])
+def test_non_finite_solver_inputs_are_rejected(solver, mode, field, value):
+    # A NaN budget used to give the empty pick, and an infinite count
+    # budget an OverflowError in enumeration; now no solver gets that far.
+    with pytest.raises(ValueError, match="finite"):
+        solver(make_problem([[0.9]], [[0.9]], mode=mode, lidar_costs=[1.0],
+                            radar_costs=[1.0], **{field: value}))
 
 
 def test_selection_canonical_key_sorted():

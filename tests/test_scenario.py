@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from crossview import (
@@ -13,6 +12,7 @@ from crossview import (
     ScenarioConfig,
     Selection,
     build_visibility,
+    detection_probability,
     generate_scenario,
 )
 from crossview.scenario import DEFAULT_SPEED_RANGES
@@ -24,10 +24,10 @@ from conftest import square_scene
 def observed_scene():
     scene = square_scene()
     lidar_vis, radar_vis = build_visibility(scene)
-    # Both mounts of each modality together saturate every cell, so a
-    # full selection detects with probability exactly 1.
-    assert np.minimum(lidar_vis.values.sum(axis=0), 1.0).min() == 1.0
-    assert np.minimum(radar_vis.values.sum(axis=0), 1.0).min() == 1.0
+    # Both mounts of each modality see every cell, so a full selection
+    # detects with probability within 1e-6 of 1 everywhere.
+    assert detection_probability(lidar_vis, [0, 1]).min() > 1.0 - 1e-6
+    assert detection_probability(radar_vis, [0, 1]).min() > 1.0 - 1e-6
     return scene, lidar_vis, radar_vis
 
 
@@ -67,11 +67,21 @@ def test_empty_selection_detects_nothing(observed_scene):
 
 
 def test_saturated_selection_detects_everything(observed_scene):
+    scene, lidar_vis, radar_vis = observed_scene
     frames = run(observed_scene, FULL, seed=5)
+    grid = scene.grid
+    p_lidar = detection_probability(lidar_vis, FULL.lidar_ids)
+    p_radar = detection_probability(radar_vis, FULL.radar_ids)
     for fid, gt in frames.ground_truth.items():
         assert len(frames.lidar[fid]) == len(gt)
         assert len(frames.radar[fid]) == len(gt)
-        assert all(b.score == 1.0 for b in frames.lidar[fid])
+        # Every agent is detected, so box k of each stream is agent k, and
+        # its score is the model's p at the agent's cell (ROI = every cell).
+        for truth, lidar, radar in zip(gt, frames.lidar[fid], frames.radar[fid]):
+            col = min(int(truth.center[0] // grid.cell_size), grid.nx - 1)
+            row = min(int(truth.center[1] // grid.cell_size), grid.ny - 1)
+            assert lidar.score == p_lidar[row * grid.nx + col]
+            assert radar.score == p_radar[row * grid.nx + col]
 
 
 def test_zero_noise_reproduces_truth_geometry(observed_scene):

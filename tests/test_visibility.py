@@ -19,12 +19,13 @@ from crossview import (
     beam_elevations,
     build_visibility,
     cell_visibility,
+    detection_probability,
     log_visibility,
 )
 from crossview import visibility
 
 from conftest import WIDE_LIDAR, WIDE_RADAR, square_scene
-from oracles import visibility_reference
+from oracles import detection_probability_reference, visibility_reference
 
 
 def lidar_spec(beams: int, vfov: float = 45.0, hfov: float = 360.0,
@@ -243,6 +244,32 @@ def test_log_visibility_rejects_saturated_entries():
         log_visibility(VisibilityMatrix("lidar", np.array([[0.2, 1.0]])))
     with pytest.raises(ValueError):
         log_visibility(VisibilityMatrix("lidar", np.array([[-0.1]])))
+
+
+def test_detection_probability_is_noisy_or():
+    # Two mounts at 0.6 miss together with probability 0.4 * 0.4.
+    two = VisibilityMatrix("lidar", np.array([[0.6, 0.0], [0.6, 0.3]]))
+    p = detection_probability(two, [0, 1])
+    assert p[0] == pytest.approx(0.84, abs=1e-12)
+    assert p[1] == pytest.approx(0.3, abs=1e-12)
+    assert detection_probability(two, []).tolist() == [0.0, 0.0]
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        n_rows, n_cells = (int(k) for k in rng.integers(1, 8, size=2))
+        values = rng.uniform(0.0, 1.0 - 1e-6, (n_rows, n_cells))
+        values *= rng.random((n_rows, n_cells)) < 0.7
+        matrix = VisibilityMatrix("radar", values)
+        ids = [i for i in range(n_rows) if rng.random() < 0.6]
+        p = detection_probability(matrix, ids)
+        for j in range(n_cells):
+            assert abs(p[j] - detection_probability_reference(values, ids, j)) <= 1e-12
+
+
+def test_detection_probability_index_errors():
+    matrix = VisibilityMatrix("radar", np.array([[0.5], [0.5]]))
+    for bad in ([2], [-1], [0, 5]):
+        with pytest.raises(IndexError, match="out of range for radar"):
+            detection_probability(matrix, bad)
 
 
 def test_cell_visibility_index_errors():

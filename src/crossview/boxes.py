@@ -5,6 +5,11 @@ width across it, yaw about +z) extruded vertically around the center.
 Intersection volume is therefore the clipped-footprint area times the
 vertical overlap, which Sutherland-Hodgman clipping computes exactly for
 convex rectangles.
+
+IoU arithmetic is pinned bit for bit: every expression and its order of
+evaluation are fixed, and a test compares the clip's vertex lists with a
+reference copy of its first loop using ``==``.  A faster rewrite must keep
+every IoU value, and hence every fused and evaluated byte, unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ def normalize_yaw(yaw: float) -> float:
     return y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DetectionBox:
     """One detection or ground-truth object.
 
@@ -44,32 +49,45 @@ class DetectionBox:
     source: str
     velocity: tuple[float, float] | None = None
 
-    def __post_init__(self) -> None:
-        if len(self.center) != 3:
+    def __init__(self, center, size, yaw, class_label, score, source, velocity=None) -> None:
+        # Checks run in a fixed order, so the first fault found is the one
+        # reported; a non-number raises TypeError from math.isfinite.
+        if len(center) != 3:
             raise ValueError("center must have exactly three components")
-        if len(self.size) != 3:
+        if len(size) != 3:
             raise ValueError("size must have exactly three components")
-        if not all(map(math.isfinite, (*self.center, *self.size, self.yaw, self.score))):
+        x, y, z = center
+        length, width, height = size
+        isfinite = math.isfinite
+        if not (isfinite(x) and isfinite(y) and isfinite(z) and isfinite(length)
+                and isfinite(width) and isfinite(height) and isfinite(yaw)
+                and isfinite(score)):
             raise ValueError("box fields must be finite numbers")
-        if min(self.size) <= 0:
+        if min(length, width, height) <= 0:
             raise ValueError("size components must be positive")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {self.score}")
-        if self.class_label not in CLASSES:
-            raise ValueError(f"unknown class_label {self.class_label!r}")
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
-        if self.velocity is not None:
-            if len(self.velocity) != 2:
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score must lie in [0, 1], got {score}")
+        if class_label not in CLASSES:
+            raise ValueError(f"unknown class_label {class_label!r}")
+        if source not in SOURCES:
+            raise ValueError(f"unknown source {source!r}")
+        if velocity is not None:
+            if len(velocity) != 2:
                 raise ValueError("velocity must be planar (vx, vy)")
-            if not all(map(math.isfinite, self.velocity)):
+            vx, vy = velocity
+            if not (isfinite(vx) and isfinite(vy)):
                 raise ValueError("velocity components must be finite")
-        object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
-        object.__setattr__(self, "score", float(self.score))
-        object.__setattr__(self, "center", tuple(map(float, self.center)))
-        object.__setattr__(self, "size", tuple(map(float, self.size)))
-        if self.velocity is not None:
-            object.__setattr__(self, "velocity", tuple(map(float, self.velocity)))
+            velocity = (float(vx), float(vy))
+        # One store per field, in field order: the instance keeps CPython's
+        # key-sharing dict, which __dict__.update would give up.
+        store = object.__setattr__
+        store(self, "center", (float(x), float(y), float(z)))
+        store(self, "size", (float(length), float(width), float(height)))
+        store(self, "yaw", normalize_yaw(float(yaw)))
+        store(self, "class_label", class_label)
+        store(self, "score", float(score))
+        store(self, "source", source)
+        store(self, "velocity", velocity)
 
     def sort_key(self) -> tuple:
         """Total deterministic order used for canonical tie-breaking."""
@@ -110,29 +128,28 @@ def _clip_polygon(
     itself returns it unchanged.
     """
     output = subject
-    for i in range(len(clip)):
+    for (ax, ay), (bx, by) in zip(clip, clip[1:] + clip[:1]):
         if not output:
             return []
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % len(clip)]
         ex, ey = bx - ax, by - ay
-        dots = [ex * (py - ay) - ey * (px - ax) for px, py in output]
         clipped: list[tuple[float, float]] = []
-        for k in range(len(output)):
-            k2 = (k + 1) % len(output)
-            d1, d2 = dots[k], dots[k2]
+        # A vertex's side of the edge is carried to the next step as
+        # (p1, d1); only the first vertex's is computed again, to close the loop.
+        p1 = output[0]
+        d1 = ex * (p1[1] - ay) - ey * (p1[0] - ax)
+        for p2 in output[1:] + output[:1]:
+            d2 = ex * (p2[1] - ay) - ey * (p2[0] - ax)
             if d1 >= 0.0:
-                clipped.append(output[k])
+                clipped.append(p1)
                 if d2 < 0.0:
                     t = d1 / (d1 - d2)
-                    p1, p2 = output[k], output[k2]
                     clipped.append((p1[0] + t * (p2[0] - p1[0]),
                                     p1[1] + t * (p2[1] - p1[1])))
             elif d2 >= 0.0:
                 t = d1 / (d1 - d2)
-                p1, p2 = output[k], output[k2]
                 clipped.append((p1[0] + t * (p2[0] - p1[0]),
                                 p1[1] + t * (p2[1] - p1[1])))
+            p1, d1 = p2, d2
         output = clipped
     return output
 

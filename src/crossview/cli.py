@@ -553,8 +553,14 @@ def _evaluate_stage(pairs, mode: str, classes, thresholds):
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     config = _load_config_file(args.config, _EVALUATION_KEYS)
-    pairs = load_frame_pairs(args.truth, args.predictions)
     mode, classes, thresholds = _evaluation_settings(config, args)
+    if args.baseline:
+        # Checked before the evaluation, so a bad baseline prints nothing.
+        kind, base = load_report(args.baseline)
+        if kind != "evaluation":
+            raise ValueError(f"{args.baseline} is a {kind!r} report, expected evaluation")
+        base_map, base_aps = baseline_from_record(base, f"{args.baseline} record")
+    pairs = load_frame_pairs(args.truth, args.predictions)
     result, record = _evaluate_stage(pairs, mode, classes, thresholds)
 
     print(f"{'class':<12} {'AP':>9} {'gt':>6} {'preds':>6}")
@@ -564,10 +570,6 @@ def cmd_evaluate(args) -> int:
     print(f"mAP {result.mean_ap:.3f} ({mode})")
 
     if args.baseline:
-        kind, base = load_report(args.baseline)
-        if kind != "evaluation":
-            raise ValueError(f"{args.baseline} is a {kind!r} report, expected evaluation")
-        base_map, base_aps = baseline_from_record(base, f"{args.baseline} record")
         print()
         print(f"delta vs {Path(args.baseline).name}:")
         deltas = {}

@@ -632,11 +632,17 @@ def save_manifest(path, record: dict) -> None:
 
 
 def load_manifest(path) -> dict:
-    payload = _load_document(path, MANIFEST_MAGIC)
-    _require_keys(
-        payload,
-        {"command", "tool_version", "inputs", "outputs", "config", "wall_time_s"},
-        set(),
-        str(path),
-    )
+    """A manifest record, every field's type checked."""
+    where = str(path)
+    payload = _object(_load_document(path, MANIFEST_MAGIC),
+                      {"command", "tool_version", "inputs", "outputs", "config", "wall_time_s"},
+                      set(), where)
+    _string(payload["command"], f"{where}.command")
+    _string(payload["tool_version"], f"{where}.tool_version")
+    for name, digest in _mapping(payload["inputs"], f"{where}.inputs").items():
+        _string(digest, f"{where}.inputs.{name}")
+    for k, name in enumerate(_list(payload["outputs"], f"{where}.outputs")):
+        _string(name, f"{where}.outputs[{k}]")
+    _mapping(payload["config"], f"{where}.config")
+    _number(payload["wall_time_s"], f"{where}.wall_time_s")
     return payload

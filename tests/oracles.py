@@ -259,3 +259,38 @@ def detection_probability_reference(values, ids, j: int) -> float:
     for i in ids:
         miss *= 1.0 - values[i][j]
     return 1.0 - miss
+
+
+def clip_polygon_reference(subject, clip):
+    """Sutherland-Hodgman clip of ``subject`` by the convex CCW ``clip``.
+
+    The loop as first written: indices taken modulo the length and a list
+    of every vertex's side of each clip edge.  ``boxes._clip_polygon``
+    must return the same vertex list, float for float.
+    """
+    output = subject
+    for i in range(len(clip)):
+        if not output:
+            return []
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % len(clip)]
+        ex, ey = bx - ax, by - ay
+        dots = [ex * (py - ay) - ey * (px - ax) for px, py in output]
+        clipped = []
+        for k in range(len(output)):
+            k2 = (k + 1) % len(output)
+            d1, d2 = dots[k], dots[k2]
+            if d1 >= 0.0:
+                clipped.append(output[k])
+                if d2 < 0.0:
+                    t = d1 / (d1 - d2)
+                    p1, p2 = output[k], output[k2]
+                    clipped.append((p1[0] + t * (p2[0] - p1[0]),
+                                    p1[1] + t * (p2[1] - p1[1])))
+            elif d2 >= 0.0:
+                t = d1 / (d1 - d2)
+                p1, p2 = output[k], output[k2]
+                clipped.append((p1[0] + t * (p2[0] - p1[0]),
+                                p1[1] + t * (p2[1] - p1[1])))
+        output = clipped
+    return output

@@ -336,6 +336,25 @@ def test_malformed_report_records_exit_3(tmp_path, capsys, kind, record, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, record, code", [
+    ("evaluation", [0.5], 3),
+    ("evaluation", {k: v for k, v in _BASELINE_RECORD.items() if k != "mean_ap"}, 3),
+    ("coverage", _COVERAGE_RECORD, 4),
+], ids=["list-record", "no-mean_ap", "coverage-kind"])
+def test_bad_baseline_fails_before_the_evaluation_prints(tmp_path, capsys, kind, record, code):
+    bad = tmp_path / "bad.report"
+    save_report(bad, kind, record)
+    frames = tmp_path / "t.frames"
+    save_frames(frames, {"000000": [random_box(np.random.default_rng(0), "car")]})
+    out = tmp_path / "delta.evaluation"
+    assert main(["evaluate", "--truth", str(frames), "--predictions", str(frames),
+                 "--baseline", str(bad), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad.report" in captured.err and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_report_kind_must_be_a_string(tmp_path, capsys):
     bad = tmp_path / "bad.coverage"
     bad.write_text(make_document("crossview.report", {"kind": 5, "record": {}}))

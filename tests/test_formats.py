@@ -421,6 +421,37 @@ def test_manifest_round_trip(tmp_path):
         save_manifest(tmp_path / "bad.manifest", {"tool_version": "0.1.0"})
 
 
+_MANIFEST = {"command": "visibility", "tool_version": "0.1.0",
+             "inputs": {"scene.scene": "ab" * 32}, "outputs": ["lidar.vismatrix"],
+             "config": {"samples_per_cell": 9}, "wall_time_s": 0.25}
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"command": 7}, r"\.command: expected a string, got 7"),
+    ({"tool_version": None}, r"\.tool_version: expected a string, got None"),
+    ({"inputs": ["scene.scene"]}, r"\.inputs: expected an object"),
+    ({"inputs": {"scene.scene": 5}}, r"\.inputs.scene.scene: expected a string, got 5"),
+    ({"outputs": "lidar.vismatrix"}, r"\.outputs: expected a list"),
+    ({"outputs": ["lidar.vismatrix", 3]}, r"\.outputs\[1\]: expected a string, got 3"),
+    ({"config": [9]}, r"\.config: expected an object"),
+    ({"wall_time_s": "0.25"}, r"\.wall_time_s: expected a number, got '0.25'"),
+    ({"wall_time_s": True}, r"\.wall_time_s: expected a number, got True"),
+    ({"wall_time_s": None}, r"\.wall_time_s: expected a number, got None"),
+    ({"stages": {}}, r": unknown field 'stages'"),
+], ids=["command", "tool_version", "inputs", "inputs-value", "outputs", "outputs-item", "config",
+        "wall_time_s-string", "wall_time_s-bool", "wall_time_s-null", "unknown-field"])
+def test_malformed_manifest_names_the_field(tmp_path, edit, message):
+    path = tmp_path / "run.manifest"
+    save_manifest(path, _MANIFEST)
+    head, body = path.read_text().split("\n", 1)
+    payload = json.loads(body)["payload"]
+    payload.update(edit)
+    body = json.dumps({"payload": payload}, sort_keys=True, indent=2) + "\n"
+    path.write_text(rehash(f"{head}\n{body}"))
+    with pytest.raises(ParseError, match=r"run\.manifest" + message):
+        load_manifest(path)
+
+
 def test_file_sha256_matches_hashlib(tmp_path):
     path = tmp_path / "blob.txt"
     path.write_text("forty-two\n")

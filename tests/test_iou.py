@@ -12,7 +12,7 @@ from crossview import boxes as boxes_module
 from crossview.boxes import _clip_polygon, _polygon_area, footprint
 
 from conftest import random_box, shifted_copy
-from oracles import mc_iou_3d
+from oracles import clip_polygon_reference, mc_iou_3d
 
 
 def box(center=(0.0, 0.0, 1.0), size=(4.0, 2.0, 2.0), yaw=0.0,
@@ -159,30 +159,68 @@ def test_circle_reject_matches_unfiltered_iou(monkeypatch):
     assert rejected > 2000 and clipped > 2000
 
 
+def _seeded_pair(rng, kind: int):
+    """Two boxes from one of four families that stress the clip differently."""
+    if kind == 0:  # anywhere near each other
+        return random_box(rng, spread=3.0), random_box(rng, spread=3.0)
+    if kind == 1:  # parallel on a half-meter lattice: shared edges, touching corners
+        yaw = float(rng.integers(-4, 5)) * math.pi / 4.0
+        return tuple(box(center=(float(rng.integers(-4, 5)) / 2.0,
+                                 float(rng.integers(-4, 5)) / 2.0, 1.0),
+                         size=(float(rng.choice([1.0, 2.0, 4.0])), float(rng.choice([1.0, 2.0])),
+                               2.0),
+                         yaw=yaw) for _ in range(2))
+    if kind == 2:  # nearly the same box: vertices within rounding of the clip edges
+        a = random_box(rng, spread=3.0)
+        nudge = float(rng.choice([-1.0, 1.0])) * 10.0 ** float(rng.uniform(-15, -6))
+        return a, box(center=a.center, size=a.size, yaw=a.yaw + nudge)
+    a = random_box(rng, spread=3.0)  # one inside the other
+    inner = box(center=a.center, size=tuple(v * float(rng.uniform(0.05, 0.4)) for v in a.size),
+                yaw=float(rng.uniform(-math.pi, math.pi)))
+    return a, inner
+
+
+def test_clip_is_bit_identical_to_the_reference_loop():
+    rng = np.random.default_rng(2024)
+    nonempty = 0
+    for n in range(20_000):
+        a, b = _seeded_pair(rng, n % 4)
+        fa, fb = footprint(a), footprint(b)
+        for subject, clip in ((fa, fb), (fb, fa)):
+            got = _clip_polygon(subject, clip)
+            assert got == clip_polygon_reference(subject, clip)
+            nonempty += bool(got)
+    assert nonempty > 25_000
+
+
+TINY = (1e-7, 1e-7, 1e-7)
+CLIP_EDGE_CASES = {
+    "identical": (box(yaw=0.7), box(yaw=0.7)),
+    "containment": (box(size=(4.0, 4.0, 4.0)), box(size=(2.0, 2.0, 2.0), yaw=0.3)),
+    "shared-edge": (box(size=(2.0, 2.0, 2.0)), box(center=(2.0, 0.0, 1.0), size=(2.0, 2.0, 2.0))),
+    "touching-corner": (box(size=(2.0, 2.0, 2.0)),
+                        box(center=(2.0, 2.0, 1.0), size=(2.0, 2.0, 2.0))),
+    "yaw-plus-minus-pi": (box(yaw=math.pi), box(yaw=-math.pi)),
+    "yaw-across-pi": (box(yaw=math.pi), box(yaw=-math.pi + 1e-12)),
+    "tiny-overlapping": (box(size=TINY), box(center=(5e-8, 0.0, 1.0), size=TINY, yaw=0.4)),
+    "tiny-in-large": (box(), box(center=(1.0, 0.5, 1.0), size=TINY, yaw=-2.0)),
+    "tiny-on-corner": (box(size=(2.0, 2.0, 2.0)), box(center=(1.0, 1.0, 1.0), size=TINY)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLIP_EDGE_CASES))
+def test_clip_edge_cases_are_bit_identical(name):
+    a, b = CLIP_EDGE_CASES[name]
+    fa, fb = footprint(a), footprint(b)
+    for subject, clip in ((fa, fb), (fb, fa), (fa, fa)):
+        assert _clip_polygon(subject, clip) == clip_polygon_reference(subject, clip)
+
+
 def test_yaw_normalization():
     assert box(yaw=3.0 * math.pi).yaw == pytest.approx(math.pi, abs=0.0)
     assert box(yaw=-math.pi).yaw == pytest.approx(math.pi, abs=0.0)
     assert box(yaw=2.0 * math.pi).yaw == pytest.approx(0.0, abs=1e-15)
     assert -math.pi < box(yaw=-0.5).yaw <= math.pi
-
-
-def test_box_validation():
-    with pytest.raises(ValueError):
-        box(size=(0.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        box(score=1.5)
-    with pytest.raises(ValueError):
-        box(score=-0.1)
-    with pytest.raises(ValueError):
-        box(class_label="boat")
-    with pytest.raises(ValueError):
-        box(source="camera")
-    with pytest.raises(ValueError):
-        box(center=(math.nan, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        box(velocity=(1.0,))
-    with pytest.raises(ValueError):
-        box(velocity=(math.inf, 0.0))
 
 
 @pytest.mark.parametrize("kind, value", [(np.float64, 0.3), (np.float32, 0.3), (int, 1)],

@@ -3,11 +3,12 @@
 Subcommands mirror the library stages: visibility, optimize, export-milp,
 coverage, compare, simulate, fuse, evaluate, and an end-to-end pipeline.
 Options come from flags first, then an optional --config JSON file, then
-built-in defaults; a --config key the command does not read is an error.
-Each stage has one settings reader and one stage function: a subcommand
-passes them its --config dict and flags, and ``pipeline`` passes the
-matching section of its own config, so both paths write the same data
-files.
+the library defaults; a --config key the command does not read is an error.
+Each stage has one table of settings, {config key: check}, read by one loop
+(``_settings``), and one stage function: a subcommand passes them its
+--config dict and flags (each flag's dest is its config key), and
+``pipeline`` passes the matching section of its own config, so both paths
+write the same data files.
 
 A command that writes files also writes a ``<first-output>.manifest``
 sidecar recording the command, input digests, effective config and wall
@@ -51,11 +52,13 @@ from .formats import (
     save_report,
     save_solution,
     scene_hash,
+    write_atomic,
 )
 from .fusion import FusionConfig, fuse_late
 from .lp_export import export_milp
 from .metrics import MATCHING_MODES, evaluate_map, pair_frames
 from .placement import (
+    BUDGET_MODES,
     InstanceTooLargeError,
     PlacementProblem,
     Selection,
@@ -63,7 +66,7 @@ from .placement import (
     solve_exhaustive,
     solve_greedy,
 )
-from .scenario import NoiseSpec, ScenarioConfig, generate_scenario
+from .scenario import DROPOUT_RULES, NoiseSpec, ScenarioConfig, generate_scenario
 from .scene import LIDAR, RADAR, validate_scene
 from .visibility import VisibilityConfig, build_visibility
 
@@ -82,13 +85,13 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _load_config_file(path, allowed: frozenset) -> dict:
+def _load_config_file(path, allowed) -> dict:
     """A --config file's object; a key outside ``allowed`` is a typo, not a no-op."""
     if path is None:
         return {}
     try:
         obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise ParseError(f"{path}: invalid JSON config: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: config must be a JSON object")
@@ -96,15 +99,27 @@ def _load_config_file(path, allowed: frozenset) -> dict:
     return obj
 
 
-def _pick(args, flag: str, config: dict, key: str, default):
-    """Flag beats config value beats default; ``args`` is None in pipeline mode."""
-    value = getattr(args, flag, None)
-    if value is not None:
-        return value
-    return config.get(key, default)
+def _settings(checks: dict, config: dict, args=None) -> dict:
+    """The keys of ``checks`` that a flag or ``config`` sets, each through its check.
+
+    A flag (the ``args`` attribute named like the key; ``args`` is None in
+    pipeline mode) wins.  A key left unset, or null where its check allows
+    that, is left out, so the library default applies.
+    """
+    out = {}
+    for key, check in checks.items():
+        value = getattr(args, key, None)
+        if value is None:
+            if key not in config:
+                continue
+            value = config[key]
+        value = check(value, key)
+        if value is not None:
+            out[key] = value
+    return out
 
 
-def _check_keys(config: dict, allowed: frozenset, where: str) -> None:
+def _check_keys(config: dict, allowed, where: str) -> None:
     unknown = sorted(config.keys() - allowed)
     if unknown:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}")
@@ -137,7 +152,37 @@ def _config_integer(value, where: str) -> int:
     return int(number)
 
 
-def _section(config: dict, key: str, allowed: frozenset, where: str) -> dict:
+def _optional(check):
+    """``check``, except that null reads as "use the default"."""
+    return lambda value, where: None if value is None else check(value, where)
+
+
+def _choice(options):
+    def check(value, where: str) -> str:
+        if not isinstance(value, str) or value not in options:
+            raise ValueError(f"{where} must be one of {', '.join(options)}, got {value!r}")
+        return value
+    return check
+
+
+_class = _choice(CLASSES)
+
+
+def _class_map(check):
+    """A check for an object from class names to values that each pass ``check``."""
+    def read(value, where: str) -> dict:
+        return {_class(k, f"{where} key"): check(v, f"{where}.{k}")
+                for k, v in _config_object(value, where).items()}
+    return read
+
+
+def _nonempty_string(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{where} must be a nonempty string, got {value!r}")
+    return value
+
+
+def _section(config: dict, key: str, allowed, where: str) -> dict:
     """The object under ``key`` (empty if absent), with its keys checked."""
     value = _config_object(config.get(key, {}), f"{where} {key!r}")
     _check_keys(value, allowed, f"{where} {key!r}")
@@ -163,21 +208,14 @@ def _checked_scene(path):
     return scene
 
 
-_VISIBILITY_KEYS = frozenset(
-    {"samples_per_cell", "object_height_m", "sample_height_m", "epsilon"})
+# Each stage's settings: {config key: check}.  The keys are the keys its
+# --config file and its pipeline section accept, and each flag's dest.
+_VISIBILITY_CHECKS = {"samples_per_cell": _config_integer, "object_height_m": _config_number,
+                      "sample_height_m": _optional(_config_number), "epsilon": _config_number}
 
 
-def _visibility_config(config: dict, args=None) -> VisibilityConfig:
-    sample_height = _pick(args, "sample_height", config, "sample_height_m", None)
-    return VisibilityConfig(
-        samples_per_cell=_config_integer(
-            _pick(args, "samples_per_cell", config, "samples_per_cell", 9), "samples_per_cell"),
-        object_height_m=_config_number(
-            _pick(args, "object_height", config, "object_height_m", 1.7), "object_height_m"),
-        sample_height_m=(None if sample_height is None
-                         else _config_number(sample_height, "sample_height_m")),
-        epsilon=_config_number(_pick(args, "epsilon", config, "epsilon", 1e-6), "epsilon"),
-    )
+def _workers(config: dict, args) -> int:
+    return _settings({"workers": _config_integer}, config, args).get("workers", 1)
 
 
 def _visibility_stage(scene, vis_cfg: VisibilityConfig, workers: int, paths,
@@ -207,10 +245,10 @@ def _visibility_stage(scene, vis_cfg: VisibilityConfig, workers: int, paths,
 
 def cmd_visibility(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config, _VISIBILITY_KEYS | {"workers"})
+    config = _load_config_file(args.config, _VISIBILITY_CHECKS.keys() | {"workers"})
+    vis_cfg = VisibilityConfig(**_settings(_VISIBILITY_CHECKS, config, args))
+    workers = _workers(config, args)
     scene = _checked_scene(args.scene)
-    vis_cfg = _visibility_config(config, args)
-    workers = _config_integer(_pick(args, "workers", config, "workers", 1), "workers")
     outputs = [args.out_lidar, args.out_radar]
     manifest_path = f"{args.out_lidar}.manifest"
     files = _visibility_stage(scene, vis_cfg, workers, outputs, Path(manifest_path).name)
@@ -251,21 +289,17 @@ def _problem_from_files(lf: MatrixFile, rf: MatrixFile, settings: dict) -> Place
     )
 
 
-_OPTIMIZE_KEYS = frozenset({"budget", "budget_mode", "seen_threshold", "solver"})
+_OPTIMIZE_CHECKS = {"budget": _optional(_config_number), "budget_mode": _choice(BUDGET_MODES),
+                    "seen_threshold": _config_number, "solver": _choice(sorted(SOLVERS))}
 
 
 def _optimize_settings(config: dict, args=None) -> dict:
-    budget = _pick(args, "budget", config, "budget", None)
-    if budget is None:
+    """Every optimize setting, defaults filled in: the solution file records them."""
+    settings = {"budget_mode": "count", "seen_threshold": 1.0, "solver": "branch-bound",
+                **_settings(_OPTIMIZE_CHECKS, config, args)}
+    if "budget" not in settings:
         raise ValueError("budget is required (flag --budget or config key 'budget')")
-    budget_mode = _pick(args, "budget_mode", config, "budget_mode", "count")
-    threshold = _config_number(_pick(args, "threshold", config, "seen_threshold", 1.0),
-                               "seen_threshold")
-    solver = _pick(args, "solver", config, "solver", "branch-bound")
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; choose from {sorted(SOLVERS)}")
-    return {"budget": _config_number(budget, "budget"), "budget_mode": budget_mode,
-            "seen_threshold": threshold, "solver": solver}
+    return settings
 
 
 def _optimize_stage(lf: MatrixFile, rf: MatrixFile, settings: dict, path, manifest: str):
@@ -292,9 +326,9 @@ def _optimize_stage(lf: MatrixFile, rf: MatrixFile, settings: dict, path, manife
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config, _OPTIMIZE_KEYS)
-    lf, rf = _load_matrix_pair(args.lidar, args.radar)
+    config = _load_config_file(args.config, _OPTIMIZE_CHECKS)
     settings = _optimize_settings(config, args)
+    lf, rf = _load_matrix_pair(args.lidar, args.radar)
     manifest_path = f"{args.out}.manifest"
     _, solution, sol_file = _optimize_stage(lf, rf, settings, args.out, Path(manifest_path).name)
     _save_manifest(manifest_path, "optimize", [args.lidar, args.radar], [args.out],
@@ -310,11 +344,11 @@ def cmd_optimize(args) -> int:
 
 def cmd_export_milp(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config, _OPTIMIZE_KEYS)
-    lf, rf = _load_matrix_pair(args.lidar, args.radar)
+    config = _load_config_file(args.config, _OPTIMIZE_CHECKS)
     settings = _optimize_settings(config, args)
+    lf, rf = _load_matrix_pair(args.lidar, args.radar)
     text = export_milp(_problem_from_files(lf, rf, settings))
-    Path(args.out).write_text(text)
+    write_atomic(args.out, text.encode("utf-8"))
     effective = {k: settings[k] for k in ("budget", "budget_mode", "seen_threshold")}
     _save_manifest(f"{args.out}.manifest", "export-milp", [args.lidar, args.radar],
                    [args.out], effective, started)
@@ -332,25 +366,25 @@ def _selection_from_solution(sol: SolutionFile, lf: MatrixFile, rf: MatrixFile) 
     return Selection.of(sol.lidar_ids, sol.radar_ids)
 
 
-_COVERAGE_KEYS = frozenset({"theta", "name"})
+_COVERAGE_CHECKS = {"theta": _config_number, "name": _nonempty_string}
 
 
 def cmd_coverage(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config, _COVERAGE_KEYS)
+    config = _load_config_file(args.config, _COVERAGE_CHECKS)
+    settings = _settings(_COVERAGE_CHECKS, config, args)
+    name = settings.pop("name", Path(args.solution).stem)
     lf, rf = _load_matrix_pair(args.lidar, args.radar)
     sol = load_solution(args.solution)
     if sol.scene_hash != lf.scene_hash:
         _warn("solution scene hash differs from the matrices")
     selection = _selection_from_solution(sol, lf, rf)
-    theta = _config_number(_pick(args, "theta", config, "theta", 0.0), "theta")
-    name = _pick(args, "name", config, "name", Path(args.solution).stem)
     problem = _problem_from_files(lf, rf, asdict(sol))
-    report = coverage_report(problem, selection, config_name=name, theta=theta)
+    report = coverage_report(problem, selection, config_name=name, **settings)
     manifest_path = f"{args.out}.manifest"
     save_report(args.out, "coverage", report.to_record(), Path(manifest_path).name)
     _save_manifest(manifest_path, "coverage", [args.lidar, args.radar, args.solution],
-                   [args.out], {"theta": theta, "name": name}, started)
+                   [args.out], {"theta": report.theta, "name": name}, started)
     print(
         f"{name}: coverage {report.central_coverage:.1%}"
         f" ({report.covered_cells}/{report.total_roi_cells}),"
@@ -395,31 +429,16 @@ def _speed_range(value, where: str) -> tuple[float, float]:
     return _config_number(value[0], where), _config_number(value[1], where)
 
 
-_SCENARIO_KEYS = frozenset(
-    {"seed", "duration_frames", "frame_dt_s", "class_mix", "speed_ranges", "lidar_noise",
-     "radar_noise", "dropout_rule"})
-
-
-def _scenario_config(config: dict, args=None) -> ScenarioConfig:
-    class_mix = config.get("class_mix", None)
-    speed_ranges = config.get("speed_ranges", None)
-    kwargs = {}
-    if class_mix is not None:
-        kwargs["class_mix"] = {str(k): _config_number(v, f"class_mix.{k}")
-                               for k, v in _config_object(class_mix, "class_mix").items()}
-    if speed_ranges is not None:
-        kwargs["speed_ranges"] = {str(k): _speed_range(v, f"speed_ranges.{k}")
-                                  for k, v in _config_object(speed_ranges, "speed_ranges").items()}
-    return ScenarioConfig(
-        seed=_config_integer(_pick(args, "seed", config, "seed", 0), "seed"),
-        duration_frames=_config_integer(
-            _pick(args, "frames", config, "duration_frames", 100), "duration_frames"),
-        frame_dt_s=_config_number(_pick(args, "dt", config, "frame_dt_s", 0.1), "frame_dt_s"),
-        lidar_noise=_noise_spec(config.get("lidar_noise", {}), "lidar_noise"),
-        radar_noise=_noise_spec(config.get("radar_noise", {}), "radar_noise"),
-        dropout_rule=_pick(args, "dropout", config, "dropout_rule", "visibility"),
-        **kwargs,
-    )
+_SCENARIO_CHECKS = {
+    "seed": _config_integer,
+    "duration_frames": _config_integer,
+    "frame_dt_s": _config_number,
+    "class_mix": _optional(_class_map(_config_number)),
+    "speed_ranges": _optional(_class_map(_speed_range)),
+    "lidar_noise": _noise_spec,
+    "radar_noise": _noise_spec,
+    "dropout_rule": _choice(DROPOUT_RULES),
+}
 
 
 def _simulate_stage(scene, lf: MatrixFile, rf: MatrixFile, selection: Selection,
@@ -433,7 +452,8 @@ def _simulate_stage(scene, lf: MatrixFile, rf: MatrixFile, selection: Selection,
 
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config, _SCENARIO_KEYS)
+    config = _load_config_file(args.config, _SCENARIO_CHECKS)
+    scenario_cfg = ScenarioConfig(**_settings(_SCENARIO_CHECKS, config, args))
     scene = _checked_scene(args.scene)
     lf, rf = _load_matrix_pair(args.lidar, args.radar)
     if lf.scene_hash != scene_hash(scene):
@@ -442,7 +462,6 @@ def cmd_simulate(args) -> int:
     if sol.scene_hash != lf.scene_hash:
         _warn("solution scene hash differs from the matrices")
     selection = _selection_from_solution(sol, lf, rf)
-    scenario_cfg = _scenario_config(config, args)
     outputs = [args.out_truth, args.out_lidar, args.out_radar]
     manifest_path = f"{args.out_truth}.manifest"
     result = _simulate_stage(scene, lf, rf, selection, scenario_cfg, outputs,
@@ -465,14 +484,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_FUSION_KEYS = frozenset({"iou_threshold"})
-
-
-def _fusion_config(config: dict, args=None) -> FusionConfig:
-    return FusionConfig(
-        iou_threshold=_config_number(
-            _pick(args, "iou_threshold", config, "iou_threshold", 0.3), "iou_threshold")
-    )
+_FUSION_CHECKS = {"iou_threshold": _config_number}
 
 
 def _fuse_frames(lidar: dict, radar: dict, fusion_cfg: FusionConfig) -> dict:
@@ -485,10 +497,10 @@ def _fuse_frames(lidar: dict, radar: dict, fusion_cfg: FusionConfig) -> dict:
 
 def cmd_fuse(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config, _FUSION_KEYS)
+    config = _load_config_file(args.config, _FUSION_CHECKS)
+    fusion_cfg = FusionConfig(**_settings(_FUSION_CHECKS, config, args))
     lidar = load_frames(args.lidar)
     radar = load_frames(args.radar)
-    fusion_cfg = _fusion_config(config, args)
     fused = _fuse_frames(lidar, radar, fusion_cfg)
     manifest_path = f"{args.out}.manifest"
     save_frames(args.out, fused, Path(manifest_path).name)
@@ -504,47 +516,33 @@ def _ap_text(ap: float | None) -> str:
     return "undefined" if ap is None else f"{ap:.3f}"
 
 
-_EVALUATION_KEYS = frozenset({"matching_mode", "classes", "thresholds"})
+def _class_names(value, where: str) -> tuple[str, ...]:
+    """A list of class names, or the comma-separated string --classes takes."""
+    if isinstance(value, str):
+        value = [c.strip() for c in value.split(",") if c.strip()]
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{where} must be a nonempty list of class names, got {value!r}")
+    return tuple(_class(c, f"{where}[{i}]") for i, c in enumerate(value))
 
 
-def _evaluation_settings(config: dict, args=None) -> tuple[str, tuple[str, ...], dict | None]:
-    """Matching mode, evaluated classes and per-class thresholds (None: defaults)."""
-    mode = _pick(args, "mode", config, "matching_mode", "iou")
-    if mode not in MATCHING_MODES:
-        raise ValueError(f"unknown matching mode {mode!r}")
-    classes_value = _pick(args, "classes", config, "classes", None)
-    if classes_value is None:
-        classes = CLASSES
-    elif isinstance(classes_value, str):
-        classes = tuple(c.strip() for c in classes_value.split(",") if c.strip())
-    elif isinstance(classes_value, list) and all(isinstance(c, str) for c in classes_value):
-        classes = tuple(classes_value)
-    else:
-        raise ValueError(f"classes must be a list of class names, got {classes_value!r}")
-    thresholds = config.get("thresholds")
-    if thresholds is not None:
-        thresholds = {str(k): _config_number(v, f"thresholds.{k}")
-                      for k, v in _config_object(thresholds, "thresholds").items()}
-    threshold = getattr(args, "threshold", None)
-    if threshold is not None:
-        thresholds = {label: threshold for label in classes}
-    return mode, classes, thresholds
+_EVALUATION_CHECKS = {"matching_mode": _choice(MATCHING_MODES), "classes": _optional(_class_names),
+                      "thresholds": _optional(_class_map(_config_number))}
 
 
-def _evaluate_stage(pairs, mode: str, classes, thresholds):
-    """mAP over ``classes`` plus its evaluation report record."""
-    result = evaluate_map(pairs, classes, mode, thresholds)
+def _evaluate_stage(pairs, settings: dict):
+    """mAP over the evaluated classes plus its evaluation report record."""
+    result = evaluate_map(pairs, **settings)
     record = {
         "matching_mode": result.matching_mode,
         "mean_ap": result.mean_ap,
         "per_class": {
             label: {
-                "ap": result.per_class[label].ap,
-                "threshold": result.per_class[label].threshold,
-                "num_gt": result.per_class[label].num_gt,
-                "num_predictions": result.per_class[label].num_predictions,
+                "ap": r.ap,
+                "threshold": r.threshold,
+                "num_gt": r.num_gt,
+                "num_predictions": r.num_predictions,
             }
-            for label in classes
+            for label, r in result.per_class.items()
         },
     }
     return result, record
@@ -552,8 +550,10 @@ def _evaluate_stage(pairs, mode: str, classes, thresholds):
 
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config, _EVALUATION_KEYS)
-    mode, classes, thresholds = _evaluation_settings(config, args)
+    config = _load_config_file(args.config, _EVALUATION_CHECKS)
+    settings = _settings(_EVALUATION_CHECKS, config, args)
+    if args.threshold is not None:
+        settings["thresholds"] = dict.fromkeys(CLASSES, args.threshold)
     if args.baseline:
         # Checked before the evaluation, so a bad baseline prints nothing.
         kind, base = load_report(args.baseline)
@@ -561,21 +561,20 @@ def cmd_evaluate(args) -> int:
             raise ValueError(f"{args.baseline} is a {kind!r} report, expected evaluation")
         base_map, base_aps = baseline_from_record(base, f"{args.baseline} record")
     pairs = load_frame_pairs(args.truth, args.predictions)
-    result, record = _evaluate_stage(pairs, mode, classes, thresholds)
+    result, record = _evaluate_stage(pairs, settings)
 
     print(f"{'class':<12} {'AP':>9} {'gt':>6} {'preds':>6}")
-    for label in classes:
-        r = result.per_class[label]
+    for label, r in result.per_class.items():
         print(f"{label:<12} {_ap_text(r.ap):>9} {r.num_gt:>6} {r.num_predictions:>6}")
-    print(f"mAP {result.mean_ap:.3f} ({mode})")
+    print(f"mAP {result.mean_ap:.3f} ({result.matching_mode})")
 
     if args.baseline:
         print()
         print(f"delta vs {Path(args.baseline).name}:")
         deltas = {}
-        for label in classes:
+        for label, r in result.per_class.items():
             base_ap = base_aps.get(label)
-            ap = result.per_class[label].ap
+            ap = r.ap
             if base_ap is None or ap is None:
                 continue
             delta = ap - base_ap
@@ -597,7 +596,8 @@ def cmd_evaluate(args) -> int:
             inputs.append(args.baseline)
         save_report(args.out, "evaluation", record, Path(manifest_path).name)
         _save_manifest(manifest_path, "evaluate", inputs, [args.out],
-                       {"matching_mode": mode, "classes": list(classes)}, started)
+                       {"matching_mode": result.matching_mode,
+                        "classes": list(result.per_class)}, started)
         print(f"wrote {args.out}")
     return 0
 
@@ -607,7 +607,7 @@ def cmd_evaluate(args) -> int:
 # overrides.
 _PIPELINE_KEYS = frozenset(
     {"scene", "workers", "configs", "visibility", "scenario", "fusion", "evaluation"})
-_VARIANT_KEYS = _OPTIMIZE_KEYS | _COVERAGE_KEYS | {"scenario"}
+_VARIANT_KEYS = _OPTIMIZE_CHECKS.keys() | _COVERAGE_CHECKS.keys() | {"scenario"}
 
 
 def _pipeline_entry(entry: dict, index: int) -> dict:
@@ -622,8 +622,8 @@ def _pipeline_entry(entry: dict, index: int) -> dict:
         raise ValueError(f"pipeline config name {name!r} has unsafe characters")
     if "budget" not in entry:
         raise ValueError(f"pipeline config {name!r} needs a 'budget'")
-    _section(entry, "scenario", _SCENARIO_KEYS, f"pipeline configs[{index}]")
-    return {**entry, "theta": _config_number(entry.get("theta", 0.0), "theta")}
+    _section(entry, "scenario", _SCENARIO_CHECKS, f"pipeline configs[{index}]")
+    return entry
 
 
 def cmd_pipeline(args) -> int:
@@ -635,7 +635,7 @@ def cmd_pipeline(args) -> int:
     scene = _checked_scene(scene_file)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = _config_integer(_pick(args, "workers", config, "workers", 1), "workers")
+    workers = _workers(config, args)
 
     entries = config.get("configs")
     if not isinstance(entries, list) or not entries:
@@ -645,11 +645,17 @@ def cmd_pipeline(args) -> int:
     if len(set(names)) != len(names):
         raise ValueError("pipeline config names must be unique")
     settings = [_optimize_settings(e) for e in entries]
-    vis_cfg = _visibility_config(_section(config, "visibility", _VISIBILITY_KEYS, "pipeline"))
-    scenario = _section(config, "scenario", _SCENARIO_KEYS, "pipeline")
-    scenario_cfgs = [_scenario_config({**scenario, **e.get("scenario", {})}) for e in entries]
-    fusion_cfg = _fusion_config(_section(config, "fusion", _FUSION_KEYS, "pipeline"))
-    evaluation = _evaluation_settings(_section(config, "evaluation", _EVALUATION_KEYS, "pipeline"))
+    coverages = [_settings(_COVERAGE_CHECKS, e) for e in entries]
+    vis_cfg = VisibilityConfig(**_settings(
+        _VISIBILITY_CHECKS, _section(config, "visibility", _VISIBILITY_CHECKS, "pipeline")))
+    scenario = _section(config, "scenario", _SCENARIO_CHECKS, "pipeline")
+    scenario_cfgs = [ScenarioConfig(**_settings(_SCENARIO_CHECKS,
+                                                {**scenario, **e.get("scenario", {})}))
+                     for e in entries]
+    fusion_cfg = FusionConfig(**_settings(
+        _FUSION_CHECKS, _section(config, "fusion", _FUSION_CHECKS, "pipeline")))
+    evaluation = _settings(
+        _EVALUATION_CHECKS, _section(config, "evaluation", _EVALUATION_CHECKS, "pipeline"))
 
     manifest_path = out_dir / "pipeline.manifest"
     manifest = manifest_path.name
@@ -657,16 +663,15 @@ def cmd_pipeline(args) -> int:
     lf, rf = _visibility_stage(scene, vis_cfg, workers, outputs, manifest)
     coverage_reports = []
     summary_rows = []
-    for entry, optimize, scenario_cfg in zip(entries, settings, scenario_cfgs):
-        name = entry["name"]
+    for coverage, optimize, scenario_cfg in zip(coverages, settings, scenario_cfgs):
+        name = coverage.pop("name")
         paths = [out_dir / f"{name}.{suffix}" for suffix in (
             "solution", "coverage", "truth.frames", "lidar.frames", "radar.frames",
             "fused.frames", "evaluation")]
         sol_path, cov_path, *frames_paths, fused_path, eval_path = paths
 
         problem, solution, _ = _optimize_stage(lf, rf, optimize, sol_path, manifest)
-        report = coverage_report(problem, solution.selection, config_name=name,
-                                 theta=entry["theta"])
+        report = coverage_report(problem, solution.selection, config_name=name, **coverage)
         coverage_reports.append(report)
         save_report(cov_path, "coverage", report.to_record(), manifest)
         result = _simulate_stage(scene, lf, rf, solution.selection, scenario_cfg,
@@ -674,7 +679,7 @@ def cmd_pipeline(args) -> int:
         fused = _fuse_frames(result.lidar, result.radar, fusion_cfg)
         save_frames(fused_path, fused, manifest)
         eval_result, eval_record = _evaluate_stage(
-            pair_frames(result.ground_truth, fused), *evaluation)
+            pair_frames(result.ground_truth, fused), evaluation)
         save_report(eval_path, "evaluation", eval_record, manifest)
         outputs += paths
 
@@ -723,8 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-lidar", required=True)
     p.add_argument("--out-radar", required=True)
     p.add_argument("--samples-per-cell", type=int)
-    p.add_argument("--object-height", type=float)
-    p.add_argument("--sample-height", type=float)
+    p.add_argument("--object-height", type=float, dest="object_height_m")
+    p.add_argument("--sample-height", type=float, dest="sample_height_m")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--workers", type=int)
     p.add_argument("--config")
@@ -734,8 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lidar", required=True)
     p.add_argument("--radar", required=True)
     p.add_argument("--budget", type=float)
-    p.add_argument("--budget-mode", choices=["count", "cost"])
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--budget-mode", choices=BUDGET_MODES)
+    p.add_argument("--threshold", type=float, dest="seen_threshold")
     p.add_argument("--solver", choices=sorted(SOLVERS))
     p.add_argument("--out", required=True)
     p.add_argument("--config")
@@ -745,8 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lidar", required=True)
     p.add_argument("--radar", required=True)
     p.add_argument("--budget", type=float)
-    p.add_argument("--budget-mode", choices=["count", "cost"])
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--budget-mode", choices=BUDGET_MODES)
+    p.add_argument("--threshold", type=float, dest="seen_threshold")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.set_defaults(func=cmd_export_milp)
@@ -772,9 +777,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radar", required=True)
     p.add_argument("--solution", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--dropout", choices=["visibility", "none"])
+    p.add_argument("--frames", type=int, dest="duration_frames")
+    p.add_argument("--dt", type=float, dest="frame_dt_s")
+    p.add_argument("--dropout", choices=DROPOUT_RULES, dest="dropout_rule")
     p.add_argument("--out-truth", required=True)
     p.add_argument("--out-lidar", required=True)
     p.add_argument("--out-radar", required=True)
@@ -792,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="AP and mAP against ground truth")
     p.add_argument("--truth", required=True)
     p.add_argument("--predictions", required=True)
-    p.add_argument("--mode", choices=list(MATCHING_MODES))
+    p.add_argument("--mode", choices=MATCHING_MODES, dest="matching_mode")
     p.add_argument("--threshold", type=float)
     p.add_argument("--classes")
     p.add_argument("--baseline")

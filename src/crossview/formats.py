@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -60,17 +61,25 @@ def _body_digest(body: bytes) -> str:
     return hashlib.sha256(body).hexdigest()
 
 
-def _write_artifact(path, magic: str, body: str) -> None:
-    """Write the header line and ``body``; the target is replaced whole or not at all."""
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over ``path``.
+
+    The target is replaced whole or not at all.
+    """
     path = Path(path)
-    data = body.encode("utf-8")
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_bytes(f"{magic} {FORMAT_VERSION} {_body_digest(data)}\n".encode() + data)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_artifact(path, magic: str, body: str) -> None:
+    """Write the header line and ``body`` through ``write_atomic``."""
+    data = body.encode("utf-8")
+    write_atomic(path, f"{magic} {FORMAT_VERSION} {_body_digest(data)}\n".encode() + data)
 
 
 def _read_artifact(path, magic: str) -> str:
@@ -123,7 +132,7 @@ def _load_document(path, expected_magic: str) -> dict:
     text = _read_artifact(path, expected_magic)
     try:
         body = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise ParseError(f"{path}: invalid or truncated JSON body: {exc}") from exc
     return _mapping(_object(body, {"payload"}, set(), f"{path} body")["payload"],
                     f"{path} payload")
@@ -166,7 +175,13 @@ def _list(value, where: str) -> list:
 def _number(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # 1e400 loads as inf
+        raise ParseError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value, where: str) -> int:
@@ -441,7 +456,7 @@ def _box_from_record(rec) -> DetectionBox:
     try:
         return DetectionBox(center, size, rec["yaw"], rec["class_label"], rec["score"],
                             rec["source"], velocity)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer past the float range
         raise ParseError(f": {exc}") from exc
 
 

@@ -31,6 +31,8 @@ import numpy as np
 from .scene import LIDAR, RADAR
 from .visibility import VisibilityMatrix, log_visibility
 
+BUDGET_MODES = ("count", "cost")
+
 SEEN_TOL = 1e-9
 
 EXHAUSTIVE_LIMIT = 20
@@ -93,7 +95,7 @@ class PlacementProblem:
             raise ValueError("weights length must equal the ROI cell count")
         if np.any(weights < 0):
             raise ValueError("cell weights must be nonnegative")
-        if budget_mode not in ("count", "cost"):
+        if budget_mode not in BUDGET_MODES:
             raise ValueError(f"unknown budget_mode {budget_mode!r}")
         if not (np.isfinite(seen_threshold) and seen_threshold > 0):
             raise ValueError(f"seen_threshold must be finite and positive, got {seen_threshold!r}")

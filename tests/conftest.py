@@ -7,6 +7,7 @@ import json
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from crossview import (
     CLASSES,
@@ -20,6 +21,12 @@ from crossview import (
     SensorSpec,
     VisibilityMatrix,
 )
+
+# Property tests try the same inputs on every run and keep no example
+# database, so Tier-1 stays deterministic.
+settings.register_profile("crossview", derandomize=True, database=None, deadline=None,
+                          max_examples=80)
+settings.load_profile("crossview")
 
 WIDE_LIDAR = SensorSpec("lidar", hfov_deg=360.0, vfov_deg=170.0, max_range_m=90.0,
                         rate_hz=20.0, unit_cost=100.0, beams=256)

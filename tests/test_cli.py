@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -217,6 +218,23 @@ def test_full_chain(workspace, capsys):
     kind, record = load_report(root / "best.evaluation")
     assert kind == "evaluation"
     assert record["mean_ap"] == 1.0
+
+
+def test_failed_export_leaves_the_old_model_whole(workspace, tmp_path, monkeypatch):
+    """export-milp writes its LP text through a temp file renamed over the target."""
+    lp = tmp_path / "model.lp"
+    argv = ["export-milp", "--lidar", str(workspace / "lidar.vismatrix"),
+            "--radar", str(workspace / "radar.vismatrix"), "--out", str(lp)]
+    assert main([*argv, "--budget", "2"]) == 0
+    before = lp.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main([*argv, "--budget", "3"]) == 1
+    assert lp.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.lp", "model.lp.manifest"]
 
 
 def test_manifest_sidecars(workspace):
@@ -663,6 +681,15 @@ BAD_CONFIG_VALUES += [
 ]
 
 
+# Choices and class names: each used to pass the checks and fail only after
+# stages had written files, or (a threshold for a misspelled class) never.
+BAD_CONFIG_VALUES += [
+    ({"configs": [{"name": "dense", "budget": 4, "budget_mode": "cot"}]}, "budget_mode"),
+    ({"evaluation": {"classes": ["cars"]}}, "classes[0]"),
+    ({"evaluation": {"thresholds": {"pedestrain": 0.9}}}, "thresholds key"),
+]
+
+
 @pytest.mark.parametrize("change, key", BAD_CONFIG_VALUES, ids=[
     key for _, key in BAD_CONFIG_VALUES])
 def test_pipeline_checks_config_values_before_ray_casting(tmp_path, capsys, change, key):
@@ -721,6 +748,48 @@ def test_malformed_frames_payload_exits_3(tmp_path, capsys, where, value):
     location = "".join(f"[{w}]" if isinstance(w, int) else f".{w}" for w in where[:4])
     assert f"lidar.frames{location}" in err, err
     assert len(where) < 5 or where[4] in err, err
+
+
+# JSON number literals past the float range, spliced into a hashed file as
+# text: ``1e400`` loads as inf, a long integer overflows float().
+OUT_OF_RANGE_NUMBERS = [
+    ("scene", ("grid", "cell_size"), "1" + "0" * 400, "site.scene.grid.cell_size"),
+    ("scene", ("lidar_candidates", 0, "position", 2), "1e400",
+     "site.scene.lidar_candidates[0].position"),
+    ("scene", ("grid", "cell_size"), "-1e400", "site.scene.grid.cell_size"),
+    ("scene", ("grid", "nx"), "1" * 5000, "site.scene"),
+    ("frames", ("frames", 0, "boxes", 0, "center", 0), "1" + "0" * 400,
+     "lidar.frames.frames[0].boxes[0]"),
+]
+
+
+@pytest.mark.parametrize("kind, where, literal, field", OUT_OF_RANGE_NUMBERS, ids=[
+    f"{kind}-{where[-1]}={literal[:6]}" for kind, where, literal, _ in OUT_OF_RANGE_NUMBERS])
+def test_out_of_range_number_exits_3(tmp_path, capsys, kind, where, literal, field):
+    """A number no float holds is a ParseError naming the field, never a traceback."""
+    if kind == "scene":
+        path = tmp_path / "site.scene"
+        save_scene(path, square_scene())
+        payload = _payload(path)
+        argv = ["visibility", "--scene", str(path), "--out-lidar", str(tmp_path / "l.vismatrix"),
+                "--out-radar", str(tmp_path / "r.vismatrix")]
+    else:
+        path = tmp_path / "lidar.frames"
+        payload = _frames_file(path)
+        save_frames(tmp_path / "radar.frames", {})
+        argv = ["fuse", "--lidar", str(path), "--radar", str(tmp_path / "radar.frames"),
+                "--out", str(tmp_path / "fused.frames")]
+    parent = payload
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = "@number@"
+    text = make_document(f"crossview.{path.suffix[1:]}", payload)
+    path.write_text(rehash(text.replace('"@number@"', literal)))
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("error: ") and field in err and "Traceback" not in err, err
+    assert not list(tmp_path.glob("*.vismatrix")) and not (tmp_path / "fused.frames").exists()
 
 
 def test_pipeline_matches_subcommand_chain(tmp_path, capsys):
@@ -818,6 +887,8 @@ def test_pipeline_scene_must_be_a_path(tmp_path, capsys):
     ("simulate", {"seed": 1.5}, "seed"),
     ("optimize", {"budget": float("nan")}, "budget"),
     ("simulate", {"frame_dt_s": float("inf")}, "frame_dt_s"),
+    ("coverage", {"name": 5}, "name"),
+    ("coverage", {"name": ""}, "name"),
 ])
 def test_subcommand_config_checks_scalar_values(workspace, tmp_path, capsys, command, config,
                                                 key):

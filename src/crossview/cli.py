@@ -44,14 +44,13 @@ from .formats import (
     load_frames,
     load_matrix,
     load_report,
-    load_scene,
+    load_scene_with_digest,
     load_solution,
     save_frames,
     save_manifest,
     save_matrix,
     save_report,
     save_solution,
-    scene_hash,
     write_atomic,
 )
 from .fusion import FusionConfig, fuse_late
@@ -201,11 +200,12 @@ def _save_manifest(path, command: str, inputs, outputs, config: dict, started: f
 
 
 def _checked_scene(path):
-    scene = load_scene(path)
+    """A valid scene and its file's header digest, which matrices record as its identity."""
+    scene, digest = load_scene_with_digest(path)
     violations = validate_scene(scene)
     if violations:
         raise ValueError("; ".join(f"scene: {v}" for v in violations))
-    return scene
+    return scene, digest
 
 
 # Each stage's settings: {config key: check}.  The keys are the keys its
@@ -218,14 +218,13 @@ def _workers(config: dict, args) -> int:
     return _settings({"workers": _config_integer}, config, args).get("workers", 1)
 
 
-def _visibility_stage(scene, vis_cfg: VisibilityConfig, workers: int, paths,
+def _visibility_stage(scene, digest: str, vis_cfg: VisibilityConfig, workers: int, paths,
                       manifest: str) -> list[MatrixFile]:
     """Ray-cast both modalities and save the lidar and radar matrix files."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
     cells = tuple(scene.roi.sorted_cells())
     weights = np.array([scene.roi.weight_of(j) for j in cells])
-    digest = scene_hash(scene)
     files = []
     for matrix, mounts, path in zip(build_visibility(scene, vis_cfg, workers),
                                     (scene.lidar_candidates, scene.radar_candidates), paths):
@@ -248,10 +247,10 @@ def cmd_visibility(args) -> int:
     config = _load_config_file(args.config, _VISIBILITY_CHECKS.keys() | {"workers"})
     vis_cfg = VisibilityConfig(**_settings(_VISIBILITY_CHECKS, config, args))
     workers = _workers(config, args)
-    scene = _checked_scene(args.scene)
+    scene, digest = _checked_scene(args.scene)
     outputs = [args.out_lidar, args.out_radar]
     manifest_path = f"{args.out_lidar}.manifest"
-    files = _visibility_stage(scene, vis_cfg, workers, outputs, Path(manifest_path).name)
+    files = _visibility_stage(scene, digest, vis_cfg, workers, outputs, Path(manifest_path).name)
     _save_manifest(manifest_path, "visibility", [args.scene], outputs,
                    {**asdict(vis_cfg), "workers": workers}, started)
     for path, mf in zip(outputs, files):
@@ -454,9 +453,9 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     config = _load_config_file(args.config, _SCENARIO_CHECKS)
     scenario_cfg = ScenarioConfig(**_settings(_SCENARIO_CHECKS, config, args))
-    scene = _checked_scene(args.scene)
+    scene, digest = _checked_scene(args.scene)
     lf, rf = _load_matrix_pair(args.lidar, args.radar)
-    if lf.scene_hash != scene_hash(scene):
+    if lf.scene_hash != digest:
         _warn("matrices were not built from this scene file")
     sol = load_solution(args.solution)
     if sol.scene_hash != lf.scene_hash:
@@ -632,7 +631,7 @@ def cmd_pipeline(args) -> int:
     if not isinstance(config.get("scene"), str):
         raise ValueError("pipeline config requires a 'scene' path")
     scene_file = Path(args.config).parent / config["scene"]
-    scene = _checked_scene(scene_file)
+    scene, digest = _checked_scene(scene_file)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = _workers(config, args)
@@ -660,7 +659,7 @@ def cmd_pipeline(args) -> int:
     manifest_path = out_dir / "pipeline.manifest"
     manifest = manifest_path.name
     outputs = [out_dir / "lidar.vismatrix", out_dir / "radar.vismatrix"]
-    lf, rf = _visibility_stage(scene, vis_cfg, workers, outputs, manifest)
+    lf, rf = _visibility_stage(scene, digest, vis_cfg, workers, outputs, manifest)
     coverage_reports = []
     summary_rows = []
     for coverage, optimize, scenario_cfg in zip(coverages, settings, scenario_cfgs):
@@ -839,3 +838,7 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

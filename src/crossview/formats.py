@@ -3,12 +3,14 @@
 Every kind, the matrix included, has one envelope: a header line
 ``<magic> <version> <sha256>`` (e.g. ``crossview.scene 2 9f86...``), then a
 body whose bytes on disk the digest covers, so truncation and edits fail
-loudly on load; version 1 files are rejected.  ``scene_hash`` is the digest
-a scene file's header carries.  JSON bodies hold ``{"payload": ...}`` with
-sorted keys and two-space indents.  A matrix body is plain header lines plus
-one row per candidate, printed to 9 significant digits, which reparse to the
-same text, so a load/save cycle is byte stable.  Writes go to a temp file
-that is then renamed over the target, so no reader sees half a file.
+loudly on load; version 1 files are rejected.  A scene's identity is the
+digest its file's header carries.  JSON bodies hold ``{"payload": ...}`` on
+one line with sorted keys and no whitespace between tokens; loaders accept
+any whitespace, so files written with the two-space indents of earlier
+builds still load.  A matrix body is plain header lines plus one row per
+candidate, printed to 9 significant digits, which reparse to the same text,
+so a load/save cycle is byte stable.  Writes go to a temp file that is then
+renamed over the target, so no reader sees half a file.
 
 Loaders are strict: unknown fields, missing fields, version mismatches and
 malformed numbers all raise ParseError naming the offending part.
@@ -25,11 +27,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import CLASSES, SOURCES, DetectionBox
+from .boxes import DetectionBox
 from .coverage import CoverageReport
 from .metrics import FramePair, pair_frames
 from .scene import (
     LIDAR,
+    MAX_BEAMS,
+    MAX_GRID_SIDE,
     RADAR,
     CandidateMount,
     GridSpec,
@@ -82,8 +86,8 @@ def _write_artifact(path, magic: str, body: str) -> None:
     write_atomic(path, f"{magic} {FORMAT_VERSION} {_body_digest(data)}\n".encode() + data)
 
 
-def _read_artifact(path, magic: str) -> str:
-    """The body of a ``magic`` file whose header and digest check out."""
+def _read_artifact(path, magic: str) -> tuple[str, str]:
+    """The body of a ``magic`` file whose header and digest check out, and that digest."""
     head, newline, body = Path(path).read_bytes().partition(b"\n")
     if not newline:
         raise ParseError(f"{path}: missing magic line")
@@ -101,41 +105,38 @@ def _read_artifact(path, magic: str) -> str:
     if _body_digest(body) != parts[2]:
         raise ParseError(f"{path}: content hash mismatch; file is truncated, corrupt or edited")
     try:
-        return body.decode("utf-8")
+        return body.decode("utf-8"), parts[2]
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: body is not UTF-8 text: {exc}") from exc
 
 
-def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays and tuples to JSON types."""
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
+def _tolist(value):
+    """``json.dumps``'s hook for numpy scalars and arrays; any other type is an error."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _json_body(payload: dict) -> str:
-    return json.dumps({"payload": _jsonable(payload)}, sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    """Every JSON kind's body.  With no ``indent``, stdlib's C encoder runs;
+    it writes floats as ``float.__repr__`` does and tuples as lists."""
+    return json.dumps({"payload": payload}, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False, default=_tolist) + "\n"
 
 
 def _reject_constant(name: str):
     raise ParseError(f"non-finite JSON constant {name!r} is not allowed")
 
 
-def _load_document(path, expected_magic: str) -> dict:
-    text = _read_artifact(path, expected_magic)
+def _load_document(path, expected_magic: str) -> tuple[dict, str]:
+    """The payload of a JSON-bodied file, and its verified header digest."""
+    text, digest = _read_artifact(path, expected_magic)
     try:
         body = json.loads(text, parse_constant=_reject_constant)
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise ParseError(f"{path}: invalid or truncated JSON body: {exc}") from exc
     return _mapping(_object(body, {"payload"}, set(), f"{path} body")["payload"],
-                    f"{path} payload")
+                    f"{path} payload"), digest
 
 
 def _require_keys(d: dict, required: set[str], optional: set[str], where: str) -> None:
@@ -184,9 +185,11 @@ def _number(value, where: str) -> float:
     return number
 
 
-def _integer(value, where: str) -> int:
+def _integer(value, where: str, maximum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{where}: expected an integer, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ParseError(f"{where}: expected an integer of at most {maximum}, got {value!r}")
     return value
 
 
@@ -211,7 +214,7 @@ def _spec_from_record(rec, where: str) -> SensorSpec:
         max_range_m=_number(rec["max_range_m"], f"{where}.max_range_m"),
         rate_hz=_number(rec["rate_hz"], f"{where}.rate_hz"),
         unit_cost=_number(rec.get("unit_cost", 0.0), f"{where}.unit_cost"),
-        beams=None if beams is None else _integer(beams, f"{where}.beams"),
+        beams=None if beams is None else _integer(beams, f"{where}.beams", MAX_BEAMS),
     )
 
 
@@ -240,7 +243,10 @@ def scene_payload(scene: Scene) -> dict:
 
 
 def scene_hash(scene: Scene) -> str:
-    """The digest in the header of the file ``save_scene`` writes for ``scene``."""
+    """The digest in the header of the file ``save_scene`` writes for ``scene``.
+
+    A loaded scene's identity is its own file's digest (``load_scene_with_digest``).
+    """
     return _body_digest(_json_body(scene_payload(scene)).encode("utf-8"))
 
 
@@ -249,7 +255,12 @@ def save_scene(path, scene: Scene) -> None:
 
 
 def load_scene(path) -> Scene:
-    payload = _load_document(path, SCENE_MAGIC)
+    return load_scene_with_digest(path)[0]
+
+
+def load_scene_with_digest(path) -> tuple[Scene, str]:
+    """A scene and the verified digest in its file's header: the scene's identity."""
+    payload, digest = _load_document(path, SCENE_MAGIC)
     where = str(path)
     _require_keys(
         payload,
@@ -262,8 +273,8 @@ def load_scene(path) -> Scene:
     grid = GridSpec(
         origin_xy=_as_float_tuple(grid_rec["origin_xy"], 2, f"{where}.grid.origin_xy"),
         cell_size=_number(grid_rec["cell_size"], f"{where}.grid.cell_size"),
-        nx=_integer(grid_rec["nx"], f"{where}.grid.nx"),
-        ny=_integer(grid_rec["ny"], f"{where}.grid.ny"),
+        nx=_integer(grid_rec["nx"], f"{where}.grid.nx", MAX_GRID_SIDE),
+        ny=_integer(grid_rec["ny"], f"{where}.grid.ny", MAX_GRID_SIDE),
     )
     roi_rec = _object(payload["roi"], {"cells"}, {"weights"}, f"{where}.roi")
     cells = [_integer(c, f"{where}.roi.cells")
@@ -302,7 +313,7 @@ def load_scene(path) -> Scene:
         occluders=tuple(occluders),
         lidar_candidates=tuple(lidar),
         radar_candidates=tuple(radar),
-    )
+    ), digest
 
 
 # -- visibility matrices ----------------------------------------------------
@@ -363,7 +374,7 @@ def _parse_floats(text: str, n: int, where: str) -> np.ndarray:
 
 
 def load_matrix(path) -> MatrixFile:
-    lines = _read_artifact(path, MATRIX_MAGIC).splitlines()
+    lines = _read_artifact(path, MATRIX_MAGIC)[0].splitlines()
     header: dict[str, str] = {}
     required = {"modality", "rows", "cols", "epsilon", "scene_hash",
                 "cells", "weights", "costs", "ids"}
@@ -460,52 +471,20 @@ def _box_from_record(rec) -> DetectionBox:
         raise ParseError(f": {exc}") from exc
 
 
-def _numbers_text(values) -> str:
-    """A list of floats laid out as a box field by ``json.dumps(indent=2)``."""
-    items = ",\n              ".join(map(float.__repr__, values))
-    return f"[\n              {items}\n            ]"
-
-
-# Box labels come from fixed vocabularies, so their JSON text is looked up.
-_QUOTED = {name: json.dumps(name) for name in (*CLASSES, *SOURCES)}
-
-
-def _box_text(box: DetectionBox) -> str:
-    velocity = "null" if box.velocity is None else _numbers_text(box.velocity)
-    return (f'          {{\n            "center": {_numbers_text(box.center)},\n'
-            f'            "class_label": {_QUOTED[box.class_label]},\n'
-            f'            "score": {float.__repr__(box.score)},\n'
-            f'            "size": {_numbers_text(box.size)},\n'
-            f'            "source": {_QUOTED[box.source]},\n'
-            f'            "velocity": {velocity},\n'
-            f'            "yaw": {float.__repr__(box.yaw)}\n          }}')
-
-
-def _frames_body(ordered, manifest: str | None) -> str:
-    """The body ``_json_body`` makes of a frames payload, laid out directly.
-
-    With ``indent`` set, stdlib's JSON writer falls back to its pure-Python
-    encoder, a generator step per token; a test pins this writer to it
-    byte for byte.
-    """
-    frames = []
-    for frame_id, boxes in ordered:
-        box_list = "[\n" + ",\n".join(map(_box_text, boxes)) + "\n        ]" if boxes else "[]"
-        frames.append(f'      {{\n        "boxes": {box_list},\n'
-                      f'        "frame_id": {json.dumps(frame_id)}\n      }}')
-    frame_list = "[\n" + ",\n".join(frames) + "\n    ]" if frames else "[]"
-    tail = "" if manifest is None else f',\n    "manifest": {json.dumps(manifest)}'
-    return f'{{\n  "payload": {{\n    "frames": {frame_list}{tail}\n  }}\n}}\n'
-
-
 def save_frames(path, frames: dict[str, list[DetectionBox]], manifest: str | None = None) -> None:
-    ordered = [(frame_id, sorted(frames[frame_id], key=lambda b: (-b.score, b.sort_key())))
+    # A box's instance dict is its record: its seven fields, tuples and floats.
+    records = [{"boxes": [vars(box) for box in sorted(frames[frame_id],
+                                                      key=lambda b: (-b.score, b.sort_key()))],
+                "frame_id": frame_id}
                for frame_id in sorted(frames)]
-    _write_artifact(path, FRAMES_MAGIC, _frames_body(ordered, manifest))
+    payload: dict = {"frames": records}
+    if manifest is not None:
+        payload["manifest"] = manifest
+    _write_artifact(path, FRAMES_MAGIC, _json_body(payload))
 
 
 def load_frames(path) -> dict[str, list[DetectionBox]]:
-    payload = _load_document(path, FRAMES_MAGIC)
+    payload = _load_document(path, FRAMES_MAGIC)[0]
     where = str(path)
     _require_keys(payload, {"frames"}, {"manifest"}, where)
     if not isinstance(payload["frames"], list):
@@ -549,7 +528,7 @@ def save_report(path, kind: str, record: dict, manifest: str | None = None) -> N
 
 
 def load_report(path) -> tuple[str, dict]:
-    payload = _load_document(path, REPORT_MAGIC)
+    payload = _load_document(path, REPORT_MAGIC)[0]
     _require_keys(payload, {"kind", "record"}, {"manifest"}, str(path))
     return (_string(payload["kind"], f"{path} kind"),
             _mapping(payload["record"], f"{path} record"))
@@ -609,7 +588,7 @@ def save_solution(path, sol: SolutionFile) -> None:
 def load_solution(path) -> SolutionFile:
     where = str(path)
     payload = _object(
-        _load_document(path, SOLUTION_MAGIC),
+        _load_document(path, SOLUTION_MAGIC)[0],
         {"lidar_ids", "radar_ids", "lidar_candidate_ids", "radar_candidate_ids",
          "objective", "optimal", "budget", "budget_mode", "seen_threshold",
          "scene_hash"},
@@ -649,7 +628,7 @@ def save_manifest(path, record: dict) -> None:
 def load_manifest(path) -> dict:
     """A manifest record, every field's type checked."""
     where = str(path)
-    payload = _object(_load_document(path, MANIFEST_MAGIC),
+    payload = _object(_load_document(path, MANIFEST_MAGIC)[0],
                       {"command", "tool_version", "inputs", "outputs", "config", "wall_time_s"},
                       set(), where)
     _string(payload["command"], f"{where}.command")

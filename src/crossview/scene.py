@@ -16,6 +16,11 @@ LIDAR = "lidar"
 RADAR = "radar"
 MODALITIES = (LIDAR, RADAR)
 
+# The largest grid side and lidar channel count a scene file may declare:
+# they size arrays, so a file past them is refused before any is allocated.
+MAX_GRID_SIDE = 100_000
+MAX_BEAMS = 4_096
+
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -49,6 +49,18 @@ class VisibilityConfig:
     sample_height_m: float | None = None
     epsilon: float = DEFAULT_EPSILON
 
+    def __post_init__(self) -> None:
+        if self.samples_per_cell < 1:
+            raise ValueError("samples_per_cell must be >= 1")
+        # Entries are clamped to 1 - epsilon, which must lie in (0, 1) in floating point.
+        if not 0.0 < 1.0 - self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1) with 1 - epsilon < 1,"
+                             f" got {self.epsilon}")
+        if not self.object_height_m > 0.0:
+            raise ValueError(f"object_height_m must be > 0, got {self.object_height_m}")
+        if self.sample_height_m is not None and not self.sample_height_m >= 0.0:
+            raise ValueError(f"sample_height_m must be >= 0 when set, got {self.sample_height_m}")
+
     def probe_height(self) -> float:
         if self.sample_height_m is not None:
             return self.sample_height_m
@@ -92,9 +104,7 @@ def beam_elevations(spec: SensorSpec) -> np.ndarray:
 
 
 def _lattice_fractions(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """First k points of the smallest centered m x m lattice, row-major."""
-    if k < 1:
-        raise ValueError("samples_per_cell must be >= 1")
+    """First k >= 1 points of the smallest centered m x m lattice, row-major."""
     m = math.isqrt(k)
     if m * m < k:
         m += 1

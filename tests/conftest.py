@@ -34,9 +34,16 @@ WIDE_RADAR = SensorSpec("radar", hfov_deg=360.0, vfov_deg=120.0, max_range_m=90.
                         rate_hz=20.0, unit_cost=20.0)
 
 
-def make_document(magic: str, payload: dict, version: int = 2) -> str:
-    """Hand-rolled writer so tests can craft arbitrary documents."""
-    body = json.dumps({"payload": payload}, sort_keys=True, indent=2) + "\n"
+def make_document(magic: str, payload: dict, version: int = 2, indent: int | None = 2) -> str:
+    """Hand-rolled writer so tests can craft arbitrary documents.
+
+    Loaders accept any whitespace, so the default is the two-space layout
+    earlier builds wrote; ``indent=None`` gives the compact layout
+    ``save_*`` writes now.
+    """
+    separators = (",", ":") if indent is None else None
+    body = json.dumps({"payload": payload}, sort_keys=True, indent=indent,
+                      separators=separators) + "\n"
     digest = hashlib.sha256(body.encode()).hexdigest()
     return f"{magic} {version} {digest}\n{body}"
 

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crossview
 from crossview import (
     MatrixFile,
     Scene,
@@ -24,6 +28,7 @@ from crossview import (
     save_scene,
 )
 from crossview.cli import main
+from crossview.scene import MAX_BEAMS, MAX_GRID_SIDE
 
 from conftest import make_document, random_box, rehash, square_scene
 
@@ -751,7 +756,8 @@ def test_malformed_frames_payload_exits_3(tmp_path, capsys, where, value):
 
 
 # JSON number literals past the float range, spliced into a hashed file as
-# text: ``1e400`` loads as inf, a long integer overflows float().
+# text: ``1e400`` loads as inf, a long integer overflows float().  Integers
+# that size arrays (grid sides, lidar beams) stop at a documented maximum.
 OUT_OF_RANGE_NUMBERS = [
     ("scene", ("grid", "cell_size"), "1" + "0" * 400, "site.scene.grid.cell_size"),
     ("scene", ("lidar_candidates", 0, "position", 2), "1e400",
@@ -760,6 +766,12 @@ OUT_OF_RANGE_NUMBERS = [
     ("scene", ("grid", "nx"), "1" * 5000, "site.scene"),
     ("frames", ("frames", 0, "boxes", 0, "center", 0), "1" + "0" * 400,
      "lidar.frames.frames[0].boxes[0]"),
+    ("scene", ("grid", "nx"), "4" + "0" * 400, "site.scene.grid.nx"),
+    ("scene", ("grid", "ny"), str(MAX_GRID_SIDE + 1), "site.scene.grid.ny"),
+    ("scene", ("lidar_candidates", 0, "spec", "beams"), "4" + "0" * 400,
+     "site.scene.lidar_candidates[0].spec.beams"),
+    ("scene", ("lidar_candidates", 1, "spec", "beams"), str(MAX_BEAMS + 1),
+     "site.scene.lidar_candidates[1].spec.beams"),
 ]
 
 
@@ -958,3 +970,55 @@ def test_non_finite_matrix_number_exits_3(workspace, tmp_path, capsys, field, to
     assert rc == 3, err
     assert f"lidar.vismatrix: {where}: non-finite number {token!r}" in err, err
     assert not (tmp_path / "x.solution").exists()
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--epsilon", "2", "epsilon"),
+    ("--epsilon", "-1", "epsilon"),
+    ("--epsilon", "0", "epsilon"),
+    ("--epsilon", "1e-20", "epsilon"),
+    ("--object-height", "-1", "object_height_m"),
+    ("--object-height", "0", "object_height_m"),
+    ("--sample-height", "-5", "sample_height_m"),
+    ("--samples-per-cell", "0", "samples_per_cell"),
+])
+def test_visibility_ranges_exit_4_before_ray_casting(workspace, tmp_path, capsys, flag, value,
+                                                      key):
+    # All but samples_per_cell used to exit 0 and write matrices; an epsilon
+    # out of range wrote ones that optimize then refuses.
+    rc = main(["visibility", "--scene", str(workspace / "scene.scene"),
+               "--out-lidar", str(tmp_path / "l.vismatrix"),
+               "--out-radar", str(tmp_path / "r.vismatrix"), flag, value])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith(f"error: {key} must") and "Traceback" not in err, err
+    assert not list(tmp_path.glob("*.vismatrix"))
+
+
+def test_scene_identity_is_its_file_header_digest(tmp_path, capsys):
+    """A scene file in another valid layout keeps its own digest through the chain."""
+    path = tmp_path / "site.scene"
+    save_scene(path, square_scene())
+    text = make_document("crossview.scene", _payload(path), indent=3)
+    path.write_text(text)
+    digest = text.split("\n", 1)[0].split()[2]
+    d = str(tmp_path) + "/"
+    assert main(["visibility", "--scene", d + "site.scene", "--samples-per-cell", "1",
+                 "--out-lidar", d + "l.vismatrix", "--out-radar", d + "r.vismatrix"]) == 0
+    assert load_matrix(tmp_path / "l.vismatrix").scene_hash == digest
+    assert main(["optimize", "--lidar", d + "l.vismatrix", "--radar", d + "r.vismatrix",
+                 "--budget", "2", "--out", d + "x.solution"]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--scene", d + "site.scene", "--lidar", d + "l.vismatrix",
+                 "--radar", d + "r.vismatrix", "--solution", d + "x.solution",
+                 "--frames", "2", "--out-truth", d + "t.frames",
+                 "--out-lidar", d + "dl.frames", "--out-radar", d + "dr.frames"]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
+def test_module_runs_main():
+    env = {**os.environ, "PYTHONPATH": str(Path(crossview.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "crossview.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: crossview")

@@ -32,20 +32,27 @@ from conftest import square_scene
 # sits in such a cell.  The coverage and compare steps, new then, pin the
 # money-based total_cost, sensor_count and cost reduction across a count
 # and a cost budget.
+#
+# Re-recorded for the compact JSON layout: every JSON body is now one line
+# with no insignificant whitespace, so every JSON file's bytes and digest
+# moved, and the scene file's new bytes move the scene_hash line of both
+# matrices and the scene_hash of both solutions.  Every payload
+# (``json.loads`` of the body) equals the two-space-indented chain's, and
+# every matrix line but scene_hash is byte-identical.
 GOLDEN = {
-    "center.evaluation": "b30c0afc385a944f1ebb1a08d838bcb4d6b5589fcc36076d5bcfa39cbd8b741e",
-    "cost.coverage": "bcf84d41347f02789be66c7a4100923af3b4bd5ae444275010d452f279647b05",
-    "cost.solution": "97ef1306bbe099f7f0d0fc0a7951cd44f581232beb05b745cde4bec5de37b6d9",
-    "fused.frames": "6254396d2ad8e169f4df84c114cdac39b557e69d8bd60a0c40b4052477dc6479",
-    "iou.evaluation": "6f2d75a4b080bd079c90b2c94f607cf81f454dd6d2bf75af813bc1565133c019",
-    "lidar.frames": "10b74725414e053ffd71f4b1d1ad1f2f5ca44865c3a33cf31c81b023955c8027",
-    "lidar.vismatrix": "23359b2b834dcffd435cf9fbc063c578463d18f64eca6cb1e4034fecefb902b7",
-    "plan.comparison": "7c18951848e7aad8438d7f7e24cca3ab6dbe427197281f6ee97b22aa029d2fdb",
-    "plan.coverage": "85810eed45dfe352b732a10f985e96101ab5f4d78670eff91e65d2b94390b11b",
-    "plan.solution": "c4aed640faae2f7d598e87daaa60df74d689acd34cb856dfe03d33ced2328c02",
-    "radar.frames": "fa6ef4129dc7db8aec7915f97eec1fd5a5fad0a901465c6bbb2ac1105aa5ab3f",
-    "radar.vismatrix": "dc58d81b9e8c4b352b1072aa8cdff97429c2c437c5164b8fadb26dc1ab03a5a3",
-    "truth.frames": "0c935b7218bde7ace687911068ddeda34caf97d83d078dc675ca570fb1704ffc",
+    "center.evaluation": "26c754146bd5ac931a3226d65c26ed7d25a30aa078dcb8afff9a5ce41966f5a4",
+    "cost.coverage": "26ace1cb9636752666f9c7afed861e36eca5f6c2de3ecc878f2b7275b983af2b",
+    "cost.solution": "763887ebce93133770b8a969155256890edf5e28c06b4998ea29667a9ac8ac3d",
+    "fused.frames": "69a99ffbe44dc84e043ccf91067d6160a475ae7372d237560ff257f66cef7fca",
+    "iou.evaluation": "dd37a821449274f803ea5e857de86411912625b0c180dc40e39d26d6d2f4790e",
+    "lidar.frames": "760880bde818decab7372c795f7a3c05f0645ab51178fea6ad80b5af93c324dc",
+    "lidar.vismatrix": "162f0a507719f40b43390e678f03da5578d69246a2eb803c5fa91f602e032047",
+    "plan.comparison": "459902f4c13e9e61ba613440e0a36da592b962d357b4c1112a9765d54cbc326c",
+    "plan.coverage": "e851db9568512ac4909d49fc5a071f993bfc32f5317a0c6ad2e8922f2a02ac61",
+    "plan.solution": "19a6dab1887c0394be6b97ece334cfb99ac6665b230c3f0a1bd6e2cffc63e214",
+    "radar.frames": "40e43c8f75015e482a93c10bebfb3190107ca5ec7ba6b05de21f3b2baf11fec7",
+    "radar.vismatrix": "5f0961308bfbbcdd55796f47511a1b8700f504a93cc1a41aa865624f42c1754d",
+    "truth.frames": "8cfa369107dcd130797159e65ea3cc4849a5b05019e2f68bc52bfc34a3799cc1",
 }
 
 

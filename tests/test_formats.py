@@ -121,8 +121,9 @@ def test_edited_payload_fails_hash_check(tmp_path):
     path = tmp_path / "scene.scene"
     save_scene(path, scene)
     tampered = tmp_path / "tampered.scene"
-    tampered.write_text(path.read_text().replace('"cell_size": 2.0',
-                                                 '"cell_size": 3.0'))
+    text = path.read_text()
+    tampered.write_text(text.replace('"cell_size":2.0', '"cell_size":3.0'))
+    assert tampered.read_text() != text
     with pytest.raises(ParseError, match="hash mismatch"):
         load_scene(tampered)
 
@@ -340,10 +341,10 @@ FRAMES_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FRAMES_CASES))
 def test_save_frames_matches_generic_envelope(tmp_path, case):
-    """The dedicated frames writer emits exactly the reference writer's bytes."""
+    """save_frames writes exactly the compact reference document of its payload."""
     frames, manifest = FRAMES_CASES[case]
     save_frames(tmp_path / "x.frames", frames, manifest)
-    expected = make_document(FRAMES_MAGIC, _frames_payload(frames, manifest))
+    expected = make_document(FRAMES_MAGIC, _frames_payload(frames, manifest), indent=None)
     assert (tmp_path / "x.frames").read_text() == expected
     assert load_frames(tmp_path / "x.frames").keys() == frames.keys()
 
@@ -503,6 +504,33 @@ def test_one_byte_edit_fails_every_kind(tmp_path, kind, edit):
     path.write_bytes(EDITS[edit](path.read_bytes()))
     with pytest.raises(ParseError, match="hash mismatch"):
         loaders[kind](path)
+
+
+JSON_KINDS = tuple(kind for kind in KINDS if kind != "vismatrix")
+
+
+@pytest.mark.parametrize("kind", JSON_KINDS)
+def test_every_json_body_is_the_compact_dump_of_its_payload(tmp_path, kind):
+    _one_of_each_kind(tmp_path)
+    text = (tmp_path / f"a.{kind}").read_text()
+    payload = json.loads(text.split("\n", 1)[1])["payload"]
+    assert text == make_document(f"crossview.{kind}", payload, indent=None)
+
+
+@pytest.mark.parametrize("kind", JSON_KINDS)
+def test_indented_version_2_file_loads_like_its_compact_rewrite(tmp_path, kind):
+    """Files earlier builds wrote, with two-space indents, still load unchanged.
+
+    ``make_document``'s default layout is byte for byte what those builds'
+    writer produced: ``json.dumps(..., sort_keys=True, indent=2)`` and a newline.
+    """
+    loaders = _one_of_each_kind(tmp_path)
+    compact = tmp_path / f"a.{kind}"
+    indented = tmp_path / f"b.{kind}"
+    payload = json.loads(compact.read_text().split("\n", 1)[1])["payload"]
+    indented.write_text(make_document(f"crossview.{kind}", payload))
+    assert indented.read_bytes() != compact.read_bytes()
+    assert loaders[kind](indented) == loaders[kind](compact)
 
 
 def test_scene_hash_is_the_scene_file_digest(tmp_path):

@@ -32,11 +32,12 @@ import numpy as np
 
 from . import __version__
 from .boxes import CLASSES
-from .coverage import compare_configs, coverage_report
+from .coverage import check_theta, compare_configs, coverage_report
 from .formats import (
     MatrixFile,
     ParseError,
     SolutionFile,
+    _optional,
     baseline_from_record,
     coverage_from_record,
     file_sha256,
@@ -55,12 +56,13 @@ from .formats import (
 )
 from .fusion import FusionConfig, fuse_late
 from .lp_export import export_milp
-from .metrics import MATCHING_MODES, evaluate_map, pair_frames
+from .metrics import MATCHING_MODES, check_threshold, evaluate_map, pair_frames
 from .placement import (
     BUDGET_MODES,
     InstanceTooLargeError,
     PlacementProblem,
     Selection,
+    check_budget,
     solve_branch_bound,
     solve_exhaustive,
     solve_greedy,
@@ -151,9 +153,9 @@ def _config_integer(value, where: str) -> int:
     return int(number)
 
 
-def _optional(check):
-    """``check``, except that null reads as "use the default"."""
-    return lambda value, where: None if value is None else check(value, where)
+def _ranged(check):
+    """A number that also passes the library's range ``check``."""
+    return lambda value, where: check(_config_number(value, where), where)
 
 
 def _choice(options):
@@ -298,6 +300,7 @@ def _optimize_settings(config: dict, args=None) -> dict:
                 **_settings(_OPTIMIZE_CHECKS, config, args)}
     if "budget" not in settings:
         raise ValueError("budget is required (flag --budget or config key 'budget')")
+    check_budget(settings["budget"], settings["seen_threshold"])
     return settings
 
 
@@ -355,17 +358,7 @@ def cmd_export_milp(args) -> int:
     return 0
 
 
-def _selection_from_solution(sol: SolutionFile, lf: MatrixFile, rf: MatrixFile) -> Selection:
-    for i in sol.lidar_ids:
-        if not 0 <= i < lf.matrix.n_candidates:
-            raise ValueError(f"solution lidar index {i} out of range for the matrix")
-    for i in sol.radar_ids:
-        if not 0 <= i < rf.matrix.n_candidates:
-            raise ValueError(f"solution radar index {i} out of range for the matrix")
-    return Selection.of(sol.lidar_ids, sol.radar_ids)
-
-
-_COVERAGE_CHECKS = {"theta": _config_number, "name": _nonempty_string}
+_COVERAGE_CHECKS = {"theta": _ranged(check_theta), "name": _nonempty_string}
 
 
 def cmd_coverage(args) -> int:
@@ -377,7 +370,7 @@ def cmd_coverage(args) -> int:
     sol = load_solution(args.solution)
     if sol.scene_hash != lf.scene_hash:
         _warn("solution scene hash differs from the matrices")
-    selection = _selection_from_solution(sol, lf, rf)
+    selection = Selection.of(sol.lidar_ids, sol.radar_ids)
     problem = _problem_from_files(lf, rf, asdict(sol))
     report = coverage_report(problem, selection, config_name=name, **settings)
     manifest_path = f"{args.out}.manifest"
@@ -460,19 +453,13 @@ def cmd_simulate(args) -> int:
     sol = load_solution(args.solution)
     if sol.scene_hash != lf.scene_hash:
         _warn("solution scene hash differs from the matrices")
-    selection = _selection_from_solution(sol, lf, rf)
+    selection = Selection.of(sol.lidar_ids, sol.radar_ids)
     outputs = [args.out_truth, args.out_lidar, args.out_radar]
     manifest_path = f"{args.out_truth}.manifest"
     result = _simulate_stage(scene, lf, rf, selection, scenario_cfg, outputs,
                              Path(manifest_path).name)
-    effective = {
-        "seed": scenario_cfg.seed,
-        "duration_frames": scenario_cfg.duration_frames,
-        "frame_dt_s": scenario_cfg.frame_dt_s,
-        "dropout_rule": scenario_cfg.dropout_rule,
-    }
     _save_manifest(manifest_path, "simulate", [args.scene, args.lidar, args.radar, args.solution],
-                   outputs, effective, started)
+                   outputs, asdict(scenario_cfg), started)
     n_truth = sum(len(b) for b in result.ground_truth.values())
     n_lidar = sum(len(b) for b in result.lidar.values())
     n_radar = sum(len(b) for b in result.radar.values())
@@ -525,7 +512,7 @@ def _class_names(value, where: str) -> tuple[str, ...]:
 
 
 _EVALUATION_CHECKS = {"matching_mode": _choice(MATCHING_MODES), "classes": _optional(_class_names),
-                      "thresholds": _optional(_class_map(_config_number))}
+                      "thresholds": _optional(_class_map(_ranged(check_threshold)))}
 
 
 def _evaluate_stage(pairs, settings: dict):
@@ -547,12 +534,18 @@ def _evaluate_stage(pairs, settings: dict):
     return result, record
 
 
+def _evaluation_used(result) -> dict:
+    """The evaluation settings ``result`` was computed with, defaults filled in."""
+    return {"matching_mode": result.matching_mode, "classes": list(result.per_class),
+            "thresholds": {label: r.threshold for label, r in result.per_class.items()}}
+
+
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     config = _load_config_file(args.config, _EVALUATION_CHECKS)
     settings = _settings(_EVALUATION_CHECKS, config, args)
     if args.threshold is not None:
-        settings["thresholds"] = dict.fromkeys(CLASSES, args.threshold)
+        settings["thresholds"] = dict.fromkeys(CLASSES, check_threshold(args.threshold))
     if args.baseline:
         # Checked before the evaluation, so a bad baseline prints nothing.
         kind, base = load_report(args.baseline)
@@ -594,9 +587,8 @@ def cmd_evaluate(args) -> int:
         if args.baseline:
             inputs.append(args.baseline)
         save_report(args.out, "evaluation", record, Path(manifest_path).name)
-        _save_manifest(manifest_path, "evaluate", inputs, [args.out],
-                       {"matching_mode": result.matching_mode,
-                        "classes": list(result.per_class)}, started)
+        _save_manifest(manifest_path, "evaluate", inputs, [args.out], _evaluation_used(result),
+                       started)
         print(f"wrote {args.out}")
     return 0
 
@@ -662,6 +654,7 @@ def cmd_pipeline(args) -> int:
     lf, rf = _visibility_stage(scene, digest, vis_cfg, workers, outputs, manifest)
     coverage_reports = []
     summary_rows = []
+    used = []
     for coverage, optimize, scenario_cfg in zip(coverages, settings, scenario_cfgs):
         name = coverage.pop("name")
         paths = [out_dir / f"{name}.{suffix}" for suffix in (
@@ -681,6 +674,8 @@ def cmd_pipeline(args) -> int:
             pair_frames(result.ground_truth, fused), evaluation)
         save_report(eval_path, "evaluation", eval_record, manifest)
         outputs += paths
+        used.append({"name": name, **optimize, "theta": report.theta,
+                     "scenario": asdict(scenario_cfg)})
 
         summary_rows.append(
             {
@@ -708,8 +703,10 @@ def cmd_pipeline(args) -> int:
     summary_path = out_dir / "summary.report"
     save_report(summary_path, "pipeline_summary", summary, manifest)
     outputs.append(summary_path)
-    _save_manifest(manifest_path, "pipeline", [scene_file, args.config], outputs,
-                   {"workers": workers}, started)
+    # Every configs[] entry is evaluated with the same settings.
+    _save_manifest(manifest_path, "pipeline", [scene_file, args.config], outputs, {
+        "workers": workers, "visibility": asdict(vis_cfg), "fusion": asdict(fusion_cfg),
+        "evaluation": _evaluation_used(eval_result), "configs": used}, started)
     print(f"wrote {summary_path}")
     return 0
 

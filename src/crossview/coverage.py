@@ -45,6 +45,13 @@ def _modality_covered(matrix: np.ndarray, ids: frozenset[int], theta: float) -> 
     return matrix[sorted(ids)].max(axis=0) > theta
 
 
+def check_theta(theta: float, where: str = "theta") -> float:
+    """``theta`` if nonnegative; the CLI reads its setting through this too."""
+    if not theta >= 0:
+        raise ValueError(f"{where} must be nonnegative, got {theta!r}")
+    return theta
+
+
 def coverage_report(
     problem: PlacementProblem,
     selection: Selection,
@@ -53,11 +60,11 @@ def coverage_report(
 ) -> CoverageReport:
     """Fraction of ROI cells visible above theta from any selected mount.
 
-    Raises ValueError if the problem carries no unit costs to price the
-    selection with.
+    Raises IndexError for a pick outside its matrix, and ValueError if the
+    problem carries no unit costs to price the selection with.
     """
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    check_theta(theta)
+    problem.check_selection(selection)
     lidar_cov = _modality_covered(problem.lidar_vis, selection.lidar_ids, theta)
     radar_cov = _modality_covered(problem.radar_vis, selection.radar_ids, theta)
     either = lidar_cov | radar_cov

@@ -13,7 +13,11 @@ so a load/save cycle is byte stable.  Writes go to a temp file that is then
 renamed over the target, so no reader sees half a file.
 
 Loaders are strict: unknown fields, missing fields, version mismatches and
-malformed numbers all raise ParseError naming the offending part.
+malformed numbers all raise ParseError naming the offending part as
+``<file>.<path>``, a list entry by its index.  Every JSON record is a
+``{field: check}`` table read by one loop, ``_record``; only the boxes of a
+frames file, the hot path of re-scoring, have a hand-written reader, and
+matrix bodies are text rows.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -135,11 +140,10 @@ def _load_document(path, expected_magic: str) -> tuple[dict, str]:
         body = json.loads(text, parse_constant=_reject_constant)
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise ParseError(f"{path}: invalid or truncated JSON body: {exc}") from exc
-    return _mapping(_object(body, {"payload"}, set(), f"{path} body")["payload"],
-                    f"{path} payload"), digest
+    return _record(body, {"payload": _mapping}, str(path))["payload"], digest
 
 
-def _require_keys(d: dict, required: set[str], optional: set[str], where: str) -> None:
+def _require_keys(d: dict, required, optional, where: str) -> None:
     missing = required - d.keys()
     if missing:
         raise ParseError(f"{where}: missing field {sorted(missing)[0]!r}")
@@ -148,28 +152,73 @@ def _require_keys(d: dict, required: set[str], optional: set[str], where: str) -
         raise ParseError(f"{where}: unknown field {sorted(unknown)[0]!r}")
 
 
-def _as_float_tuple(value, n: int, where: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or len(value) != n:
-        raise ParseError(f"{where}: expected a list of {n} numbers")
-    return tuple(_number(v, where) for v in value)
+# -- one record reader: a check is ``check(value, where) -> value read`` --------
+
+def _record(value, checks: dict, where: str, optional=frozenset()) -> dict:
+    """The object ``value``'s fields, each read by its check; those outside
+    ``optional`` are required, and a field ``checks`` does not name is an error."""
+    _require_keys(_mapping(value, where), checks.keys() - optional, optional, where)
+    return {key: check(value[key], f"{where}.{key}")
+            for key, check in checks.items() if key in value}
 
 
-# -- scenes -----------------------------------------------------------------
+def _build(cls, checks: dict, optional=frozenset()):
+    """A check for a record over ``checks``, read into ``cls`` (a dataclass, whose
+    defaults fill absent fields, or ``dict``)."""
+    return lambda value, where: cls(**_record(value, checks, where, optional))
+
+
+def _list_of(check, into=tuple):
+    """A check for a list whose entries each pass ``check``, read into ``into``.
+
+    Entries are checked under the list's location, and again under ``[k]``
+    locations only once one has failed, to name it.
+    """
+    def read(value, where: str):
+        if not isinstance(value, list):
+            raise ParseError(f"{where}: expected a list")
+        try:
+            return into([check(v, where) for v in value])
+        except ParseError:
+            for k, v in enumerate(value):
+                check(v, f"{where}[{k}]")
+            raise
+    return read
+
+
+def _dict_of(check, key=lambda k, where: k):
+    """A check for an object whose values each pass ``check``; ``key`` reads each key."""
+    def read(value, where: str) -> dict:
+        items = _mapping(value, where).items()
+        try:
+            return {key(k, where): check(v, where) for k, v in items}
+        except ParseError:
+            for k, v in items:
+                key(k, where)
+                check(v, f"{where}.{k}")
+            raise
+    return read
+
+
+def _numbers(n: int):
+    """A check for a list of ``n`` numbers, read as a tuple of floats."""
+    numbers = _list_of(_number)
+
+    def read(value, where: str) -> tuple[float, ...]:
+        if not isinstance(value, list) or len(value) != n:
+            raise ParseError(f"{where}: expected a list of {n} numbers")
+        return numbers(value, where)
+    return read
+
+
+def _optional(check):
+    """``check``, except that null reads as None."""
+    return lambda value, where: None if value is None else check(value, where)
+
 
 def _mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ParseError(f"{where}: expected an object")
-    return value
-
-
-def _object(value, required: set[str], optional: set[str], where: str) -> dict:
-    _require_keys(_mapping(value, where), required, optional, where)
-    return value
-
-
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: expected a list")
     return value
 
 
@@ -199,36 +248,49 @@ def _string(value, where: str) -> str:
     return value
 
 
-def _spec_from_record(rec, where: str) -> SensorSpec:
-    rec = _object(
-        rec,
-        {"modality", "hfov_deg", "vfov_deg", "max_range_m", "rate_hz"},
-        {"unit_cost", "beams"},
-        where,
-    )
-    beams = rec.get("beams")
-    return SensorSpec(
-        modality=rec["modality"],
-        hfov_deg=_number(rec["hfov_deg"], f"{where}.hfov_deg"),
-        vfov_deg=_number(rec["vfov_deg"], f"{where}.vfov_deg"),
-        max_range_m=_number(rec["max_range_m"], f"{where}.max_range_m"),
-        rate_hz=_number(rec["rate_hz"], f"{where}.rate_hz"),
-        unit_cost=_number(rec.get("unit_cost", 0.0), f"{where}.unit_cost"),
-        beams=None if beams is None else _integer(beams, f"{where}.beams", MAX_BEAMS),
-    )
+def _nonempty_string(value, where: str) -> str:
+    if not _string(value, where):
+        raise ParseError(f"{where}: expected a nonempty string")
+    return value
 
 
-def _candidate_from_record(rec, where: str) -> CandidateMount:
-    rec = _object(rec, {"id", "position", "spec"}, {"yaw_deg", "pitch_deg"}, where)
-    if not isinstance(rec["id"], str) or not rec["id"]:
-        raise ParseError(f"{where}: id must be a nonempty string")
-    return CandidateMount(
-        id=rec["id"],
-        position=_as_float_tuple(rec["position"], 3, f"{where}.position"),
-        spec=_spec_from_record(rec["spec"], f"{where}.spec"),
-        yaw_deg=_number(rec.get("yaw_deg", 0.0), f"{where}.yaw_deg"),
-        pitch_deg=_number(rec.get("pitch_deg", 0.0), f"{where}.pitch_deg"),
-    )
+def _boolean(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
+def _cell_key(key: str, where: str) -> int:
+    try:
+        return int(key)
+    except ValueError as exc:
+        raise ParseError(f"{where}: bad cell key {key!r}") from exc
+
+
+# -- scenes -----------------------------------------------------------------
+
+_CANDIDATES = _list_of(_build(CandidateMount, {
+    "id": _nonempty_string,
+    "position": _numbers(3),
+    "spec": _build(SensorSpec, {
+        "modality": _string, "hfov_deg": _number, "vfov_deg": _number,
+        "max_range_m": _number, "rate_hz": _number, "unit_cost": _number,
+        "beams": _optional(partial(_integer, maximum=MAX_BEAMS)),
+    }, {"unit_cost", "beams"}),
+    "yaw_deg": _number,
+    "pitch_deg": _number,
+}, {"yaw_deg", "pitch_deg"}))
+_GRID_SIDE = partial(_integer, maximum=MAX_GRID_SIDE)
+_SCENE = _build(Scene, {
+    "grid": _build(GridSpec, {"origin_xy": _numbers(2), "cell_size": _number,
+                              "nx": _GRID_SIDE, "ny": _GRID_SIDE}),
+    "roi": _build(RegionOfInterest, {"cells": _list_of(_integer, frozenset),
+                                     "weights": _dict_of(_number, _cell_key)}, {"weights"}),
+    "occluders": _list_of(_build(Occluder, {"min_corner": _numbers(3),
+                                            "max_corner": _numbers(3)})),
+    "lidar_candidates": _CANDIDATES,
+    "radar_candidates": _CANDIDATES,
+})
 
 
 def scene_payload(scene: Scene) -> dict:
@@ -261,59 +323,7 @@ def load_scene(path) -> Scene:
 def load_scene_with_digest(path) -> tuple[Scene, str]:
     """A scene and the verified digest in its file's header: the scene's identity."""
     payload, digest = _load_document(path, SCENE_MAGIC)
-    where = str(path)
-    _require_keys(
-        payload,
-        {"grid", "roi", "occluders", "lidar_candidates", "radar_candidates"},
-        set(),
-        where,
-    )
-    grid_rec = _object(payload["grid"], {"origin_xy", "cell_size", "nx", "ny"}, set(),
-                       f"{where}.grid")
-    grid = GridSpec(
-        origin_xy=_as_float_tuple(grid_rec["origin_xy"], 2, f"{where}.grid.origin_xy"),
-        cell_size=_number(grid_rec["cell_size"], f"{where}.grid.cell_size"),
-        nx=_integer(grid_rec["nx"], f"{where}.grid.nx", MAX_GRID_SIDE),
-        ny=_integer(grid_rec["ny"], f"{where}.grid.ny", MAX_GRID_SIDE),
-    )
-    roi_rec = _object(payload["roi"], {"cells"}, {"weights"}, f"{where}.roi")
-    cells = [_integer(c, f"{where}.roi.cells")
-             for c in _list(roi_rec["cells"], f"{where}.roi.cells")]
-    weights_rec = roi_rec.get("weights", {})
-    if not isinstance(weights_rec, dict):
-        raise ParseError(f"{where}.roi.weights: expected an object")
-    weights = {}
-    for key, value in weights_rec.items():
-        try:
-            j = int(key)
-        except ValueError as exc:
-            raise ParseError(f"{where}.roi.weights: bad cell key {key!r}") from exc
-        weights[j] = _number(value, f"{where}.roi.weights[{key}]")
-    occluders = []
-    for k, rec in enumerate(_list(payload["occluders"], f"{where}.occluders")):
-        o_where = f"{where}.occluders[{k}]"
-        rec = _object(rec, {"min_corner", "max_corner"}, set(), o_where)
-        occluders.append(
-            Occluder(
-                min_corner=_as_float_tuple(rec["min_corner"], 3, o_where),
-                max_corner=_as_float_tuple(rec["max_corner"], 3, o_where),
-            )
-        )
-    lidar = [
-        _candidate_from_record(rec, f"{where}.lidar_candidates[{k}]")
-        for k, rec in enumerate(_list(payload["lidar_candidates"], f"{where}.lidar_candidates"))
-    ]
-    radar = [
-        _candidate_from_record(rec, f"{where}.radar_candidates[{k}]")
-        for k, rec in enumerate(_list(payload["radar_candidates"], f"{where}.radar_candidates"))
-    ]
-    return Scene(
-        grid=grid,
-        roi=RegionOfInterest(cells=frozenset(cells), weights=weights),
-        occluders=tuple(occluders),
-        lidar_candidates=tuple(lidar),
-        radar_candidates=tuple(radar),
-    ), digest
+    return _SCENE(payload, str(path)), digest
 
 
 # -- visibility matrices ----------------------------------------------------
@@ -528,42 +538,40 @@ def save_report(path, kind: str, record: dict, manifest: str | None = None) -> N
 
 
 def load_report(path) -> tuple[str, dict]:
-    payload = _load_document(path, REPORT_MAGIC)[0]
-    _require_keys(payload, {"kind", "record"}, {"manifest"}, str(path))
-    return (_string(payload["kind"], f"{path} kind"),
-            _mapping(payload["record"], f"{path} record"))
+    rec = _record(_load_document(path, REPORT_MAGIC)[0],
+                  {"kind": _string, "record": _mapping, "manifest": _string}, str(path),
+                  {"manifest"})
+    return rec["kind"], rec["record"]
+
+
+_COVERAGE_REPORT = _build(CoverageReport, {
+    "config_name": _string, "central_coverage": _number, "covered_cells": _integer,
+    "total_roi_cells": _integer, "total_cost": _number, "sensor_count": _integer,
+    "per_modality_cost": _build(dict, {LIDAR: _number, RADAR: _number}, {LIDAR, RADAR}),
+    "per_modality_covered": _build(dict, {LIDAR: _integer, RADAR: _integer}, {LIDAR, RADAR}),
+    "theta": _number,
+})
 
 
 def coverage_from_record(record: dict, where: str) -> CoverageReport:
     """A coverage report record back as a ``CoverageReport``, every field checked."""
-    rec = _object(record, {f.name for f in fields(CoverageReport)}, set(), where)
+    return _COVERAGE_REPORT(record, where)
 
-    def per_modality(key: str, check) -> dict:
-        value = _object(rec[key], set(), {LIDAR, RADAR}, f"{where}.{key}")
-        return {m: check(v, f"{where}.{key}.{m}") for m, v in value.items()}
 
-    return CoverageReport(
-        config_name=_string(rec["config_name"], f"{where}.config_name"),
-        central_coverage=_number(rec["central_coverage"], f"{where}.central_coverage"),
-        covered_cells=_integer(rec["covered_cells"], f"{where}.covered_cells"),
-        total_roi_cells=_integer(rec["total_roi_cells"], f"{where}.total_roi_cells"),
-        total_cost=_number(rec["total_cost"], f"{where}.total_cost"),
-        sensor_count=_integer(rec["sensor_count"], f"{where}.sensor_count"),
-        per_modality_cost=per_modality("per_modality_cost", _number),
-        per_modality_covered=per_modality("per_modality_covered", _integer),
-        theta=_number(rec["theta"], f"{where}.theta"),
-    )
+_EVALUATION_RECORD = {
+    "matching_mode": _string,
+    "mean_ap": _number,
+    "per_class": _dict_of(_build(dict, {"ap": _optional(_number), "threshold": _number,
+                                        "num_gt": _integer, "num_predictions": _integer},
+                                 {"threshold", "num_gt", "num_predictions"})),
+    "baseline": _mapping,
+}
 
 
 def baseline_from_record(record: dict, where: str) -> tuple[float, dict[str, float | None]]:
     """An evaluation record's mAP and per-class AP (None where undefined)."""
-    rec = _object(record, {"mean_ap", "per_class"}, {"matching_mode", "baseline"}, where)
-    aps = {}
-    for label, entry in _mapping(rec["per_class"], f"{where}.per_class").items():
-        at = f"{where}.per_class.{label}"
-        ap = _object(entry, {"ap"}, {"threshold", "num_gt", "num_predictions"}, at)["ap"]
-        aps[label] = None if ap is None else _number(ap, f"{at}.ap")
-    return _number(rec["mean_ap"], f"{where}.mean_ap"), aps
+    rec = _record(record, _EVALUATION_RECORD, where, {"matching_mode", "baseline"})
+    return rec["mean_ap"], {label: entry["ap"] for label, entry in rec["per_class"].items()}
 
 
 @dataclass(frozen=True)
@@ -585,41 +593,24 @@ def save_solution(path, sol: SolutionFile) -> None:
     _write_artifact(path, SOLUTION_MAGIC, _json_body(asdict(sol)))
 
 
+_SOLUTION = _build(SolutionFile, {
+    "lidar_ids": _list_of(_integer), "radar_ids": _list_of(_integer),
+    "lidar_candidate_ids": _list_of(_string), "radar_candidate_ids": _list_of(_string),
+    "objective": _number, "optimal": _boolean, "budget": _number, "budget_mode": _string,
+    "seen_threshold": _number, "scene_hash": _string, "manifest": _optional(_string),
+}, {"manifest"})
+
+
 def load_solution(path) -> SolutionFile:
-    where = str(path)
-    payload = _object(
-        _load_document(path, SOLUTION_MAGIC)[0],
-        {"lidar_ids", "radar_ids", "lidar_candidate_ids", "radar_candidate_ids",
-         "objective", "optimal", "budget", "budget_mode", "seen_threshold",
-         "scene_hash"},
-        {"manifest"},
-        where,
-    )
+    return _SOLUTION(_load_document(path, SOLUTION_MAGIC)[0], str(path))
 
-    def items(key: str, check) -> tuple:
-        return tuple(check(v, f"{where}.{key}") for v in _list(payload[key], f"{where}.{key}"))
 
-    if not isinstance(payload["optimal"], bool):
-        raise ParseError(f"{where}.optimal: expected true or false, got {payload['optimal']!r}")
-    manifest = payload.get("manifest")
-    return SolutionFile(
-        lidar_ids=items("lidar_ids", _integer),
-        radar_ids=items("radar_ids", _integer),
-        lidar_candidate_ids=items("lidar_candidate_ids", _string),
-        radar_candidate_ids=items("radar_candidate_ids", _string),
-        objective=_number(payload["objective"], f"{where}.objective"),
-        optimal=payload["optimal"],
-        budget=_number(payload["budget"], f"{where}.budget"),
-        budget_mode=_string(payload["budget_mode"], f"{where}.budget_mode"),
-        seen_threshold=_number(payload["seen_threshold"], f"{where}.seen_threshold"),
-        scene_hash=_string(payload["scene_hash"], f"{where}.scene_hash"),
-        manifest=None if manifest is None else _string(manifest, f"{where}.manifest"),
-    )
+_MANIFEST = {"command": _string, "tool_version": _string, "inputs": _dict_of(_string),
+             "outputs": _list_of(_string, list), "config": _mapping, "wall_time_s": _number}
 
 
 def save_manifest(path, record: dict) -> None:
-    required = {"command", "tool_version", "inputs", "outputs", "config", "wall_time_s"}
-    missing = required - record.keys()
+    missing = _MANIFEST.keys() - record.keys()
     if missing:
         raise ValueError(f"manifest record missing {sorted(missing)[0]!r}")
     _write_artifact(path, MANIFEST_MAGIC, _json_body(record))
@@ -627,16 +618,4 @@ def save_manifest(path, record: dict) -> None:
 
 def load_manifest(path) -> dict:
     """A manifest record, every field's type checked."""
-    where = str(path)
-    payload = _object(_load_document(path, MANIFEST_MAGIC)[0],
-                      {"command", "tool_version", "inputs", "outputs", "config", "wall_time_s"},
-                      set(), where)
-    _string(payload["command"], f"{where}.command")
-    _string(payload["tool_version"], f"{where}.tool_version")
-    for name, digest in _mapping(payload["inputs"], f"{where}.inputs").items():
-        _string(digest, f"{where}.inputs.{name}")
-    for k, name in enumerate(_list(payload["outputs"], f"{where}.outputs")):
-        _string(name, f"{where}.outputs[{k}]")
-    _mapping(payload["config"], f"{where}.config")
-    _number(payload["wall_time_s"], f"{where}.wall_time_s")
-    return payload
+    return _record(_load_document(path, MANIFEST_MAGIC)[0], _MANIFEST, str(path))

@@ -125,6 +125,13 @@ def _interpolated_ap(recall: np.ndarray, precision: np.ndarray) -> float:
     return float(np.sum(np.asarray(points)) / 101.0)
 
 
+def check_threshold(threshold: float, where: str = "threshold") -> float:
+    """A matching threshold if positive; the CLI reads its settings through this too."""
+    if not threshold > 0:
+        raise ValueError(f"{where} must be positive, got {threshold!r}")
+    return threshold
+
+
 def evaluate_ap(
     frames: list[FramePair],
     class_label: str,
@@ -141,8 +148,7 @@ def evaluate_ap(
             threshold = DEFAULT_IOU_THRESHOLDS[class_label]
         else:
             threshold = DEFAULT_CENTER_THRESHOLD
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    check_threshold(threshold)
     _check_frames(frames)
 
     outcomes = []  # (score, frame_id, rank) -> tp flag

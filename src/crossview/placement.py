@@ -61,6 +61,14 @@ class Selection:
         return Selection(frozenset(lidar_ids), frozenset(radar_ids))
 
 
+def check_budget(budget: float, seen_threshold: float) -> None:
+    """The ranges of a problem's settings; the CLI checks its settings through this too."""
+    if not (np.isfinite(seen_threshold) and seen_threshold > 0):
+        raise ValueError(f"seen_threshold must be finite and positive, got {seen_threshold!r}")
+    if not (np.isfinite(budget) and budget >= 0):
+        raise ValueError(f"budget must be finite and nonnegative, got {budget!r}")
+
+
 @dataclass(frozen=True)
 class PlacementProblem:
     """Immutable solver input: matrices, their log transforms, and budget."""
@@ -97,10 +105,7 @@ class PlacementProblem:
             raise ValueError("cell weights must be nonnegative")
         if budget_mode not in BUDGET_MODES:
             raise ValueError(f"unknown budget_mode {budget_mode!r}")
-        if not (np.isfinite(seen_threshold) and seen_threshold > 0):
-            raise ValueError(f"seen_threshold must be finite and positive, got {seen_threshold!r}")
-        if not (np.isfinite(budget) and budget >= 0):
-            raise ValueError(f"budget must be finite and nonnegative, got {budget!r}")
+        check_budget(budget, seen_threshold)
         if (lidar_costs is None) != (radar_costs is None):
             raise ValueError("lidar_costs and radar_costs come together")
         if lidar_costs is None:
@@ -140,6 +145,15 @@ class PlacementProblem:
     def n_cells(self) -> int:
         return self.weights.shape[0]
 
+    def check_selection(self, selection: Selection) -> None:
+        """Raise IndexError unless every pick is a row of its modality's matrix."""
+        for i in selection.lidar_ids:
+            if not 0 <= i < self.n_lidar:
+                raise IndexError(f"lidar candidate index {i} out of range")
+        for i in selection.radar_ids:
+            if not 0 <= i < self.n_radar:
+                raise IndexError(f"radar candidate index {i} out of range")
+
     def selection_cost(self, selection: Selection) -> float:
         """What ``selection`` spends of the budget: a count or money."""
         if self.budget_mode == "count":
@@ -176,12 +190,7 @@ def _sum_rows(matrix: np.ndarray, ids: Iterable[int]) -> np.ndarray:
 
 def evaluate_selection(problem: PlacementProblem, selection: Selection) -> PlacementSolution:
     """Score a selection; the budget is deliberately not enforced here."""
-    for i in selection.lidar_ids:
-        if not 0 <= i < problem.n_lidar:
-            raise IndexError(f"lidar candidate index {i} out of range")
-    for i in selection.radar_ids:
-        if not 0 <= i < problem.n_radar:
-            raise IndexError(f"radar candidate index {i} out of range")
+    problem.check_selection(selection)
     tau = problem.seen_threshold
     lidar_score = _sum_rows(problem.lidar_log, selection.lidar_ids)
     radar_score = _sum_rows(problem.radar_log, selection.radar_ids)

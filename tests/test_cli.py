@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,13 @@ import pytest
 
 import crossview
 from crossview import (
+    CLASSES,
+    DEFAULT_IOU_THRESHOLDS,
+    FusionConfig,
     MatrixFile,
+    ScenarioConfig,
     Scene,
+    VisibilityConfig,
     VisibilityMatrix,
     file_sha256,
     load_manifest,
@@ -443,6 +449,16 @@ def test_pipeline(tmp_path, capsys):
     manifest = load_manifest(out_dir / "pipeline.manifest")
     assert manifest["command"] == "pipeline"
     assert "summary.report" in manifest["outputs"]
+    # The manifest records every checked setting, library defaults filled in.
+    scenario = json.loads(json.dumps(asdict(ScenarioConfig(seed=3, duration_frames=12))))
+    assert manifest["config"] == {
+        "workers": 1, "visibility": asdict(VisibilityConfig()), "fusion": asdict(FusionConfig()),
+        "evaluation": {"matching_mode": "iou", "classes": list(CLASSES),
+                       "thresholds": DEFAULT_IOU_THRESHOLDS},
+        "configs": [{"name": name, "budget": budget, "budget_mode": "count",
+                     "seen_threshold": 1.0, "solver": "branch-bound", "theta": 0.0,
+                     "scenario": scenario} for name, budget in (("dense", 4), ("lean", 2))],
+    }
 
 
 def test_pipeline_compares_count_and_cost_budgets_in_money(tmp_path, capsys):
@@ -602,6 +618,44 @@ def test_simulate_config_takes_every_scenario_key(workspace, tmp_path, capsys):
                "--out-truth", str(tmp_path / "t.frames"), "--out-lidar", str(tmp_path / "l.frames"),
                "--out-radar", str(tmp_path / "r.frames")])
     assert rc == 0, capsys.readouterr().err
+    sigmas = dict.fromkeys(("position_sigma", "size_sigma", "yaw_sigma", "velocity_sigma"), 0.0)
+    assert load_manifest(tmp_path / "t.frames.manifest")["config"] == {
+        **json.loads(cfg.read_text()), "lidar_noise": {**sigmas, "position_sigma": 0.15},
+        "radar_noise": {**sigmas, "velocity_sigma": 0.2}}
+
+
+def test_evaluate_manifest_records_the_thresholds_used(tmp_path):
+    save_frames(tmp_path / "t.frames", {"000000": [random_box(np.random.default_rng(0), "car")]})
+    cfg = tmp_path / "evaluation.json"
+    cfg.write_text(json.dumps({"classes": ["car", "bus"], "thresholds": {"car": 0.3}}))
+    assert main(["evaluate", "--truth", str(tmp_path / "t.frames"),
+                 "--predictions", str(tmp_path / "t.frames"), "--config", str(cfg),
+                 "--out", str(tmp_path / "e.report")]) == 0
+    assert load_manifest(tmp_path / "e.report.manifest")["config"] == {
+        "matching_mode": "iou", "classes": ["car", "bus"], "thresholds": {"car": 0.3, "bus": 0.5}}
+
+
+@pytest.mark.parametrize("command", ["coverage", "simulate"])
+def test_solution_index_outside_the_matrix_exits_4(workspace, tmp_path, capsys, command):
+    """A solution row past its matrix is refused by the library's one index check."""
+    path = tmp_path / "plan.solution"
+    matrices = ["--lidar", str(workspace / "lidar.vismatrix"),
+                "--radar", str(workspace / "radar.vismatrix")]
+    assert main(["optimize", *matrices, "--budget", "2", "--out", str(path)]) == 0
+    payload = _payload(path)
+    payload["lidar_ids"] = [-1]
+    path.write_text(make_document("crossview.solution", payload))
+    if command == "coverage":
+        outputs = ["--out", str(tmp_path / "plan.coverage")]
+    else:
+        outputs = ["--scene", str(workspace / "scene.scene")] + [
+            arg for side in ("truth", "lidar", "radar")
+            for arg in (f"--out-{side}", str(tmp_path / f"{side}.frames"))]
+    rc = main([command, *matrices, "--solution", str(path), *outputs])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert "index -1 out of range" in err and "Traceback" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.solution", "plan.solution.manifest"]
 
 
 BAD_SOLUTION_FIELDS = [
@@ -692,6 +746,19 @@ BAD_CONFIG_VALUES += [
     ({"configs": [{"name": "dense", "budget": 4, "budget_mode": "cot"}]}, "budget_mode"),
     ({"evaluation": {"classes": ["cars"]}}, "classes[0]"),
     ({"evaluation": {"thresholds": {"pedestrain": 0.9}}}, "thresholds key"),
+]
+
+
+# Ranges that a library function enforces: the CLI reads each value through
+# that same check, so it fails before the ray cast rather than inside its
+# stage.  Each key reaches into the message, so that no test id repeats.
+BAD_CONFIG_VALUES += [
+    ({"configs": [{"name": "dense", "budget": -1}]}, "budget must be finite and nonnegative"),
+    ({"configs": [{"name": "dense", "budget": 4, "seen_threshold": -1}]},
+     "seen_threshold must be finite and positive"),
+    ({"configs": [{"name": "dense", "budget": 4, "theta": -1}]}, "theta must be nonnegative"),
+    ({"evaluation": {"thresholds": {"car": -1}}}, "thresholds.car must be positive, got -1.0"),
+    ({"evaluation": {"thresholds": {"car": 0}}}, "thresholds.car must be positive, got 0.0"),
 ]
 
 

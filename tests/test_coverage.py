@@ -94,6 +94,16 @@ def test_coverage_needs_unit_costs():
         coverage_report(problem, Selection.of([0], [0]))
 
 
+def test_selection_outside_the_matrix_is_refused():
+    """coverage_report checks each pick as evaluate_selection does; row -1 used to
+    price and cover the last lidar."""
+    problem = make_problem(lidar=[[0.5], [0.0]], radar=[[0.5]])
+    with pytest.raises(IndexError, match="lidar candidate index -1 out of range"):
+        coverage_report(problem, Selection.of([-1], [0]))
+    with pytest.raises(IndexError, match="radar candidate index 1 out of range"):
+        coverage_report(problem, Selection.of([0], [1]))
+
+
 def test_count_and_cost_budgets_compare_in_money():
     # At the same pick, a count budget of 2 and a cost budget of 300 spend
     # the same money; the reduction is 0, not a count set against money.

@@ -402,7 +402,7 @@ def test_solution_id_type_check(tmp_path):
     payload = json.loads(text.split("\n", 1)[1])["payload"]
     payload["lidar_ids"] = ["L0"]
     bad.write_text(make_document("crossview.solution", payload))
-    with pytest.raises(ParseError, match=r"lidar_ids: expected an integer, got 'L0'"):
+    with pytest.raises(ParseError, match=r"lidar_ids\[0\]: expected an integer, got 'L0'"):
         load_solution(bad)
 
 

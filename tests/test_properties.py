@@ -25,16 +25,18 @@ from crossview import (
     SolutionFile,
     VisibilityConfig,
     load_frames,
+    load_manifest,
     load_report,
     load_scene,
     load_solution,
     save_frames,
+    save_manifest,
     save_report,
     save_scene,
     save_solution,
 )
 from crossview import cli
-from crossview.formats import ParseError, coverage_from_record
+from crossview.formats import ParseError, baseline_from_record, coverage_from_record
 
 from conftest import make_document, random_box, rehash, square_scene
 
@@ -107,6 +109,11 @@ def _coverage_report(path):
     return coverage_from_record(record, f"{path} record")
 
 
+def _evaluation_report(path):
+    _, record = load_report(path)
+    return baseline_from_record(record, f"{path} record")
+
+
 def _valid_payloads(root) -> dict:
     """One small valid file of each loaded kind: (magic, payload, loader)."""
     save_scene(root / "a.scene", square_scene(
@@ -121,14 +128,24 @@ def _valid_payloads(root) -> dict:
         "per_modality_cost": {"lidar": 100.0, "radar": 20.0},
         "per_modality_covered": {"lidar": 8, "radar": 5}, "theta": 0.0,
     }, "a.manifest")
+    save_report(root / "a.evaluation", "evaluation", {
+        "matching_mode": "iou", "mean_ap": 0.5,
+        "per_class": {"car": {"ap": 0.5, "threshold": 0.5, "num_gt": 4, "num_predictions": 6},
+                      "bus": {"ap": None, "threshold": 0.5, "num_gt": 0, "num_predictions": 1}},
+        "baseline": {"report": "b.evaluation", "mean_ap": 0.25, "mean_ap_delta": 0.25,
+                     "per_class_delta": {"car": 0.25}},
+    }, "a.manifest")
     rng = np.random.default_rng(3)
     save_frames(root / "a.frames", {"000000": [random_box(rng), random_box(rng, source="radar")],
                                     "000001": []}, "a.manifest")
+    save_manifest(root / "a.manifest", {
+        "command": "pipeline", "tool_version": "0.1.0", "inputs": {"a.scene": "0" * 64},
+        "outputs": ["a.solution", "a.report"], "config": {"workers": 1, "fusion": {"iou": 0.3}},
+        "wall_time_s": 0.5})
     loaders = {"scene": load_scene, "solution": load_solution, "report": _coverage_report,
-               "frames": load_frames}
-    return {kind: (f"crossview.{kind}",
-                   json.loads((root / f"a.{kind}").read_text().split("\n", 1)[1])["payload"],
-                   load)
+               "evaluation": _evaluation_report, "frames": load_frames, "manifest": load_manifest}
+    files = {kind: (root / f"a.{kind}").read_text().split("\n", 1) for kind in loaders}
+    return {kind: (files[kind][0].split()[0], json.loads(files[kind][1])["payload"], load)
             for kind, load in loaders.items()}
 
 
@@ -145,7 +162,8 @@ def _set(payload, path, value):
     parent[path[-1]] = value
 
 
-@pytest.mark.parametrize("kind", ["scene", "solution", "report", "frames"])
+@pytest.mark.parametrize("kind", ["scene", "solution", "report", "evaluation", "frames",
+                                  "manifest"])
 @given(data=st.data())
 def test_loader_returns_or_raises_parse_error(valid_files, kind, data):
     root, payloads = valid_files

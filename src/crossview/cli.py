@@ -8,7 +8,10 @@ Each stage has one table of settings, {config key: check}, read by one loop
 (``_settings``), and one stage function: a subcommand passes them its
 --config dict and flags (each flag's dest is its config key), and
 ``pipeline`` passes the matching section of its own config, so both paths
-write the same data files.
+write the same data files.  The checks are the file reader's (``formats``),
+with its rules and wording: an integer is a JSON integer, a number is finite,
+and an error names the key path, as in ``budget: expected a finite number,
+got inf``; but a bad config value or key exits 4, a malformed file 3.
 
 A command that writes files also writes a ``<first-output>.manifest``
 sidecar recording the command, input digests, effective config and wall
@@ -26,6 +29,7 @@ import sys
 import time
 import traceback
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +41,17 @@ from .formats import (
     MatrixFile,
     ParseError,
     SolutionFile,
+    _build,
+    _choice,
+    _dict_of,
+    _integer,
+    _list_of,
+    _mapping,
+    _nonempty_string,
+    _number,
+    _numbers,
     _optional,
+    _require_keys,
     baseline_from_record,
     coverage_from_record,
     file_sha256,
@@ -47,6 +61,7 @@ from .formats import (
     load_report,
     load_scene_with_digest,
     load_solution,
+    read_input,
     save_frames,
     save_manifest,
     save_matrix,
@@ -68,7 +83,7 @@ from .placement import (
     solve_greedy,
 )
 from .scenario import DROPOUT_RULES, NoiseSpec, ScenarioConfig, generate_scenario
-from .scene import LIDAR, RADAR, validate_scene
+from .scene import LIDAR, MAX_DURATION_FRAMES, MAX_SAMPLES_PER_CELL, RADAR, validate_scene
 from .visibility import VisibilityConfig, build_visibility
 
 SOLVERS = {
@@ -86,19 +101,21 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _load_config_file(path, allowed) -> dict:
+def _load_config_file(path, allowed, required=frozenset()) -> dict:
     """A --config file's object; a key outside ``allowed`` is a typo, not a no-op."""
     if path is None:
         return {}
+    data = read_input(path)
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(data)
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise ParseError(f"{path}: invalid JSON config: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: config must be a JSON object")
-    _check_keys(obj, allowed, str(path))
-    return obj
+    return _config_keys(_mapping(obj, str(path)), allowed, str(path), required)
 
+
+# Config values and keys are read by the file reader's checks.  A bad one is a
+# bad setting (exit 4), not a malformed input file (exit 3), so the two
+# functions below re-raise those checks' ParseError as a plain ValueError.
 
 def _settings(checks: dict, config: dict, args=None) -> dict:
     """The keys of ``checks`` that a flag or ``config`` sets, each through its check.
@@ -108,86 +125,46 @@ def _settings(checks: dict, config: dict, args=None) -> dict:
     that, is left out, so the library default applies.
     """
     out = {}
-    for key, check in checks.items():
-        value = getattr(args, key, None)
-        if value is None:
-            if key not in config:
-                continue
-            value = config[key]
-        value = check(value, key)
-        if value is not None:
-            out[key] = value
+    try:
+        for key, check in checks.items():
+            value = getattr(args, key, None)
+            if value is None:
+                if key not in config:
+                    continue
+                value = config[key]
+            value = check(value, key)
+            if value is not None:
+                out[key] = value
+    except ParseError as exc:
+        raise ValueError(str(exc)) from exc
     return out
 
 
-def _check_keys(config: dict, allowed, where: str) -> None:
-    unknown = sorted(config.keys() - allowed)
-    if unknown:
-        raise ValueError(f"{where}: unknown key {unknown[0]!r}")
-
-
-def _config_object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} must be an object")
-    return value
-
-
-def _config_number(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{where} must be a number, got {value!r}")
+def _config_keys(value, allowed, where: str, required=frozenset()) -> dict:
+    """``value`` if it is an object with the ``required`` keys and no key outside ``allowed``."""
     try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = float("inf")
-    if not np.isfinite(number):
-        raise ValueError(f"{where} must be a finite number, got {value!r}")
-    return number
-
-
-def _config_integer(value, where: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    number = _config_number(value, where)
-    if not number.is_integer():
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-    return int(number)
-
-
-def _ranged(check):
-    """A number that also passes the library's range ``check``."""
-    return lambda value, where: check(_config_number(value, where), where)
-
-
-def _choice(options):
-    def check(value, where: str) -> str:
-        if not isinstance(value, str) or value not in options:
-            raise ValueError(f"{where} must be one of {', '.join(options)}, got {value!r}")
-        return value
-    return check
-
-
-_class = _choice(CLASSES)
-
-
-def _class_map(check):
-    """A check for an object from class names to values that each pass ``check``."""
-    def read(value, where: str) -> dict:
-        return {_class(k, f"{where} key"): check(v, f"{where}.{k}")
-                for k, v in _config_object(value, where).items()}
-    return read
-
-
-def _nonempty_string(value, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"{where} must be a nonempty string, got {value!r}")
+        _require_keys(_mapping(value, where), frozenset(required), frozenset(allowed), where)
+    except ParseError as exc:
+        raise ValueError(str(exc)) from exc
     return value
 
 
 def _section(config: dict, key: str, allowed, where: str) -> dict:
     """The object under ``key`` (empty if absent), with its keys checked."""
-    value = _config_object(config.get(key, {}), f"{where} {key!r}")
-    _check_keys(value, allowed, f"{where} {key!r}")
-    return value
+    return _config_keys(config.get(key, {}), allowed, f"{where} {key!r}")
+
+
+def _ranged(check):
+    """A number that also passes the library's range ``check``."""
+    return lambda value, where: check(_number(value, where), where)
+
+
+_class = _choice(CLASSES)
+
+
+def _class_key(key, where: str) -> str:
+    """A class name used as an object key, named as ``<where> key``."""
+    return _class(key, f"{where} key")
 
 
 def _save_manifest(path, command: str, inputs, outputs, config: dict, started: float) -> None:
@@ -212,12 +189,13 @@ def _checked_scene(path):
 
 # Each stage's settings: {config key: check}.  The keys are the keys its
 # --config file and its pipeline section accept, and each flag's dest.
-_VISIBILITY_CHECKS = {"samples_per_cell": _config_integer, "object_height_m": _config_number,
-                      "sample_height_m": _optional(_config_number), "epsilon": _config_number}
+_VISIBILITY_CHECKS = {"samples_per_cell": partial(_integer, maximum=MAX_SAMPLES_PER_CELL),
+                      "object_height_m": _number,
+                      "sample_height_m": _optional(_number), "epsilon": _number}
 
 
 def _workers(config: dict, args) -> int:
-    return _settings({"workers": _config_integer}, config, args).get("workers", 1)
+    return _settings({"workers": _integer}, config, args).get("workers", 1)
 
 
 def _visibility_stage(scene, digest: str, vis_cfg: VisibilityConfig, workers: int, paths,
@@ -290,8 +268,8 @@ def _problem_from_files(lf: MatrixFile, rf: MatrixFile, settings: dict) -> Place
     )
 
 
-_OPTIMIZE_CHECKS = {"budget": _optional(_config_number), "budget_mode": _choice(BUDGET_MODES),
-                    "seen_threshold": _config_number, "solver": _choice(sorted(SOLVERS))}
+_OPTIMIZE_CHECKS = {"budget": _optional(_number), "budget_mode": _choice(BUDGET_MODES),
+                    "seen_threshold": _number, "solver": _choice(sorted(SOLVERS))}
 
 
 def _optimize_settings(config: dict, args=None) -> dict:
@@ -405,30 +383,17 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _noise_spec(record, where: str) -> NoiseSpec:
-    if not isinstance(record, dict):
-        raise ValueError(f"{where} must be an object of sigma fields")
-    allowed = {"position_sigma", "size_sigma", "yaw_sigma", "velocity_sigma"}
-    for key in record:
-        if key not in allowed:
-            raise ValueError(f"{where}: unknown noise field {key!r}")
-    return NoiseSpec(**{k: _config_number(v, f"{where}.{k}") for k, v in record.items()})
-
-
-def _speed_range(value, where: str) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"{where} must be a [low, high] pair of numbers, got {value!r}")
-    return _config_number(value[0], where), _config_number(value[1], where)
-
-
+_NOISE_CHECKS = dict.fromkeys(("position_sigma", "size_sigma", "yaw_sigma", "velocity_sigma"),
+                              _number)
+_NOISE = _build(NoiseSpec, _NOISE_CHECKS, _NOISE_CHECKS.keys())
 _SCENARIO_CHECKS = {
-    "seed": _config_integer,
-    "duration_frames": _config_integer,
-    "frame_dt_s": _config_number,
-    "class_mix": _optional(_class_map(_config_number)),
-    "speed_ranges": _optional(_class_map(_speed_range)),
-    "lidar_noise": _noise_spec,
-    "radar_noise": _noise_spec,
+    "seed": _integer,
+    "duration_frames": partial(_integer, maximum=MAX_DURATION_FRAMES),
+    "frame_dt_s": _number,
+    "class_mix": _optional(_dict_of(_number, key=_class_key)),
+    "speed_ranges": _optional(_dict_of(_numbers(2), key=_class_key)),
+    "lidar_noise": _NOISE,
+    "radar_noise": _NOISE,
     "dropout_rule": _choice(DROPOUT_RULES),
 }
 
@@ -470,7 +435,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_FUSION_CHECKS = {"iou_threshold": _config_number}
+_FUSION_CHECKS = {"iou_threshold": _number}
 
 
 def _fuse_frames(lidar: dict, radar: dict, fusion_cfg: FusionConfig) -> dict:
@@ -503,16 +468,18 @@ def _ap_text(ap: float | None) -> str:
 
 
 def _class_names(value, where: str) -> tuple[str, ...]:
-    """A list of class names, or the comma-separated string --classes takes."""
+    """A nonempty list of class names, or the comma-separated string --classes takes."""
     if isinstance(value, str):
         value = [c.strip() for c in value.split(",") if c.strip()]
-    if not isinstance(value, list) or not value:
-        raise ValueError(f"{where} must be a nonempty list of class names, got {value!r}")
-    return tuple(_class(c, f"{where}[{i}]") for i, c in enumerate(value))
+    if value == []:
+        raise ValueError(f"{where}: expected a nonempty list of class names")
+    return _list_of(_class)(value, where)
 
 
-_EVALUATION_CHECKS = {"matching_mode": _choice(MATCHING_MODES), "classes": _optional(_class_names),
-                      "thresholds": _optional(_class_map(_ranged(check_threshold)))}
+_EVALUATION_CHECKS = {
+    "matching_mode": _choice(MATCHING_MODES), "classes": _optional(_class_names),
+    "thresholds": _optional(_dict_of(_ranged(check_threshold), key=_class_key)),
+}
 
 
 def _evaluate_stage(pairs, settings: dict):
@@ -596,53 +563,42 @@ def cmd_evaluate(args) -> int:
 # Each section takes the keys of the matching subcommand's --config; a
 # configs[] entry takes optimize's and coverage's keys plus scenario
 # overrides.
-_PIPELINE_KEYS = frozenset(
-    {"scene", "workers", "configs", "visibility", "scenario", "fusion", "evaluation"})
+_PIPELINE_CHECKS = {"scene": _nonempty_string, "configs": _list_of(_mapping, list)}
+_PIPELINE_KEYS = _PIPELINE_CHECKS.keys() | {"workers", "visibility", "scenario", "fusion",
+                                            "evaluation"}
 _VARIANT_KEYS = _OPTIMIZE_CHECKS.keys() | _COVERAGE_CHECKS.keys() | {"scenario"}
-
-
-def _pipeline_entry(entry: dict, index: int) -> dict:
-    if not isinstance(entry, dict):
-        raise ValueError(f"pipeline configs[{index}] must be an object")
-    _check_keys(entry, _VARIANT_KEYS, f"pipeline configs[{index}]")
-    name = entry.get("name")
-    if not isinstance(name, str) or not name:
-        raise ValueError(f"pipeline configs[{index}] needs a nonempty 'name'")
-    safe = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
-    if not set(name) <= safe:
-        raise ValueError(f"pipeline config name {name!r} has unsafe characters")
-    if "budget" not in entry:
-        raise ValueError(f"pipeline config {name!r} needs a 'budget'")
-    _section(entry, "scenario", _SCENARIO_CHECKS, f"pipeline configs[{index}]")
-    return entry
+_SAFE_NAME = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
 
 
 def cmd_pipeline(args) -> int:
     started = time.perf_counter()
-    config = _load_config_file(args.config, _PIPELINE_KEYS)
-    if not isinstance(config.get("scene"), str):
-        raise ValueError("pipeline config requires a 'scene' path")
-    scene_file = Path(args.config).parent / config["scene"]
+    config = _load_config_file(args.config, _PIPELINE_KEYS, required=_PIPELINE_CHECKS.keys())
+    top = _settings(_PIPELINE_CHECKS, config)
+    scene_file = Path(args.config).parent / top["scene"]
     scene, digest = _checked_scene(scene_file)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = _workers(config, args)
 
-    entries = config.get("configs")
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("pipeline config requires a nonempty 'configs' list")
-    entries = [_pipeline_entry(e, i) for i, e in enumerate(entries)]
-    names = [e["name"] for e in entries]
-    if len(set(names)) != len(names):
-        raise ValueError("pipeline config names must be unique")
+    if not top["configs"]:
+        raise ValueError("configs: expected a nonempty list")
+    entries = [_config_keys(e, _VARIANT_KEYS, f"pipeline configs[{i}]", {"name", "budget"})
+               for i, e in enumerate(top["configs"])]
     settings = [_optimize_settings(e) for e in entries]
     coverages = [_settings(_COVERAGE_CHECKS, e) for e in entries]
+    names = [c["name"] for c in coverages]
+    for name in names:
+        if not set(name) <= _SAFE_NAME:
+            raise ValueError(f"pipeline config name {name!r} has unsafe characters")
+    if len(set(names)) != len(names):
+        raise ValueError("pipeline config names must be unique")
     vis_cfg = VisibilityConfig(**_settings(
         _VISIBILITY_CHECKS, _section(config, "visibility", _VISIBILITY_CHECKS, "pipeline")))
     scenario = _section(config, "scenario", _SCENARIO_CHECKS, "pipeline")
-    scenario_cfgs = [ScenarioConfig(**_settings(_SCENARIO_CHECKS,
-                                                {**scenario, **e.get("scenario", {})}))
-                     for e in entries]
+    scenario_cfgs = [
+        ScenarioConfig(**_settings(_SCENARIO_CHECKS, {**scenario, **_section(
+            e, "scenario", _SCENARIO_CHECKS, f"pipeline configs[{i}]")}))
+        for i, e in enumerate(entries)]
     fusion_cfg = FusionConfig(**_settings(
         _FUSION_CHECKS, _section(config, "fusion", _FUSION_CHECKS, "pipeline")))
     evaluation = _settings(

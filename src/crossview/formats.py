@@ -35,6 +35,7 @@ import numpy as np
 from .boxes import DetectionBox
 from .coverage import CoverageReport
 from .metrics import FramePair, pair_frames
+from .placement import BUDGET_MODES
 from .scene import (
     LIDAR,
     MAX_BEAMS,
@@ -91,9 +92,18 @@ def _write_artifact(path, magic: str, body: str) -> None:
     write_atomic(path, f"{magic} {FORMAT_VERSION} {_body_digest(data)}\n".encode() + data)
 
 
+def read_input(path) -> bytes:
+    """An input file's bytes; a path that names a directory, or lies below a
+    file, is a ParseError.  A missing file raises FileNotFoundError."""
+    try:
+        return Path(path).read_bytes()
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
+
+
 def _read_artifact(path, magic: str) -> tuple[str, str]:
     """The body of a ``magic`` file whose header and digest check out, and that digest."""
-    head, newline, body = Path(path).read_bytes().partition(b"\n")
+    head, newline, body = read_input(path).partition(b"\n")
     if not newline:
         raise ParseError(f"{path}: missing magic line")
     first = head.decode("utf-8", "replace")
@@ -127,6 +137,19 @@ def _json_body(payload: dict) -> str:
     it writes floats as ``float.__repr__`` does and tuples as lists."""
     return json.dumps({"payload": payload}, sort_keys=True, separators=(",", ":"),
                       allow_nan=False, default=_tolist) + "\n"
+
+
+def _string_keys(value, where: str) -> None:
+    """Refuse a non-string dict key anywhere in ``value``: ``_json_body`` sorts keys
+    before it turns them into strings, so they would not reload to the same bytes."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"{where}: key {key!r} is not a string")
+            _string_keys(child, f"{where}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for k, child in enumerate(value):
+            _string_keys(child, f"{where}[{k}]")
 
 
 def _reject_constant(name: str):
@@ -172,14 +195,15 @@ def _list_of(check, into=tuple):
     """A check for a list whose entries each pass ``check``, read into ``into``.
 
     Entries are checked under the list's location, and again under ``[k]``
-    locations only once one has failed, to name it.
+    locations only once one has failed (a ParseError, or the ValueError of a
+    range check), to name it.
     """
     def read(value, where: str):
         if not isinstance(value, list):
             raise ParseError(f"{where}: expected a list")
         try:
             return into([check(v, where) for v in value])
-        except ParseError:
+        except ValueError:
             for k, v in enumerate(value):
                 check(v, f"{where}[{k}]")
             raise
@@ -192,7 +216,7 @@ def _dict_of(check, key=lambda k, where: k):
         items = _mapping(value, where).items()
         try:
             return {key(k, where): check(v, where) for k, v in items}
-        except ParseError:
+        except ValueError:
             for k, v in items:
                 key(k, where)
                 check(v, f"{where}.{k}")
@@ -252,6 +276,15 @@ def _nonempty_string(value, where: str) -> str:
     if not _string(value, where):
         raise ParseError(f"{where}: expected a nonempty string")
     return value
+
+
+def _choice(options):
+    """A check for a string among ``options``."""
+    def read(value, where: str) -> str:
+        if not isinstance(value, str) or value not in options:
+            raise ParseError(f"{where}: expected one of {', '.join(options)}, got {value!r}")
+        return value
+    return read
 
 
 def _boolean(value, where: str) -> bool:
@@ -531,6 +564,7 @@ def load_frame_pairs(ground_truth_path, predictions_path) -> list[FramePair]:
 # -- reports, solutions, manifests -------------------------------------------
 
 def save_report(path, kind: str, record: dict, manifest: str | None = None) -> None:
+    _string_keys(record, "record")
     payload: dict = {"kind": kind, "record": record}
     if manifest is not None:
         payload["manifest"] = manifest
@@ -596,8 +630,9 @@ def save_solution(path, sol: SolutionFile) -> None:
 _SOLUTION = _build(SolutionFile, {
     "lidar_ids": _list_of(_integer), "radar_ids": _list_of(_integer),
     "lidar_candidate_ids": _list_of(_string), "radar_candidate_ids": _list_of(_string),
-    "objective": _number, "optimal": _boolean, "budget": _number, "budget_mode": _string,
-    "seen_threshold": _number, "scene_hash": _string, "manifest": _optional(_string),
+    "objective": _number, "optimal": _boolean, "budget": _number,
+    "budget_mode": _choice(BUDGET_MODES), "seen_threshold": _number, "scene_hash": _string,
+    "manifest": _optional(_string),
 }, {"manifest"})
 
 
@@ -613,6 +648,7 @@ def save_manifest(path, record: dict) -> None:
     missing = _MANIFEST.keys() - record.keys()
     if missing:
         raise ValueError(f"manifest record missing {sorted(missing)[0]!r}")
+    _string_keys(record, "manifest record")
     _write_artifact(path, MANIFEST_MAGIC, _json_body(record))
 
 

@@ -16,10 +16,13 @@ LIDAR = "lidar"
 RADAR = "radar"
 MODALITIES = (LIDAR, RADAR)
 
-# The largest grid side and lidar channel count a scene file may declare:
-# they size arrays, so a file past them is refused before any is allocated.
+# The largest counts a scene file (grid side, lidar channels) or a --config
+# (probe points per cell, frames) may declare: they size arrays or a loop, so
+# a value past them is refused before any work starts.
 MAX_GRID_SIDE = 100_000
 MAX_BEAMS = 4_096
+MAX_SAMPLES_PER_CELL = 10_000
+MAX_DURATION_FRAMES = 1_000_000
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,29 @@ def test_missing_input_exits_3(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["pipeline-scene-directory", "pipeline-scene-under-a-file",
+                                  "config-directory", "scene-directory"])
+def test_input_path_that_is_no_file_exits_3(tmp_path, capsys, case):
+    """An input path naming a directory, or a path below a file, is unreadable input."""
+    save_scene(tmp_path / "scene.scene", square_scene())
+    outputs = ["--out-lidar", str(tmp_path / "l.vismatrix"),
+               "--out-radar", str(tmp_path / "r.vismatrix")]
+    if case == "scene-directory":
+        argv = ["visibility", "--scene", str(tmp_path), *outputs]
+    elif case == "config-directory":
+        argv = ["visibility", "--scene", str(tmp_path / "scene.scene"),
+                "--config", str(tmp_path), *outputs]
+    else:
+        scene = "." if case == "pipeline-scene-directory" else "scene.scene/x"
+        cfg_path = tmp_path / "pipeline.json"
+        cfg_path.write_text(json.dumps({"scene": scene, "configs": [{"name": "a", "budget": 1}]}))
+        argv = ["pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("error: ") and "cannot read" in err and "Traceback" not in err, err
+
+
 def test_malformed_input_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.scene"
     bad.write_text("crossview.scene 1\n{not json")
@@ -556,13 +579,13 @@ def test_malformed_scene_payload_exits_3(tmp_path, capsys, where, value):
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"samples_per_cell": 1}, "unknown key 'samples_per_cell'"),
+    ({"samples_per_cell": 1}, "pipeline.json: unknown field 'samples_per_cell'"),
     ({"configs": [{"name": "lean", "budget": 150, "budget_mod": "cost"}]},
-     "unknown key 'budget_mod'"),
-    ({"fusion": 0.3}, "'fusion' must be an object"),
+     "configs[0]: unknown field 'budget_mod'"),
+    ({"fusion": 0.3}, "'fusion': expected an object"),
     ({"configs": [{"name": "lean", "budget": 2, "scenario": 5}]},
-     "configs[0] 'scenario' must be an object"),
-    ({"visibility": {"workers": 2}}, "unknown key 'workers'"),
+     "configs[0] 'scenario': expected an object"),
+    ({"visibility": {"workers": 2}}, "'visibility': unknown field 'workers'"),
 ], ids=["top-level", "configs-entry", "fusion-not-object", "entry-scenario-not-object",
         "section-key"])
 def test_pipeline_rejects_unknown_keys(tmp_path, capsys, change, message):
@@ -597,7 +620,7 @@ def test_subcommand_config_rejects_unknown_keys(workspace, tmp_path, capsys, com
     }[command]
     rc = main([command, *argv, "--config", str(cfg)])
     assert rc == 4
-    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert f"config.json: unknown field {key!r}" in capsys.readouterr().err
     assert not any(p.suffix != ".json" for p in tmp_path.iterdir())
 
 
@@ -667,6 +690,7 @@ BAD_SOLUTION_FIELDS = [
     ("optimal", 1),
     ("budget", None),
     ("budget_mode", 3),
+    ("budget_mode", "cot"),
     ("seen_threshold", True),
     ("scene_hash", 0),
     ("manifest", 7),
@@ -759,6 +783,25 @@ BAD_CONFIG_VALUES += [
     ({"configs": [{"name": "dense", "budget": 4, "theta": -1}]}, "theta must be nonnegative"),
     ({"evaluation": {"thresholds": {"car": -1}}}, "thresholds.car must be positive, got -1.0"),
     ({"evaluation": {"thresholds": {"car": 0}}}, "thresholds.car must be positive, got 0.0"),
+]
+
+
+# Config values are read by the file reader's checks, so they follow its
+# rules: an integer is a JSON integer, and a list entry is named by index.
+BAD_CONFIG_VALUES += [
+    ({"scenario": {"duration_frames": 2.0}}, "duration_frames: expected an integer, got 2.0"),
+    ({"scenario": {"speed_ranges": {"car": [5, "x"]}}}, "speed_ranges.car[1]"),
+]
+
+
+# Counts that size an array or a loop stop at a maximum, as a scene's grid
+# sides do: past it, samples_per_cell ran out of memory inside the ray cast
+# (exit 1) and duration_frames ran the simulation without end.
+BAD_CONFIG_VALUES += [
+    ({"visibility": {"samples_per_cell": 10 ** 12}},
+     "samples_per_cell: expected an integer of at most 10000"),
+    ({"scenario": {"duration_frames": 10 ** 12}},
+     "duration_frames: expected an integer of at most 1000000"),
 ]
 
 
@@ -955,7 +998,7 @@ def test_pipeline_scene_must_be_a_path(tmp_path, capsys):
     rc = main(["pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 4, err
-    assert "requires a 'scene' path" in err
+    assert err.startswith("error: scene: expected a string, got 5"), err
 
 
 @pytest.mark.parametrize("command, config, key", [
@@ -968,6 +1011,8 @@ def test_pipeline_scene_must_be_a_path(tmp_path, capsys):
     ("simulate", {"frame_dt_s": float("inf")}, "frame_dt_s"),
     ("coverage", {"name": 5}, "name"),
     ("coverage", {"name": ""}, "name"),
+    ("simulate", {"seed": 3.0}, "seed"),
+    ("visibility", {"workers": 2.0}, "workers"),
 ])
 def test_subcommand_config_checks_scalar_values(workspace, tmp_path, capsys, command, config,
                                                 key):
@@ -994,7 +1039,7 @@ def test_subcommand_config_checks_scalar_values(workspace, tmp_path, capsys, com
     rc = main([command, *argv, "--config", str(cfg)])
     err = capsys.readouterr().err
     assert rc == 4, err
-    assert err.startswith(f"error: {key} must be") and "Traceback" not in err, err
+    assert err.startswith(f"error: {key}: expected ") and "Traceback" not in err, err
 
 
 def test_infinite_budget_flag_exits_4(workspace, tmp_path, capsys):
@@ -1004,7 +1049,7 @@ def test_infinite_budget_flag_exits_4(workspace, tmp_path, capsys):
                "--solver", "exhaustive", "--out", str(tmp_path / "x.solution")])
     err = capsys.readouterr().err
     assert rc == 4, err
-    assert err.startswith("error: budget must be a finite number"), err
+    assert err.startswith("error: budget: expected a finite number, got inf"), err
 
 
 # The line that starts each field's numbers in a matrix file (data rows

@@ -427,6 +427,26 @@ _MANIFEST = {"command": "visibility", "tool_version": "0.1.0",
              "config": {"samples_per_cell": 9}, "wall_time_s": 0.25}
 
 
+@pytest.mark.parametrize("save, record, message", [
+    ("report", {"per_class": {10: 1, 9: 2}}, r"record\.per_class: key 10 is not a string"),
+    ("report", {"rows": [{"a": 1, 2: "b"}]}, r"record\.rows\[0\]: key 2 is not a string"),
+    ("manifest", {**_MANIFEST, "config": {"thresholds": {0.5: "car"}}},
+     r"manifest record\.config\.thresholds: key 0\.5 is not a string"),
+    ("manifest", {**_MANIFEST, "config": {"b": 1, 3: 2}},
+     r"manifest record\.config: key 3 is not a string"),
+], ids=["report-int-keys", "report-mixed-keys-in-list", "manifest-float-key",
+        "manifest-mixed-keys"])
+def test_non_string_record_key_is_refused_before_writing(tmp_path, save, record, message):
+    """A key ``_json_body`` would sort before turning it into a string is an error."""
+    path = tmp_path / f"out.{save}"
+    with pytest.raises(TypeError, match=message):
+        if save == "report":
+            save_report(path, "evaluation", record)
+        else:
+            save_manifest(path, record)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"command": 7}, r"\.command: expected a string, got 7"),
     ({"tool_version": None}, r"\.tool_version: expected a string, got None"),

@@ -1,15 +1,18 @@
-"""Property tests: config readers and file loaders are total.
+"""Property tests: config readers, file loaders and ``main`` are total.
 
 Every stage's config reader, fed arbitrary JSON values for its keys, returns
 settings or raises ValueError (exit 4 in the CLI), and every loader, fed a
 valid file with one node of its payload replaced and the header digest
 recomputed, returns or raises ParseError (exit 3).  Neither ever ends in a
-TypeError, AttributeError or OverflowError traceback.  The profile in
+TypeError, AttributeError or OverflowError traceback, and ``main``, run on a
+mutated valid --config, exits 0, 3 or 4, never 1.  The profile in
 ``conftest.py`` derandomizes Hypothesis, so every run tries the same inputs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from dataclasses import fields
 
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from crossview import (
     CLASSES,
     FusionConfig,
+    NoiseSpec,
     ScenarioConfig,
     SolutionFile,
     VisibilityConfig,
@@ -39,6 +43,7 @@ from crossview import cli
 from crossview.formats import ParseError, baseline_from_record, coverage_from_record
 
 from conftest import make_document, random_box, rehash, square_scene
+from test_cli import BAD_CONFIG_VALUES
 
 # Keys and words the readers look for, so generated objects reach past the
 # first type check.
@@ -79,15 +84,16 @@ def test_config_reader_returns_or_raises_value_error(stage, data):
     config = data.draw(st.fixed_dictionaries({}, optional=dict.fromkeys(keys, json_values)))
     try:
         read(config)
-    except ValueError:
-        pass
+    except ValueError as exc:  # a bad setting exits 4; a ParseError would exit 3
+        assert not isinstance(exc, ParseError), exc
 
 
 @pytest.mark.parametrize("table, config_class", [
     (cli._VISIBILITY_CHECKS, VisibilityConfig),
     (cli._SCENARIO_CHECKS, ScenarioConfig),
+    (cli._NOISE_CHECKS, NoiseSpec),
     (cli._FUSION_CHECKS, FusionConfig),
-], ids=["visibility", "scenario", "fusion"])
+], ids=["visibility", "scenario", "noise", "fusion"])
 def test_table_keys_are_the_config_fields(table, config_class):
     """A new config field cannot be left out of the command line."""
     assert list(table) == [f.name for f in fields(config_class)]
@@ -180,3 +186,131 @@ def test_loader_returns_or_raises_parse_error(valid_files, kind, data):
         load(path)
     except ParseError:
         pass
+
+
+# A valid --config for every command, on ``square_scene`` with one sample
+# per cell and two frames, so that a run takes milliseconds.
+VALID_CONFIGS = {
+    "visibility": {"samples_per_cell": 1, "object_height_m": 1.7, "sample_height_m": 0.8,
+                   "epsilon": 1e-6, "workers": 1},
+    "optimize": {"budget": 2, "budget_mode": "count", "seen_threshold": 1.0,
+                 "solver": "branch-bound"},
+    "export-milp": {"budget": 150.0, "budget_mode": "cost", "seen_threshold": 0.5},
+    "coverage": {"theta": 0.1, "name": "dense"},
+    "simulate": {"seed": 1, "duration_frames": 2, "frame_dt_s": 0.5,
+                 "class_mix": {"truck": 1.0, "car": 0.5}, "speed_ranges": {"car": [5.0, 10.0]},
+                 "lidar_noise": {"position_sigma": 0.1}, "radar_noise": {"velocity_sigma": 0.2},
+                 "dropout_rule": "visibility"},
+    "fuse": {"iou_threshold": 0.3},
+    "evaluate": {"matching_mode": "iou", "classes": ["truck", "car"],
+                 "thresholds": {"truck": 0.5}},
+}
+VALID_CONFIGS["pipeline"] = {
+    "scene": "scene.scene", "workers": 1,
+    "visibility": {k: v for k, v in VALID_CONFIGS["visibility"].items() if k != "workers"},
+    "configs": [{**VALID_CONFIGS["optimize"], **VALID_CONFIGS["coverage"],
+                 "scenario": {"dropout_rule": "none"}}],
+    "scenario": VALID_CONFIGS["simulate"], "fusion": VALID_CONFIGS["fuse"],
+    "evaluation": VALID_CONFIGS["evaluate"],
+}
+
+
+def _from_pipeline(command: str, change: dict) -> dict:
+    """The keys of a pipeline config ``change`` that ``command``'s --config takes."""
+    if command == "pipeline":
+        return change
+    entry = change.get("configs", [{}])[0]
+    return {
+        "visibility": {**change.get("visibility", {}),
+                       **{k: v for k, v in change.items() if k == "workers"}},
+        "optimize": {k: v for k, v in entry.items() if k in cli._OPTIMIZE_CHECKS},
+        "export-milp": {k: v for k, v in entry.items() if k in cli._OPTIMIZE_CHECKS},
+        "coverage": {k: v for k, v in entry.items() if k in cli._COVERAGE_CHECKS},
+        "simulate": {**change.get("scenario", {}), **entry.get("scenario", {})},
+        "fuse": change.get("fusion", {}),
+        "evaluate": change.get("evaluation", {}),
+    }[command]
+
+
+def _frames_outputs(directory) -> list[str]:
+    return [arg for side in ("truth", "lidar", "radar")
+            for arg in (f"--out-{side}", str(directory / f"{side}.frames"))]
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Every input file a command reads, and each command's argv bar --config."""
+    root = tmp_path_factory.mktemp("main")
+    out = root / "out"
+    out.mkdir()
+    save_scene(root / "scene.scene", square_scene())
+    scene = ["--scene", str(root / "scene.scene")]
+    matrices = ["--lidar", str(root / "lidar.vismatrix"), "--radar", str(root / "radar.vismatrix")]
+    solution = ["--solution", str(root / "plan.solution")]
+    argv = {
+        "visibility": [*scene, "--out-lidar", str(out / "l.vismatrix"),
+                       "--out-radar", str(out / "r.vismatrix")],
+        "optimize": [*matrices, "--out", str(out / "x.solution")],
+        "export-milp": [*matrices, "--out", str(out / "x.lp")],
+        "coverage": [*matrices, *solution, "--out", str(out / "x.coverage")],
+        "simulate": [*scene, *matrices, *solution, *_frames_outputs(out)],
+        "fuse": ["--lidar", str(root / "lidar.frames"), "--radar", str(root / "radar.frames"),
+                 "--out", str(out / "f.frames")],
+        "evaluate": ["--truth", str(root / "truth.frames"),
+                     "--predictions", str(root / "lidar.frames"), "--out", str(out / "e.report")],
+        "pipeline": ["--out-dir", str(out / "pipe")],
+    }
+    for command, args in [
+        ("visibility", [*scene, "--out-lidar", matrices[1], "--out-radar", matrices[3],
+                        "--samples-per-cell", "1"]),
+        ("optimize", [*matrices, "--budget", "2", "--out", solution[1]]),
+        ("simulate", [*scene, *matrices, *solution, "--frames", "2", "--seed", "1",
+                      *_frames_outputs(root)]),
+    ]:
+        assert cli.main([command, *args]) == 0
+    return root, argv
+
+
+# Integers are small or past every count's maximum, so no run sizes a large
+# array or loop.
+config_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers(min_value=10 ** 7)
+    | st.integers(max_value=-(10 ** 7)) | st.floats() | st.text(max_size=6)
+    | st.sampled_from(WORDS),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(WORDS) | st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=4,
+)
+
+
+def _run(root, argv, config) -> tuple[int, str]:
+    """``main`` on ``argv`` plus a --config file holding ``config``; its exit code and stderr."""
+    (root / "config.json").write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main([*argv, "--config", str(root / "config.json")])
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("command", VALID_CONFIGS)
+def test_valid_config_runs(cli_inputs, command):
+    """The property below starts from configs that run, evaluation included."""
+    root, argv = cli_inputs
+    assert _run(root, [command, *argv[command]], VALID_CONFIGS[command]) == (0, "")
+
+
+@pytest.mark.parametrize("command", VALID_CONFIGS)
+@given(data=st.data())
+def test_main_never_exits_1_on_a_bad_config(cli_inputs, command, data):
+    """A valid config, seeded with a known bad value or not, with one node replaced or not."""
+    root, argv = cli_inputs
+    change = data.draw(st.just({}) | st.sampled_from([c for c, _ in BAD_CONFIG_VALUES]))
+    config = json.loads(json.dumps({**VALID_CONFIGS[command], **_from_pipeline(command, change)}))
+    where = data.draw(st.none() | st.sampled_from([(), *_nodes(config)]))
+    if where == ():
+        config = data.draw(config_values)
+    elif where is not None:
+        _set(config, where, data.draw(config_values))
+    rc, err = _run(root, [command, *argv[command]], config)
+    assert rc in (0, 3, 4), err

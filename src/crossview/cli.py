@@ -17,8 +17,8 @@ A command that writes files also writes a ``<first-output>.manifest``
 sidecar recording the command, input digests, effective config and wall
 time (``compare`` and ``evaluate`` write files only with --out); data files
 reference the manifest by name.  Exit codes: 0 success, 2 usage, 3
-unreadable or malformed input file, 4 invalid values or scene, 5 instance
-too large for the requested solver, 1 unexpected failure.
+unreadable or malformed input file or unwritable output path, 4 invalid
+values or scene, 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 import time
 import traceback
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +38,11 @@ from . import __version__
 from .boxes import CLASSES
 from .coverage import check_theta, compare_configs, coverage_report
 from .formats import (
+    NOT_A_FILE_PATH,
     MatrixFile,
     ParseError,
     SolutionFile,
+    WriteError,
     _build,
     _choice,
     _dict_of,
@@ -74,23 +76,17 @@ from .lp_export import export_milp
 from .metrics import MATCHING_MODES, check_threshold, evaluate_map, pair_frames
 from .placement import (
     BUDGET_MODES,
-    InstanceTooLargeError,
     PlacementProblem,
     Selection,
     check_budget,
     solve_branch_bound,
-    solve_exhaustive,
     solve_greedy,
 )
 from .scenario import DROPOUT_RULES, NoiseSpec, ScenarioConfig, generate_scenario
 from .scene import LIDAR, MAX_DURATION_FRAMES, MAX_SAMPLES_PER_CELL, RADAR, validate_scene
 from .visibility import VisibilityConfig, build_visibility
 
-SOLVERS = {
-    "branch-bound": solve_branch_bound,
-    "exhaustive": solve_exhaustive,
-    "greedy": solve_greedy,
-}
+SOLVERS = {"branch-bound": solve_branch_bound, "greedy": solve_greedy}
 
 
 def _fail(message: str) -> None:
@@ -167,6 +163,12 @@ def _class_key(key, where: str) -> str:
     return _class(key, f"{where} key")
 
 
+def _sidecar(out) -> tuple[str, str]:
+    """The manifest path beside the output ``out``, and the name its data files record."""
+    path = f"{out}.manifest"
+    return path, Path(path).name
+
+
 def _save_manifest(path, command: str, inputs, outputs, config: dict, started: float) -> None:
     save_manifest(path, {
         "command": command,
@@ -229,8 +231,8 @@ def cmd_visibility(args) -> int:
     workers = _workers(config, args)
     scene, digest = _checked_scene(args.scene)
     outputs = [args.out_lidar, args.out_radar]
-    manifest_path = f"{args.out_lidar}.manifest"
-    files = _visibility_stage(scene, digest, vis_cfg, workers, outputs, Path(manifest_path).name)
+    manifest_path, manifest = _sidecar(args.out_lidar)
+    files = _visibility_stage(scene, digest, vis_cfg, workers, outputs, manifest)
     _save_manifest(manifest_path, "visibility", [args.scene], outputs,
                    {**asdict(vis_cfg), "workers": workers}, started)
     for path, mf in zip(outputs, files):
@@ -309,8 +311,8 @@ def cmd_optimize(args) -> int:
     config = _load_config_file(args.config, _OPTIMIZE_CHECKS)
     settings = _optimize_settings(config, args)
     lf, rf = _load_matrix_pair(args.lidar, args.radar)
-    manifest_path = f"{args.out}.manifest"
-    _, solution, sol_file = _optimize_stage(lf, rf, settings, args.out, Path(manifest_path).name)
+    manifest_path, manifest = _sidecar(args.out)
+    _, solution, sol_file = _optimize_stage(lf, rf, settings, args.out, manifest)
     _save_manifest(manifest_path, "optimize", [args.lidar, args.radar], [args.out],
                    settings, started)
     lidar_names = ", ".join(sol_file.lidar_candidate_ids) or "-"
@@ -330,7 +332,7 @@ def cmd_export_milp(args) -> int:
     text = export_milp(_problem_from_files(lf, rf, settings))
     write_atomic(args.out, text.encode("utf-8"))
     effective = {k: settings[k] for k in ("budget", "budget_mode", "seen_threshold")}
-    _save_manifest(f"{args.out}.manifest", "export-milp", [args.lidar, args.radar],
+    _save_manifest(_sidecar(args.out)[0], "export-milp", [args.lidar, args.radar],
                    [args.out], effective, started)
     print(f"wrote {args.out} ({len(text.splitlines())} lines)")
     return 0
@@ -339,20 +341,32 @@ def cmd_export_milp(args) -> int:
 _COVERAGE_CHECKS = {"theta": _ranged(check_theta), "name": _nonempty_string}
 
 
+def _load_selection(path, lf: MatrixFile):
+    """A solution file and its selection, warning if it names another scene than ``lf``."""
+    sol = load_solution(path)
+    if sol.scene_hash != lf.scene_hash:
+        _warn("solution scene hash differs from the matrices")
+    return sol, Selection.of(sol.lidar_ids, sol.radar_ids)
+
+
+def _coverage_stage(problem: PlacementProblem, selection: Selection, name: str, settings: dict,
+                    path, manifest: str):
+    """Score ``selection``'s coverage and save its coverage report."""
+    report = coverage_report(problem, selection, config_name=name, **settings)
+    save_report(path, "coverage", report.to_record(), manifest)
+    return report
+
+
 def cmd_coverage(args) -> int:
     started = time.perf_counter()
     config = _load_config_file(args.config, _COVERAGE_CHECKS)
     settings = _settings(_COVERAGE_CHECKS, config, args)
     name = settings.pop("name", Path(args.solution).stem)
     lf, rf = _load_matrix_pair(args.lidar, args.radar)
-    sol = load_solution(args.solution)
-    if sol.scene_hash != lf.scene_hash:
-        _warn("solution scene hash differs from the matrices")
-    selection = Selection.of(sol.lidar_ids, sol.radar_ids)
+    sol, selection = _load_selection(args.solution, lf)
     problem = _problem_from_files(lf, rf, asdict(sol))
-    report = coverage_report(problem, selection, config_name=name, **settings)
-    manifest_path = f"{args.out}.manifest"
-    save_report(args.out, "coverage", report.to_record(), Path(manifest_path).name)
+    manifest_path, manifest = _sidecar(args.out)
+    report = _coverage_stage(problem, selection, name, settings, args.out, manifest)
     _save_manifest(manifest_path, "coverage", [args.lidar, args.radar, args.solution],
                    [args.out], {"theta": report.theta, "name": name}, started)
     print(
@@ -375,9 +389,8 @@ def cmd_compare(args) -> int:
     comparison = compare_configs(reports)
     print(comparison.to_text(), end="")
     if args.out:
-        manifest_path = f"{args.out}.manifest"
-        save_report(args.out, "coverage_comparison", comparison.to_record(),
-                    Path(manifest_path).name)
+        manifest_path, manifest = _sidecar(args.out)
+        save_report(args.out, "coverage_comparison", comparison.to_record(), manifest)
         _save_manifest(manifest_path, "compare", list(args.reports), [args.out], {}, started)
         print(f"wrote {args.out}")
     return 0
@@ -415,14 +428,10 @@ def cmd_simulate(args) -> int:
     lf, rf = _load_matrix_pair(args.lidar, args.radar)
     if lf.scene_hash != digest:
         _warn("matrices were not built from this scene file")
-    sol = load_solution(args.solution)
-    if sol.scene_hash != lf.scene_hash:
-        _warn("solution scene hash differs from the matrices")
-    selection = Selection.of(sol.lidar_ids, sol.radar_ids)
+    _, selection = _load_selection(args.solution, lf)
     outputs = [args.out_truth, args.out_lidar, args.out_radar]
-    manifest_path = f"{args.out_truth}.manifest"
-    result = _simulate_stage(scene, lf, rf, selection, scenario_cfg, outputs,
-                             Path(manifest_path).name)
+    manifest_path, manifest = _sidecar(args.out_truth)
+    result = _simulate_stage(scene, lf, rf, selection, scenario_cfg, outputs, manifest)
     _save_manifest(manifest_path, "simulate", [args.scene, args.lidar, args.radar, args.solution],
                    outputs, asdict(scenario_cfg), started)
     n_truth = sum(len(b) for b in result.ground_truth.values())
@@ -438,12 +447,12 @@ def cmd_simulate(args) -> int:
 _FUSION_CHECKS = {"iou_threshold": _number}
 
 
-def _fuse_frames(lidar: dict, radar: dict, fusion_cfg: FusionConfig) -> dict:
-    """Late-fuse every frame id present in either stream."""
-    return {
-        fid: fuse_late(lidar.get(fid, []), radar.get(fid, []), fusion_cfg)
-        for fid in sorted(set(lidar) | set(radar))
-    }
+def _fuse_stage(lidar: dict, radar: dict, fusion_cfg: FusionConfig, path, manifest: str) -> dict:
+    """Late-fuse every frame id present in either stream; save the fused frames."""
+    fused = {fid: fuse_late(lidar.get(fid, []), radar.get(fid, []), fusion_cfg)
+             for fid in sorted(set(lidar) | set(radar))}
+    save_frames(path, fused, manifest)
+    return fused
 
 
 def cmd_fuse(args) -> int:
@@ -452,9 +461,8 @@ def cmd_fuse(args) -> int:
     fusion_cfg = FusionConfig(**_settings(_FUSION_CHECKS, config, args))
     lidar = load_frames(args.lidar)
     radar = load_frames(args.radar)
-    fused = _fuse_frames(lidar, radar, fusion_cfg)
-    manifest_path = f"{args.out}.manifest"
-    save_frames(args.out, fused, Path(manifest_path).name)
+    manifest_path, manifest = _sidecar(args.out)
+    fused = _fuse_stage(lidar, radar, fusion_cfg, args.out, manifest)
     _save_manifest(manifest_path, "fuse", [args.lidar, args.radar], [args.out],
                    asdict(fusion_cfg), started)
     n_in = sum(len(b) for b in lidar.values()) + sum(len(b) for b in radar.values())
@@ -482,22 +490,27 @@ _EVALUATION_CHECKS = {
 }
 
 
-def _evaluate_stage(pairs, settings: dict):
-    """mAP over the evaluated classes plus its evaluation report record."""
+def _evaluate_stage(pairs, settings: dict, baseline, path, manifest):
+    """mAP over the evaluated classes, and its evaluation report record, saved
+    to ``path`` if that is set.  ``baseline`` (a report's name, mAP and
+    per-class APs), if set, adds the deltas against that report."""
     result = evaluate_map(pairs, **settings)
-    record = {
-        "matching_mode": result.matching_mode,
-        "mean_ap": result.mean_ap,
-        "per_class": {
-            label: {
-                "ap": r.ap,
-                "threshold": r.threshold,
-                "num_gt": r.num_gt,
-                "num_predictions": r.num_predictions,
-            }
-            for label, r in result.per_class.items()
-        },
-    }
+    record = {"matching_mode": result.matching_mode, "mean_ap": result.mean_ap, "per_class": {
+        label: {"ap": r.ap, "threshold": r.threshold, "num_gt": r.num_gt,
+                "num_predictions": r.num_predictions}
+        for label, r in result.per_class.items()}}
+    if baseline is not None:
+        name, base_map, base_aps = baseline
+        record["baseline"] = {
+            "report": name,
+            "mean_ap": base_map,
+            "mean_ap_delta": result.mean_ap - base_map,
+            "per_class_delta": {label: r.ap - base_aps[label]
+                                for label, r in result.per_class.items()
+                                if r.ap is not None and base_aps.get(label) is not None},
+        }
+    if path:
+        save_report(path, "evaluation", record, manifest)
     return result, record
 
 
@@ -513,47 +526,37 @@ def cmd_evaluate(args) -> int:
     settings = _settings(_EVALUATION_CHECKS, config, args)
     if args.threshold is not None:
         settings["thresholds"] = dict.fromkeys(CLASSES, check_threshold(args.threshold))
+    baseline = None
     if args.baseline:
         # Checked before the evaluation, so a bad baseline prints nothing.
         kind, base = load_report(args.baseline)
         if kind != "evaluation":
             raise ValueError(f"{args.baseline} is a {kind!r} report, expected evaluation")
-        base_map, base_aps = baseline_from_record(base, f"{args.baseline} record")
+        baseline = (Path(args.baseline).name,
+                    *baseline_from_record(base, f"{args.baseline} record"))
     pairs = load_frame_pairs(args.truth, args.predictions)
-    result, record = _evaluate_stage(pairs, settings)
+    manifest_path, manifest = _sidecar(args.out) if args.out else (None, None)
+    result, record = _evaluate_stage(pairs, settings, baseline, args.out, manifest)
 
     print(f"{'class':<12} {'AP':>9} {'gt':>6} {'preds':>6}")
     for label, r in result.per_class.items():
         print(f"{label:<12} {_ap_text(r.ap):>9} {r.num_gt:>6} {r.num_predictions:>6}")
     print(f"mAP {result.mean_ap:.3f} ({result.matching_mode})")
 
-    if args.baseline:
+    if baseline is not None:
+        name, base_map, base_aps = baseline
         print()
-        print(f"delta vs {Path(args.baseline).name}:")
-        deltas = {}
-        for label, r in result.per_class.items():
-            base_ap = base_aps.get(label)
-            ap = r.ap
-            if base_ap is None or ap is None:
-                continue
-            delta = ap - base_ap
-            deltas[label] = delta
-            print(f"{label:<12} {base_ap:.3f} -> {ap:.3f}  ({delta * 100.0:+.1f}%)")
-        map_delta = result.mean_ap - base_map
+        print(f"delta vs {name}:")
+        for label, delta in record["baseline"]["per_class_delta"].items():
+            print(f"{label:<12} {base_aps[label]:.3f} -> {result.per_class[label].ap:.3f}"
+                  f"  ({delta * 100.0:+.1f}%)")
+        map_delta = record["baseline"]["mean_ap_delta"]
         print(f"{'mAP':<12} {base_map:.3f} -> {result.mean_ap:.3f}"
               f"  ({map_delta * 100.0:+.1f}%)")
-        record["baseline"] = {
-            "report": Path(args.baseline).name,
-            "mean_ap": base_map,
-            "mean_ap_delta": map_delta,
-            "per_class_delta": deltas,
-        }
     if args.out:
-        manifest_path = f"{args.out}.manifest"
         inputs = [args.truth, args.predictions]
         if args.baseline:
             inputs.append(args.baseline)
-        save_report(args.out, "evaluation", record, Path(manifest_path).name)
         _save_manifest(manifest_path, "evaluate", inputs, [args.out], _evaluation_used(result),
                        started)
         print(f"wrote {args.out}")
@@ -577,7 +580,10 @@ def cmd_pipeline(args) -> int:
     scene_file = Path(args.config).parent / top["scene"]
     scene, digest = _checked_scene(scene_file)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except NOT_A_FILE_PATH as exc:
+        raise WriteError(out_dir, exc) from exc
     workers = _workers(config, args)
 
     if not top["configs"]:
@@ -619,36 +625,23 @@ def cmd_pipeline(args) -> int:
         sol_path, cov_path, *frames_paths, fused_path, eval_path = paths
 
         problem, solution, _ = _optimize_stage(lf, rf, optimize, sol_path, manifest)
-        report = coverage_report(problem, solution.selection, config_name=name, **coverage)
+        report = _coverage_stage(problem, solution.selection, name, coverage, cov_path, manifest)
         coverage_reports.append(report)
-        save_report(cov_path, "coverage", report.to_record(), manifest)
         result = _simulate_stage(scene, lf, rf, solution.selection, scenario_cfg,
                                  frames_paths, manifest)
-        fused = _fuse_frames(result.lidar, result.radar, fusion_cfg)
-        save_frames(fused_path, fused, manifest)
-        eval_result, eval_record = _evaluate_stage(
-            pair_frames(result.ground_truth, fused), evaluation)
-        save_report(eval_path, "evaluation", eval_record, manifest)
+        fused = _fuse_stage(result.lidar, result.radar, fusion_cfg, fused_path, manifest)
+        eval_result, _ = _evaluate_stage(pair_frames(result.ground_truth, fused), evaluation,
+                                         None, eval_path, manifest)
         outputs += paths
         used.append({"name": name, **optimize, "theta": report.theta,
                      "scenario": asdict(scenario_cfg)})
 
-        summary_rows.append(
-            {
-                "name": name,
-                "objective": solution.objective,
-                "optimal": solution.optimal,
-                "central_coverage": report.central_coverage,
-                "total_cost": report.total_cost,
-                "sensor_count": report.sensor_count,
-                "mean_ap": eval_result.mean_ap,
-            }
-        )
-        print(
-            f"{name}: objective {solution.objective:.9g},"
-            f" coverage {report.central_coverage:.1%},"
-            f" mAP {eval_result.mean_ap:.3f}"
-        )
+        summary_rows.append({
+            "name": name, "objective": solution.objective, "optimal": solution.optimal,
+            "central_coverage": report.central_coverage, "total_cost": report.total_cost,
+            "sensor_count": report.sensor_count, "mean_ap": eval_result.mean_ap})
+        print(f"{name}: objective {solution.objective:.9g},"
+              f" coverage {report.central_coverage:.1%}, mAP {eval_result.mean_ap:.3f}")
 
     summary: dict = {"configs": summary_rows}
     if len(coverage_reports) >= 2:
@@ -766,23 +759,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # one per process: main may run many times in one
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, WriteError) as exc:
         _fail(str(exc))
         return 3
     except FileNotFoundError as exc:
         _fail(f"cannot read {exc.filename}")
         return 3
-    except InstanceTooLargeError as exc:
-        _fail(str(exc))
-        return 5
     except (ValueError, IndexError, KeyError) as exc:
         _fail(str(exc))
         return 4

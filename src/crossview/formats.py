@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -63,6 +64,18 @@ class ParseError(ValueError):
     """A file failed validation against its declared format."""
 
 
+class WriteError(Exception):
+    """An output path that cannot hold a file (``NOT_A_FILE_PATH``); a full disk, say, is
+    a failed write instead, and keeps its own OSError."""
+
+    def __init__(self, path, exc: OSError):
+        super().__init__(f"cannot write {path}: {exc.strerror}")
+
+
+# A missing folder, a folder in the file's place, a file in a folder's place.
+NOT_A_FILE_PATH = (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
+
+
 def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -74,15 +87,19 @@ def _body_digest(body: bytes) -> str:
 def write_atomic(path, data: bytes) -> None:
     """Write ``data`` to a temp file beside ``path``, then rename it over ``path``.
 
-    The target is replaced whole or not at all.
+    The target is replaced whole or not at all, and no temp file is left
+    behind.  A path that cannot hold a file raises WriteError.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):  # the temp file, or its folder, may not exist
+            tmp.unlink()
+        if isinstance(exc, NOT_A_FILE_PATH):
+            raise WriteError(path, exc) from exc
         raise
 
 

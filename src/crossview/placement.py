@@ -260,36 +260,22 @@ def solve_greedy(problem: PlacementProblem) -> PlacementSolution:
     current = Selection.of()
     value = evaluate_selection(problem, current).objective
     while True:
+        free_l = [i for i in range(problem.n_lidar) if i not in current.lidar_ids]
+        free_r = [i for i in range(problem.n_radar) if i not in current.radar_ids]
+        singles = [((i,), ()) for i in free_l] + [((), (i,)) for i in free_r]
+        pairs = (((li,), (ri,)) for li in free_l for ri in free_r)
         best_gain = 0.0
         best_next: Selection | None = None
-        for modality, count in ((LIDAR, problem.n_lidar), (RADAR, problem.n_radar)):
-            for i in range(count):
-                if modality == LIDAR:
-                    if i in current.lidar_ids:
-                        continue
-                    trial = Selection(current.lidar_ids | {i}, current.radar_ids)
-                else:
-                    if i in current.radar_ids:
-                        continue
-                    trial = Selection(current.lidar_ids, current.radar_ids | {i})
+        for additions in (singles, pairs):  # pairs only when no single mount gains
+            for add_l, add_r in additions:
+                trial = Selection(current.lidar_ids.union(add_l), current.radar_ids.union(add_r))
                 if not _within_budget(problem, trial):
                     continue
                 gain = evaluate_selection(problem, trial).objective - value
                 if gain > best_gain:
                     best_gain, best_next = gain, trial
-        if best_next is None:
-            for li in range(problem.n_lidar):
-                if li in current.lidar_ids:
-                    continue
-                for ri in range(problem.n_radar):
-                    if ri in current.radar_ids:
-                        continue
-                    trial = Selection(current.lidar_ids | {li}, current.radar_ids | {ri})
-                    if not _within_budget(problem, trial):
-                        continue
-                    gain = evaluate_selection(problem, trial).objective - value
-                    if gain > best_gain:
-                        best_gain, best_next = gain, trial
+            if best_next is not None:
+                break
         if best_next is None:
             break
         current = best_next

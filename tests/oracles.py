@@ -253,6 +253,58 @@ def coverage_objective_reference(
     return total
 
 
+def greedy_reference(problem):
+    """The greedy solver as it was written before its trial loops were merged.
+
+    A frozen copy, kept so the one-loop ``solve_greedy`` can be held to the
+    same trials in the same order: it scores selections with the library's
+    ``evaluate_selection``, so only the search is independent.
+    """
+    from crossview.placement import SEEN_TOL, Selection, evaluate_selection
+
+    def within_budget(selection):
+        return problem.selection_cost(selection) <= problem.budget + SEEN_TOL
+
+    current = Selection.of()
+    value = evaluate_selection(problem, current).objective
+    while True:
+        best_gain = 0.0
+        best_next = None
+        for modality, count in (("lidar", problem.n_lidar), ("radar", problem.n_radar)):
+            for i in range(count):
+                if modality == "lidar":
+                    if i in current.lidar_ids:
+                        continue
+                    trial = Selection(current.lidar_ids | {i}, current.radar_ids)
+                else:
+                    if i in current.radar_ids:
+                        continue
+                    trial = Selection(current.lidar_ids, current.radar_ids | {i})
+                if not within_budget(trial):
+                    continue
+                gain = evaluate_selection(problem, trial).objective - value
+                if gain > best_gain:
+                    best_gain, best_next = gain, trial
+        if best_next is None:
+            for li in range(problem.n_lidar):
+                if li in current.lidar_ids:
+                    continue
+                for ri in range(problem.n_radar):
+                    if ri in current.radar_ids:
+                        continue
+                    trial = Selection(current.lidar_ids | {li}, current.radar_ids | {ri})
+                    if not within_budget(trial):
+                        continue
+                    gain = evaluate_selection(problem, trial).objective - value
+                    if gain > best_gain:
+                        best_gain, best_next = gain, trial
+        if best_next is None:
+            break
+        current = best_next
+        value += best_gain
+    return evaluate_selection(problem, current)
+
+
 def detection_probability_reference(values, ids, j: int) -> float:
     """Noisy-OR at cell j: one minus the product of the rows' misses."""
     miss = 1.0

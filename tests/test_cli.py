@@ -17,18 +17,15 @@ from crossview import (
     CLASSES,
     DEFAULT_IOU_THRESHOLDS,
     FusionConfig,
-    MatrixFile,
     ScenarioConfig,
     Scene,
     VisibilityConfig,
-    VisibilityMatrix,
     file_sha256,
     load_manifest,
     load_matrix,
     load_report,
     load_scene,
     load_solution,
-    save_matrix,
     save_frames,
     save_report,
     save_scene,
@@ -145,32 +142,61 @@ def test_missing_budget_exits_4(workspace, tmp_path, capsys):
     assert "budget is required" in capsys.readouterr().err
 
 
-def test_oversized_exhaustive_exits_5(tmp_path, capsys):
-    rng = np.random.default_rng(0)
+@pytest.mark.parametrize("where", ["flag", "config", "pipeline"])
+def test_exhaustive_is_no_solver_choice(workspace, tmp_path, capsys, where):
+    """Enumeration is the tests' reference for branch-and-bound, not a CLI solver."""
+    argv = ["optimize", "--lidar", str(workspace / "lidar.vismatrix"),
+            "--radar", str(workspace / "radar.vismatrix"), "--budget", "2",
+            "--out", str(tmp_path / "x.solution")]
+    cfg = tmp_path / "cfg.json"
+    if where == "flag":
+        argv += ["--solver", "exhaustive"]
+    elif where == "config":
+        cfg.write_text(json.dumps({"solver": "exhaustive"}))
+        argv += ["--config", str(cfg)]
+    else:
+        save_scene(tmp_path / "scene.scene", square_scene())
+        cfg.write_text(json.dumps({"scene": "scene.scene", "configs": [
+            {"name": "a", "budget": 2, "solver": "exhaustive"}]}))
+        argv = ["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == (2 if where == "flag" else 4), err
+    assert "exhaustive" in err and "Traceback" not in err, err
+    if where != "flag":
+        assert err.startswith("error: solver: "), err
+    assert not (tmp_path / "x.solution").exists()
 
-    def write(modality, rows, path):
-        mf = MatrixFile(
-            matrix=VisibilityMatrix(modality, rng.uniform(0.0, 0.9, (rows, 5))),
-            scene_hash="0" * 64,
-            cells=tuple(range(5)),
-            weights=np.ones(5),
-            costs=np.ones(rows),
-            ids=tuple(f"{modality[0].upper()}{i}" for i in range(rows)),
-        )
-        save_matrix(path, mf)
 
-    write("lidar", 12, tmp_path / "l.vismatrix")
-    write("radar", 12, tmp_path / "r.vismatrix")
-    rc = main([
-        "optimize",
-        "--lidar", str(tmp_path / "l.vismatrix"),
-        "--radar", str(tmp_path / "r.vismatrix"),
-        "--budget", "3",
-        "--solver", "exhaustive",
-        "--out", str(tmp_path / "x.solution"),
-    ])
-    assert rc == 5
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("case", ["out-directory", "out-under-a-file", "out-in-a-missing-folder",
+                                  "pipeline-out-dir-is-a-file"])
+def test_output_path_that_cannot_hold_a_file_exits_3(workspace, tmp_path, capsys, case):
+    """An output path that cannot be written as a file is a file error, like a bad input path."""
+    (tmp_path / "a-file").write_text("")
+    (tmp_path / "a-folder").mkdir()
+    target, reason = {
+        "out-directory": (tmp_path / "a-folder", "Is a directory"),
+        "out-under-a-file": (tmp_path / "a-file" / "x.solution", "Not a directory"),
+        "out-in-a-missing-folder": (tmp_path / "missing" / "m.lp", "No such file or directory"),
+        "pipeline-out-dir-is-a-file": (tmp_path / "a-file", "File exists"),
+    }[case]
+    matrices = ["--lidar", str(workspace / "lidar.vismatrix"),
+                "--radar", str(workspace / "radar.vismatrix"), "--budget", "2"]
+    if case == "pipeline-out-dir-is-a-file":
+        save_scene(tmp_path / "scene.scene", square_scene())
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps({"scene": "scene.scene",
+                                   "configs": [{"name": "a", "budget": 2}]}))
+        argv = ["pipeline", "--config", str(cfg), "--out-dir", str(target)]
+    elif case == "out-in-a-missing-folder":
+        argv = ["export-milp", *matrices, "--out", str(target)]
+    else:
+        argv = ["optimize", *matrices, "--out", str(target)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err == f"error: cannot write {target}: {reason}\n", err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_full_chain(workspace, capsys):
@@ -1046,7 +1072,7 @@ def test_infinite_budget_flag_exits_4(workspace, tmp_path, capsys):
     # It used to reach int(inf) in the exhaustive solver: a traceback, exit 1.
     rc = main(["optimize", "--lidar", str(workspace / "lidar.vismatrix"),
                "--radar", str(workspace / "radar.vismatrix"), "--budget", "inf",
-               "--solver", "exhaustive", "--out", str(tmp_path / "x.solution")])
+               "--out", str(tmp_path / "x.solution")])
     err = capsys.readouterr().err
     assert rc == 4, err
     assert err.startswith("error: budget: expected a finite number, got inf"), err

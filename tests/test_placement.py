@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crossview import placement
 from crossview import (
     InstanceTooLargeError,
     PlacementProblem,
@@ -22,7 +23,7 @@ from crossview import (
 )
 
 from conftest import random_problem
-from oracles import coverage_objective_reference
+from oracles import coverage_objective_reference, greedy_reference
 
 
 def make_problem(lidar, radar, weights=None, budget=2, threshold=1.0,
@@ -307,6 +308,30 @@ def test_greedy_never_beats_optimal_and_respects_budget():
         assert greedy.objective <= best.objective + 1e-12
         assert greedy.selection.size <= problem.budget
         assert not greedy.optimal
+
+
+@pytest.mark.parametrize("mode", ["count", "cost"])
+def test_greedy_matches_the_two_loop_reference(mode, monkeypatch):
+    # Singles then pairs through one trial loop: the same picks, objectives
+    # and sequence of scored selections as the reference's two loops.
+    calls = []
+
+    def counted(problem, selection):
+        calls.append(selection)
+        return evaluate_selection(problem, selection)
+
+    monkeypatch.setattr(placement, "evaluate_selection", counted)
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        problem = random_problem(rng, budget_mode=mode)
+        greedy = solve_greedy(problem)
+        greedy_trials = calls[:]
+        calls.clear()
+        reference = greedy_reference(problem)
+        assert greedy.selection == reference.selection
+        assert greedy.objective == reference.objective
+        assert greedy_trials == calls
+        calls.clear()
 
 
 def test_greedy_finds_obvious_optimum():

@@ -7,11 +7,14 @@ the library defaults; a --config key the command does not read is an error.
 Each stage has one table of settings, {config key: check}, read by one loop
 (``_settings``), and one stage function: a subcommand passes them its
 --config dict and flags (each flag's dest is its config key), and
-``pipeline`` passes the matching section of its own config, so both paths
-write the same data files.  The checks are the file reader's (``formats``),
-with its rules and wording: an integer is a JSON integer, a number is finite,
-and an error names the key path, as in ``budget: expected a finite number,
-got inf``; but a bad config value or key exits 4, a malformed file 3.
+``pipeline`` passes the matching section of its own config.  Every stage
+after visibility takes its inputs as paths and reads them through the
+loaders, so ``pipeline``, which passes the paths its earlier stages wrote,
+writes the same data as the subcommand chain.  The checks are the file
+reader's (``formats``), with its rules and wording: an integer is a JSON
+integer, a number is finite, and an error names the key path, as in
+``budget: expected a finite number, got inf``; but a bad config value or
+key exits 4, a malformed file 3.
 
 A command that writes files also writes a ``<first-output>.manifest``
 sidecar recording the command, input digests, effective config and wall
@@ -38,7 +41,7 @@ from . import __version__
 from .boxes import CLASSES
 from .coverage import check_theta, compare_configs, coverage_report
 from .formats import (
-    NOT_A_FILE_PATH,
+    CANNOT_WRITE,
     MatrixFile,
     ParseError,
     SolutionFile,
@@ -73,7 +76,7 @@ from .formats import (
 )
 from .fusion import FusionConfig, fuse_late
 from .lp_export import export_milp
-from .metrics import MATCHING_MODES, check_threshold, evaluate_map, pair_frames
+from .metrics import MATCHING_MODES, check_threshold, evaluate_map
 from .placement import (
     BUDGET_MODES,
     PlacementProblem,
@@ -284,10 +287,10 @@ def _optimize_settings(config: dict, args=None) -> dict:
     return settings
 
 
-def _optimize_stage(lf: MatrixFile, rf: MatrixFile, settings: dict, path, manifest: str):
-    """Solve the placement problem and save its solution file."""
-    problem = _problem_from_files(lf, rf, settings)
-    solution = SOLVERS[settings["solver"]](problem)
+def _optimize_stage(lidar_path, radar_path, settings: dict, path, manifest: str) -> SolutionFile:
+    """Solve the placement problem over the two matrix files and save its solution file."""
+    lf, rf = _load_matrix_pair(lidar_path, radar_path)
+    solution = SOLVERS[settings["solver"]](_problem_from_files(lf, rf, settings))
     lidar_ids, radar_ids = solution.selection.canonical_key()
     sol_file = SolutionFile(
         lidar_ids=lidar_ids,
@@ -303,21 +306,20 @@ def _optimize_stage(lf: MatrixFile, rf: MatrixFile, settings: dict, path, manife
         manifest=manifest,
     )
     save_solution(path, sol_file)
-    return problem, solution, sol_file
+    return sol_file
 
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
     config = _load_config_file(args.config, _OPTIMIZE_CHECKS)
     settings = _optimize_settings(config, args)
-    lf, rf = _load_matrix_pair(args.lidar, args.radar)
     manifest_path, manifest = _sidecar(args.out)
-    _, solution, sol_file = _optimize_stage(lf, rf, settings, args.out, manifest)
+    sol_file = _optimize_stage(args.lidar, args.radar, settings, args.out, manifest)
     _save_manifest(manifest_path, "optimize", [args.lidar, args.radar], [args.out],
                    settings, started)
     lidar_names = ", ".join(sol_file.lidar_candidate_ids) or "-"
     radar_names = ", ".join(sol_file.radar_candidate_ids) or "-"
-    print(f"objective {solution.objective:.9g} ({'optimal' if solution.optimal else 'heuristic'})")
+    print(f"objective {sol_file.objective:.9g} ({'optimal' if sol_file.optimal else 'heuristic'})")
     print(f"lidar: {lidar_names}")
     print(f"radar: {radar_names}")
     print(f"wrote {args.out}")
@@ -341,18 +343,31 @@ def cmd_export_milp(args) -> int:
 _COVERAGE_CHECKS = {"theta": _ranged(check_theta), "name": _nonempty_string}
 
 
-def _load_selection(path, lf: MatrixFile):
-    """A solution file and its selection, warning if it names another scene than ``lf``."""
+def _load_selection(path, lf: MatrixFile, rf: MatrixFile):
+    """A solution file and its selection, warning if it names another scene than ``lf``.
+
+    The candidate ids it records must be the matrices' ids at its row indices;
+    a row outside its matrix is left to the library's index check.
+    """
     sol = load_solution(path)
     if sol.scene_hash != lf.scene_hash:
         _warn("solution scene hash differs from the matrices")
+    for modality, rows, names, mf in ((LIDAR, sol.lidar_ids, sol.lidar_candidate_ids, lf),
+                                      (RADAR, sol.radar_ids, sol.radar_candidate_ids, rf)):
+        if (all(0 <= i < len(mf.ids) for i in rows)
+                and names != tuple(mf.ids[i] for i in rows)):
+            raise ValueError(f"{path}: {modality}_candidate_ids {list(names)} are not the"
+                             f" matrix ids at {modality}_ids {list(rows)}")
     return sol, Selection.of(sol.lidar_ids, sol.radar_ids)
 
 
-def _coverage_stage(problem: PlacementProblem, selection: Selection, name: str, settings: dict,
-                    path, manifest: str):
-    """Score ``selection``'s coverage and save its coverage report."""
-    report = coverage_report(problem, selection, config_name=name, **settings)
+def _coverage_stage(lidar_path, radar_path, solution_path, name: str, settings: dict, path,
+                    manifest: str):
+    """Score the solution file's coverage over the two matrix files and save its report."""
+    lf, rf = _load_matrix_pair(lidar_path, radar_path)
+    sol, selection = _load_selection(solution_path, lf, rf)
+    report = coverage_report(_problem_from_files(lf, rf, asdict(sol)), selection,
+                             config_name=name, **settings)
     save_report(path, "coverage", report.to_record(), manifest)
     return report
 
@@ -362,11 +377,9 @@ def cmd_coverage(args) -> int:
     config = _load_config_file(args.config, _COVERAGE_CHECKS)
     settings = _settings(_COVERAGE_CHECKS, config, args)
     name = settings.pop("name", Path(args.solution).stem)
-    lf, rf = _load_matrix_pair(args.lidar, args.radar)
-    sol, selection = _load_selection(args.solution, lf)
-    problem = _problem_from_files(lf, rf, asdict(sol))
     manifest_path, manifest = _sidecar(args.out)
-    report = _coverage_stage(problem, selection, name, settings, args.out, manifest)
+    report = _coverage_stage(args.lidar, args.radar, args.solution, name, settings, args.out,
+                             manifest)
     _save_manifest(manifest_path, "coverage", [args.lidar, args.radar, args.solution],
                    [args.out], {"theta": report.theta, "name": name}, started)
     print(
@@ -411,9 +424,16 @@ _SCENARIO_CHECKS = {
 }
 
 
-def _simulate_stage(scene, lf: MatrixFile, rf: MatrixFile, selection: Selection,
+def _simulate_stage(scene, digest: str, lidar_path, radar_path, solution_path,
                     scenario_cfg: ScenarioConfig, paths, manifest: str):
-    """Simulate traffic and detections; save the truth, lidar and radar frames."""
+    """Simulate traffic and detections for the solution file over the two matrix
+    files; save the truth, lidar and radar frames."""
+    lf, rf = _load_matrix_pair(lidar_path, radar_path)
+    if lf.scene_hash != digest:
+        _warn("matrices were not built from this scene file")
+    if lf.cells != tuple(scene.roi.sorted_cells()):
+        raise ValueError("the matrices' cells are not the scene's ROI cells")
+    _, selection = _load_selection(solution_path, lf, rf)
     result = generate_scenario(scene, lf.matrix, rf.matrix, selection, scenario_cfg)
     for path, frames in zip(paths, (result.ground_truth, result.lidar, result.radar)):
         save_frames(path, frames, manifest)
@@ -425,13 +445,10 @@ def cmd_simulate(args) -> int:
     config = _load_config_file(args.config, _SCENARIO_CHECKS)
     scenario_cfg = ScenarioConfig(**_settings(_SCENARIO_CHECKS, config, args))
     scene, digest = _checked_scene(args.scene)
-    lf, rf = _load_matrix_pair(args.lidar, args.radar)
-    if lf.scene_hash != digest:
-        _warn("matrices were not built from this scene file")
-    _, selection = _load_selection(args.solution, lf)
     outputs = [args.out_truth, args.out_lidar, args.out_radar]
     manifest_path, manifest = _sidecar(args.out_truth)
-    result = _simulate_stage(scene, lf, rf, selection, scenario_cfg, outputs, manifest)
+    result = _simulate_stage(scene, digest, args.lidar, args.radar, args.solution, scenario_cfg,
+                             outputs, manifest)
     _save_manifest(manifest_path, "simulate", [args.scene, args.lidar, args.radar, args.solution],
                    outputs, asdict(scenario_cfg), started)
     n_truth = sum(len(b) for b in result.ground_truth.values())
@@ -447,26 +464,27 @@ def cmd_simulate(args) -> int:
 _FUSION_CHECKS = {"iou_threshold": _number}
 
 
-def _fuse_stage(lidar: dict, radar: dict, fusion_cfg: FusionConfig, path, manifest: str) -> dict:
-    """Late-fuse every frame id present in either stream; save the fused frames."""
+def _fuse_stage(lidar_path, radar_path, fusion_cfg: FusionConfig, path,
+                manifest: str) -> tuple[int, int]:
+    """Late-fuse every frame id present in either frames file; save the fused
+    frames.  Returns the number of boxes read and written."""
+    lidar = load_frames(lidar_path)
+    radar = load_frames(radar_path)
     fused = {fid: fuse_late(lidar.get(fid, []), radar.get(fid, []), fusion_cfg)
              for fid in sorted(set(lidar) | set(radar))}
     save_frames(path, fused, manifest)
-    return fused
+    return (sum(map(len, lidar.values())) + sum(map(len, radar.values())),
+            sum(map(len, fused.values())))
 
 
 def cmd_fuse(args) -> int:
     started = time.perf_counter()
     config = _load_config_file(args.config, _FUSION_CHECKS)
     fusion_cfg = FusionConfig(**_settings(_FUSION_CHECKS, config, args))
-    lidar = load_frames(args.lidar)
-    radar = load_frames(args.radar)
     manifest_path, manifest = _sidecar(args.out)
-    fused = _fuse_stage(lidar, radar, fusion_cfg, args.out, manifest)
+    n_in, n_out = _fuse_stage(args.lidar, args.radar, fusion_cfg, args.out, manifest)
     _save_manifest(manifest_path, "fuse", [args.lidar, args.radar], [args.out],
                    asdict(fusion_cfg), started)
-    n_in = sum(len(b) for b in lidar.values()) + sum(len(b) for b in radar.values())
-    n_out = sum(len(b) for b in fused.values())
     print(f"fused {n_in} detections into {n_out} boxes ({n_in - n_out} merges)")
     return 0
 
@@ -490,11 +508,12 @@ _EVALUATION_CHECKS = {
 }
 
 
-def _evaluate_stage(pairs, settings: dict, baseline, path, manifest):
-    """mAP over the evaluated classes, and its evaluation report record, saved
-    to ``path`` if that is set.  ``baseline`` (a report's name, mAP and
-    per-class APs), if set, adds the deltas against that report."""
-    result = evaluate_map(pairs, **settings)
+def _evaluate_stage(truth_path, predictions_path, settings: dict, baseline, path, manifest):
+    """mAP of the predictions file against the truth file over the evaluated
+    classes, and its evaluation report record, saved to ``path`` if that is
+    set.  ``baseline`` (a report's name, mAP and per-class APs), if set, adds
+    the deltas against that report."""
+    result = evaluate_map(load_frame_pairs(truth_path, predictions_path), **settings)
     record = {"matching_mode": result.matching_mode, "mean_ap": result.mean_ap, "per_class": {
         label: {"ap": r.ap, "threshold": r.threshold, "num_gt": r.num_gt,
                 "num_predictions": r.num_predictions}
@@ -534,9 +553,9 @@ def cmd_evaluate(args) -> int:
             raise ValueError(f"{args.baseline} is a {kind!r} report, expected evaluation")
         baseline = (Path(args.baseline).name,
                     *baseline_from_record(base, f"{args.baseline} record"))
-    pairs = load_frame_pairs(args.truth, args.predictions)
     manifest_path, manifest = _sidecar(args.out) if args.out else (None, None)
-    result, record = _evaluate_stage(pairs, settings, baseline, args.out, manifest)
+    result, record = _evaluate_stage(args.truth, args.predictions, settings, baseline, args.out,
+                                     manifest)
 
     print(f"{'class':<12} {'AP':>9} {'gt':>6} {'preds':>6}")
     for label, r in result.per_class.items():
@@ -582,7 +601,7 @@ def cmd_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except NOT_A_FILE_PATH as exc:
+    except CANNOT_WRITE as exc:
         raise WriteError(out_dir, exc) from exc
     workers = _workers(config, args)
 
@@ -612,8 +631,9 @@ def cmd_pipeline(args) -> int:
 
     manifest_path = out_dir / "pipeline.manifest"
     manifest = manifest_path.name
-    outputs = [out_dir / "lidar.vismatrix", out_dir / "radar.vismatrix"]
-    lf, rf = _visibility_stage(scene, digest, vis_cfg, workers, outputs, manifest)
+    lidar_matrix, radar_matrix = outputs = [out_dir / "lidar.vismatrix",
+                                            out_dir / "radar.vismatrix"]
+    _visibility_stage(scene, digest, vis_cfg, workers, outputs, manifest)
     coverage_reports = []
     summary_rows = []
     used = []
@@ -622,16 +642,16 @@ def cmd_pipeline(args) -> int:
         paths = [out_dir / f"{name}.{suffix}" for suffix in (
             "solution", "coverage", "truth.frames", "lidar.frames", "radar.frames",
             "fused.frames", "evaluation")]
-        sol_path, cov_path, *frames_paths, fused_path, eval_path = paths
+        sol_path, cov_path, truth, lidar, radar, fused_path, eval_path = paths
 
-        problem, solution, _ = _optimize_stage(lf, rf, optimize, sol_path, manifest)
-        report = _coverage_stage(problem, solution.selection, name, coverage, cov_path, manifest)
+        solution = _optimize_stage(lidar_matrix, radar_matrix, optimize, sol_path, manifest)
+        report = _coverage_stage(lidar_matrix, radar_matrix, sol_path, name, coverage, cov_path,
+                                 manifest)
         coverage_reports.append(report)
-        result = _simulate_stage(scene, lf, rf, solution.selection, scenario_cfg,
-                                 frames_paths, manifest)
-        fused = _fuse_stage(result.lidar, result.radar, fusion_cfg, fused_path, manifest)
-        eval_result, _ = _evaluate_stage(pair_frames(result.ground_truth, fused), evaluation,
-                                         None, eval_path, manifest)
+        _simulate_stage(scene, digest, lidar_matrix, radar_matrix, sol_path, scenario_cfg,
+                        (truth, lidar, radar), manifest)
+        _fuse_stage(lidar, radar, fusion_cfg, fused_path, manifest)
+        eval_result, _ = _evaluate_stage(truth, fused_path, evaluation, None, eval_path, manifest)
         outputs += paths
         used.append({"name": name, **optimize, "theta": report.theta,
                      "scenario": asdict(scenario_cfg)})

@@ -65,15 +65,17 @@ class ParseError(ValueError):
 
 
 class WriteError(Exception):
-    """An output path that cannot hold a file (``NOT_A_FILE_PATH``); a full disk, say, is
-    a failed write instead, and keeps its own OSError."""
+    """An output path that cannot hold a file or may not be written (``CANNOT_WRITE``);
+    a full disk, say, is a failed write instead, and keeps its own OSError."""
 
     def __init__(self, path, exc: OSError):
         super().__init__(f"cannot write {path}: {exc.strerror}")
 
 
-# A missing folder, a folder in the file's place, a file in a folder's place.
-NOT_A_FILE_PATH = (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
+# A missing folder, a folder in the file's place, a file in a folder's place, a
+# folder or file without write permission.
+CANNOT_WRITE = (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+                PermissionError)
 
 
 def file_sha256(path) -> str:
@@ -88,7 +90,8 @@ def write_atomic(path, data: bytes) -> None:
     """Write ``data`` to a temp file beside ``path``, then rename it over ``path``.
 
     The target is replaced whole or not at all, and no temp file is left
-    behind.  A path that cannot hold a file raises WriteError.
+    behind.  A path that cannot hold a file, or may not be written, raises
+    WriteError.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
@@ -98,7 +101,7 @@ def write_atomic(path, data: bytes) -> None:
     except BaseException as exc:
         with suppress(OSError):  # the temp file, or its folder, may not exist
             tmp.unlink()
-        if isinstance(exc, NOT_A_FILE_PATH):
+        if isinstance(exc, CANNOT_WRITE):
             raise WriteError(path, exc) from exc
         raise
 
@@ -110,11 +113,11 @@ def _write_artifact(path, magic: str, body: str) -> None:
 
 
 def read_input(path) -> bytes:
-    """An input file's bytes; a path that names a directory, or lies below a
-    file, is a ParseError.  A missing file raises FileNotFoundError."""
+    """An input file's bytes; a path that names a directory, lies below a file,
+    or may not be read is a ParseError.  A missing file raises FileNotFoundError."""
     try:
         return Path(path).read_bytes()
-    except (IsADirectoryError, NotADirectoryError) as exc:
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
 
 
@@ -467,11 +470,15 @@ def load_matrix(path) -> MatrixFile:
         cells = tuple(int(c) for c in cell_parts)
     except ValueError as exc:
         raise ParseError(f"{path}: cells must be integers") from exc
+    if cells and (cells[0] < 0 or any(a >= b for a, b in zip(cells, cells[1:]))):
+        raise ParseError(f"{path}: cells must be strictly increasing nonnegative integers")
     weights = _parse_floats(header["weights"], cols, f"{path}: weights")
     costs = _parse_floats(header["costs"], rows, f"{path}: costs")
     ids = tuple(header["ids"].split())
     if len(ids) != rows:
         raise ParseError(f"{path}: ids lists {len(ids)} entries, expected {rows}")
+    if len(set(ids)) != rows:
+        raise ParseError(f"{path}: ids must be unique")
 
     data_lines = [ln for ln in lines[pos:] if ln.strip()]
     if len(data_lines) != rows:

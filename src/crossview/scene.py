@@ -23,6 +23,10 @@ MAX_GRID_SIDE = 100_000
 MAX_BEAMS = 4_096
 MAX_SAMPLES_PER_CELL = 10_000
 MAX_DURATION_FRAMES = 1_000_000
+# The smallest visibility epsilon: entries are clamped to 1 - epsilon, and
+# matrix rows print 9 significant digits, where 1 - 4e-10 prints as 1 (which
+# the loader refuses) while 1 - 5e-10 still prints below 1.
+MIN_EPSILON = 5e-10
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .scene import LIDAR, RADAR, CandidateMount, Occluder, Scene, SensorSpec
+from .scene import LIDAR, MIN_EPSILON, RADAR, CandidateMount, Occluder, Scene, SensorSpec
 
 DEFAULT_EPSILON = 1e-6
 
@@ -52,10 +52,9 @@ class VisibilityConfig:
     def __post_init__(self) -> None:
         if self.samples_per_cell < 1:
             raise ValueError("samples_per_cell must be >= 1")
-        # Entries are clamped to 1 - epsilon, which must lie in (0, 1) in floating point.
-        if not 0.0 < 1.0 - self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1) with 1 - epsilon < 1,"
-                             f" got {self.epsilon}")
+        # Entries are clamped to 1 - epsilon, which must print below 1 in a matrix file.
+        if not MIN_EPSILON <= self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in [{MIN_EPSILON:g}, 1), got {self.epsilon}")
         if not self.object_height_m > 0.0:
             raise ValueError(f"object_height_m must be > 0, got {self.object_height_m}")
         if self.sample_height_m is not None and not self.sample_height_m >= 0.0:

@@ -199,6 +199,45 @@ def test_output_path_that_cannot_hold_a_file_exits_3(workspace, tmp_path, capsys
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("case", ["read", "write", "pipeline-out-dir"])
+def test_denied_permission_exits_3(workspace, tmp_path, capsys, monkeypatch, case):
+    """A path the process may not read or write is a file error, not a traceback.
+
+    The tests run as root, whom no permission bit stops, so the denial is
+    raised by the one ``Path`` method that reads, writes or makes the path.
+    """
+    lidar, out = workspace / "lidar.vismatrix", tmp_path / "x.solution"
+    method, denied, expected = {
+        "read": ("read_bytes", lidar, f"{lidar}: cannot read: Permission denied"),
+        "write": ("write_bytes", tmp_path / ".x.solution.tmp",
+                  f"cannot write {out}: Permission denied"),
+        "pipeline-out-dir": ("mkdir", tmp_path / "out",
+                             f"cannot write {tmp_path / 'out'}: Permission denied"),
+    }[case]
+    if case == "pipeline-out-dir":
+        save_scene(tmp_path / "scene.scene", square_scene())
+        (tmp_path / "pipeline.json").write_text(json.dumps(
+            {"scene": "scene.scene", "configs": [{"name": "a", "budget": 2}]}))
+        argv = ["pipeline", "--config", str(tmp_path / "pipeline.json"),
+                "--out-dir", str(denied)]
+    else:
+        argv = ["optimize", "--lidar", str(lidar), "--radar", str(workspace / "radar.vismatrix"),
+                "--budget", "2", "--out", str(out)]
+    real = getattr(Path, method)
+
+    def deny(self, *args, **kwargs):
+        if self == denied:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, method, deny)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err == f"error: {expected}\n", err
+    assert sorted(p.name for p in tmp_path.iterdir()) in ([], ["pipeline.json", "scene.scene"])
+
+
 def test_full_chain(workspace, capsys):
     root = workspace
 
@@ -707,6 +746,97 @@ def test_solution_index_outside_the_matrix_exits_4(workspace, tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.solution", "plan.solution.manifest"]
 
 
+def _edited_matrices(workspace, folder, old: str, new: str) -> list[str]:
+    """Copies of the workspace's two matrix files in ``folder``, ``old`` replaced by
+    ``new`` in each and the digests recomputed, as the --lidar and --radar arguments."""
+    argv = []
+    for side in ("lidar", "radar"):
+        path = folder / f"{side}.vismatrix"
+        path.write_text(rehash((workspace / f"{side}.vismatrix").read_text().replace(old, new)))
+        argv += [f"--{side}", str(path)]
+    return argv
+
+
+def _simulate_args(workspace, solution, folder) -> list[str]:
+    """simulate's arguments bar the matrices: the workspace scene, ``solution``,
+    and frames outputs in ``folder``."""
+    return ["--scene", str(workspace / "scene.scene"), "--solution", str(solution)] + [
+        arg for side in ("truth", "lidar", "radar")
+        for arg in (f"--out-{side}", str(folder / f"{side}.frames"))]
+
+
+def _solution(workspace, path) -> str:
+    """``path``, holding the workspace's solution at a count budget of 2."""
+    assert main(["optimize", "--lidar", str(workspace / "lidar.vismatrix"),
+                 "--radar", str(workspace / "radar.vismatrix"), "--budget", "2",
+                 "--out", str(path)]) == 0
+    return str(path)
+
+
+ROI_CELLS = " ".join(map(str, range(100)))  # square_scene's ROI: every cell of 10 x 10
+
+
+@pytest.mark.parametrize("command", ["optimize", "simulate"])
+@pytest.mark.parametrize("old, new, message", [
+    (f"cells {ROI_CELLS}\n", "cells" + " 0" * 100 + "\n",
+     "cells must be strictly increasing nonnegative integers"),
+    ("cells 0 ", "cells -5 ", "cells must be strictly increasing nonnegative integers"),
+    ("ids L0 L1\n", "ids L0 L0\n", "ids must be unique"),
+], ids=["repeated-cells", "negative-cell", "repeated-id"])
+def test_matrix_header_cells_and_ids_exit_3(workspace, tmp_path, capsys, command, old, new,
+                                            message):
+    """A matrix whose columns or rows do not name distinct cells or mounts is malformed."""
+    solution = _solution(workspace, tmp_path / "plan.solution")
+    matrices = _edited_matrices(workspace, tmp_path, old, new)
+    if command == "optimize":
+        argv = ["optimize", *matrices, "--budget", "2", "--out", str(tmp_path / "x.solution")]
+    else:
+        argv = ["simulate", *matrices, *_simulate_args(workspace, solution, tmp_path)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err == f"error: {tmp_path / 'lidar.vismatrix'}: {message}\n", err
+    assert not list(tmp_path.glob("*.frames")) and not (tmp_path / "x.solution").exists()
+
+
+@pytest.mark.parametrize("command, side", [("coverage", "lidar"), ("simulate", "radar")])
+def test_solution_naming_other_mounts_exits_4(workspace, tmp_path, capsys, command, side):
+    """A solution's candidate ids must be the matrices' ids at its row indices."""
+    path = tmp_path / "plan.solution"
+    _solution(workspace, path)
+    payload = _payload(path)
+    assert payload[f"{side}_ids"] == [0]
+    payload[f"{side}_candidate_ids"] = ["NOPE"]
+    path.write_text(make_document("crossview.solution", payload))
+    matrices = ["--lidar", str(workspace / "lidar.vismatrix"),
+                "--radar", str(workspace / "radar.vismatrix")]
+    if command == "coverage":
+        argv = ["coverage", *matrices, "--solution", str(path),
+                "--out", str(tmp_path / "plan.coverage")]
+    else:
+        argv = ["simulate", *matrices, *_simulate_args(workspace, path, tmp_path)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err == (f"error: {path}: {side}_candidate_ids ['NOPE'] are not the matrix ids"
+                   f" at {side}_ids [0]\n"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.solution", "plan.solution.manifest"]
+
+
+def test_matrix_for_another_roi_does_not_simulate(workspace, tmp_path, capsys):
+    """simulate maps matrix columns to the scene's ROI cells, so they must be those cells."""
+    matrices = _edited_matrices(workspace, tmp_path, f"cells {ROI_CELLS}\n",
+                                f"cells {' '.join(map(str, range(1, 101)))}\n")
+    solution = tmp_path / "plan.solution"
+    assert main(["optimize", *matrices, "--budget", "2", "--out", str(solution)]) == 0
+    capsys.readouterr()
+    rc = main(["simulate", *matrices, *_simulate_args(workspace, solution, tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err == "error: the matrices' cells are not the scene's ROI cells\n", err
+    assert not list(tmp_path.glob("*.frames"))
+
+
 BAD_SOLUTION_FIELDS = [
     ("lidar_ids", 5),
     ("radar_ids", [0.5]),
@@ -809,6 +939,7 @@ BAD_CONFIG_VALUES += [
     ({"configs": [{"name": "dense", "budget": 4, "theta": -1}]}, "theta must be nonnegative"),
     ({"evaluation": {"thresholds": {"car": -1}}}, "thresholds.car must be positive, got -1.0"),
     ({"evaluation": {"thresholds": {"car": 0}}}, "thresholds.car must be positive, got 0.0"),
+    ({"visibility": {"epsilon": 1e-10}}, "epsilon must lie in [5e-10, 1)"),
 ]
 
 
@@ -943,9 +1074,11 @@ def test_out_of_range_number_exits_3(tmp_path, capsys, kind, where, literal, fie
 def test_pipeline_matches_subcommand_chain(tmp_path, capsys):
     """pipeline and the subcommands fed its config sections write the same data."""
     save_scene(tmp_path / "scene.scene", square_scene())
+    # Nine samples make entries k/9, which a matrix file prints to 9 digits, so
+    # only stages that read the written files agree with the chain.
     cfg = {
         "scene": "scene.scene",
-        "visibility": {"samples_per_cell": 4, "object_height_m": 1.2, "sample_height_m": 0.5},
+        "visibility": {"samples_per_cell": 9, "object_height_m": 1.2, "sample_height_m": 0.5},
         "configs": [
             {"name": "lean", "budget": 150, "budget_mode": "cost", "solver": "greedy",
              "theta": 0.05},
@@ -1115,6 +1248,7 @@ def test_non_finite_matrix_number_exits_3(workspace, tmp_path, capsys, field, to
     ("--epsilon", "-1", "epsilon"),
     ("--epsilon", "0", "epsilon"),
     ("--epsilon", "1e-20", "epsilon"),
+    ("--epsilon", "1e-10", "epsilon"),
     ("--object-height", "-1", "object_height_m"),
     ("--object-height", "0", "object_height_m"),
     ("--sample-height", "-5", "sample_height_m"),

@@ -2,10 +2,11 @@
 
 Every stage's config reader, fed arbitrary JSON values for its keys, returns
 settings or raises ValueError (exit 4 in the CLI), and every loader, fed a
-valid file with one node of its payload replaced and the header digest
-recomputed, returns or raises ParseError (exit 3).  Neither ever ends in a
-TypeError, AttributeError or OverflowError traceback, and ``main``, run on a
-mutated valid --config, exits 0, 3 or 4, never 1.  The profile in
+valid file with one node of its payload (or, for a matrix, one token or line
+of its text) replaced and the header digest recomputed, returns or raises
+ParseError (exit 3).  Neither ever ends in a TypeError, AttributeError or
+OverflowError traceback, and ``main``, run on a mutated valid --config or
+matrix file, exits 0, 3 or 4, never 1.  The profile in
 ``conftest.py`` derandomizes Hypothesis, so every run tries the same inputs.
 """
 
@@ -24,17 +25,21 @@ from hypothesis import strategies as st
 from crossview import (
     CLASSES,
     FusionConfig,
+    MatrixFile,
     NoiseSpec,
     ScenarioConfig,
     SolutionFile,
     VisibilityConfig,
+    VisibilityMatrix,
     load_frames,
     load_manifest,
+    load_matrix,
     load_report,
     load_scene,
     load_solution,
     save_frames,
     save_manifest,
+    save_matrix,
     save_report,
     save_scene,
     save_solution,
@@ -158,6 +163,10 @@ def _valid_payloads(root) -> dict:
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
+    save_matrix(root / "a.vismatrix", MatrixFile(
+        matrix=VisibilityMatrix("lidar", np.array([[0.25, 0.0, 0.999999], [1 / 3, 0.5, 0.0]])),
+        scene_hash="0" * 64, cells=(0, 2, 5), weights=np.array([1.0, 2.0, 0.5]),
+        costs=np.array([100.0, 80.0]), ids=("L0", "L1"), manifest="a.manifest"))
     return root, _valid_payloads(root)
 
 
@@ -168,20 +177,54 @@ def _set(payload, path, value):
     parent[path[-1]] = value
 
 
+# Tokens a mutated matrix line may take: numbers in and out of [0, 1), cell
+# indices, words the header reads, and numbers no float holds.
+MATRIX_TOKENS = ("0", "1", "-1", "-5", "2", "0.5", "0.999999999", "1e400", "nan", "inf", "1_0",
+                 "lidar", "radar", "L0", "L1", "R0", "rows", "cells", "ids", "manifest", "")
+
+
+def _mutated_matrix(data, path) -> bytes:
+    """The matrix file at ``path`` with one token of one body line replaced,
+    dropped or repeated, or one body line dropped or repeated; digest recomputed."""
+    head, body = path.read_text().split("\n", 1)
+    lines = body.splitlines()
+    k = data.draw(st.integers(0, len(lines) - 1))
+    action = data.draw(st.sampled_from(["replace", "drop", "repeat", "drop line", "repeat line"]))
+    if action == "drop line":
+        del lines[k]
+    elif action == "repeat line":
+        lines.insert(k, lines[k])
+    else:
+        tokens = lines[k].split(" ")
+        i = data.draw(st.integers(0, len(tokens) - 1))
+        if action == "replace":
+            tokens[i] = data.draw(st.sampled_from(MATRIX_TOKENS) | st.text(max_size=4))
+        elif action == "drop":
+            del tokens[i]
+        else:
+            tokens.insert(i, tokens[i])
+        lines[k] = " ".join(tokens)
+    return rehash(f"{head}\n" + "\n".join(lines) + "\n").encode()
+
+
 @pytest.mark.parametrize("kind", ["scene", "solution", "report", "evaluation", "frames",
-                                  "manifest"])
+                                  "manifest", "matrix"])
 @given(data=st.data())
 def test_loader_returns_or_raises_parse_error(valid_files, kind, data):
     root, payloads = valid_files
-    magic, payload, load = payloads[kind]
-    payload = json.loads(json.dumps(payload))
-    where = data.draw(st.sampled_from(_nodes(payload)))
-    raw = data.draw(st.none() | st.sampled_from(RAW_NUMBERS))
-    _set(payload, where, "@raw@" if raw else data.draw(json_values))
-    # A raw literal is spliced into the text, then the digest is recomputed.
-    text = make_document(magic, payload)
     path = root / f"mutated.{kind}"
-    path.write_text(rehash(text.replace('"@raw@"', raw)) if raw else text)
+    if kind == "matrix":
+        path.write_bytes(_mutated_matrix(data, root / "a.vismatrix"))
+        load = load_matrix
+    else:
+        magic, payload, load = payloads[kind]
+        payload = json.loads(json.dumps(payload))
+        where = data.draw(st.sampled_from(_nodes(payload)))
+        raw = data.draw(st.none() | st.sampled_from(RAW_NUMBERS))
+        _set(payload, where, "@raw@" if raw else data.draw(json_values))
+        # A raw literal is spliced into the text, then the digest is recomputed.
+        text = make_document(magic, payload)
+        path.write_text(rehash(text.replace('"@raw@"', raw)) if raw else text)
     try:
         load(path)
     except ParseError:
@@ -313,4 +356,18 @@ def test_main_never_exits_1_on_a_bad_config(cli_inputs, command, data):
     elif where is not None:
         _set(config, where, data.draw(config_values))
     rc, err = _run(root, [command, *argv[command]], config)
+    assert rc in (0, 3, 4), err
+
+
+@pytest.mark.parametrize("command", ["optimize", "export-milp", "coverage", "simulate"])
+@given(data=st.data())
+def test_main_never_exits_1_on_a_mutated_matrix(cli_inputs, command, data):
+    """A valid config, run with one of its two matrix files mutated."""
+    root, argv = cli_inputs
+    side = data.draw(st.sampled_from(["lidar", "radar"]))
+    original = root / f"{side}.vismatrix"
+    mutated = root / f"mutated-{side}.vismatrix"
+    mutated.write_bytes(_mutated_matrix(data, original))
+    argv = [str(mutated) if arg == str(original) else arg for arg in argv[command]]
+    rc, err = _run(root, [command, *argv], VALID_CONFIGS[command])
     assert rc in (0, 3, 4), err

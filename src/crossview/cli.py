@@ -79,6 +79,7 @@ from .lp_export import export_milp
 from .metrics import MATCHING_MODES, check_threshold, evaluate_map
 from .placement import (
     BUDGET_MODES,
+    SEEN_TOL,
     PlacementProblem,
     Selection,
     check_budget,
@@ -344,10 +345,12 @@ _COVERAGE_CHECKS = {"theta": _ranged(check_theta), "name": _nonempty_string}
 
 
 def _load_selection(path, lf: MatrixFile, rf: MatrixFile):
-    """A solution file and its selection, warning if it names another scene than ``lf``.
+    """The problem a solution file poses over the matrices, and its selection;
+    warns if the file names another scene than ``lf``.
 
-    The candidate ids it records must be the matrices' ids at its row indices;
-    a row outside its matrix is left to the library's index check.
+    The candidate ids it records must be the matrices' ids at its row
+    indices, and the selection must fit the budget it records; a row outside
+    its matrix is an IndexError.
     """
     sol = load_solution(path)
     if sol.scene_hash != lf.scene_hash:
@@ -358,16 +361,22 @@ def _load_selection(path, lf: MatrixFile, rf: MatrixFile):
                 and names != tuple(mf.ids[i] for i in rows)):
             raise ValueError(f"{path}: {modality}_candidate_ids {list(names)} are not the"
                              f" matrix ids at {modality}_ids {list(rows)}")
-    return sol, Selection.of(sol.lidar_ids, sol.radar_ids)
+    problem = _problem_from_files(lf, rf, asdict(sol))
+    selection = Selection.of(sol.lidar_ids, sol.radar_ids)
+    problem.check_selection(selection)
+    cost = problem.selection_cost(selection)
+    if cost > sol.budget + SEEN_TOL:
+        raise ValueError(f"{path}: the selection costs {cost!r}, over its {sol.budget_mode}"
+                         f" budget {sol.budget!r}")
+    return problem, selection
 
 
 def _coverage_stage(lidar_path, radar_path, solution_path, name: str, settings: dict, path,
                     manifest: str):
     """Score the solution file's coverage over the two matrix files and save its report."""
     lf, rf = _load_matrix_pair(lidar_path, radar_path)
-    sol, selection = _load_selection(solution_path, lf, rf)
-    report = coverage_report(_problem_from_files(lf, rf, asdict(sol)), selection,
-                             config_name=name, **settings)
+    problem, selection = _load_selection(solution_path, lf, rf)
+    report = coverage_report(problem, selection, config_name=name, **settings)
     save_report(path, "coverage", report.to_record(), manifest)
     return report
 

@@ -230,6 +230,19 @@ def _list_of(check, into=tuple):
     return read
 
 
+def _distinct(check):
+    """``check`` for a list, and then no entry may appear twice."""
+    def read(value, where: str):
+        entries = check(value, where)
+        seen = set()
+        for entry in entries:
+            if entry in seen:
+                raise ParseError(f"{where}: {entry!r} appears twice")
+            seen.add(entry)
+        return entries
+    return read
+
+
 def _dict_of(check, key=lambda k, where: k):
     """A check for an object whose values each pass ``check``; ``key`` reads each key."""
     def read(value, where: str) -> dict:
@@ -427,7 +440,7 @@ def _parse_floats(text: str, n: int, where: str) -> np.ndarray:
     if len(parts) != n:
         raise ParseError(f"{where}: expected {n} values, found {len(parts)}")
     try:
-        values = np.array([float(p) for p in parts])
+        values = np.array(parts, dtype=float)
     except ValueError as exc:
         raise ParseError(f"{where}: malformed number: {exc}") from exc
     finite = np.isfinite(values)
@@ -652,7 +665,7 @@ def save_solution(path, sol: SolutionFile) -> None:
 
 
 _SOLUTION = _build(SolutionFile, {
-    "lidar_ids": _list_of(_integer), "radar_ids": _list_of(_integer),
+    "lidar_ids": _distinct(_list_of(_integer)), "radar_ids": _distinct(_list_of(_integer)),
     "lidar_candidate_ids": _list_of(_string), "radar_candidate_ids": _list_of(_string),
     "objective": _number, "optimal": _boolean, "budget": _number,
     "budget_mode": _choice(BUDGET_MODES), "seen_threshold": _number, "scene_hash": _string,

@@ -12,18 +12,20 @@ log sums, which add along a search, rather than on that probability.
 Solvers:
 
 * ``solve_exhaustive``  - reference enumeration, guarded to small instances.
-* ``solve_branch_bound`` - exact depth-first search, bounded per cell by
-  the best that the picks still affordable under the budget can add;
-  returns the same canonical optimum as enumeration.  It keeps
-  O(candidates x cells) floats and an explicit stack, so neither memory
-  nor recursion depth grows with the search.
+* ``solve_branch_bound`` - exact depth-first search over the r picks still
+  affordable under the budget.  A node is bounded twice: by its mass on
+  the cells that may still be seen plus the r largest undecided row sums,
+  then cell by cell by the best those r picks can add; both bounds carry
+  a float slack that keeps ties.  It returns the same canonical optimum as
+  enumeration, keeps O(candidates x cells) floats and an explicit stack,
+  so neither memory nor recursion depth grows with the search.
 * ``solve_greedy``      - fast warm start, no optimality guarantee.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable
 
 import numpy as np
@@ -286,18 +288,45 @@ def solve_greedy(problem: PlacementProblem) -> PlacementSolution:
 class _BranchBound:
     """Depth-first exact search over a fixed candidate ordering.
 
-    Candidates are ordered by falling weighted mass and each is decided
-    include first.  A node bounds its subtree by r, the number of further
-    picks that still fit the budget: the budget left, with the slack
-    ``_within_budget`` allows, over the cheapest undecided cost (a count
-    budget costs 1 per pick).  Coverage and mass are monotone in the
-    selection, and r more picks add at most r times the largest undecided
-    entry of a cell, so a cell's gain is bounded by min(suffix sum,
-    r * suffix max): per modality over the log rows for the seen test, and
-    over both modalities' weighted visibility rows for the mass.  This is
-    the budgeted maximum coverage relaxation (Khuller, Moss & Naor, IPL
-    1999) taken cell by cell.  If an undecided candidate is free, r is
-    every undecided candidate and the bound is the plain suffix sum.
+    Candidates are ordered by falling weighted mass (the row sum of
+    visibility times weight) and each is decided include first.  A node
+    bounds its subtree by r, the number of further picks that still fit the
+    budget: the budget left, with the slack ``_within_budget`` allows, over
+    the cheapest undecided cost (a count budget costs 1 per pick).  If an
+    undecided candidate is free, r is every undecided candidate.
+
+    Visibilities, their log terms and weights are nonnegative, so coverage
+    and mass are monotone in the selection.  r more picks add at most
+    min(suffix sum, r * suffix max) of a cell's undecided log entries, per
+    modality, so a cell whose lidar or radar sum stays below the threshold
+    even so is seen by no descendant and drops out of both bounds:
+
+    * Whole rows, tested first.  A descendant's objective is its mass over
+      the cells it sees, which is at most the node's own mass on the cells
+      still possibly seen plus the whole row sums of its further picks, and
+      those are at most the r largest undecided row sums: the next r in the
+      order, read from the table ``top``.  This is the budgeted maximum
+      coverage relaxation (Khuller, Moss & Naor, IPL 1999) over whole
+      candidates, and costs one dot product per node.
+    * Per cell, tested when the first does not prune.  r more picks add at
+      most min(suffix sum, r * suffix max) of a cell's undecided weighted
+      visibility entries, summed over the possibly seen cells.
+
+    Float slack.  Every sum in both bounds and in ``evaluate_selection``
+    adds nonnegative terms (a dot with the 0/1 mask of possibly seen cells
+    is such a sum), and a float sum of k nonnegative terms lies within a
+    factor (1 +- u)^(k - 1) of the exact one in any order, u = 2^-53; a
+    product with a weight is one more rounding.  No term of a bound or of
+    an objective passes through more than m = n_cells + n_candidates
+    roundings, so a descendant's float objective is at most
+    (1 + u)^m / (1 - u)^(m + 1) times the float bound.  The bounds are
+    multiplied by ``self.slack`` = 1 + 2 m eps (eps = 2u, an exact float)
+    before the strictly-worse test against the incumbent less
+    ``SEEN_TOL``; even after that product's own rounding this covers the
+    factor for every m from 2 to about 10^12, so a subtree that holds a
+    tie is never cut, whatever the weights' scale.  The seen test divides
+    its threshold by the same factor, since the search adds log rows in
+    another order than ``evaluate_selection`` does.
 
     Memory is O((n + 1) x cells): the suffix sum and max tables are built
     once along the order, each over one key's own rows (lidar logs, radar
@@ -321,6 +350,12 @@ class _BranchBound:
         order.sort()
         self.order = [(modality, i) for _, _, i, modality in order]
         n = len(self.order)
+        # top[d][k]: the k largest row sums of order[d:], added in order.
+        # Prefix differences of one table would cancel, so each depth keeps
+        # its own sums of nonnegative terms, which the slack covers.
+        self.top = [list(accumulate((-neg_sum for neg_sum, *_ in order[d:]), initial=0.0))
+                    for d in range(n + 1)]
+        self.slack = 1.0 + 2 * (problem.n_cells + n) * float(np.finfo(float).eps)
 
         # Each key's tables run over its own rows in order: row k covers
         # that key's candidates from its k-th on, so a node at depth d reads
@@ -398,7 +433,8 @@ class _BranchBound:
         work = np.empty(n_cells)
         seen = np.empty(n_cells, dtype=bool)
         seen_radar = np.empty(n_cells, dtype=bool)
-        threshold = problem.seen_threshold - SEEN_TOL
+        seen_mask = np.empty(n_cells)  # 1.0 where both modalities may see
+        threshold = (problem.seen_threshold - SEEN_TOL) / self.slack
 
         stack = [(0, 0, 0, 0.0)]  # depth, lidar picks, radar picks, spent
         while stack:
@@ -408,12 +444,16 @@ class _BranchBound:
             np.greater_equal(work, threshold, out=seen)
             np.add(acc[RADAR][n_r], self._gain(RADAR, depth, r, work), out=work)
             np.greater_equal(work, threshold, out=seen_radar)
-            np.logical_and(seen, seen_radar, out=seen)
-            np.add(acc["mass"][n_l + n_r], self._gain("mass", depth, r, work), out=work)
-            np.multiply(work, seen, out=work)
-            # Strictly-worse pruning: equal-bound subtrees may still hold a
-            # canonically smaller optimum, so they are explored.
-            if float(work.sum()) < self.best_obj - SEEN_TOL:
+            np.multiply(seen, seen_radar, out=seen_mask)
+            # The node's mass on the cells still possibly seen, then the two
+            # bounds.  Strictly-worse pruning: equal-bound subtrees may still
+            # hold a canonically smaller optimum, so they are explored.
+            held = float(np.dot(acc["mass"][n_l + n_r], seen_mask))
+            floor = self.best_obj - SEEN_TOL
+            if (held + self.top[depth][r]) * self.slack < floor:
+                continue
+            gain = self._gain("mass", depth, r, work)
+            if (held + float(np.dot(gain, seen_mask))) * self.slack < floor:
                 continue
             if r == 0:
                 # No further pick fits, so every branch below excludes the

@@ -823,6 +823,47 @@ def test_solution_naming_other_mounts_exits_4(workspace, tmp_path, capsys, comma
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.solution", "plan.solution.manifest"]
 
 
+# The workspace's budget-2 solution takes lidar L0 (unit cost 100) and radar R0 (20).
+CONTRADICTING_SOLUTIONS = {
+    "repeated-lidar-row": ({"lidar_ids": [0, 0], "lidar_candidate_ids": ["L0", "L0"]},
+                           3, "{path}.lidar_ids: 0 appears twice"),
+    "repeated-radar-row": ({"radar_ids": [0, 1, 0], "radar_candidate_ids": ["R0", "R1", "R0"]},
+                           3, "{path}.radar_ids: 0 appears twice"),
+    "over-count-budget": ({"budget": 1.5}, 4,
+                          "{path}: the selection costs 2.0, over its count budget 1.5"),
+    "over-cost-budget": ({"budget_mode": "cost", "budget": 120.0 - 2e-9}, 4,
+                         "{path}: the selection costs 120.0, over its cost budget 119.999999998"),
+    "within-tolerance": ({"budget_mode": "cost", "budget": 120.0 - 5e-10}, 0, ""),
+}
+
+
+@pytest.mark.parametrize("command", ["coverage", "simulate"])
+@pytest.mark.parametrize("case", sorted(CONTRADICTING_SOLUTIONS))
+def test_solution_that_contradicts_itself_fails(workspace, tmp_path, capsys, command, case):
+    """A solution may not repeat a row (exit 3) nor spend more than the budget it
+    records, beyond SEEN_TOL (exit 4); both used to run to exit 0."""
+    edit, code, message = CONTRADICTING_SOLUTIONS[case]
+    path = tmp_path / "plan.solution"
+    _solution(workspace, path)
+    payload = _payload(path)
+    assert (payload["lidar_ids"], payload["radar_ids"], payload["budget"]) == ([0], [0], 2.0)
+    path.write_text(make_document("crossview.solution", {**payload, **edit}))
+    matrices = ["--lidar", str(workspace / "lidar.vismatrix"),
+                "--radar", str(workspace / "radar.vismatrix")]
+    if command == "coverage":
+        argv = ["coverage", *matrices, "--solution", str(path),
+                "--out", str(tmp_path / "plan.coverage")]
+    else:
+        argv = ["simulate", *matrices, *_simulate_args(workspace, path, tmp_path)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == code, err
+    if code:
+        assert err == f"error: {message.format(path=path)}\n", err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "plan.solution", "plan.solution.manifest"]
+
+
 def test_matrix_for_another_roi_does_not_simulate(workspace, tmp_path, capsys):
     """simulate maps matrix columns to the scene's ROI cells, so they must be those cells."""
     matrices = _edited_matrices(workspace, tmp_path, f"cells {ROI_CELLS}\n",

@@ -35,6 +35,7 @@ from crossview import (
     generate_scenario,
 )
 
+from crossview import formats
 from crossview.formats import FRAMES_MAGIC
 
 from conftest import make_document, random_box, rehash, square_scene
@@ -237,6 +238,47 @@ def test_save_matrix_validates_lengths(tmp_path):
                         ids=mf.ids)
     with pytest.raises(ValueError, match="cells"):
         save_matrix(tmp_path / "x.vismatrix", broken)
+
+
+def _parse_floats_one_by_one(text: str, n: int, where: str) -> np.ndarray:
+    """The matrix parse as it was, one Python ``float()`` per value."""
+    parts = text.split()
+    if len(parts) != n:
+        raise ParseError(f"{where}: expected {n} values, found {len(parts)}")
+    try:
+        values = np.array([float(p) for p in parts])
+    except ValueError as exc:
+        raise ParseError(f"{where}: malformed number: {exc}") from exc
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ParseError(f"{where}: non-finite number {parts[int(np.argmin(finite))]!r}")
+    return values
+
+
+def _parse_outcome(parse, text: str, n: int):
+    try:
+        values = parse(text, n, "m: matrix row 0")
+    except ParseError as exc:
+        return "error", str(exc)
+    return values.dtype.str, values.tobytes()
+
+
+def test_matrix_rows_parse_as_one_float_per_value_did():
+    # One C call per row must keep every bit and every error text of the
+    # per-value parse: the special spellings, overflow to inf, underscores,
+    # non-ASCII digits and junk, then repr'd doubles across 1e-300..1e300.
+    odd = ["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-400",
+           "1_0", "1__0", "_1", "١٢", "１.５", "²", "0x10", "1e",
+           "abc", "+1.5", "-0.0", "0.5\x00"]
+    texts = odd + [f"0.25 {p}" for p in odd] + [" ".join(odd), "1 2", ""]
+    rng = np.random.default_rng(41)
+    doubles = 10.0 ** rng.uniform(-300, 300, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+    texts += [" ".join(repr(float(v)) for v in chunk) for chunk in doubles.reshape(-1, 100)]
+    for text in texts:
+        n = len(text.split())
+        for count in (n, n + 1):
+            old = _parse_outcome(_parse_floats_one_by_one, text, count)
+            assert _parse_outcome(formats._parse_floats, text, count) == old, text
 
 
 # -- frames -------------------------------------------------------------------

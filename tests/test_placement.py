@@ -11,10 +11,17 @@ import pytest
 
 from crossview import placement
 from crossview import (
+    CandidateMount,
+    GridSpec,
     InstanceTooLargeError,
+    Occluder,
     PlacementProblem,
+    RegionOfInterest,
+    Scene,
     Selection,
+    SensorSpec,
     VisibilityMatrix,
+    build_visibility,
     detection_probability,
     evaluate_selection,
     solve_branch_bound,
@@ -209,6 +216,34 @@ def test_branch_bound_matches_exhaustive_at_tolerance_edges(mode, budget):
         assert bb.selection == ex.selection
 
 
+def duplicated_problem(rng, mode: str, scale: float) -> PlacementProblem:
+    """Rows drawn with replacement from a few distinct ones, so that different
+    picks score exactly the same float, with weights of the given scale."""
+    n_l, n_r, n_c = (int(k) for k in rng.integers([1, 1, 3], [6, 6, 30]))
+    lidar = rng.uniform(0.0, 0.95, (n_l, n_c)) * (rng.random((n_l, n_c)) < 0.7)
+    radar = rng.uniform(0.0, 0.95, (n_r, n_c)) * (rng.random((n_r, n_c)) < 0.7)
+    lidar, radar = lidar[rng.integers(0, n_l, n_l)], radar[rng.integers(0, n_r, n_r)]
+    budget = int(rng.integers(1, 6)) if mode == "count" else float(rng.integers(1, 7))
+    return make_problem(lidar, radar, weights=rng.uniform(0.5, 2.0, n_c) * scale,
+                        budget=budget, mode=mode, lidar_costs=rng.choice([1.0, 2.0], n_l),
+                        radar_costs=rng.choice([1.0, 2.0], n_r))
+
+
+@pytest.mark.parametrize("mode", ["count", "cost"])
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_branch_bound_keeps_ties_at_every_weight_scale(mode, scale):
+    # The bounds' float slack is relative, so a tie survives even where one
+    # ulp of the objective is far above the absolute SEEN_TOL; at weights
+    # near 1e9 a bound without it cut canonically smaller ties.
+    rng = np.random.default_rng([53, int(math.log10(scale)) + 9, mode == "cost"])
+    for _ in range(300):
+        problem = duplicated_problem(rng, mode, scale)
+        bb = solve_branch_bound(problem)
+        ex = solve_exhaustive(problem)
+        assert bb.selection.canonical_key() == ex.selection.canonical_key()
+        assert bb.objective == ex.objective
+
+
 @pytest.mark.parametrize("cost, budget, picks", [
     (0.1, 0.3 - 5e-10, 3),
     (0.1, 0.6 - 1e-9, 6),
@@ -250,6 +285,69 @@ def test_branch_bound_searches_past_the_recursion_limit():
     )
     assert solution.objective == best[0]
     assert solution.selection == Selection.of([-best[1]], [-best[2]])
+
+
+def ring_scene(rng: np.random.Generator, weights_rng: np.random.Generator) -> Scene:
+    """A planning-sized scene: 50 x 50 cells of 2 m weighted from ``weights_rng``,
+    20 occluders, and on a square ring 2 m inside the edge 11 lidar poles (32
+    and 128 beams in turn) with 11 radars between them facing the middle."""
+    n, side = 50, 100.0
+    grid = GridSpec(origin_xy=(0.0, 0.0), cell_size=2.0, nx=n, ny=n)
+    weights = {j: round(float(w), 4) for j, w in enumerate(weights_rng.uniform(0.5, 2.0, n * n))}
+    occluders = []
+    for _ in range(20):
+        (cx, cy), (hx, hy) = rng.uniform(20.0, 80.0, 2), rng.uniform(1.5, 4.0, 2)
+        occluders.append(Occluder((float(cx - hx), float(cy - hy), 0.0),
+                                  (float(cx + hx), float(cy + hy), float(rng.uniform(2.5, 6.0)))))
+
+    def ring_point(t: float) -> tuple[float, float]:
+        d = (t % 1.0) * 4.0 * 96.0
+        edge, along = int(d // 96.0), d % 96.0
+        return [(2.0 + along, 2.0), (98.0, 2.0 + along),
+                (98.0 - along, 98.0), (2.0, 98.0 - along)][edge]
+
+    offset = float(rng.uniform(0.0, 1.0))
+    lidar, radar = [], []
+    for p in range(11):
+        x, y = ring_point(offset + (p + float(rng.uniform(-0.15, 0.15))) / 11)
+        beams, reach, cost = (32, 70.0, 100.0) if p % 2 == 0 else (128, 110.0, 300.0)
+        spec = SensorSpec("lidar", hfov_deg=360.0, vfov_deg=30.0, max_range_m=reach,
+                          rate_hz=10.0, unit_cost=cost, beams=beams)
+        lidar.append(CandidateMount(f"L{p:02d}", (x, y, float(rng.uniform(5.0, 7.0))), spec,
+                                    pitch_deg=8.0))
+    spec = SensorSpec("radar", hfov_deg=120.0, vfov_deg=30.0, max_range_m=100.0,
+                      rate_hz=20.0, unit_cost=40.0)
+    for p in range(11):
+        x, y = ring_point(offset + (p + 0.5 + float(rng.uniform(-0.15, 0.15))) / 11)
+        yaw = math.degrees(math.atan2(side / 2 - y, side / 2 - x)) + rng.uniform(-15.0, 15.0)
+        radar.append(CandidateMount(f"R{p:02d}", (x, y, float(rng.uniform(4.0, 6.0))), spec,
+                                    yaw_deg=float(yaw), pitch_deg=8.0))
+    return Scene(grid=grid, roi=RegionOfInterest(frozenset(range(n * n)), weights),
+                 occluders=tuple(occluders), lidar_candidates=tuple(lidar),
+                 radar_candidates=tuple(radar))
+
+
+def test_branch_bound_prunes_a_planning_sized_search(monkeypatch):
+    # One _picks_left call per popped node, plus one that sizes the
+    # accumulators.  The whole-row bound took this
+    # count-4 search from 5,936 nodes to 1,814; enumerating every pick of at
+    # most 4 of the 22 candidates is 9,109 selections.
+    picks_left = placement._BranchBound._picks_left
+    nodes = []
+
+    def counted(self, depth, spent):
+        nodes.append(depth)
+        return picks_left(self, depth, spent)
+
+    monkeypatch.setattr(placement._BranchBound, "_picks_left", counted)
+    scene = ring_scene(np.random.default_rng([31, 0]), np.random.default_rng([1, 31, 0]))
+    lidar, radar = build_visibility(scene)
+    problem = PlacementProblem.from_matrices(
+        lidar, radar, np.array([scene.roi.weight_of(j) for j in scene.roi.sorted_cells()]),
+        budget=4)
+    assert (problem.n_lidar, problem.n_radar, problem.n_cells) == (11, 11, 2500)
+    assert solve_branch_bound(problem).selection.size == 4
+    assert len(nodes) <= 2_000
 
 
 def test_objective_matches_scalar_reference():

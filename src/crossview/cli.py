@@ -79,12 +79,12 @@ from .lp_export import export_milp
 from .metrics import MATCHING_MODES, check_threshold, evaluate_map
 from .placement import (
     BUDGET_MODES,
-    SEEN_TOL,
     PlacementProblem,
     Selection,
     check_budget,
     solve_branch_bound,
     solve_greedy,
+    within_budget,
 )
 from .scenario import DROPOUT_RULES, NoiseSpec, ScenarioConfig, generate_scenario
 from .scene import LIDAR, MAX_DURATION_FRAMES, MAX_SAMPLES_PER_CELL, RADAR, validate_scene
@@ -364,10 +364,9 @@ def _load_selection(path, lf: MatrixFile, rf: MatrixFile):
     problem = _problem_from_files(lf, rf, asdict(sol))
     selection = Selection.of(sol.lidar_ids, sol.radar_ids)
     problem.check_selection(selection)
-    cost = problem.selection_cost(selection)
-    if cost > sol.budget + SEEN_TOL:
-        raise ValueError(f"{path}: the selection costs {cost!r}, over its {sol.budget_mode}"
-                         f" budget {sol.budget!r}")
+    if not within_budget(problem, selection):
+        raise ValueError(f"{path}: the selection costs {problem.selection_cost(selection)!r},"
+                         f" over its {sol.budget_mode} budget {sol.budget!r}")
     return problem, selection
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .placement import PlacementProblem
+from .scene import LIDAR, RADAR
 
 
 def _num(x: float) -> str:
@@ -57,13 +58,9 @@ def export_milp(problem: PlacementProblem) -> str:
     lines.append(" obj: " + _linexpr([(1.0, f"z{j}") for j in range(n_c)]))
     lines.append("Subject To")
 
-    if problem.budget_mode == "count":
-        budget_terms = [(1.0, f"x{i}") for i in range(n_l)]
-        budget_terms += [(1.0, f"y{i}") for i in range(n_r)]
-    else:
-        assert problem.lidar_costs is not None and problem.radar_costs is not None
-        budget_terms = [(float(problem.lidar_costs[i]), f"x{i}") for i in range(n_l)]
-        budget_terms += [(float(problem.radar_costs[i]), f"y{i}") for i in range(n_r)]
+    spend = problem.unit_spend()
+    budget_terms = [(float(c), f"x{i}") for i, c in enumerate(spend[LIDAR])]
+    budget_terms += [(float(c), f"y{i}") for i, c in enumerate(spend[RADAR])]
     budget_expr = _linexpr(budget_terms)
     if budget_expr:
         lines.append(f" budget: {budget_expr} <= {_num(problem.budget)}")

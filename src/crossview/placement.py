@@ -13,13 +13,13 @@ Solvers:
 
 * ``solve_exhaustive``  - reference enumeration, guarded to small instances.
 * ``solve_branch_bound`` - exact depth-first search over the r picks still
-  affordable under the budget.  A node is bounded twice: by its mass on
-  the cells that may still be seen plus the r largest undecided row sums,
-  then cell by cell by the best those r picks can add; both bounds carry
-  a float slack that keeps ties.  It returns the same canonical optimum as
-  enumeration, keeps O(candidates x cells) floats and an explicit stack,
-  so neither memory nor recursion depth grows with the search.
-* ``solve_greedy``      - fast warm start, no optimality guarantee.
+  affordable under the budget.  A node is bounded by its mass on the cells
+  that may still be seen plus the r largest undecided row sums, with a
+  float slack that keeps ties; the search finds its own incumbent.  It
+  returns the same canonical optimum as enumeration, keeps
+  O(candidates x cells) floats and an explicit stack, so neither memory
+  nor recursion depth grows with the search.
+* ``solve_greedy``      - fast heuristic, no optimality guarantee.
 """
 
 from __future__ import annotations
@@ -156,6 +156,15 @@ class PlacementProblem:
             if not 0 <= i < self.n_radar:
                 raise IndexError(f"radar candidate index {i} out of range")
 
+    def unit_spend(self) -> dict[str, np.ndarray]:
+        """What one pick of each candidate spends of the budget, per modality:
+        1 in count mode, its unit cost in cost mode."""
+        if self.budget_mode == "count":
+            return {LIDAR: np.ones(self.n_lidar), RADAR: np.ones(self.n_radar)}
+        if self.lidar_costs is None or self.radar_costs is None:
+            raise ValueError("the problem carries no unit costs")
+        return {LIDAR: self.lidar_costs, RADAR: self.radar_costs}
+
     def selection_cost(self, selection: Selection) -> float:
         """What ``selection`` spends of the budget: a count or money."""
         if self.budget_mode == "count":
@@ -178,7 +187,6 @@ class PlacementProblem:
 class PlacementSolution:
     selection: Selection
     seen: np.ndarray = field(repr=False)
-    cell_mass: np.ndarray = field(repr=False)
     objective: float = 0.0
     optimal: bool = False
 
@@ -202,16 +210,11 @@ def evaluate_selection(problem: PlacementProblem, selection: Selection) -> Place
         + _sum_rows(problem.radar_vis, selection.radar_ids)
     ) * problem.weights
     objective = float(mass[seen].sum())
-    return PlacementSolution(
-        selection=selection,
-        seen=seen,
-        cell_mass=mass,
-        objective=objective,
-        optimal=False,
-    )
+    return PlacementSolution(selection=selection, seen=seen, objective=objective)
 
 
-def _within_budget(problem: PlacementProblem, selection: Selection) -> bool:
+def within_budget(problem: PlacementProblem, selection: Selection) -> bool:
+    """Whether ``selection`` fits the budget, up to ``SEEN_TOL``."""
     return problem.selection_cost(selection) <= problem.budget + SEEN_TOL
 
 
@@ -237,7 +240,7 @@ def solve_exhaustive(problem: PlacementProblem) -> PlacementSolution:
                 (i for m, i in combo if m == LIDAR),
                 (i for m, i in combo if m == RADAR),
             )
-            if not _within_budget(problem, selection):
+            if not within_budget(problem, selection):
                 continue
             cand = evaluate_selection(problem, selection)
             key = selection.canonical_key()
@@ -271,7 +274,7 @@ def solve_greedy(problem: PlacementProblem) -> PlacementSolution:
         for additions in (singles, pairs):  # pairs only when no single mount gains
             for add_l, add_r in additions:
                 trial = Selection(current.lidar_ids.union(add_l), current.radar_ids.union(add_r))
-                if not _within_budget(problem, trial):
+                if not within_budget(problem, trial):
                     continue
                 gain = evaluate_selection(problem, trial).objective - value
                 if gain > best_gain:
@@ -291,35 +294,32 @@ class _BranchBound:
     Candidates are ordered by falling weighted mass (the row sum of
     visibility times weight) and each is decided include first.  A node
     bounds its subtree by r, the number of further picks that still fit the
-    budget: the budget left, with the slack ``_within_budget`` allows, over
-    the cheapest undecided cost (a count budget costs 1 per pick).  If an
-    undecided candidate is free, r is every undecided candidate.
+    budget: the budget left, with the slack ``within_budget`` allows, over
+    the least ``unit_spend`` of an undecided candidate.  If an undecided
+    candidate is free, r is every undecided candidate.
 
     Visibilities, their log terms and weights are nonnegative, so coverage
     and mass are monotone in the selection.  r more picks add at most
     min(suffix sum, r * suffix max) of a cell's undecided log entries, per
     modality, so a cell whose lidar or radar sum stays below the threshold
-    even so is seen by no descendant and drops out of both bounds:
+    even so is seen by no descendant.  A descendant's objective is its mass
+    over the cells it sees, which is at most the node's own mass on the
+    cells still possibly seen plus the whole row sums of its further picks,
+    and those are at most the r largest undecided row sums: the next r in
+    the order, read from the table ``top``.  This is the budgeted maximum
+    coverage relaxation (Khuller, Moss & Naor, IPL 1999) over whole
+    candidates, and costs one dot product per node.  There is no warm
+    start: nothing is pruned before the first leaf is offered, and the
+    include-first dive down the order reaches one within n + 1 nodes.
 
-    * Whole rows, tested first.  A descendant's objective is its mass over
-      the cells it sees, which is at most the node's own mass on the cells
-      still possibly seen plus the whole row sums of its further picks, and
-      those are at most the r largest undecided row sums: the next r in the
-      order, read from the table ``top``.  This is the budgeted maximum
-      coverage relaxation (Khuller, Moss & Naor, IPL 1999) over whole
-      candidates, and costs one dot product per node.
-    * Per cell, tested when the first does not prune.  r more picks add at
-      most min(suffix sum, r * suffix max) of a cell's undecided weighted
-      visibility entries, summed over the possibly seen cells.
-
-    Float slack.  Every sum in both bounds and in ``evaluate_selection``
+    Float slack.  Every sum in the bound and in ``evaluate_selection``
     adds nonnegative terms (a dot with the 0/1 mask of possibly seen cells
     is such a sum), and a float sum of k nonnegative terms lies within a
     factor (1 +- u)^(k - 1) of the exact one in any order, u = 2^-53; a
     product with a weight is one more rounding.  No term of a bound or of
     an objective passes through more than m = n_cells + n_candidates
     roundings, so a descendant's float objective is at most
-    (1 + u)^m / (1 - u)^(m + 1) times the float bound.  The bounds are
+    (1 + u)^m / (1 - u)^(m + 1) times the float bound.  The bound is
     multiplied by ``self.slack`` = 1 + 2 m eps (eps = 2u, an exact float)
     before the strictly-worse test against the incumbent less
     ``SEEN_TOL``; even after that product's own rounding this covers the
@@ -329,12 +329,11 @@ class _BranchBound:
     another order than ``evaluate_selection`` does.
 
     Memory is O((n + 1) x cells): the suffix sum and max tables are built
-    once along the order, each over one key's own rows (lidar logs, radar
-    logs, all weighted visibility), and the search is an explicit stack
-    over preallocated accumulators, one row per pick count.  Including a
-    candidate writes parent row + candidate row into the next row; nothing
-    is subtracted to backtrack, so a node's sums are the same floats
-    however the search reached it.
+    once along the order, each over one modality's own log rows, and the
+    search is an explicit stack over preallocated accumulators, one row per
+    pick count.  Including a candidate writes parent row + candidate row
+    into the next row; nothing is subtracted to backtrack, so a node's sums
+    are the same floats however the search reached it.
     """
 
     def __init__(self, problem: PlacementProblem):
@@ -357,26 +356,25 @@ class _BranchBound:
                     for d in range(n + 1)]
         self.slack = 1.0 + 2 * (problem.n_cells + n) * float(np.finfo(float).eps)
 
-        # Each key's tables run over its own rows in order: row k covers
-        # that key's candidates from its k-th on, so a node at depth d reads
-        # row decided[key][d].  Accumulating a zero row then the rows in
+        # Each modality's tables run over its own rows in order: row k covers
+        # its candidates from its k-th on, so a node at depth d reads row
+        # decided[modality][d].  Accumulating a zero row then the rows in
         # reverse adds in the same sequence as a loop from the back would.
         rows = {
             key: np.stack([np.zeros(problem.n_cells)]
-                          + [table[modality][i] for modality, i in reversed(self.order)
-                             if key in (modality, "mass")])
-            for key, table in ((LIDAR, self.logs), (RADAR, self.logs), ("mass", self.masses))
+                          + [self.logs[key][i] for modality, i in reversed(self.order)
+                             if modality == key])
+            for key in (LIDAR, RADAR)
         }
         self.suffix_sum = {key: np.add.accumulate(r)[::-1] for key, r in rows.items()}
         self.suffix_max = {key: np.maximum.accumulate(r, out=r)[::-1] for key, r in rows.items()}
         self.decided = {key: [0] * (n + 1) for key in (LIDAR, RADAR)}
-        self.decided["mass"] = list(range(n + 1))
         for d, (modality, _) in enumerate(self.order):
             for key in (LIDAR, RADAR):
                 self.decided[key][d + 1] = self.decided[key][d] + (key == modality)
-        self.cheapest = [float("inf")] * (n + 1)
-        for d in range(n - 1, -1, -1):
-            self.cheapest[d] = min(self.cheapest[d + 1], self._cost_of(*self.order[d]))
+        spend = problem.unit_spend()
+        self.costs = [float(spend[modality][i]) for modality, i in self.order]
+        self.cheapest = list(accumulate(reversed(self.costs), min, initial=float("inf")))[::-1]
 
         self.best_obj = -1.0
         self.best_key: tuple = ()
@@ -389,13 +387,6 @@ class _BranchBound:
             self.best_obj = obj
             self.best_key = key
             self.best_sel = selection
-
-    def _cost_of(self, modality: str, i: int) -> float:
-        if self.problem.budget_mode == "count":
-            return 1.0
-        costs = self.problem.lidar_costs if modality == LIDAR else self.problem.radar_costs
-        assert costs is not None
-        return float(costs[i])
 
     def _picks_left(self, depth: int, spent: float) -> int:
         """How many more candidates of order[depth:] can still be taken."""
@@ -421,14 +412,12 @@ class _BranchBound:
 
     def run(self) -> PlacementSolution:
         problem = self.problem
-        self._offer(solve_greedy(problem).selection)
-
         n_cells = problem.n_cells
         most = self._picks_left(0, 0.0)
         # Row k holds the sums of a node's k picks of that kind; a node only
         # ever writes the row above its own, which no pending node reads.
-        acc = {key: np.zeros((min(most, table.shape[0] - 1) + 1, n_cells))
-               for key, table in self.suffix_sum.items()}
+        counts = {LIDAR: problem.n_lidar, RADAR: problem.n_radar, "mass": len(self.order)}
+        acc = {key: np.zeros((min(most, count) + 1, n_cells)) for key, count in counts.items()}
         picked = [0] * most  # order positions of the current node's picks
         work = np.empty(n_cells)
         seen = np.empty(n_cells, dtype=bool)
@@ -445,15 +434,11 @@ class _BranchBound:
             np.add(acc[RADAR][n_r], self._gain(RADAR, depth, r, work), out=work)
             np.greater_equal(work, threshold, out=seen_radar)
             np.multiply(seen, seen_radar, out=seen_mask)
-            # The node's mass on the cells still possibly seen, then the two
-            # bounds.  Strictly-worse pruning: equal-bound subtrees may still
+            # The node's mass on the cells still possibly seen, then the
+            # bound.  Strictly-worse pruning: equal-bound subtrees may still
             # hold a canonically smaller optimum, so they are explored.
             held = float(np.dot(acc["mass"][n_l + n_r], seen_mask))
-            floor = self.best_obj - SEEN_TOL
-            if (held + self.top[depth][r]) * self.slack < floor:
-                continue
-            gain = self._gain("mass", depth, r, work)
-            if (held + float(np.dot(gain, seen_mask))) * self.slack < floor:
+            if (held + self.top[depth][r]) * self.slack < self.best_obj - SEEN_TOL:
                 continue
             if r == 0:
                 # No further pick fits, so every branch below excludes the
@@ -464,7 +449,7 @@ class _BranchBound:
                 continue
             stack.append((depth + 1, n_l, n_r, spent))
             modality, i = self.order[depth]
-            cost = self._cost_of(modality, i)
+            cost = self.costs[depth]
             if spent + cost <= problem.budget + SEEN_TOL:
                 k = n_l if modality == LIDAR else n_r
                 np.add(acc[modality][k], self.logs[modality][i], out=acc[modality][k + 1])

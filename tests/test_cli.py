@@ -1329,6 +1329,48 @@ def test_scene_identity_is_its_file_header_digest(tmp_path, capsys):
     assert "warning" not in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def twin_scenes(tmp_path_factory):
+    """One scene saved in two layouts, a.scene and b.scene, so under two header
+    digests, with matrices and a count-2 solution built from each."""
+    root = tmp_path_factory.mktemp("twins")
+    save_scene(root / "a.scene", square_scene())
+    (root / "b.scene").write_text(
+        make_document("crossview.scene", _payload(root / "a.scene"), indent=3))
+    d = str(root) + "/"
+    for name in "ab":
+        assert main(["visibility", "--scene", f"{d}{name}.scene", "--samples-per-cell", "1",
+                     "--out-lidar", f"{d}{name}l.vismatrix",
+                     "--out-radar", f"{d}{name}r.vismatrix"]) == 0
+        assert main(["optimize", "--lidar", f"{d}{name}l.vismatrix",
+                     "--radar", f"{d}{name}r.vismatrix", "--budget", "2",
+                     "--out", f"{d}{name}.solution"]) == 0
+    return d
+
+
+@pytest.mark.parametrize("warning, argv", [
+    ("matrix scene hashes differ",
+     ["optimize", "--lidar", "{in}al.vismatrix", "--radar", "{in}br.vismatrix",
+      "--budget", "2", "--out", "{out}x.solution"]),
+    ("solution scene hash differs from the matrices",
+     ["coverage", "--lidar", "{in}bl.vismatrix", "--radar", "{in}br.vismatrix",
+      "--solution", "{in}a.solution", "--out", "{out}x.report"]),
+    ("matrices were not built from this scene file",
+     ["simulate", "--scene", "{in}b.scene", "--lidar", "{in}al.vismatrix",
+      "--radar", "{in}ar.vismatrix", "--solution", "{in}a.solution", "--frames", "2",
+      "--out-truth", "{out}t.frames", "--out-lidar", "{out}dl.frames",
+      "--out-radar", "{out}dr.frames"]),
+])
+def test_inputs_from_another_scene_file_warn(twin_scenes, tmp_path, capsys, warning, argv):
+    """Inputs whose scene digests disagree still run, and say so on stderr."""
+    capsys.readouterr()
+    out = str(tmp_path) + "/"
+    assert main([a.replace("{in}", twin_scenes).replace("{out}", out) for a in argv]) == 0
+    err = capsys.readouterr().err
+    assert f"warning: {warning}" in err
+    assert err.count("warning") == 1
+
+
 def test_module_runs_main():
     env = {**os.environ, "PYTHONPATH": str(Path(crossview.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-m", "crossview.cli", "--help"], env=env,

@@ -179,6 +179,21 @@ def test_branch_bound_matches_exhaustive_cost_mode():
         assert bb.selection == ex.selection
 
 
+@pytest.mark.parametrize("mode", ["count", "cost"])
+def test_branch_bound_finds_its_own_incumbent(mode, monkeypatch):
+    # The exact search must not lean on the heuristic for a starting point.
+    def refuse(problem):
+        raise AssertionError("branch-and-bound ran solve_greedy")
+
+    monkeypatch.setattr(placement, "solve_greedy", refuse)
+    rng = np.random.default_rng([41, mode == "cost"])
+    for _ in range(30):
+        problem = random_problem(rng, budget_mode=mode)
+        bb = solve_branch_bound(problem)
+        ex = solve_exhaustive(problem)
+        assert (bb.objective, bb.selection) == (ex.objective, ex.selection)
+
+
 # Costs whose sums land on the budget only within SEEN_TOL (0.1 + 0.2 >
 # 0.3 in floats), free candidates, and visibilities whose log terms sit on
 # the unit seen threshold.
@@ -252,8 +267,8 @@ def test_branch_bound_keeps_ties_at_every_weight_scale(mode, scale):
 def test_branch_bound_takes_picks_that_fit_only_within_tolerance(cost, budget, picks):
     # The last pick fits only through SEEN_TOL, and budget / cost rounds to
     # just below the pick count.  No cell is seen without several mounts
-    # of each kind, so the greedy warm start covers nothing and only the
-    # search finds the optimum, which takes the last pick.
+    # of each kind, so greedy covers nothing and only the exact search
+    # finds the optimum, which takes the last pick.
     rng = np.random.default_rng(0)
     lidar, radar = rng.uniform(0.0, 0.7, (4, 5)), rng.uniform(0.0, 0.7, (4, 5))
     problem = make_problem(lidar, radar, budget=budget, mode="cost",
@@ -329,9 +344,9 @@ def ring_scene(rng: np.random.Generator, weights_rng: np.random.Generator) -> Sc
 
 def test_branch_bound_prunes_a_planning_sized_search(monkeypatch):
     # One _picks_left call per popped node, plus one that sizes the
-    # accumulators.  The whole-row bound took this
-    # count-4 search from 5,936 nodes to 1,814; enumerating every pick of at
-    # most 4 of the 22 candidates is 9,109 selections.
+    # accumulators.  The whole-row bound, with no warm start, visits 1,814
+    # nodes in this count-4 search; enumerating every pick of at most 4 of
+    # the 22 candidates is 9,109 selections.
     picks_left = placement._BranchBound._picks_left
     nodes = []
 

@@ -82,6 +82,7 @@ from .placement import (
     PlacementProblem,
     Selection,
     check_budget,
+    evaluate_selection,
     solve_branch_bound,
     solve_greedy,
     within_budget,
@@ -346,7 +347,9 @@ _COVERAGE_CHECKS = {"theta": _ranged(check_theta), "name": _nonempty_string}
 
 def _load_selection(path, lf: MatrixFile, rf: MatrixFile):
     """The problem a solution file poses over the matrices, and its selection;
-    warns if the file names another scene than ``lf``.
+    warns if the file names another scene than ``lf``, or records another
+    objective than its selection scores over these matrices (as when it was
+    scored on others).
 
     The candidate ids it records must be the matrices' ids at its row
     indices, and the selection must fit the budget it records; a row outside
@@ -367,6 +370,8 @@ def _load_selection(path, lf: MatrixFile, rf: MatrixFile):
     if not within_budget(problem, selection):
         raise ValueError(f"{path}: the selection costs {problem.selection_cost(selection)!r},"
                          f" over its {sol.budget_mode} budget {sol.budget!r}")
+    if evaluate_selection(problem, selection).objective != sol.objective:
+        _warn("solution objective differs from its selection's over these matrices")
     return problem, selection
 
 

@@ -9,8 +9,12 @@ one line with sorted keys and no whitespace between tokens; loaders accept
 any whitespace, so files written with the two-space indents of earlier
 builds still load.  A matrix body is plain header lines plus one row per
 candidate, printed to 9 significant digits, which reparse to the same text,
-so a load/save cycle is byte stable.  Writes go to a temp file that is then
-renamed over the target, so no reader sees half a file.
+so a load/save cycle is byte stable.  A matrix holds few distinct values (a
+visibility entry is a lattice fraction), so each distinct value is printed
+once per save and each distinct token parsed once per load; both conversions
+are correctly rounded, so this gives the bits one conversion per entry would.
+Writes go to a temp file that is then renamed over the target, so no reader
+sees half a file.
 
 Loaders are strict: unknown fields, missing fields, version mismatches and
 malformed numbers all raise ParseError naming the offending part as
@@ -291,6 +295,13 @@ def _number(value, where: str) -> float:
     return number
 
 
+def _nonnegative(value, where: str) -> float:
+    number = _number(value, where)
+    if number < 0.0:
+        raise ParseError(f"{where}: expected a nonnegative number, got {value!r}")
+    return number
+
+
 def _integer(value, where: str, maximum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{where}: expected an integer, got {value!r}")
@@ -424,23 +435,40 @@ def save_matrix(path, mf: MatrixFile) -> None:
     lines.append(f"cols {cols}")
     lines.append(f"epsilon {_fmt(mf.matrix.epsilon)}")
     lines.append(f"scene_hash {mf.scene_hash}")
-    lines.append("cells " + " ".join(str(c) for c in mf.cells))
+    lines.append("cells " + " ".join(map(str, mf.cells)))
     lines.append("weights " + " ".join(_fmt(w) for w in mf.weights))
     lines.append("costs " + " ".join(_fmt(c) for c in mf.costs))
     lines.append("ids " + " ".join(mf.ids))
     if mf.manifest is not None:
         lines.append(f"manifest {mf.manifest}")
-    for i in range(rows):
-        lines.append(" ".join(_fmt(v) for v in mf.matrix.values[i]))
+    # One text per distinct bit pattern, so -0.0 and every nan payload print as
+    # one _fmt call per entry would.
+    bits = np.ascontiguousarray(mf.matrix.values, dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array([_fmt(v) for v in distinct.view(np.float64)], dtype=object)
+    lines.extend(" ".join(row) for row in texts[inverse.reshape(rows, cols)].tolist())
     _write_artifact(path, MATRIX_MAGIC, "\n".join(lines) + "\n")
 
 
-def _parse_floats(text: str, n: int, where: str) -> np.ndarray:
+class _FloatMemo(dict):
+    """Token text to ``float(token)``, each distinct token parsed once."""
+
+    def __missing__(self, token: str) -> float:
+        value = self[token] = float(token)
+        return value
+
+
+def _parse_floats(text: str, n: int, where: str, memo: _FloatMemo | None = None) -> np.ndarray:
+    """``n`` finite floats from ``text``; with ``memo``, repeated tokens are parsed once
+    (for matrix rows: a header list of mostly distinct values is faster without)."""
     parts = text.split()
     if len(parts) != n:
         raise ParseError(f"{where}: expected {n} values, found {len(parts)}")
     try:
-        values = np.array(parts, dtype=float)
+        if memo is None:
+            values = np.array(parts, dtype=float)
+        else:
+            values = np.fromiter(map(memo.__getitem__, parts), float, n)
     except ValueError as exc:
         raise ParseError(f"{where}: malformed number: {exc}") from exc
     finite = np.isfinite(values)
@@ -480,10 +508,10 @@ def load_matrix(path) -> MatrixFile:
     if len(cell_parts) != cols:
         raise ParseError(f"{path}: cells lists {len(cell_parts)} entries, expected {cols}")
     try:
-        cells = tuple(int(c) for c in cell_parts)
+        cells = tuple(map(int, cell_parts))
     except ValueError as exc:
         raise ParseError(f"{path}: cells must be integers") from exc
-    if cells and (cells[0] < 0 or any(a >= b for a, b in zip(cells, cells[1:]))):
+    if cells and (cells[0] < 0 or not all(map(int.__lt__, cells, cells[1:]))):
         raise ParseError(f"{path}: cells must be strictly increasing nonnegative integers")
     weights = _parse_floats(header["weights"], cols, f"{path}: weights")
     costs = _parse_floats(header["costs"], rows, f"{path}: costs")
@@ -497,8 +525,9 @@ def load_matrix(path) -> MatrixFile:
     if len(data_lines) != rows:
         raise ParseError(f"{path}: found {len(data_lines)} matrix rows, expected {rows}")
     values = np.zeros((rows, cols))
+    memo = _FloatMemo()
     for i, line in enumerate(data_lines):
-        values[i] = _parse_floats(line, cols, f"{path}: matrix row {i}")
+        values[i] = _parse_floats(line, cols, f"{path}: matrix row {i}", memo)
     if values.size and (values.min() < 0.0 or values.max() >= 1.0):
         raise ParseError(f"{path}: matrix entries must lie in [0, 1)")
     return MatrixFile(
@@ -667,7 +696,7 @@ def save_solution(path, sol: SolutionFile) -> None:
 _SOLUTION = _build(SolutionFile, {
     "lidar_ids": _distinct(_list_of(_integer)), "radar_ids": _distinct(_list_of(_integer)),
     "lidar_candidate_ids": _list_of(_string), "radar_candidate_ids": _list_of(_string),
-    "objective": _number, "optimal": _boolean, "budget": _number,
+    "objective": _nonnegative, "optimal": _boolean, "budget": _number,
     "budget_mode": _choice(BUDGET_MODES), "seen_threshold": _number, "scene_hash": _string,
     "manifest": _optional(_string),
 }, {"manifest"})

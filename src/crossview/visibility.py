@@ -198,21 +198,14 @@ def _unoccluded(
 def _mount_row(
     scene: Scene,
     mount: CandidateMount,
-    cells: Sequence[int],
+    sx: np.ndarray,
+    sy: np.ndarray,
     cfg: VisibilityConfig,
 ) -> np.ndarray:
-    """Visibility of one mount over the given grid cells (vectorized)."""
+    """Visibility of one mount over the cells whose sample lattice is ``sx``, ``sy``
+    (one row per cell, one column per sample), which the caller builds once for
+    every mount and this function only reads."""
     spec = mount.spec
-    grid = scene.grid
-    cell_idx = np.asarray(cells, dtype=np.int64)
-    rows = cell_idx // grid.nx
-    cols = cell_idx % grid.nx
-
-    fx, fy = _lattice_fractions(cfg.samples_per_cell)
-    k = fx.shape[0]
-    sx = grid.origin_xy[0] + (cols[:, None] + fx[None, :]) * grid.cell_size
-    sy = grid.origin_xy[1] + (rows[:, None] + fy[None, :]) * grid.cell_size
-
     mx, my, mz = mount.position
     dx = sx - mx
     dy = sy - my
@@ -242,21 +235,8 @@ def _mount_row(
         covered = _unoccluded(mount.position, sx, sy, cfg.probe_height(), covered,
                               scene.occluders)
 
-    fraction = covered.sum(axis=1) / float(k)
+    fraction = covered.sum(axis=1) / float(sx.shape[1])
     return np.minimum(fraction, 1.0 - cfg.epsilon)
-
-
-def cell_visibility(
-    scene: Scene,
-    mount: CandidateMount,
-    j: int,
-    cfg: VisibilityConfig | None = None,
-) -> float:
-    """Fraction of cell j's sample lattice detectable from the mount."""
-    cfg = cfg or VisibilityConfig()
-    if not 0 <= j < scene.grid.n_cells:
-        raise IndexError(f"cell index {j} outside grid with {scene.grid.n_cells} cells")
-    return float(_mount_row(scene, mount, [j], cfg)[0])
 
 
 def _stack_rows(
@@ -266,17 +246,25 @@ def _stack_rows(
     cfg: VisibilityConfig,
     workers: int,
 ) -> np.ndarray:
+    """One row per mount over ``cells``.  The cells' sample lattice does not
+    depend on the mount, so it is built once here and shared by every row."""
+    grid = scene.grid
+    cell_row, cell_col = np.divmod(np.asarray(cells, dtype=np.int64), grid.nx)
+    fx, fy = _lattice_fractions(cfg.samples_per_cell)
+    sx = grid.origin_xy[0] + (cell_col[:, None] + fx[None, :]) * grid.cell_size
+    sy = grid.origin_xy[1] + (cell_row[:, None] + fy[None, :]) * grid.cell_size
+
     out = np.zeros((len(mounts), len(cells)))
     if workers > 1 and len(mounts) > 1:
-        # Rows are independent; map preserves order, so any worker count
-        # produces identical bits.
+        # Rows are independent and only read the lattice; map preserves
+        # order, so any worker count produces identical bits.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = pool.map(lambda m: _mount_row(scene, m, cells, cfg), mounts)
+            rows = pool.map(lambda m: _mount_row(scene, m, sx, sy, cfg), mounts)
             for i, row in enumerate(rows):
                 out[i] = row
     else:
         for i, mount in enumerate(mounts):
-            out[i] = _mount_row(scene, mount, cells, cfg)
+            out[i] = _mount_row(scene, mount, sx, sy, cfg)
     return out
 
 

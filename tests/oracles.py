@@ -346,3 +346,24 @@ def clip_polygon_reference(subject, clip):
                                 p1[1] + t * (p2[1] - p1[1])))
         output = clipped
     return output
+
+
+def matrix_body_reference(mf) -> str:
+    """A matrix file's body as first written: one ``format(float(v), ".9g")``
+    per entry.  ``formats.save_matrix`` must write the same bytes."""
+    def fmt(value):
+        return format(float(value), ".9g")
+
+    rows, cols = mf.matrix.values.shape
+    lines = [f"modality {mf.matrix.modality}", f"rows {rows}", f"cols {cols}",
+             f"epsilon {fmt(mf.matrix.epsilon)}",
+             f"scene_hash {mf.scene_hash}",
+             "cells " + " ".join(str(c) for c in mf.cells),
+             "weights " + " ".join(fmt(w) for w in mf.weights),
+             "costs " + " ".join(fmt(c) for c in mf.costs),
+             "ids " + " ".join(mf.ids)]
+    if mf.manifest is not None:
+        lines.append(f"manifest {mf.manifest}")
+    for i in range(rows):
+        lines.append(" ".join(fmt(v) for v in mf.matrix.values[i]))
+    return "\n".join(lines) + "\n"

@@ -275,7 +275,10 @@ def test_full_chain(workspace, capsys):
         "--out", str(root / "best.coverage"),
     ])
     assert rc == 0
-    assert "coverage 100.0%" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "coverage 100.0%" in captured.out
+    # The optimizer's objective recomputes bit for bit from the matrices.
+    assert "warning" not in captured.err
     kind, record = load_report(root / "best.coverage")
     assert kind == "coverage"
     assert record["config_name"] == "best"
@@ -294,7 +297,9 @@ def test_full_chain(workspace, capsys):
         "--out-radar", str(root / "dets.radar.frames"),
     ])
     assert rc == 0
-    assert "simulated 20 frames" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "simulated 20 frames" in captured.out
+    assert "warning" not in captured.err
 
     rc = main([
         "fuse",
@@ -834,19 +839,26 @@ CONTRADICTING_SOLUTIONS = {
     "over-cost-budget": ({"budget_mode": "cost", "budget": 120.0 - 2e-9}, 4,
                          "{path}: the selection costs 120.0, over its cost budget 119.999999998"),
     "within-tolerance": ({"budget_mode": "cost", "budget": 120.0 - 5e-10}, 0, ""),
+    "negative-objective": ({"objective": -5.0}, 3,
+                           "{path}.objective: expected a nonnegative number, got -5.0"),
+    # A solution scored on other matrices is a legitimate input, so this only warns.
+    "other-objective": ({"objective": 0.0}, 0,
+                        "solution objective differs from its selection's over these matrices"),
 }
 
 
 @pytest.mark.parametrize("command", ["coverage", "simulate"])
 @pytest.mark.parametrize("case", sorted(CONTRADICTING_SOLUTIONS))
 def test_solution_that_contradicts_itself_fails(workspace, tmp_path, capsys, command, case):
-    """A solution may not repeat a row (exit 3) nor spend more than the budget it
-    records, beyond SEEN_TOL (exit 4); both used to run to exit 0."""
+    """A solution may not repeat a row or record a negative objective (exit 3), nor
+    spend more than the budget it records, beyond SEEN_TOL (exit 4); all used to run
+    to exit 0.  An objective its selection does not score over these matrices warns."""
     edit, code, message = CONTRADICTING_SOLUTIONS[case]
     path = tmp_path / "plan.solution"
     _solution(workspace, path)
     payload = _payload(path)
     assert (payload["lidar_ids"], payload["radar_ids"], payload["budget"]) == ([0], [0], 2.0)
+    assert payload["objective"] > 0.0
     path.write_text(make_document("crossview.solution", {**payload, **edit}))
     matrices = ["--lidar", str(workspace / "lidar.vismatrix"),
                 "--radar", str(workspace / "radar.vismatrix")]
@@ -862,6 +874,8 @@ def test_solution_that_contradicts_itself_fails(workspace, tmp_path, capsys, com
         assert err == f"error: {message.format(path=path)}\n", err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "plan.solution", "plan.solution.manifest"]
+    else:
+        assert err == (f"warning: {message}\n" if message else ""), err
 
 
 def test_matrix_for_another_roi_does_not_simulate(workspace, tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from crossview import formats
 from crossview.formats import FRAMES_MAGIC
 
 from conftest import make_document, random_box, rehash, square_scene
+from oracles import matrix_body_reference
 
 
 def sample_matrix_file(scene=None) -> MatrixFile:
@@ -240,6 +242,50 @@ def test_save_matrix_validates_lengths(tmp_path):
         save_matrix(tmp_path / "x.vismatrix", broken)
 
 
+# A nan whose payload differs from np.nan's: its own bit pattern, the same text.
+OTHER_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+AWKWARD_VALUES = [1.0 - 1e-6, 5e-324, 2.5e-310, -0.0, 0.0, np.nan, -np.nan, OTHER_NAN,
+                  np.inf, 1.0 / 3.0, 0.1234567891234]
+
+
+def random_matrix_values(rng, rows: int, cols: int) -> np.ndarray:
+    """Lattice fractions clamped to 1 - 1e-6, a fifth of them replaced by awkward values."""
+    k = int(rng.choice([1, 4, 9, 16]))
+    values = np.minimum(rng.integers(0, k + 1, (rows, cols)) / k, 1.0 - 1e-6)
+    swap = rng.random((rows, cols)) < 0.2
+    values[swap] = rng.choice(AWKWARD_VALUES, int(swap.sum()))
+    return values
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (3, 0), (1, 1), (5, 7), (11, 300)])
+def test_matrix_bytes_match_the_per_value_writer(tmp_path, rows, cols):
+    """Printing each distinct value once writes the bytes one print per entry did,
+    whatever the values' dtype or memory layout."""
+    rng = np.random.default_rng([19, rows, cols])
+    values = random_matrix_values(rng, rows, cols)
+    wide = np.repeat(values, 2, axis=1)
+    wide[:, 1::2] = 0.5
+    layouts = {
+        "c-order": values,
+        "fortran-order": np.asfortranarray(values),
+        "strided": wide[:, ::2],
+        "reversed": np.ascontiguousarray(values[:, ::-1])[:, ::-1],
+        "float32": values.astype(np.float32),
+        "int64": rng.integers(0, 2, (rows, cols)),
+    }
+    for k, (layout, matrix) in enumerate(layouts.items()):
+        mf = MatrixFile(matrix=VisibilityMatrix("radar", matrix), scene_hash="ab" * 32,
+                        cells=tuple(range(0, 3 * cols, 3)), weights=rng.uniform(0.5, 2.0, cols),
+                        costs=rng.uniform(10.0, 100.0, rows),
+                        ids=tuple(f"R{i}" for i in range(rows)),
+                        manifest="run.manifest" if k % 2 else None)
+        path = tmp_path / f"{layout}.vismatrix"
+        save_matrix(path, mf)
+        body = matrix_body_reference(mf).encode()
+        digest = hashlib.sha256(body).hexdigest()
+        assert path.read_bytes() == f"crossview.vismatrix 2 {digest}\n".encode() + body, layout
+
+
 def _parse_floats_one_by_one(text: str, n: int, where: str) -> np.ndarray:
     """The matrix parse as it was, one Python ``float()`` per value."""
     parts = text.split()
@@ -274,11 +320,18 @@ def test_matrix_rows_parse_as_one_float_per_value_did():
     rng = np.random.default_rng(41)
     doubles = 10.0 ** rng.uniform(-300, 300, 20_000) * rng.choice([-1.0, 1.0], 20_000)
     texts += [" ".join(repr(float(v)) for v in chunk) for chunk in doubles.reshape(-1, 100)]
+    # The memo path shares one memo across every text, as a file's rows do, so
+    # "0.25 abc" and "0.25 inf" meet a bad token after an already parsed one,
+    # and a non-finite token parsed once is refused again where it repeats.
+    memo = formats._FloatMemo()
+    memoized = partial(formats._parse_floats, memo=memo)
     for text in texts:
         n = len(text.split())
         for count in (n, n + 1):
             old = _parse_outcome(_parse_floats_one_by_one, text, count)
             assert _parse_outcome(formats._parse_floats, text, count) == old, text
+            assert _parse_outcome(memoized, text, count) == old, text
+    assert "0.25" in memo and "inf" in memo and "abc" not in memo
 
 
 # -- frames -------------------------------------------------------------------

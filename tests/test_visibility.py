@@ -18,7 +18,6 @@ from crossview import (
     VisibilityMatrix,
     beam_elevations,
     build_visibility,
-    cell_visibility,
     detection_probability,
     log_visibility,
 )
@@ -53,6 +52,15 @@ def one_cell_scene(mount: CandidateMount, cell_size: float = 2.0,
     )
 
 
+def entry(scene: Scene, mount: CandidateMount, j: int,
+          cfg: VisibilityConfig | None = None) -> float:
+    """``build_visibility``'s entry for ``mount``, a candidate of ``scene``, at ROI cell ``j``."""
+    lidar, radar = build_visibility(scene, cfg)
+    matrix, mounts = ((lidar, scene.lidar_candidates) if mount.spec.modality == "lidar"
+                      else (radar, scene.radar_candidates))
+    return float(matrix.values[mounts.index(mount), scene.roi.sorted_cells().index(j)])
+
+
 def test_beam_elevations_span_and_spacing():
     beams = beam_elevations(lidar_spec(16, vfov=30.0))
     assert beams[0] == -15.0
@@ -70,9 +78,9 @@ def test_beam_elevations_rejects_radar():
 
 def test_range_gate():
     near = CandidateMount("L", (80.0, 1.0, 5.0), lidar_spec(64, max_range=90.0))
-    assert cell_visibility(one_cell_scene(near), near, 0) > 0.0
+    assert entry(one_cell_scene(near), near, 0) > 0.0
     far = CandidateMount("L", (200.0, 1.0, 5.0), lidar_spec(64, max_range=90.0))
-    assert cell_visibility(one_cell_scene(far), far, 0) == 0.0
+    assert entry(one_cell_scene(far), far, 0) == 0.0
 
 
 def test_azimuth_gate_wraps_at_180():
@@ -80,10 +88,10 @@ def test_azimuth_gate_wraps_at_180():
     spec = lidar_spec(64, hfov=20.0, vfov=170.0)
     mount = CandidateMount("L", (30.0, 1.0, 5.0), spec, yaw_deg=180.0)
     scene = one_cell_scene(mount)
-    assert cell_visibility(scene, mount, 0) > 0.0
+    assert entry(scene, mount, 0) > 0.0
     # Same geometry but aimed north: nothing falls inside 20 degrees.
     aimed_away = CandidateMount("L", (30.0, 1.0, 5.0), spec, yaw_deg=90.0)
-    assert cell_visibility(one_cell_scene(aimed_away), aimed_away, 0) == 0.0
+    assert entry(one_cell_scene(aimed_away), aimed_away, 0) == 0.0
 
 
 def test_radar_vertical_gate_and_pitch():
@@ -91,10 +99,10 @@ def test_radar_vertical_gate_and_pitch():
     # outside a 28 degree fan; pitching down 20 degrees recovers it.
     flat = CandidateMount("R", (10.0, 1.0, 5.0), radar_spec(vfov=28.0),
                           yaw_deg=180.0)
-    assert cell_visibility(one_cell_scene(flat), flat, 0) == 0.0
+    assert entry(one_cell_scene(flat), flat, 0) == 0.0
     pitched = CandidateMount("R", (10.0, 1.0, 5.0), radar_spec(vfov=28.0),
                              yaw_deg=180.0, pitch_deg=20.0)
-    assert cell_visibility(one_cell_scene(pitched), pitched, 0) == 1.0 - 1e-6
+    assert entry(one_cell_scene(pitched), pitched, 0) == 1.0 - 1e-6
 
 
 def test_sparse_beams_miss_distant_target():
@@ -102,9 +110,9 @@ def test_sparse_beams_miss_distant_target():
     # (-3.58 to -2.36 deg).  A 2-beam unit only fires at -7.5 and +7.5
     # and misses; 64 beams spaced 0.71 deg cannot miss.
     coarse = CandidateMount("L", (81.0, 1.0, 5.0), lidar_spec(2, vfov=15.0))
-    assert cell_visibility(one_cell_scene(coarse), coarse, 0) == 0.0
+    assert entry(one_cell_scene(coarse), coarse, 0) == 0.0
     fine = CandidateMount("L", (81.0, 1.0, 5.0), lidar_spec(64, vfov=45.0))
-    assert cell_visibility(one_cell_scene(fine), fine, 0) > 0.0
+    assert entry(one_cell_scene(fine), fine, 0) > 0.0
 
 
 def test_beam_gate_uses_object_height_span():
@@ -123,8 +131,8 @@ def test_beam_gate_uses_object_height_span():
         radar_candidates=(),
     )
     cfg = VisibilityConfig(samples_per_cell=1)
-    blind = cell_visibility(scene, mount, int(inner) - 2, cfg)
-    lit = cell_visibility(scene, mount, int(inner) + 2, cfg)
+    blind = entry(scene, mount, int(inner) - 2, cfg)
+    lit = entry(scene, mount, int(inner) + 2, cfg)
     assert blind == 0.0
     assert lit > 0.0
 
@@ -134,11 +142,11 @@ def test_occluder_blocks_line_of_sight():
     mount = CandidateMount("L", (20.0, 1.0, 2.0), spec)
     wall = Occluder((10.0, -5.0, 0.0), (11.0, 5.0, 30.0))
     blocked = one_cell_scene(mount, occluders=[wall])
-    assert cell_visibility(blocked, mount, 0) == 0.0
+    assert entry(blocked, mount, 0) == 0.0
     # A short wall lets the elevated sightline pass over it.
     short_wall = Occluder((10.0, -5.0, 0.0), (11.0, 5.0, 0.2))
     open_scene = one_cell_scene(mount, occluders=[short_wall])
-    assert cell_visibility(open_scene, mount, 0) > 0.0
+    assert entry(open_scene, mount, 0) > 0.0
 
 
 def test_fraction_counts_occluded_samples():
@@ -147,7 +155,7 @@ def test_fraction_counts_occluded_samples():
     mount = CandidateMount("L", (20.0, 1.0, 2.0), spec)
     half_wall = Occluder((10.0, -5.0, 0.0), (11.0, 1.0, 30.0))
     scene = one_cell_scene(mount, occluders=[half_wall])
-    v = cell_visibility(scene, mount, 0)
+    v = entry(scene, mount, 0)
     assert 0.0 < v < 1.0
     assert v * 9 == round(v * 9)  # a whole number of lattice hits
 
@@ -203,7 +211,7 @@ def test_matches_scalar_reference():
             radar_candidates=(mount,) if modality == "radar" else (),
         )
         for j in roi_cells[:8]:
-            got = cell_visibility(scene, mount, j)
+            got = entry(scene, mount, j)
             row, col = divmod(j, grid.nx)
             expected = visibility_reference(
                 mount.position,
@@ -270,15 +278,6 @@ def test_detection_probability_index_errors():
     for bad in ([2], [-1], [0, 5]):
         with pytest.raises(IndexError, match="out of range for radar"):
             detection_probability(matrix, bad)
-
-
-def test_cell_visibility_index_errors():
-    scene = square_scene()
-    mount = scene.lidar_candidates[0]
-    with pytest.raises(IndexError):
-        cell_visibility(scene, mount, scene.grid.n_cells)
-    with pytest.raises(IndexError):
-        cell_visibility(scene, mount, -1)
 
 
 def test_matrix_shape_follows_scene():

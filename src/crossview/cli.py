@@ -74,7 +74,7 @@ from .formats import (
     save_solution,
     write_atomic,
 )
-from .fusion import FusionConfig, fuse_late
+from .fusion import FusionConfig, fuse_frames
 from .lp_export import export_milp
 from .metrics import MATCHING_MODES, check_threshold, evaluate_map
 from .placement import (
@@ -483,8 +483,7 @@ def _fuse_stage(lidar_path, radar_path, fusion_cfg: FusionConfig, path,
     frames.  Returns the number of boxes read and written."""
     lidar = load_frames(lidar_path)
     radar = load_frames(radar_path)
-    fused = {fid: fuse_late(lidar.get(fid, []), radar.get(fid, []), fusion_cfg)
-             for fid in sorted(set(lidar) | set(radar))}
+    fused = fuse_frames(lidar, radar, fusion_cfg)
     save_frames(path, fused, manifest)
     return (sum(map(len, lidar.values())) + sum(map(len, radar.values())),
             sum(map(len, fused.values())))

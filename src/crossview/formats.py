@@ -21,7 +21,10 @@ malformed numbers all raise ParseError naming the offending part as
 ``<file>.<path>``, a list entry by its index.  Every JSON record is a
 ``{field: check}`` table read by one loop, ``_record``; only the boxes of a
 frames file, the hot path of re-scoring, have a hand-written reader, and
-matrix bodies are text rows.
+matrix bodies are text rows.  That reader checks a file's box records in
+bulk, a column at a time, and builds the boxes only once every check has
+passed; a file it has any doubt about goes through the record loop, which
+names the first fault, so every message is the record loop's.
 """
 
 from __future__ import annotations
@@ -31,13 +34,15 @@ import json
 import math
 import os
 from contextlib import suppress
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
+from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .boxes import DetectionBox
+from .boxes import CLASSES, SOURCES, DetectionBox, normalize_yaw
 from .coverage import CoverageReport
 from .metrics import FramePair, pair_frames
 from .placement import BUDGET_MODES
@@ -424,6 +429,9 @@ def _fmt(value: float) -> str:
 
 def save_matrix(path, mf: MatrixFile) -> None:
     rows, cols = mf.matrix.values.shape
+    if rows and not cols:  # its rows would be blank lines, which the loader skips
+        raise ValueError(f"a {rows} x {cols} matrix has rows but no columns; "
+                         "its file would not load")
     if len(mf.cells) != cols:
         raise ValueError("cells length must match matrix columns")
     if mf.weights.shape != (cols,):
@@ -547,6 +555,9 @@ def load_matrix(path) -> MatrixFile:
 _JSON_NUMBERS = frozenset({int, float})
 _BOX_REQUIRED = frozenset({"center", "size", "yaw", "class_label", "score", "source"})
 _BOX_KEYS = _BOX_REQUIRED | {"velocity"}
+_FRAME_KEYS = frozenset({"frame_id", "boxes"})
+_CLASS_NAMES = frozenset(CLASSES)
+_SOURCE_NAMES = frozenset(SOURCES)
 
 
 def _is_numbers(value, n: int) -> bool:
@@ -592,13 +603,82 @@ def save_frames(path, frames: dict[str, list[DetectionBox]], manifest: str | Non
     _write_artifact(path, FRAMES_MAGIC, _json_body(payload))
 
 
+def _lists_of(lists, n: int) -> bool:
+    """Whether each entry of ``lists`` is a list of ``n`` entries."""
+    return set(map(type, lists)) <= {list} and set(map(len, lists)) <= {n}
+
+
+def _frames_in_bulk(frames: list) -> dict[str, list[DetectionBox]] | None:
+    """The boxes of a frames list checked column by column, or None on any doubt.
+
+    Each check is one the record loop makes, taken over the whole file at
+    once; a file it does not pass (a fault, or a box record without all
+    seven fields) goes to the record loop, which names the first fault.
+    Boxes are built only once every check has passed, with the
+    constructor's stores, so each is what the constructor builds.
+    """
+    if set(map(type, frames)) - {dict} or any(f.keys() != _FRAME_KEYS for f in frames):
+        return None
+    ids = [f["frame_id"] for f in frames]
+    lists = [f["boxes"] for f in frames]
+    if set(map(type, ids)) - {str} or len(set(ids)) != len(ids) or set(map(type, lists)) - {list}:
+        return None
+    records = list(chain.from_iterable(lists))
+    if set(map(type, records)) - {dict} or set(map(len, records)) - {len(_BOX_KEYS)}:
+        return None
+    try:
+        center, size, yaw, label, score, source, velocity = (
+            list(map(itemgetter(f.name), records)) for f in fields(DetectionBox))
+    except KeyError:
+        return None
+    planar = [v for v in velocity if v is not None]
+    if not (_lists_of(center, 3) and _lists_of(size, 3) and _lists_of(planar, 2)
+            and set(map(type, label)) <= {str} and set(map(type, source)) <= {str}
+            and _CLASS_NAMES.issuperset(label) and _SOURCE_NAMES.issuperset(source)):
+        return None
+    n = len(records)
+
+    def numbers():
+        return chain(chain.from_iterable(center), chain.from_iterable(size), yaw, score,
+                     chain.from_iterable(planar))
+    types = set(map(type, numbers()))
+    if not types <= _JSON_NUMBERS:
+        return None
+    try:
+        values = np.fromiter(numbers(), float, 8 * n + 2 * len(planar))
+    except OverflowError:  # an integer past the float range
+        return None
+    sizes, scores = values[3 * n:6 * n], values[7 * n:8 * n]
+    if not (np.isfinite(values).all() and (sizes > 0.0).all()
+            and ((scores >= 0.0) & (scores <= 1.0)).all()):
+        return None
+    as_floats = tuple if int not in types else (lambda v: tuple(map(float, v)))
+    new, store = object.__new__, object.__setattr__
+    boxes = []
+    for c, s, y, lab, sc, src, v in zip(center, size, yaw, label, score, source, velocity):
+        box = new(DetectionBox)
+        store(box, "center", as_floats(c))
+        store(box, "size", as_floats(s))
+        store(box, "yaw", normalize_yaw(float(y)))
+        store(box, "class_label", lab)
+        store(box, "score", float(sc))
+        store(box, "source", src)
+        store(box, "velocity", None if v is None else as_floats(v))
+        boxes.append(box)
+    starts = list(accumulate(map(len, lists), initial=0))
+    return {fid: boxes[starts[k]:starts[k + 1]] for k, fid in enumerate(ids)}
+
+
 def load_frames(path) -> dict[str, list[DetectionBox]]:
     payload = _load_document(path, FRAMES_MAGIC)[0]
     where = str(path)
     _require_keys(payload, {"frames"}, {"manifest"}, where)
     if not isinstance(payload["frames"], list):
         raise ParseError(f"{where}: frames must be a list")
-    out: dict[str, list[DetectionBox]] = {}
+    out = _frames_in_bulk(payload["frames"])
+    if out is not None:
+        return out
+    out = {}
     for k, rec in enumerate(payload["frames"]):
         boxes = None
         try:

@@ -5,6 +5,10 @@ Matched pairs merge into a single box with score-weighted geometry; radar
 contributes the velocity estimate.  Unmatched detections from either side
 pass through untouched, so every input box is accounted for exactly once:
 len(output) == len(lidar) + len(radar) - matches.
+
+``fuse_frames`` fuses a whole file's frames with one call of the IoU kernel
+``boxes.iou_3d_pairs`` over every same-class pair of every frame, which
+gives ``iou_3d``'s values bit for bit, and hands each frame its pairs.
 """
 
 from __future__ import annotations
@@ -12,7 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boxes import DetectionBox, iou_3d, normalize_yaw
+import numpy as np
+
+from .boxes import (
+    CLASSES,
+    DetectionBox,
+    concat_groups,
+    iou_3d,
+    iou_3d_pairs,
+    normalize_yaw,
+    same_key_pairs,
+)
 from .scene import LIDAR, RADAR
 
 
@@ -59,8 +73,14 @@ def fuse_late(
     lidar_detections: list[DetectionBox],
     radar_detections: list[DetectionBox],
     config: FusionConfig | None = None,
+    pairs: list[tuple[float, int, int]] | None = None,
 ) -> list[DetectionBox]:
-    """Fuse one frame of detections; returns boxes sorted by score."""
+    """Fuse one frame of detections; returns boxes sorted by score.
+
+    ``pairs``, if given, are the ``(iou, lidar index, radar index)`` of every
+    same-class pair whose IoU reaches the threshold, as ``fuse_frames``
+    computes them; otherwise each pair's ``iou_3d`` is taken here.
+    """
     config = config or FusionConfig()
     for box in lidar_detections:
         if box.source != LIDAR:
@@ -69,15 +89,17 @@ def fuse_late(
         if box.source != RADAR:
             raise ValueError(f"radar_detections contains a {box.source!r} box")
 
-    pairs = []
-    for li, lbox in enumerate(lidar_detections):
-        for ri, rbox in enumerate(radar_detections):
-            if lbox.class_label != rbox.class_label:
-                continue
-            iou = iou_3d(lbox, rbox)
-            if iou >= config.iou_threshold:
-                pairs.append((iou, li, ri))
-    pairs.sort(
+    if pairs is None:
+        pairs = []
+        for li, lbox in enumerate(lidar_detections):
+            for ri, rbox in enumerate(radar_detections):
+                if lbox.class_label != rbox.class_label:
+                    continue
+                iou = iou_3d(lbox, rbox)
+                if iou >= config.iou_threshold:
+                    pairs.append((iou, li, ri))
+    pairs = sorted(
+        pairs,
         key=lambda p: (
             -p[0],
             lidar_detections[p[1]].sort_key(),
@@ -102,3 +124,29 @@ def fuse_late(
     out += [b for i, b in enumerate(radar_detections) if i not in used_r]
     out.sort(key=lambda b: (-b.score, b.sort_key()))
     return out
+
+
+def fuse_frames(
+    lidar: dict[str, list[DetectionBox]],
+    radar: dict[str, list[DetectionBox]],
+    config: FusionConfig | None = None,
+) -> dict[str, list[DetectionBox]]:
+    """``fuse_late`` for every frame id in either map, in id order, with one
+    IoU kernel call over every same-class pair of every frame."""
+    config = config or FusionConfig()
+    ids = sorted(set(lidar) | set(radar))
+    sides = [[side.get(fid, []) for fid in ids] for side in (lidar, radar)]
+    (lflat, lframe, lstarts), (rflat, rframe, rstarts) = map(concat_groups, sides)
+
+    def keys(frame, flat):  # equal for boxes of one frame and class, which pair up
+        return frame * len(CLASSES) + [CLASSES.index(b.class_label) for b in flat]
+
+    li, ri = same_key_pairs(keys(lframe, lflat), keys(rframe, rflat))
+    iou = iou_3d_pairs(lflat + rflat, li, ri + len(lflat))
+    hit = np.flatnonzero(iou >= config.iou_threshold)
+    frame = lframe[li[hit]]
+    pairs = list(zip(iou[hit].tolist(), (li[hit] - lstarts[frame]).tolist(),
+                     (ri[hit] - rstarts[frame]).tolist()))
+    cuts = np.searchsorted(frame, np.arange(len(ids) + 1)).tolist()
+    return {fid: fuse_late(l, r, config, pairs=pairs[cuts[k]:cuts[k + 1]])
+            for k, (fid, l, r) in enumerate(zip(ids, *sides))}

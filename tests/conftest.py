@@ -14,12 +14,17 @@ from crossview import (
     CandidateMount,
     DetectionBox,
     GridSpec,
+    NoiseSpec,
     Occluder,
     PlacementProblem,
     RegionOfInterest,
+    ScenarioConfig,
+    ScenarioFrames,
     Scene,
+    Selection,
     SensorSpec,
     VisibilityMatrix,
+    generate_scenario,
 )
 
 # Property tests try the same inputs on every run and keep no example
@@ -162,3 +167,19 @@ def shifted_copy(box: DetectionBox, dx: float = 0.0, dy: float = 0.0,
         source=box.source if source is None else source,
         velocity=box.velocity,
     )
+
+
+def rescore_frames(seed: int) -> ScenarioFrames:
+    """One deployment's truth, lidar and radar frames at the benchmark's
+    ``rescore`` size: 50 frames of about 17 boxes each, every class present,
+    on an 80 m square that every mount sees at 0.9."""
+    full = np.full((2, 1600), 0.9)
+    config = ScenarioConfig(
+        seed=seed, duration_frames=50, frame_dt_s=60.0,
+        class_mix={"car": 10.0, "truck": 2.0, "motorcycle": 2.0, "bus": 1.0,
+                   "pedestrian": 1.4, "golf_cart": 1.4},
+        lidar_noise=NoiseSpec(position_sigma=0.15, size_sigma=0.05, yaw_sigma=0.03),
+        radar_noise=NoiseSpec(position_sigma=0.4, size_sigma=0.15, yaw_sigma=0.08,
+                              velocity_sigma=0.2))
+    return generate_scenario(square_scene(nx=40, ny=40), VisibilityMatrix("lidar", full),
+                             VisibilityMatrix("radar", full), Selection.of([0, 1], [0, 1]), config)

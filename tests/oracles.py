@@ -367,3 +367,67 @@ def matrix_body_reference(mf) -> str:
     for i in range(rows):
         lines.append(" ".join(fmt(v) for v in mf.matrix.values[i]))
     return "\n".join(lines) + "\n"
+
+
+def load_frames_reference(path):
+    """``formats.load_frames`` as it was before it checked a file's box records
+    in bulk: one record at a time, each type-checked and then built by the
+    ``DetectionBox`` constructor, which checks the ranges.  The loader must
+    raise the same ParseError text or return equal boxes."""
+    from crossview import DetectionBox
+    from crossview.formats import FRAMES_MAGIC, ParseError, _load_document, _require_keys
+
+    required = frozenset({"center", "size", "yaw", "class_label", "score", "source"})
+    keys = required | {"velocity"}
+
+    def is_numbers(value, n):
+        return type(value) is list and len(value) == n and {int, float}.issuperset(map(type, value))
+
+    def box_from_record(rec):
+        if not isinstance(rec, dict):
+            raise ParseError(": expected an object")
+        if rec.keys() != keys:
+            _require_keys(rec, required, {"velocity"}, "")
+        center, size, velocity = rec["center"], rec["size"], rec.get("velocity")
+        if not is_numbers(center, 3):
+            raise ParseError(f".center: expected a list of 3 numbers, got {center!r}")
+        if not is_numbers(size, 3):
+            raise ParseError(f".size: expected a list of 3 numbers, got {size!r}")
+        if velocity is not None and not is_numbers(velocity, 2):
+            raise ParseError(f".velocity: expected a list of 2 numbers, got {velocity!r}")
+        for key in ("yaw", "score"):
+            if type(rec[key]) not in (int, float):
+                raise ParseError(f".{key}: expected a number, got {rec[key]!r}")
+        try:
+            return DetectionBox(center, size, rec["yaw"], rec["class_label"], rec["score"],
+                                rec["source"], velocity)
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f": {exc}") from exc
+
+    payload = _load_document(path, FRAMES_MAGIC)[0]
+    where = str(path)
+    _require_keys(payload, {"frames"}, {"manifest"}, where)
+    if not isinstance(payload["frames"], list):
+        raise ParseError(f"{where}: frames must be a list")
+    out = {}
+    for k, rec in enumerate(payload["frames"]):
+        boxes = None
+        try:
+            if not isinstance(rec, dict):
+                raise ParseError(": expected an object")
+            _require_keys(rec, {"frame_id", "boxes"}, set(), "")
+            frame_id = rec["frame_id"]
+            if not isinstance(frame_id, str):
+                raise ParseError(f".frame_id: expected a string, got {frame_id!r}")
+            if frame_id in out:
+                raise ParseError(f": duplicate frame_id {frame_id!r}")
+            if not isinstance(rec["boxes"], list):
+                raise ParseError(".boxes: expected a list")
+            boxes = []
+            for b in rec["boxes"]:
+                boxes.append(box_from_record(b))
+        except ParseError as exc:
+            at = "" if boxes is None else f".boxes[{len(boxes)}]"
+            raise ParseError(f"{where}.frames[{k}]{at}{exc}") from exc
+        out[frame_id] = boxes
+    return out

@@ -257,7 +257,7 @@ def random_matrix_values(rng, rows: int, cols: int) -> np.ndarray:
     return values
 
 
-@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (3, 0), (1, 1), (5, 7), (11, 300)])
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (1, 1), (5, 7), (11, 300)])
 def test_matrix_bytes_match_the_per_value_writer(tmp_path, rows, cols):
     """Printing each distinct value once writes the bytes one print per entry did,
     whatever the values' dtype or memory layout."""
@@ -284,6 +284,27 @@ def test_matrix_bytes_match_the_per_value_writer(tmp_path, rows, cols):
         body = matrix_body_reference(mf).encode()
         digest = hashlib.sha256(body).hexdigest()
         assert path.read_bytes() == f"crossview.vismatrix 2 {digest}\n".encode() + body, layout
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 0), (0, 4), (0, 0)])
+def test_empty_matrix_shapes_round_trip_or_are_refused(tmp_path, rows, cols):
+    """A matrix without rows loads back as written; one with rows but no
+    columns would be blank lines, so it is refused before anything is written."""
+    mf = MatrixFile(matrix=VisibilityMatrix("lidar", np.zeros((rows, cols))), scene_hash="ab" * 32,
+                    cells=tuple(range(cols)), weights=np.ones(cols), costs=np.ones(rows),
+                    ids=tuple(f"L{i}" for i in range(rows)))
+    path = tmp_path / "m.vismatrix"
+    if rows and not cols:
+        with pytest.raises(ValueError, match=f"a {rows} x {cols} matrix has rows but no columns"):
+            save_matrix(path, mf)
+        assert not path.exists() and not list(tmp_path.iterdir())
+        return
+    save_matrix(path, mf)
+    loaded = load_matrix(path)
+    assert loaded.matrix.values.shape == (rows, cols)
+    assert (loaded.cells, loaded.ids) == (mf.cells, mf.ids)
+    save_matrix(tmp_path / "again.vismatrix", loaded)
+    assert (tmp_path / "again.vismatrix").read_bytes() == path.read_bytes()
 
 
 def _parse_floats_one_by_one(text: str, n: int, where: str) -> np.ndarray:

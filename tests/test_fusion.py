@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from crossview import DetectionBox, FusionConfig, fuse_late, iou_3d
+from crossview.fusion import fuse_frames
 
-from conftest import random_box, shifted_copy
+from conftest import random_box, rescore_frames, shifted_copy
 
 
 def make_box(center=(0.0, 0.0, 1.0), size=(4.0, 2.0, 2.0), yaw=0.0,
@@ -150,3 +151,33 @@ def test_config_validation():
         FusionConfig(iou_threshold=0.0)
     with pytest.raises(ValueError):
         FusionConfig(iou_threshold=1.5)
+
+
+@pytest.mark.parametrize("threshold", [0.1, 0.3, 0.5])
+def test_fuse_frames_is_fuse_late_frame_by_frame(threshold):
+    """The kernel's pairs give each frame what its own scalar loop gives."""
+    frames = rescore_frames(12)
+    lidar = {fid: boxes for fid, boxes in frames.lidar.items() if fid[-1] != "3"}
+    radar = {fid: boxes for fid, boxes in frames.radar.items() if fid[-1] != "7"}
+    config = FusionConfig(iou_threshold=threshold)
+    fused = fuse_frames(lidar, radar, config)
+    assert list(fused) == sorted(set(lidar) | set(radar))
+    merges = 0
+    for fid, boxes in fused.items():
+        want = fuse_late(lidar.get(fid, []), radar.get(fid, []), config)
+        assert repr(boxes) == repr(want), fid
+        merges += sum(b.source == "fused" for b in boxes)
+    assert merges > 100
+
+
+def test_fuse_frames_of_nothing():
+    assert fuse_frames({}, {}) == {}
+    box = make_box()
+    assert fuse_frames({"a": [box]}, {"b": []}) == {"a": [box], "b": []}
+
+
+def test_fuse_frames_merges_at_exactly_the_threshold():
+    l = make_box(size=(2.0, 2.0, 2.0))
+    r = shifted_copy(l, dx=1.0, source="radar")
+    config = FusionConfig(iou_threshold=iou_3d(l, r))
+    assert [b.source for b in fuse_frames({"a": [l]}, {"a": [r]}, config)["a"]] == ["fused"]

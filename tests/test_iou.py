@@ -6,12 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from crossview import DetectionBox, center_distance_bev, iou_3d
+from crossview import CLASSES, SOURCES, DetectionBox, center_distance_bev, iou_3d
 from crossview import boxes as boxes_module
-from crossview.boxes import _clip_polygon, _polygon_area, footprint
+from crossview.boxes import _clip_pairs, _clip_polygon, _polygon_area, footprint, iou_3d_pairs
 
-from conftest import random_box, shifted_copy
+from conftest import random_box, rescore_frames, shifted_copy
 from oracles import clip_polygon_reference, mc_iou_3d
 
 
@@ -129,9 +131,10 @@ def _unfiltered_iou(a, b):
 
 
 def test_circle_reject_matches_unfiltered_iou(monkeypatch):
-    """The BEV circle reject never changes a value, even near tangency."""
+    """The BEV circle reject never changes a value, even near tangency, and
+    iou_3d_pairs gives iou_3d's bits on every pair, in both orders."""
     rng = np.random.default_rng(31)
-    calls = []
+    calls, pair_list = [], []
 
     def counted_footprint(box):
         calls.append(box)
@@ -156,7 +159,9 @@ def test_circle_reject_matches_unfiltered_iou(monkeypatch):
             clipped += 1
         else:
             rejected += 1
+        pair_list.append((a, b))
     assert rejected > 2000 and clipped > 2000
+    assert_kernel_is_iou_3d(*_pairs_of(pair_list))
 
 
 def _seeded_pair(rng, kind: int):
@@ -259,3 +264,120 @@ def test_rotation_preserves_iou_structure():
             )
 
         assert iou_3d(rotated(a), rotated(b)) == pytest.approx(base, abs=1e-9)
+
+
+# -- iou_3d_pairs: the whole-file kernel, held to iou_3d bit for bit ----------
+
+def assert_kernel_is_iou_3d(boxes, ia, ib):
+    """``iou_3d_pairs`` gives every pair ``iou_3d``'s bits."""
+    got = iou_3d_pairs(boxes, ia, ib)
+    want = np.array([iou_3d(boxes[i], boxes[j]) for i, j in zip(ia, ib)], dtype=float)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    wrong = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert not wrong.size, [(boxes[ia[k]], boxes[ib[k]], got[k], want[k]) for k in wrong[:3]]
+    return got
+
+
+def _pairs_of(pair_list):
+    """A box list and index arrays holding each (a, b) of ``pair_list`` in both orders."""
+    boxes = [box for pair in pair_list for box in pair]
+    first = np.arange(0, len(boxes), 2)
+    return boxes, np.concatenate((first, first + 1)), np.concatenate((first + 1, first))
+
+
+@pytest.mark.parametrize("sides", [("lidar", "radar"), ("ground_truth", "lidar"),
+                                   ("radar", "ground_truth")])
+def test_kernel_matches_iou_3d_on_every_same_class_pair_of_a_scenario(sides):
+    frames = rescore_frames(11)
+    left, right = ({"lidar": frames.lidar, "radar": frames.radar,
+                    "ground_truth": frames.ground_truth}[side] for side in sides)
+    boxes, ia, ib = [], [], []
+    for fid in sorted(set(left) | set(right)):
+        lbox, rbox = left.get(fid, []), right.get(fid, [])
+        base = len(boxes)
+        boxes += lbox + rbox
+        for i, a in enumerate(lbox):
+            for j, b in enumerate(rbox):
+                if a.class_label == b.class_label:
+                    ia.append(base + i)
+                    ib.append(base + len(lbox) + j)
+    got = assert_kernel_is_iou_3d(boxes, ia, ib)
+    assert len(ia) > 3000 and (got > 0.0).sum() > 300
+
+
+def _scaled(b: DetectionBox, k: float) -> DetectionBox:
+    return box(center=tuple(v * k for v in b.center), size=tuple(v * k for v in b.size), yaw=b.yaw)
+
+
+def _edge_pairs():
+    """Pairs whose z values are dyadic, so heights and overlaps are exact."""
+    rng = np.random.default_rng(808)
+    pairs = {"identical": [], "turned": [], "shared-edge": [], "z-touching": [], "scaled": []}
+    for n in range(400):
+        a = random_box(rng, spread=3.0)
+        z, h = float(rng.integers(2, 9)) / 4.0, float(rng.integers(1, 9)) / 4.0
+        a = box(center=(a.center[0], a.center[1], z), size=a.size[:2] + (h,), yaw=a.yaw)
+        pairs["identical"].append((a, box(center=a.center, size=a.size, yaw=a.yaw,
+                                          class_label="bus", score=0.1, source="radar")))
+        for turn in (math.pi / 2.0, math.pi, 1e-12, -1e-12):
+            pairs["turned"].append((a, box(center=a.center, size=a.size, yaw=a.yaw + turn)))
+        pairs["shared-edge"].append(_seeded_pair(rng, 1))
+        above = float(rng.integers(1, 9)) / 4.0
+        on_top = (a.center[0], a.center[1], z + h / 2.0 + above / 2.0)
+        pairs["z-touching"].append((a, box(center=on_top, size=a.size[:2] + (above,),
+                                           yaw=a.yaw + 0.3)))
+        for k in (1e-6, 1e3):
+            pairs["scaled"].append(tuple(_scaled(b, k) for b in _seeded_pair(rng, n % 4)))
+    return pairs
+
+
+@pytest.mark.parametrize("family", ["identical", "turned", "shared-edge", "z-touching", "scaled"])
+def test_kernel_matches_iou_3d_on_edge_cases(family):
+    pair_list = _edge_pairs()[family]
+    got = assert_kernel_is_iou_3d(*_pairs_of(pair_list))
+    if family == "identical":
+        assert (got == 1.0).all()
+    if family == "z-touching":
+        assert (got == 0.0).all()
+
+
+def test_kernel_takes_any_pair_list():
+    a, b = box(), box(center=(1.0, 0.0, 1.0))
+    assert iou_3d_pairs([a, b], [], []).shape == (0,)
+    assert iou_3d_pairs([], np.array([], dtype=int), []).shape == (0,)
+    assert_kernel_is_iou_3d([a, b], [0, 1, 0, 1], [1, 0, 0, 1])
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+boxes_strategy = st.builds(
+    DetectionBox,
+    center=st.tuples(finite, finite, finite) | st.tuples(*[st.floats(-4.0, 4.0)] * 3),
+    size=st.tuples(*[st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)] * 3)
+    | st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    yaw=finite,
+    class_label=st.sampled_from(CLASSES),
+    score=st.floats(0.0, 1.0),
+    source=st.sampled_from(SOURCES),
+)
+
+
+@given(st.lists(boxes_strategy, min_size=1, max_size=6))
+def test_kernel_matches_iou_3d_on_arbitrary_boxes(boxes):
+    ia, ib = np.divmod(np.arange(len(boxes) ** 2), len(boxes))
+    assert_kernel_is_iou_3d(boxes, ia, ib)
+
+
+def test_batched_clip_is_the_reference_loop():
+    """Each row of the batched clip is the reference loop's vertex list."""
+    rng = np.random.default_rng(2025)
+    subjects, clips = [], []
+    for n in range(4_000):
+        a, b = _seeded_pair(rng, n % 4)
+        subjects += [footprint(a), footprint(b), footprint(a)]
+        clips += [footprint(b), footprint(a), footprint(a)]
+    sub, cl = np.array(subjects), np.array(clips)
+    x, y, count = _clip_pairs(sub[:, :, 0], sub[:, :, 1], cl[:, :, 0], cl[:, :, 1])
+    for k, (subject, clip) in enumerate(zip(subjects, clips)):
+        got = list(zip(x[k, :count[k]].tolist(), y[k, :count[k]].tolist()))
+        assert got == clip_polygon_reference(subject, clip), k
+    assert (count > 0).sum() > 8_000 and count.max() > 4

@@ -15,7 +15,7 @@ from crossview import (
     pair_frames,
 )
 
-from conftest import random_box, shifted_copy
+from conftest import random_box, rescore_frames, shifted_copy
 from oracles import ap_frames_reference
 
 
@@ -242,3 +242,18 @@ def test_pair_frames_takes_union_of_ids():
     assert pairs[0].ground_truth and not pairs[0].predictions
     assert pairs[1].predictions and not pairs[1].ground_truth
     assert not pairs[2].predictions and not pairs[2].ground_truth
+
+
+@pytest.mark.parametrize("predictions", ["lidar", "radar"])
+def test_iou_mode_map_matches_reference_on_a_scenario(predictions):
+    """One IoU table for the whole file scores every class as the plain loop does."""
+    frames = rescore_frames(13)
+    pairs = pair_frames(frames.ground_truth, getattr(frames, predictions))
+    thresholds = {"car": 0.3, "bus": 0.7}
+    result = evaluate_map(pairs, matching_mode="iou", thresholds=thresholds)
+    for label, got in result.per_class.items():
+        threshold = thresholds.get(label, DEFAULT_IOU_THRESHOLDS[label])
+        assert got.threshold == threshold
+        assert got.ap == ap_frames_reference(pairs, label, "iou", threshold), label
+        assert got == evaluate_ap(pairs, label, "iou", threshold)
+    assert all(r.ap is not None and 0.0 < r.ap < 1.0 for r in result.per_class.values())

@@ -15,11 +15,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from crossview import (
@@ -44,11 +45,19 @@ from crossview import (
     save_scene,
     save_solution,
 )
-from crossview import cli
-from crossview.formats import ParseError, baseline_from_record, coverage_from_record
+from crossview import DetectionBox, cli
+from crossview.formats import (
+    FRAMES_MAGIC,
+    ParseError,
+    _frames_in_bulk,
+    baseline_from_record,
+    coverage_from_record,
+)
 
-from conftest import make_document, random_box, rehash, square_scene
+from conftest import make_document, random_box, rehash, rescore_frames, square_scene
+from oracles import load_frames_reference
 from test_cli import BAD_CONFIG_VALUES
+from test_detection_box import generated_init_dict_size
 
 # Keys and words the readers look for, so generated objects reach past the
 # first type check.
@@ -229,6 +238,99 @@ def test_loader_returns_or_raises_parse_error(valid_files, kind, data):
         load(path)
     except ParseError:
         pass
+
+
+# -- the frames loader: checked in bulk, held to the record loop ----------------
+
+@pytest.fixture(scope="module")
+def frames_payload(tmp_path_factory):
+    """A valid frames payload of four frames: lidar boxes without velocity,
+    radar boxes with it, and one frame without boxes."""
+    frames = rescore_frames(14)
+    ids = sorted(frames.lidar)[:3]
+    path = tmp_path_factory.mktemp("frames") / "a.frames"
+    save_frames(path, {**{fid: frames.lidar[fid] + frames.radar[fid] for fid in ids}, "empty": []},
+                "a.manifest")
+    return json.loads(path.read_text().split("\n", 1)[1])["payload"]
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _mutate(data, payload) -> str | None:
+    """One edit of a frames payload in place; returns a raw literal that
+    replaces the node set to "@raw@" in the file's text, if one was drawn."""
+    frames = payload["frames"]
+    boxes = [b for f in frames for b in f["boxes"]]
+    box = data.draw(st.sampled_from(boxes))
+    kind = data.draw(st.sampled_from(["node", "raw", "missing", "extra", "duplicate", "length",
+                                      "class", "source", "size", "score", "integers"]))
+    if kind in ("node", "raw"):
+        where = data.draw(st.sampled_from(_nodes(payload)))
+        raw = data.draw(st.sampled_from(RAW_NUMBERS)) if kind == "raw" else None
+        _set(payload, where, "@raw@" if raw else data.draw(json_values | st.just(True)))
+        return raw
+    if kind in ("missing", "extra"):
+        record = data.draw(st.sampled_from([payload, *frames, box]))
+        if kind == "missing":
+            del record[data.draw(st.sampled_from(sorted(record)))]
+        else:
+            key = data.draw(st.sampled_from(["extra", "frame_id", "boxes", "velocity", "yaw"]))
+            record[key] = 1
+    elif kind == "duplicate":
+        frames[data.draw(st.integers(1, len(frames) - 1))]["frame_id"] = frames[0]["frame_id"]
+    elif kind == "length":
+        key = data.draw(st.sampled_from(["center", "size", "velocity"]))
+        box[key] = [1.0] * data.draw(st.sampled_from([0, 1, 2, 3, 4]))
+    elif kind in ("class", "source"):
+        box["class_label" if kind == "class" else "source"] = data.draw(
+            st.sampled_from(["cars", "", "Car", "lidar", "car", "fused", "radar ", "ground_truth"]))
+    elif kind == "size":
+        box["size"][data.draw(st.integers(0, 2))] = data.draw(st.sampled_from([0, 0.0, -0.0, -1.5]))
+    elif kind == "score":
+        box["score"] = data.draw(st.sampled_from([-1e-300, -0.0, 0, 1, 1.0000000000000002, 2]))
+    else:  # JSON integers where floats were: a valid file that stores them as floats
+        box["center"] = [1, -2, 0]
+        box["size"] = [4, 2, 1]
+    return None
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_frames_loader_is_the_record_loop_on_mutated_files(tmp_path_factory, frames_payload, data):
+    payload = json.loads(json.dumps(frames_payload))
+    raw = _mutate(data, payload)
+    text = make_document(FRAMES_MAGIC, payload, indent=None)
+    path = tmp_path_factory.mktemp("mutated") / "m.frames"
+    path.write_text(rehash(text.replace('"@raw@"', raw)) if raw else text)
+    got, want = _outcome(load_frames, path), _outcome(load_frames_reference, path)
+    assert got == want
+    event("refused" if isinstance(got, str) else "loaded")
+    if not isinstance(got, str):
+        assert [[tuple(map(type, vars(b).values())) for b in boxes] for boxes in got.values()] \
+            == [[tuple(map(type, vars(b).values())) for b in boxes] for boxes in want.values()]
+
+
+def test_bulk_loaded_boxes_are_constructor_boxes(tmp_path, frames_payload):
+    """A valid file takes the bulk path, and its boxes are the constructor's."""
+    payload = json.loads(json.dumps(frames_payload))
+    payload["frames"][0]["boxes"][0].update(center=[1, -2, 0], size=[4, 2, 1], yaw=3, score=1)
+    path = tmp_path / "a.frames"
+    path.write_text(make_document(FRAMES_MAGIC, payload, indent=None))
+    assert _frames_in_bulk(json.loads(json.dumps(payload["frames"]))) is not None
+    loaded = load_frames(path)
+    built = {f["frame_id"]: [DetectionBox(**b) for b in f["boxes"]] for f in payload["frames"]}
+    assert loaded == built and list(loaded) == list(built)
+    for got, want in zip(sum(loaded.values(), []), sum(built.values(), [])):
+        assert hash(got) == hash(want) and repr(got) == repr(want)
+        assert list(map(type, vars(got).values())) == list(map(type, vars(want).values()))
+    # Each keeps the key-sharing instance dict the constructor's one-by-one stores give.
+    sizes = [sys.getsizeof(vars(b)) for b in sum(loaded.values(), [])]
+    assert max(sizes) <= generated_init_dict_size()
 
 
 # A valid --config for every command, on ``square_scene`` with one sample

@@ -636,21 +636,15 @@ def _frames_in_bulk(frames: list) -> dict[str, list[DetectionBox]] | None:
             and set(map(type, label)) <= {str} and set(map(type, source)) <= {str}
             and _CLASS_NAMES.issuperset(label) and _SOURCE_NAMES.issuperset(source)):
         return None
-    n = len(records)
-
-    def numbers():
-        return chain(chain.from_iterable(center), chain.from_iterable(size), yaw, score,
-                     chain.from_iterable(planar))
-    types = set(map(type, numbers()))
-    if not types <= _JSON_NUMBERS:
-        return None
+    numbers = [*chain.from_iterable(center), *chain.from_iterable(size), *yaw, *score,
+               *chain.from_iterable(planar)]
+    types = set(map(type, numbers))
     try:
-        values = np.fromiter(numbers(), float, 8 * n + 2 * len(planar))
+        if not (types <= _JSON_NUMBERS and all(map(math.isfinite, numbers))
+                and min(chain.from_iterable(size), default=1) > 0
+                and 0 <= min(score, default=0) and max(score, default=0) <= 1):
+            return None
     except OverflowError:  # an integer past the float range
-        return None
-    sizes, scores = values[3 * n:6 * n], values[7 * n:8 * n]
-    if not (np.isfinite(values).all() and (sizes > 0.0).all()
-            and ((scores >= 0.0) & (scores <= 1.0)).all()):
         return None
     as_floats = tuple if int not in types else (lambda v: tuple(map(float, v)))
     new, store = object.__new__, object.__setattr__

@@ -6,8 +6,11 @@ valid file with one node of its payload (or, for a matrix, one token or line
 of its text) replaced and the header digest recomputed, returns or raises
 ParseError (exit 3).  Neither ever ends in a TypeError, AttributeError or
 OverflowError traceback, and ``main``, run on a mutated valid --config or
-matrix file, exits 0, 3 or 4, never 1.  The profile in
-``conftest.py`` derandomizes Hypothesis, so every run tries the same inputs.
+matrix file, exits 0, 3 or 4, never 1.  ``load_frames``, which checks box
+records in bulk, raises the message or returns the boxes of the record loop
+it replaced (``oracles.load_frames_reference``) on mutated frames files.  The
+profile in ``conftest.py`` derandomizes Hypothesis, so every run tries the
+same inputs.
 """
 
 from __future__ import annotations

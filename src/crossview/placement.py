@@ -299,12 +299,15 @@ class _BranchBound:
     candidate is free, r is every undecided candidate.
 
     Visibilities, their log terms and weights are nonnegative, so coverage
-    and mass are monotone in the selection.  r more picks add at most
-    min(suffix sum, r * suffix max) of a cell's undecided log entries, per
-    modality, so a cell whose lidar or radar sum stays below the threshold
-    even so is seen by no descendant.  A descendant's objective is its mass
-    over the cells it sees, which is at most the node's own mass on the
-    cells still possibly seen plus the whole row sums of its further picks,
+    and mass are monotone in the selection.  Of the r further picks, at
+    most r_m are of modality m: r_m is r, capped by the budget left over
+    the least spend of an undecided candidate of that kind, as r is over
+    the least of any.  Those picks add at most min(suffix sum, r_m * suffix
+    max) of a cell's undecided log entries of that kind, so a cell whose
+    lidar or radar sum stays below the threshold even so is seen by no
+    descendant.  A descendant's objective is its mass over the cells it
+    sees, which is at most the node's own mass on the cells still
+    possibly seen plus the whole row sums of its further picks,
     and those are at most the r largest undecided row sums: the next r in
     the order, read from the table ``top``.  This is the budgeted maximum
     coverage relaxation (Khuller, Moss & Naor, IPL 1999) over whole
@@ -374,7 +377,13 @@ class _BranchBound:
                 self.decided[key][d + 1] = self.decided[key][d] + (key == modality)
         spend = problem.unit_spend()
         self.costs = [float(spend[modality][i]) for modality, i in self.order]
-        self.cheapest = list(accumulate(reversed(self.costs), min, initial=float("inf")))[::-1]
+        self.cheapest = self._cheapest(self.costs)
+        # The same over each kind's own undecided candidates, by depth.
+        self.cheapest_of = {
+            key: self._cheapest([c if m == key else float("inf")
+                                 for c, (m, _) in zip(self.costs, self.order)])
+            for key in (LIDAR, RADAR)
+        }
 
         self.best_obj = -1.0
         self.best_key: tuple = ()
@@ -388,10 +397,14 @@ class _BranchBound:
             self.best_key = key
             self.best_sel = selection
 
-    def _picks_left(self, depth: int, spent: float) -> int:
-        """How many more candidates of order[depth:] can still be taken."""
-        undecided = len(self.order) - depth
-        cheapest = self.cheapest[depth]
+    @staticmethod
+    def _cheapest(costs: list[float]) -> list[float]:
+        """Entry d: the least of costs[d:], inf past the end."""
+        return list(accumulate(reversed(costs), min, initial=float("inf")))[::-1]
+
+    def _fit(self, spent: float, cheapest: float, undecided: int) -> int:
+        """How many of ``undecided`` candidates costing at least ``cheapest``
+        each can still be taken after spending ``spent``."""
         if cheapest <= 0.0:
             return undecided
         fit = (self.problem.budget + SEEN_TOL - spent) / cheapest
@@ -401,11 +414,20 @@ class _BranchBound:
         # dropping a pick that the include test in ``run`` would allow.
         return int(fit + 1e-9)
 
-    def _gain(self, key: str, depth: int, r: int, out: np.ndarray) -> np.ndarray:
-        """Per-cell bound on what r more picks add to ``key``'s sums."""
+    def _picks_left(self, depth: int, spent: float) -> int:
+        """How many more candidates of order[depth:] can still be taken."""
+        return self._fit(spent, self.cheapest[depth], len(self.order) - depth)
+
+    def _gain(self, key: str, depth: int, r: int, spent: float,
+              out: np.ndarray) -> np.ndarray:
+        """Per-cell bound on what r more picks add to ``key``'s sums.  Only
+        as many of them can be of this kind as its cheapest undecided
+        candidate allows."""
         k = self.decided[key][depth]
         suffix_sum = self.suffix_sum[key]
-        if r >= len(suffix_sum) - 1 - k:  # r picks can take every undecided one
+        undecided = len(suffix_sum) - 1 - k
+        r = min(r, self._fit(spent, self.cheapest_of[key][depth], undecided))
+        if r >= undecided:  # r picks can take every undecided one
             return suffix_sum[k]
         np.multiply(self.suffix_max[key][k], r, out=out)
         return np.minimum(out, suffix_sum[k], out=out)
@@ -429,9 +451,9 @@ class _BranchBound:
         while stack:
             depth, n_l, n_r, spent = stack.pop()
             r = self._picks_left(depth, spent)
-            np.add(acc[LIDAR][n_l], self._gain(LIDAR, depth, r, work), out=work)
+            np.add(acc[LIDAR][n_l], self._gain(LIDAR, depth, r, spent, work), out=work)
             np.greater_equal(work, threshold, out=seen)
-            np.add(acc[RADAR][n_r], self._gain(RADAR, depth, r, work), out=work)
+            np.add(acc[RADAR][n_r], self._gain(RADAR, depth, r, spent, work), out=work)
             np.greater_equal(work, threshold, out=seen_radar)
             np.multiply(seen, seen_radar, out=seen_mask)
             # The node's mass on the cells still possibly seen, then the

@@ -4,12 +4,16 @@ Each matrix entry is the fraction of a cell's sample lattice that a mount
 can detect, so entries live in [0, 1 - epsilon] and behave like detection
 probabilities.  A sample point counts as covered only when it passes the
 range gate, the horizontal FOV gate, the modality-specific vertical gate,
-and an exact segment-vs-box occlusion test.  The occlusion test is culled:
-it runs only on samples that passed the gates and no earlier occluder
+and an exact segment-vs-box occlusion test.  A full-circle FOV passes
+every sample, so its azimuths are not computed, unless the yaw is NaN or
+infinite, which fails every sample.  The occlusion test is culled: it
+runs only on samples that passed the gates and no earlier occluder
 blocked, and for each occluder only on samples whose mount-to-sample
 segment has a bounding box meeting the box.  What it does run is the
-exact slab test (Williams et al., JGT 2005), so the culling changes no
-result.
+exact slab test (Kay & Kajiya, SIGGRAPH 1986; Williams et al., JGT 2005),
+so the culling changes no result.  Every segment ends at the probe
+height, so the z slab is one pair of floats per occluder rather than an
+array, and an occluder that no segment meets in z is skipped whole.
 
 ``detection_probability`` is the one detection model: the chance that at
 least one of a set of mounts detects in a cell, 1 - prod(1 - v), which the
@@ -117,33 +121,53 @@ def _wrap_deg(angles: np.ndarray) -> np.ndarray:
     return (angles + 180.0) % 360.0 - 180.0
 
 
+def _z_window(mz: float, dz: float, z0: float, z1: float) -> tuple[float, float] | None:
+    """The z slab of the slab test, for segments from height ``mz`` that all
+    rise by ``dz``: the part of [0, 1] whose height lies in [z0, z1], or None
+    when no segment meets the box (an empty part, or a NaN, which the array
+    test would carry into its final compare)."""
+    if dz == 0.0:
+        return (0.0, 1.0) if z0 <= mz <= z1 else None
+    t1, t2 = (z0 - mz) / dz, (z1 - mz) / dz
+    if math.isnan(t1) or math.isnan(t2):
+        return None
+    lo, hi = max(0.0, min(t1, t2)), min(1.0, max(t1, t2))
+    return (lo, hi) if lo <= hi else None
+
+
 def _segment_hits_box(
     origin: tuple[float, float, float],
     px: np.ndarray,
     py: np.ndarray,
-    pz: np.ndarray,
+    window: tuple[float, float],
     box: Occluder,
+    level: tuple[bool, bool],
 ) -> np.ndarray:
-    """Exact slab test: does the segment origin->p cross the box?"""
-    tmin = np.zeros(px.shape)
-    tmax = np.ones(px.shape)
-    for o, p, lo, hi in (
-        (origin[0], px, box.min_corner[0], box.max_corner[0]),
-        (origin[1], py, box.min_corner[1], box.max_corner[1]),
-        (origin[2], pz, box.min_corner[2], box.max_corner[2]),
+    """Exact slab test: does the segment origin->p cross the box?
+
+    ``window`` is the z slab from ``_z_window``, and ``level[axis]`` says
+    whether some sample may share the origin's x (or y), which is the only
+    case that needs the parallel-ray rule.  Callers hold the division
+    warnings off.
+    """
+    tmin, tmax = window
+    for o, p, lo, hi, flat in (
+        (origin[0], px, box.min_corner[0], box.max_corner[0], level[0]),
+        (origin[1], py, box.min_corner[1], box.max_corner[1], level[1]),
     ):
         d = p - o
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (lo - o) / d
-            t2 = (hi - o) / d
-        near = np.minimum(t1, t2)
+        t1 = (lo - o) / d
+        t2 = (hi - o) / d
         far = np.maximum(t1, t2)
-        parallel = d == 0.0
-        inside = (o >= lo) & (o <= hi)
-        near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
-        far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
-        tmin = np.maximum(tmin, near)
-        tmax = np.minimum(tmax, far)
+        near = np.minimum(t1, t2, out=t1)
+        if flat:
+            parallel = d == 0.0
+            if parallel.any():
+                inside = lo <= o <= hi
+                near = np.where(parallel, -np.inf if inside else np.inf, near)
+                far = np.where(parallel, np.inf if inside else -np.inf, far)
+        tmin = np.maximum(near, tmin, out=near)
+        tmax = np.minimum(far, tmax, out=far)
     return tmin <= tmax
 
 
@@ -161,35 +185,42 @@ def _unoccluded(
     occluder only on the samples whose segment's bounding box meets it.
     That reject grows the box by a relative 1e-9 of the coordinates
     involved, far above the slab test's rounding, so it only ever skips
-    segments the exact test would also clear.
+    segments the exact test would also clear.  Every segment ends at the
+    probe height, so the z slab is one scalar window per occluder, and an
+    occluder whose window is empty is skipped whole.  The bounding box
+    test min(p, m) <= b is p <= b or m <= b, so where the mount side
+    already holds, the array compare is left out.
     """
     mx, my, mz = origin
     live = np.flatnonzero(covered)
     px, py = sx.ravel()[live], sy.ravel()[live]
-    x_lo, x_hi = np.minimum(px, mx), np.maximum(px, mx)
-    y_lo, y_hi = np.minimum(py, my), np.maximum(py, my)
-    z_lo, z_hi = min(pz, mz), max(pz, mz)
     x_far = abs(mx) + float(np.abs(px).max(initial=0.0))
     y_far = abs(my) + float(np.abs(py).max(initial=0.0))
-    z_far = abs(mz) + abs(pz)
+    level = (bool((px == mx).any()), bool((py == my).any()))
+    dz = pz - mz
     clear = np.ones(live.size, dtype=bool)
     near = np.empty(live.size, dtype=bool)
-    for box in occluders:
-        (x0, y0, z0), (x1, y1, z1) = box.min_corner, box.max_corner
-        z_tol = 1e-9 * (abs(z0) + abs(z1) + z_far)
-        if z_lo > z1 + z_tol or z_hi < z0 - z_tol:
-            continue
-        x_tol = 1e-9 * (abs(x0) + abs(x1) + x_far)
-        y_tol = 1e-9 * (abs(y0) + abs(y1) + y_far)
-        np.less_equal(x_lo, x1 + x_tol, out=near)
-        near &= x_hi >= x0 - x_tol
-        near &= y_lo <= y1 + y_tol
-        near &= y_hi >= y0 - y_tol
-        near &= clear
-        idx = np.flatnonzero(near)
-        if idx.size:
-            hit = _segment_hits_box(origin, px[idx], py[idx], np.full(idx.size, pz), box)
-            clear[idx[hit]] = False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for box in occluders:
+            (x0, y0, z0), (x1, y1, z1) = box.min_corner, box.max_corner
+            window = _z_window(mz, dz, z0, z1)
+            if window is None:
+                continue
+            x_tol = 1e-9 * (abs(x0) + abs(x1) + x_far)
+            y_tol = 1e-9 * (abs(y0) + abs(y1) + y_far)
+            mask = clear
+            for holds, compare, p, bound in (
+                (mx <= x1 + x_tol, np.less_equal, px, x1 + x_tol),
+                (mx >= x0 - x_tol, np.greater_equal, px, x0 - x_tol),
+                (my <= y1 + y_tol, np.less_equal, py, y1 + y_tol),
+                (my >= y0 - y_tol, np.greater_equal, py, y0 - y_tol),
+            ):
+                if not holds:
+                    mask = np.logical_and(mask, compare(p, bound), out=near)
+            idx = np.flatnonzero(mask)
+            if idx.size:
+                hit = _segment_hits_box(origin, px[idx], py[idx], window, box, level)
+                clear[idx[hit]] = False
     out = np.zeros(covered.size, dtype=bool)
     out[live[clear]] = True
     return out.reshape(covered.shape)
@@ -213,8 +244,12 @@ def _mount_row(
 
     covered = horiz <= spec.max_range_m
 
-    azimuth = np.degrees(np.arctan2(dy, dx))
-    covered &= np.abs(_wrap_deg(azimuth - mount.yaw_deg)) <= spec.hfov_deg / 2.0
+    # A wrapped angle is at most 180 degrees off (``%`` may round to 360.0,
+    # which wraps to 180), so a full circle passes every sample unless the
+    # yaw is NaN or infinite, which makes every angle NaN.
+    if not (spec.hfov_deg >= 360.0 and math.isfinite(mount.yaw_deg)):
+        azimuth = np.degrees(np.arctan2(dy, dx))
+        covered &= np.abs(_wrap_deg(azimuth - mount.yaw_deg)) <= spec.hfov_deg / 2.0
 
     if spec.modality == RADAR:
         elev = np.degrees(np.arctan2(cfg.probe_height() - mz, horiz))

@@ -236,6 +236,31 @@ def _segment_hits_box_scalar(origin, target, box) -> bool:
     return tmin <= tmax
 
 
+def segment_hits_box_reference(origin, px, py, pz, box) -> np.ndarray:
+    """Exact slab test: does the segment origin->p cross the box?  The ray
+    cast's kernel as it stood before its z slab became one scalar window."""
+    tmin = np.zeros(px.shape)
+    tmax = np.ones(px.shape)
+    for o, p, lo, hi in (
+        (origin[0], px, box.min_corner[0], box.max_corner[0]),
+        (origin[1], py, box.min_corner[1], box.max_corner[1]),
+        (origin[2], pz, box.min_corner[2], box.max_corner[2]),
+    ):
+        d = p - o
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (lo - o) / d
+            t2 = (hi - o) / d
+        near = np.minimum(t1, t2)
+        far = np.maximum(t1, t2)
+        parallel = d == 0.0
+        inside = (o >= lo) & (o <= hi)
+        near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
+        far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
+        tmin = np.maximum(tmin, near)
+        tmax = np.minimum(tmax, far)
+    return tmin <= tmax
+
+
 def coverage_objective_reference(
     lidar_vis, radar_vis, weights, lidar_ids, radar_ids, threshold, tol=1e-9
 ) -> float:

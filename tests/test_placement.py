@@ -342,11 +342,9 @@ def ring_scene(rng: np.random.Generator, weights_rng: np.random.Generator) -> Sc
                  radar_candidates=tuple(radar))
 
 
-def test_branch_bound_prunes_a_planning_sized_search(monkeypatch):
-    # One _picks_left call per popped node, plus one that sizes the
-    # accumulators.  The whole-row bound, with no warm start, visits 1,814
-    # nodes in this count-4 search; enumerating every pick of at most 4 of
-    # the 22 candidates is 9,109 selections.
+def count_nodes(monkeypatch) -> list[int]:
+    """The depths ``_picks_left`` is called at: one call per popped node,
+    plus one that sizes the accumulators."""
     picks_left = placement._BranchBound._picks_left
     nodes = []
 
@@ -355,14 +353,65 @@ def test_branch_bound_prunes_a_planning_sized_search(monkeypatch):
         return picks_left(self, depth, spent)
 
     monkeypatch.setattr(placement._BranchBound, "_picks_left", counted)
+    return nodes
+
+
+def ring_problem(**budget) -> PlacementProblem:
     scene = ring_scene(np.random.default_rng([31, 0]), np.random.default_rng([1, 31, 0]))
     lidar, radar = build_visibility(scene)
     problem = PlacementProblem.from_matrices(
         lidar, radar, np.array([scene.roi.weight_of(j) for j in scene.roi.sorted_cells()]),
-        budget=4)
+        lidar_costs=[m.spec.unit_cost for m in scene.lidar_candidates],
+        radar_costs=[m.spec.unit_cost for m in scene.radar_candidates], **budget)
     assert (problem.n_lidar, problem.n_radar, problem.n_cells) == (11, 11, 2500)
+    return problem
+
+
+def test_branch_bound_prunes_a_planning_sized_search(monkeypatch):
+    # The whole-row bound, with no warm start, visits 1,814 nodes in this
+    # count-4 search; enumerating every pick of at most 4 of the 22
+    # candidates is 9,109 selections.
+    nodes = count_nodes(monkeypatch)
+    problem = ring_problem(budget=4)
     assert solve_branch_bound(problem).selection.size == 4
     assert len(nodes) <= 2_000
+
+
+def test_branch_bound_counts_each_kinds_picks_under_a_cost_budget(monkeypatch):
+    # At cost 200 the cheapest candidate is a radar (40), so a node may
+    # take 5 more picks, but a lidar costs 100 or 300, so at most 2 of them
+    # are lidars.  Bounding each kind's sums by its own count visits 828
+    # nodes here; letting all 5 picks add to both kinds' sums visited 1,341.
+    nodes = count_nodes(monkeypatch)
+    problem = ring_problem(budget=200.0, budget_mode="cost")
+    solution = solve_branch_bound(problem)
+    assert solution.selection.lidar_ids and solution.selection.radar_ids
+    assert problem.selection_cost(solution.selection) <= 200.0
+    assert len(nodes) <= 1_000
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_branch_bound_matches_exhaustive_when_radars_are_cheapest(ties):
+    # Radars cost 1 or 2 and lidars 2.5 to 7.5, so each kind's pick count
+    # is bounded by its own cheapest; budgets on the half units make picks
+    # fit exactly.  With ``ties``, rows repeat, so different picks score
+    # exactly the same float and the canonical one must win.
+    rng = np.random.default_rng([67, ties])
+    for _ in range(80):
+        n_l, n_r, n_c = (int(k) for k in rng.integers([1, 1, 3], [6, 6, 30]))
+        lidar = rng.uniform(0.0, 0.95, (n_l, n_c)) * (rng.random((n_l, n_c)) < 0.7)
+        radar = rng.uniform(0.0, 0.95, (n_r, n_c)) * (rng.random((n_r, n_c)) < 0.7)
+        lidar_costs, radar_costs = rng.choice([2.5, 3.0, 7.5], n_l), rng.choice([1.0, 2.0], n_r)
+        if ties:
+            lidar, radar = lidar[rng.integers(0, n_l, n_l)], radar[rng.integers(0, n_r, n_r)]
+            lidar_costs, radar_costs = np.full(n_l, lidar_costs[0]), np.full(n_r, radar_costs[0])
+        problem = make_problem(lidar, radar, weights=rng.uniform(0.5, 2.0, n_c),
+                               budget=float(rng.integers(2, 25)) / 2.0, mode="cost",
+                               lidar_costs=lidar_costs, radar_costs=radar_costs)
+        bb = solve_branch_bound(problem)
+        ex = solve_exhaustive(problem)
+        assert bb.selection.canonical_key() == ex.selection.canonical_key()
+        assert bb.objective == ex.objective
 
 
 def test_objective_matches_scalar_reference():

@@ -24,7 +24,11 @@ from crossview import (
 from crossview import visibility
 
 from conftest import WIDE_LIDAR, WIDE_RADAR, square_scene
-from oracles import detection_probability_reference, visibility_reference
+from oracles import (
+    detection_probability_reference,
+    segment_hits_box_reference,
+    visibility_reference,
+)
 
 
 def lidar_spec(beams: int, vfov: float = 45.0, hfov: float = 360.0,
@@ -290,11 +294,12 @@ def test_matrix_shape_follows_scene():
 
 
 def full_loop(origin, sx, sy, pz, covered, occluders):
-    """Every occluder slab-tested on every sample: the ray cast before culling."""
+    """Every occluder slab-tested on every sample by the frozen array kernel:
+    the ray cast before culling and before its z slab became a scalar."""
     pz = np.full(sx.shape, pz)
     clear = covered.copy()
     for box in occluders:
-        clear &= ~visibility._segment_hits_box(origin, sx, sy, pz, box)
+        clear &= ~segment_hits_box_reference(origin, sx, sy, pz, box)
     return clear
 
 
@@ -321,6 +326,26 @@ OCCLUSION_EDGES = {
     "shorter-than-mount": ((0.0, 0.0, 6.0), [Occluder((2.0, 2.0, 0.0), (6.0, 6.0, 2.0))], 0.85),
     "several-boxes": ((4.0, -2.0, 6.0), [BOX, Occluder((7.0, 0.0, 0.0), (8.0, 10.0, 3.0)),
                                          Occluder((-3.0, 8.0, 0.0), (1.0, 9.0, 7.0))], 1.0),
+    # Level segments (d_z == 0): the z slab holds every t or none.
+    "mount-at-probe-height-inside-z": ((-1.0, 7.0, 1.0), [BOX], 1.0),
+    "mount-at-probe-height-on-top-face": ((-1.0, 7.0, 5.0), [BOX], 5.0),
+    "mount-at-probe-height-above-box": ((-1.0, 7.0, 6.0), [BOX], 6.0),
+    # -3.3 and 9.7 are off the lattice, so samples share only the other
+    # coordinate with the mount: the parallel-ray rule on one axis alone.
+    "level-in-x-through-box": ((4.0, -3.3, 3.0), [BOX], 1.0),
+    "level-in-x-on-face": ((6.0, 9.7, 3.0), [BOX], 1.0),
+    "level-in-x-beside-box": ((8.0, -3.3, 3.0), [BOX], 1.0),
+    "level-in-y-through-box": ((9.7, 4.0, 3.0), [BOX], 1.0),
+    "level-in-y-on-face": ((-3.3, 2.0, 3.0), [BOX], 1.0),
+    # What the Python API lets through: NaN never hits, nor does a segment
+    # from infinitely far, whose slab quotients are NaN.
+    "nan-mount-x": ((math.nan, 4.0, 3.0), [BOX], 1.0),
+    "nan-mount-y": ((4.0, math.nan, 3.0), [BOX], 1.0),
+    "nan-mount-z": ((4.0, -2.0, math.nan), [BOX], 1.0),
+    "inf-mount-x": ((math.inf, 4.0, 3.0), [BOX], 1.0),
+    "minus-inf-mount-y": ((4.0, -math.inf, 3.0), [BOX], 1.0),
+    "inf-mount-z": ((4.0, -2.0, math.inf), [BOX], 1.0),
+    "minus-inf-mount-z": ((4.0, -2.0, -math.inf), [BOX], 1.0),
 }
 
 
@@ -335,13 +360,24 @@ def test_culled_occlusion_equals_full_loop_at_edges(origin, occluders, pz):
             visibility._unoccluded(origin, sx, sy, pz, covered, occluders), expected)
 
 
-def random_occluded_scene(rng) -> Scene:
-    """Snapped boxes and mounts: zero-height, flat, tall, and mounts inside boxes."""
+def random_occluded_scene(rng, ring: bool = False) -> Scene:
+    """Snapped boxes and mounts: zero-height, flat, tall, and mounts inside boxes.
+
+    With ``ring``, the benchmark's geometry on 12 x 12 cells instead: boxes
+    2.5-6 m tall in the middle of the grid, and mounts 4-7 m up on a ring
+    2 m inside its edge, outside every box, with the radars facing the
+    middle.  There the cull's shortcuts fire: a mount clears most boxes'
+    bounding-box sides by itself, and the lidars see a full circle.
+    """
     def snap(lo, hi, size=None):
         return rng.integers(int(lo * 2), int(hi * 2) + 1, size) * 0.5
 
     boxes = []
     for _ in range(int(rng.integers(3, 8))):
+        if ring:
+            (cx, cy), (hx, hy) = snap(7.0, 17.0, 2), snap(1.5, 4.0, 2)
+            boxes.append(Occluder((cx - hx, cy - hy, 0.0), (cx + hx, cy + hy, snap(2.5, 6.0))))
+            continue
         x0, y0 = snap(-2.0, 20.0, 2)
         w, d = snap(0.0, 6.0, 2)
         z0 = snap(0.0, 1.0) if rng.random() < 0.2 else 0.0
@@ -349,20 +385,41 @@ def random_occluded_scene(rng) -> Scene:
         boxes.append(Occluder((x0, y0, z0), (x0 + w, y0 + d, top)))
 
     def mount(k, spec, modality):
-        position = (*snap(-2.0, 22.0, 2), snap(0.5, 8.0))
+        if not ring:
+            position = (*snap(-2.0, 22.0, 2), snap(0.5, 8.0))
+            yaw = snap(-180.0, 180.0)
+        else:
+            along = snap(0.0, 79.5)
+            edge, d = int(along // 20.0), along % 20.0
+            x, y = [(2.0 + d, 2.0), (22.0, 2.0 + d), (22.0 - d, 22.0), (2.0, 22.0 - d)][edge]
+            position = (x, y, snap(4.0, 7.0))
+            yaw = math.degrees(math.atan2(12.0 - y, 12.0 - x)) + snap(-15.0, 15.0)
         return CandidateMount(f"{modality}{k}", tuple(float(c) for c in position), spec,
-                              yaw_deg=float(snap(-180.0, 180.0)),
-                              pitch_deg=float(snap(-10.0, 10.0)))
+                              yaw_deg=float(yaw), pitch_deg=float(snap(-10.0, 10.0)))
 
+    if ring:
+        lidar_specs = (lidar_spec(32, vfov=30.0, max_range=70.0), lidar_spec(128, vfov=30.0))
+        radar_specs = (radar_spec(vfov=30.0), radar_spec(vfov=30.0, max_range=20.0))
+    else:
+        lidar_specs = (WIDE_LIDAR, lidar_spec(32), lidar_spec(64, hfov=120.0))
+        radar_specs = (WIDE_RADAR, radar_spec(), radar_spec(vfov=60.0))
+    n = 12 if ring else 10
     return Scene(
-        grid=GridSpec(origin_xy=(0.0, 0.0), cell_size=2.0, nx=10, ny=10),
-        roi=RegionOfInterest(cells=frozenset(range(100)), weights={}),
+        grid=GridSpec(origin_xy=(0.0, 0.0), cell_size=2.0, nx=n, ny=n),
+        roi=RegionOfInterest(cells=frozenset(range(n * n)), weights={}),
         occluders=tuple(boxes),
-        lidar_candidates=tuple(mount(k, spec, "L") for k, spec in
-                               enumerate((WIDE_LIDAR, lidar_spec(32), lidar_spec(64, hfov=120.0)))),
-        radar_candidates=tuple(mount(k, spec, "R") for k, spec in
-                               enumerate((WIDE_RADAR, radar_spec(), radar_spec(vfov=60.0)))),
+        lidar_candidates=tuple(mount(k, spec, "L") for k, spec in enumerate(lidar_specs)),
+        radar_candidates=tuple(mount(k, spec, "R") for k, spec in enumerate(radar_specs)),
     )
+
+
+def assert_culled_equals_full_loop(scene, cfg, monkeypatch):
+    culled = build_visibility(scene, cfg)
+    with monkeypatch.context() as patched:
+        patched.setattr(visibility, "_unoccluded", full_loop)
+        full = build_visibility(scene, cfg)
+    for got, expected in zip(culled, full):
+        assert np.array_equal(got.values, expected.values)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -371,8 +428,76 @@ def test_culled_ray_cast_equals_full_loop_on_random_scenes(seed, monkeypatch):
     scene = random_occluded_scene(rng)
     cfg = VisibilityConfig(samples_per_cell=int(rng.choice([1, 4, 9])),
                            sample_height_m=float(rng.choice([0.5, 0.85, 1.0])))
-    culled = build_visibility(scene, cfg)
-    monkeypatch.setattr(visibility, "_unoccluded", full_loop)
-    full = build_visibility(scene, cfg)
-    for got, expected in zip(culled, full):
-        assert np.array_equal(got.values, expected.values)
+    assert_culled_equals_full_loop(scene, cfg, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_culled_ray_cast_equals_full_loop_on_ring_scenes(seed, monkeypatch):
+    rng = np.random.default_rng([43, seed])
+    scene = random_occluded_scene(rng, ring=True)
+    cfg = VisibilityConfig(samples_per_cell=int(rng.choice([4, 9])),
+                           sample_height_m=float(rng.choice([0.85, 1.0])))
+    assert_culled_equals_full_loop(scene, cfg, monkeypatch)
+
+
+def mount_scene(mount: CandidateMount, occluders=()) -> Scene:
+    """A 4 x 4 grid of 2 m cells, all in the ROI, with one candidate."""
+    lidar = (mount,) if mount.spec.modality == "lidar" else ()
+    radar = (mount,) if mount.spec.modality == "radar" else ()
+    return Scene(grid=GridSpec(origin_xy=(0.0, 0.0), cell_size=2.0, nx=4, ny=4),
+                 roi=RegionOfInterest(cells=frozenset(range(16)), weights={}),
+                 occluders=tuple(occluders), lidar_candidates=lidar, radar_candidates=radar)
+
+
+# A post away from the mount, and a low table under it.
+POST_AND_TABLE = (Occluder((1.0, 5.0, 0.0), (2.0, 7.0, 3.0)),
+                  Occluder((4.5, 2.5, 0.0), (5.5, 3.5, 2.0)))
+
+
+@pytest.mark.parametrize("yaw", [0.0, 180.0, -180.0, 1e-14, -1e-14, 540.0, -1e300])
+@pytest.mark.parametrize("modality", ["lidar", "radar"])
+def test_full_circle_sees_the_seam_and_the_foot_of_the_mount(modality, yaw, monkeypatch):
+    # The mount stands on the middle sample of cell 6's 3 x 3 lattice, so
+    # one sample lies at its foot (azimuth atan2(0, 0) = 0) and the samples
+    # due west lie on the 180-degree seam.  A full circle passes all of them
+    # whatever the finite yaw; the table under the mount blocks its foot.
+    spec = (lidar_spec(64, vfov=170.0) if modality == "lidar"
+            else radar_spec(vfov=170.0, hfov=360.0))
+    mount = CandidateMount("M", (5.0, 3.0, 4.0), spec, yaw_deg=yaw, pitch_deg=10.0)
+    scene = mount_scene(mount, POST_AND_TABLE)
+    cfg = VisibilityConfig()
+    for j in range(16):
+        row, col = divmod(j, 4)
+        assert entry(scene, mount, j, cfg) == visibility_reference(
+            mount.position, yaw, 10.0, modality, 360.0, 170.0, 90.0, spec.beams,
+            (col * 2.0, row * 2.0), 2.0,
+            [(o.min_corner, o.max_corner) for o in POST_AND_TABLE]), j
+    assert_culled_equals_full_loop(scene, cfg, monkeypatch)
+
+
+# An infinite yaw's azimuth wrap is inf % 360, which numpy warns about.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in remainder")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["yaw", "x", "y", "z"])
+@pytest.mark.parametrize("modality", ["lidar", "radar"])
+def test_non_finite_mount_geometry_keeps_its_entries(modality, field, bad, monkeypatch):
+    # The Python API does not check a mount's numbers.  A NaN or infinite
+    # yaw makes every azimuth NaN, even under a full circle, and a NaN or
+    # infinite x or y puts every sample out of range, so those rows are 0.
+    # A mount infinitely high or low sees the probe at -90 or +90 degrees,
+    # which a radar pitched 30 degrees toward it passes; no occluder blocks
+    # such a segment, as with the frozen kernel.
+    spec = (lidar_spec(64, vfov=170.0) if modality == "lidar"
+            else radar_spec(vfov=120.0, hfov=360.0))
+    x, y, z, yaw = 5.0, 3.0, 4.0, 0.0
+    x, y, z, yaw = [bad if name == field else value
+                    for name, value in (("x", x), ("y", y), ("z", z), ("yaw", yaw))]
+    mount = CandidateMount("M", (x, y, z), spec, yaw_deg=yaw, pitch_deg=math.copysign(30.0, bad))
+    scene = mount_scene(mount, POST_AND_TABLE)
+    lidar, radar = build_visibility(scene)
+    values = (lidar if modality == "lidar" else radar).values
+    if field != "z" or math.isnan(bad):
+        assert not values.any()
+    elif modality == "radar":
+        assert values.min() == 1.0 - 1e-6
+    assert_culled_equals_full_loop(scene, VisibilityConfig(), monkeypatch)

@@ -16,12 +16,15 @@ integer, a number is finite, and an error names the key path, as in
 ``budget: expected a finite number, got inf``; but a bad config value or
 key exits 4, a malformed file 3.
 
-A command that writes files also writes a ``<first-output>.manifest``
-sidecar recording the command, input digests, effective config and wall
-time (``compare`` and ``evaluate`` write files only with --out); data files
-reference the manifest by name.  Exit codes: 0 success, 2 usage, 3
-unreadable or malformed input file or unwritable output path, 4 invalid
-values or scene, 1 unexpected failure.
+A subcommand reads its settings, runs its stage through one runner
+(``_Run``) and prints its summary.  The runner starts the clock, reads
+--config, runs the stage, which writes data files that record the
+manifest's name and hands back the settings it used, and then writes the
+manifest (command, input digests, output names, those settings, wall time)
+to ``<first-output>.manifest``, or ``pipeline.manifest`` in pipeline's
+--out-dir; ``compare`` and ``evaluate`` without --out write none.  Exit
+codes: 0 success, 2 usage, 3 unreadable or malformed input file or
+unwritable output path, 4 invalid values or scene, 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -102,18 +105,6 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _load_config_file(path, allowed, required=frozenset()) -> dict:
-    """A --config file's object; a key outside ``allowed`` is a typo, not a no-op."""
-    if path is None:
-        return {}
-    data = read_input(path)
-    try:
-        obj = json.loads(data)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
-        raise ParseError(f"{path}: invalid JSON config: {exc}") from exc
-    return _config_keys(_mapping(obj, str(path)), allowed, str(path), required)
-
-
 # Config values and keys are read by the file reader's checks.  A bad one is a
 # bad setting (exit 4), not a malformed input file (exit 3), so the two
 # functions below re-raise those checks' ParseError as a plain ValueError.
@@ -168,21 +159,37 @@ def _class_key(key, where: str) -> str:
     return _class(key, f"{where} key")
 
 
-def _sidecar(out) -> tuple[str, str]:
-    """The manifest path beside the output ``out``, and the name its data files record."""
-    path = f"{out}.manifest"
-    return path, Path(path).name
+class _Run:
+    """A command's clock, its --config, whose keys lie in ``allowed`` (another is a typo,
+    not a no-op) and include ``required``, and its manifest, as the module docstring says."""
 
+    def __init__(self, args, allowed=(), required=frozenset()):
+        self.started = time.perf_counter()  # so wall_time_s covers reading --config
+        self.command = args.command
+        self.config = {}
+        if (path := getattr(args, "config", None)) is not None:
+            data = read_input(path)
+            try:
+                obj = json.loads(data)
+            except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
+                raise ParseError(f"{path}: invalid JSON config: {exc}") from exc
+            self.config = _config_keys(_mapping(obj, path), allowed, path, required)
 
-def _save_manifest(path, command: str, inputs, outputs, config: dict, started: float) -> None:
-    save_manifest(path, {
-        "command": command,
-        "tool_version": __version__,
-        "inputs": {str(p): file_sha256(p) for p in inputs},
-        "outputs": [Path(o).name for o in outputs],
-        "config": config,
-        "wall_time_s": time.perf_counter() - started,
-    })
+    def stage(self, stage, inputs, outputs, manifest=None):
+        """The result of ``stage(<manifest name>)``, which returns it and the settings used."""
+        if manifest is None and outputs:
+            manifest = f"{outputs[0]}.manifest"
+        result, used = stage(manifest and Path(manifest).name)
+        if manifest is not None:
+            save_manifest(manifest, {
+                "command": self.command,
+                "tool_version": __version__,
+                "inputs": {str(p): file_sha256(p) for p in inputs},
+                "outputs": [Path(o).name for o in outputs],
+                "config": used,
+                "wall_time_s": time.perf_counter() - self.started,
+            })
+        return result
 
 
 def _checked_scene(path):
@@ -206,7 +213,7 @@ def _workers(config: dict, args) -> int:
 
 
 def _visibility_stage(scene, digest: str, vis_cfg: VisibilityConfig, workers: int, paths,
-                      manifest: str) -> list[MatrixFile]:
+                      manifest: str):
     """Ray-cast both modalities and save the lidar and radar matrix files."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -226,20 +233,17 @@ def _visibility_stage(scene, digest: str, vis_cfg: VisibilityConfig, workers: in
         )
         save_matrix(path, mf)
         files.append(mf)
-    return files
+    return files, {**asdict(vis_cfg), "workers": workers}
 
 
 def cmd_visibility(args) -> int:
-    started = time.perf_counter()
-    config = _load_config_file(args.config, _VISIBILITY_CHECKS.keys() | {"workers"})
-    vis_cfg = VisibilityConfig(**_settings(_VISIBILITY_CHECKS, config, args))
-    workers = _workers(config, args)
+    run = _Run(args, _VISIBILITY_CHECKS.keys() | {"workers"})
+    vis_cfg = VisibilityConfig(**_settings(_VISIBILITY_CHECKS, run.config, args))
+    workers = _workers(run.config, args)
     scene, digest = _checked_scene(args.scene)
     outputs = [args.out_lidar, args.out_radar]
-    manifest_path, manifest = _sidecar(args.out_lidar)
-    files = _visibility_stage(scene, digest, vis_cfg, workers, outputs, manifest)
-    _save_manifest(manifest_path, "visibility", [args.scene], outputs,
-                   {**asdict(vis_cfg), "workers": workers}, started)
+    files = run.stage(partial(_visibility_stage, scene, digest, vis_cfg, workers, outputs),
+                      [args.scene], outputs)
     for path, mf in zip(outputs, files):
         print(f"wrote {path} ({mf.matrix.n_candidates}x{mf.matrix.n_cells})")
     return 0
@@ -289,7 +293,7 @@ def _optimize_settings(config: dict, args=None) -> dict:
     return settings
 
 
-def _optimize_stage(lidar_path, radar_path, settings: dict, path, manifest: str) -> SolutionFile:
+def _optimize_stage(lidar_path, radar_path, settings: dict, path, manifest: str):
     """Solve the placement problem over the two matrix files and save its solution file."""
     lf, rf = _load_matrix_pair(lidar_path, radar_path)
     solution = SOLVERS[settings["solver"]](_problem_from_files(lf, rf, settings))
@@ -308,36 +312,35 @@ def _optimize_stage(lidar_path, radar_path, settings: dict, path, manifest: str)
         manifest=manifest,
     )
     save_solution(path, sol_file)
-    return sol_file
+    return sol_file, settings
 
 
 def cmd_optimize(args) -> int:
-    started = time.perf_counter()
-    config = _load_config_file(args.config, _OPTIMIZE_CHECKS)
-    settings = _optimize_settings(config, args)
-    manifest_path, manifest = _sidecar(args.out)
-    sol_file = _optimize_stage(args.lidar, args.radar, settings, args.out, manifest)
-    _save_manifest(manifest_path, "optimize", [args.lidar, args.radar], [args.out],
-                   settings, started)
-    lidar_names = ", ".join(sol_file.lidar_candidate_ids) or "-"
-    radar_names = ", ".join(sol_file.radar_candidate_ids) or "-"
+    run = _Run(args, _OPTIMIZE_CHECKS)
+    settings = _optimize_settings(run.config, args)
+    sol_file = run.stage(partial(_optimize_stage, args.lidar, args.radar, settings, args.out),
+                         [args.lidar, args.radar], [args.out])
     print(f"objective {sol_file.objective:.9g} ({'optimal' if sol_file.optimal else 'heuristic'})")
-    print(f"lidar: {lidar_names}")
-    print(f"radar: {radar_names}")
+    for modality, names in ((LIDAR, sol_file.lidar_candidate_ids),
+                            (RADAR, sol_file.radar_candidate_ids)):
+        print(f"{modality}: {', '.join(names) or '-'}")
     print(f"wrote {args.out}")
     return 0
 
 
-def cmd_export_milp(args) -> int:
-    started = time.perf_counter()
-    config = _load_config_file(args.config, _OPTIMIZE_CHECKS)
-    settings = _optimize_settings(config, args)
-    lf, rf = _load_matrix_pair(args.lidar, args.radar)
+def _export_milp_stage(lidar_path, radar_path, settings: dict, path, manifest: str):
+    """Save the placement problem over the two matrix files as LP text (no manifest field)."""
+    lf, rf = _load_matrix_pair(lidar_path, radar_path)
     text = export_milp(_problem_from_files(lf, rf, settings))
-    write_atomic(args.out, text.encode("utf-8"))
-    effective = {k: settings[k] for k in ("budget", "budget_mode", "seen_threshold")}
-    _save_manifest(_sidecar(args.out)[0], "export-milp", [args.lidar, args.radar],
-                   [args.out], effective, started)
+    write_atomic(path, text.encode("utf-8"))
+    return text, {k: settings[k] for k in ("budget", "budget_mode", "seen_threshold")}
+
+
+def cmd_export_milp(args) -> int:
+    run = _Run(args, _OPTIMIZE_CHECKS)
+    settings = _optimize_settings(run.config, args)
+    text = run.stage(partial(_export_milp_stage, args.lidar, args.radar, settings, args.out),
+                     [args.lidar, args.radar], [args.out])
     print(f"wrote {args.out} ({len(text.splitlines())} lines)")
     return 0
 
@@ -382,42 +385,45 @@ def _coverage_stage(lidar_path, radar_path, solution_path, name: str, settings: 
     problem, selection = _load_selection(solution_path, lf, rf)
     report = coverage_report(problem, selection, config_name=name, **settings)
     save_report(path, "coverage", report.to_record(), manifest)
-    return report
+    return report, {"theta": report.theta, "name": name}
 
 
 def cmd_coverage(args) -> int:
-    started = time.perf_counter()
-    config = _load_config_file(args.config, _COVERAGE_CHECKS)
-    settings = _settings(_COVERAGE_CHECKS, config, args)
+    run = _Run(args, _COVERAGE_CHECKS)
+    settings = _settings(_COVERAGE_CHECKS, run.config, args)
     name = settings.pop("name", Path(args.solution).stem)
-    manifest_path, manifest = _sidecar(args.out)
-    report = _coverage_stage(args.lidar, args.radar, args.solution, name, settings, args.out,
-                             manifest)
-    _save_manifest(manifest_path, "coverage", [args.lidar, args.radar, args.solution],
-                   [args.out], {"theta": report.theta, "name": name}, started)
-    print(
-        f"{name}: coverage {report.central_coverage:.1%}"
-        f" ({report.covered_cells}/{report.total_roi_cells}),"
-        f" {report.sensor_count} sensors, cost {report.total_cost:.2f}"
-    )
+    report = run.stage(partial(_coverage_stage, args.lidar, args.radar, args.solution, name,
+                               settings, args.out),
+                       [args.lidar, args.radar, args.solution], [args.out])
+    print(f"{name}: coverage {report.central_coverage:.1%}"
+          f" ({report.covered_cells}/{report.total_roi_cells}),"
+          f" {report.sensor_count} sensors, cost {report.total_cost:.2f}")
     print(f"wrote {args.out}")
     return 0
 
 
+def _report_record(path, expected: str) -> dict:
+    """The record of the report file ``path``, which must be of kind ``expected``."""
+    kind, record = load_report(path)
+    if kind != expected:
+        raise ValueError(f"{path} is a {kind!r} report, expected {expected}")
+    return record
+
+
+def _compare_stage(report_paths, path, manifest: str | None):
+    """Compare the coverage report files; save the comparison to ``path`` if that is set."""
+    comparison = compare_configs([
+        coverage_from_record(_report_record(p, "coverage"), f"{p} record") for p in report_paths])
+    if path:
+        save_report(path, "coverage_comparison", comparison.to_record(), manifest)
+    return comparison, {}
+
+
 def cmd_compare(args) -> int:
-    started = time.perf_counter()
-    reports = []
-    for path in args.reports:
-        kind, record = load_report(path)
-        if kind != "coverage":
-            raise ValueError(f"{path} is a {kind!r} report, expected coverage")
-        reports.append(coverage_from_record(record, f"{path} record"))
-    comparison = compare_configs(reports)
+    comparison = _Run(args).stage(partial(_compare_stage, args.reports, args.out), args.reports,
+                                  [args.out] if args.out else [])
     print(comparison.to_text(), end="")
     if args.out:
-        manifest_path, manifest = _sidecar(args.out)
-        save_report(args.out, "coverage_comparison", comparison.to_record(), manifest)
-        _save_manifest(manifest_path, "compare", list(args.reports), [args.out], {}, started)
         print(f"wrote {args.out}")
     return 0
 
@@ -437,6 +443,10 @@ _SCENARIO_CHECKS = {
 }
 
 
+def _boxes(frames: dict) -> int:
+    return sum(map(len, frames.values()))
+
+
 def _simulate_stage(scene, digest: str, lidar_path, radar_path, solution_path,
                     scenario_cfg: ScenarioConfig, paths, manifest: str):
     """Simulate traffic and detections for the solution file over the two matrix
@@ -450,53 +460,40 @@ def _simulate_stage(scene, digest: str, lidar_path, radar_path, solution_path,
     result = generate_scenario(scene, lf.matrix, rf.matrix, selection, scenario_cfg)
     for path, frames in zip(paths, (result.ground_truth, result.lidar, result.radar)):
         save_frames(path, frames, manifest)
-    return result
+    return result, asdict(scenario_cfg)
 
 
 def cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    config = _load_config_file(args.config, _SCENARIO_CHECKS)
-    scenario_cfg = ScenarioConfig(**_settings(_SCENARIO_CHECKS, config, args))
+    run = _Run(args, _SCENARIO_CHECKS)
+    scenario_cfg = ScenarioConfig(**_settings(_SCENARIO_CHECKS, run.config, args))
     scene, digest = _checked_scene(args.scene)
     outputs = [args.out_truth, args.out_lidar, args.out_radar]
-    manifest_path, manifest = _sidecar(args.out_truth)
-    result = _simulate_stage(scene, digest, args.lidar, args.radar, args.solution, scenario_cfg,
-                             outputs, manifest)
-    _save_manifest(manifest_path, "simulate", [args.scene, args.lidar, args.radar, args.solution],
-                   outputs, asdict(scenario_cfg), started)
-    n_truth = sum(len(b) for b in result.ground_truth.values())
-    n_lidar = sum(len(b) for b in result.lidar.values())
-    n_radar = sum(len(b) for b in result.radar.values())
-    print(
-        f"simulated {scenario_cfg.duration_frames} frames:"
-        f" {n_truth} truth, {n_lidar} lidar, {n_radar} radar boxes"
-    )
+    result = run.stage(partial(_simulate_stage, scene, digest, args.lidar, args.radar,
+                               args.solution, scenario_cfg, outputs),
+                       [args.scene, args.lidar, args.radar, args.solution], outputs)
+    print(f"simulated {scenario_cfg.duration_frames} frames: {_boxes(result.ground_truth)} truth,"
+          f" {_boxes(result.lidar)} lidar, {_boxes(result.radar)} radar boxes")
     return 0
 
 
 _FUSION_CHECKS = {"iou_threshold": _number}
 
 
-def _fuse_stage(lidar_path, radar_path, fusion_cfg: FusionConfig, path,
-                manifest: str) -> tuple[int, int]:
+def _fuse_stage(lidar_path, radar_path, fusion_cfg: FusionConfig, path, manifest: str):
     """Late-fuse every frame id present in either frames file; save the fused
-    frames.  Returns the number of boxes read and written."""
+    frames.  Its result is the number of boxes read and written."""
     lidar = load_frames(lidar_path)
     radar = load_frames(radar_path)
     fused = fuse_frames(lidar, radar, fusion_cfg)
     save_frames(path, fused, manifest)
-    return (sum(map(len, lidar.values())) + sum(map(len, radar.values())),
-            sum(map(len, fused.values())))
+    return (_boxes(lidar) + _boxes(radar), _boxes(fused)), asdict(fusion_cfg)
 
 
 def cmd_fuse(args) -> int:
-    started = time.perf_counter()
-    config = _load_config_file(args.config, _FUSION_CHECKS)
-    fusion_cfg = FusionConfig(**_settings(_FUSION_CHECKS, config, args))
-    manifest_path, manifest = _sidecar(args.out)
-    n_in, n_out = _fuse_stage(args.lidar, args.radar, fusion_cfg, args.out, manifest)
-    _save_manifest(manifest_path, "fuse", [args.lidar, args.radar], [args.out],
-                   asdict(fusion_cfg), started)
+    run = _Run(args, _FUSION_CHECKS)
+    fusion_cfg = FusionConfig(**_settings(_FUSION_CHECKS, run.config, args))
+    n_in, n_out = run.stage(partial(_fuse_stage, args.lidar, args.radar, fusion_cfg, args.out),
+                            [args.lidar, args.radar], [args.out])
     print(f"fused {n_in} detections into {n_out} boxes ({n_in - n_out} merges)")
     return 0
 
@@ -524,7 +521,7 @@ def _evaluate_stage(truth_path, predictions_path, settings: dict, baseline, path
     """mAP of the predictions file against the truth file over the evaluated
     classes, and its evaluation report record, saved to ``path`` if that is
     set.  ``baseline`` (a report's name, mAP and per-class APs), if set, adds
-    the deltas against that report."""
+    the deltas against that report.  The settings used have defaults filled in."""
     result = evaluate_map(load_frame_pairs(truth_path, predictions_path), **settings)
     record = {"matching_mode": result.matching_mode, "mean_ap": result.mean_ap, "per_class": {
         label: {"ap": r.ap, "threshold": r.threshold, "num_gt": r.num_gt,
@@ -542,33 +539,26 @@ def _evaluate_stage(truth_path, predictions_path, settings: dict, baseline, path
         }
     if path:
         save_report(path, "evaluation", record, manifest)
-    return result, record
-
-
-def _evaluation_used(result) -> dict:
-    """The evaluation settings ``result`` was computed with, defaults filled in."""
-    return {"matching_mode": result.matching_mode, "classes": list(result.per_class),
-            "thresholds": {label: r.threshold for label, r in result.per_class.items()}}
+    return (result, record), {
+        "matching_mode": result.matching_mode, "classes": list(result.per_class),
+        "thresholds": {label: r.threshold for label, r in result.per_class.items()}}
 
 
 def cmd_evaluate(args) -> int:
-    started = time.perf_counter()
-    config = _load_config_file(args.config, _EVALUATION_CHECKS)
-    settings = _settings(_EVALUATION_CHECKS, config, args)
+    run = _Run(args, _EVALUATION_CHECKS)
+    settings = _settings(_EVALUATION_CHECKS, run.config, args)
     if args.threshold is not None:
         settings["thresholds"] = dict.fromkeys(CLASSES, check_threshold(args.threshold))
     baseline = None
     if args.baseline:
-        # Checked before the evaluation, so a bad baseline prints nothing.
-        kind, base = load_report(args.baseline)
-        if kind != "evaluation":
-            raise ValueError(f"{args.baseline} is a {kind!r} report, expected evaluation")
+        # Checked before the stage, so a bad baseline writes and prints nothing.
+        base = _report_record(args.baseline, "evaluation")
         baseline = (Path(args.baseline).name,
                     *baseline_from_record(base, f"{args.baseline} record"))
-    manifest_path, manifest = _sidecar(args.out) if args.out else (None, None)
-    result, record = _evaluate_stage(args.truth, args.predictions, settings, baseline, args.out,
-                                     manifest)
-
+    inputs = [p for p in (args.truth, args.predictions, args.baseline) if p]
+    result, record = run.stage(partial(_evaluate_stage, args.truth, args.predictions, settings,
+                                       baseline, args.out),
+                               inputs, [args.out] if args.out else [])
     print(f"{'class':<12} {'AP':>9} {'gt':>6} {'preds':>6}")
     for label, r in result.per_class.items():
         print(f"{label:<12} {_ap_text(r.ap):>9} {r.num_gt:>6} {r.num_predictions:>6}")
@@ -585,11 +575,6 @@ def cmd_evaluate(args) -> int:
         print(f"{'mAP':<12} {base_map:.3f} -> {result.mean_ap:.3f}"
               f"  ({map_delta * 100.0:+.1f}%)")
     if args.out:
-        inputs = [args.truth, args.predictions]
-        if args.baseline:
-            inputs.append(args.baseline)
-        _save_manifest(manifest_path, "evaluate", inputs, [args.out], _evaluation_used(result),
-                       started)
         print(f"wrote {args.out}")
     return 0
 
@@ -605,9 +590,8 @@ _SAFE_NAME = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123
 
 
 def cmd_pipeline(args) -> int:
-    started = time.perf_counter()
-    config = _load_config_file(args.config, _PIPELINE_KEYS, required=_PIPELINE_CHECKS.keys())
-    top = _settings(_PIPELINE_CHECKS, config)
+    run = _Run(args, _PIPELINE_KEYS, required=_PIPELINE_CHECKS.keys())
+    top = _settings(_PIPELINE_CHECKS, run.config)
     scene_file = Path(args.config).parent / top["scene"]
     scene, digest = _checked_scene(scene_file)
     out_dir = Path(args.out_dir)
@@ -615,7 +599,7 @@ def cmd_pipeline(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except CANNOT_WRITE as exc:
         raise WriteError(out_dir, exc) from exc
-    workers = _workers(config, args)
+    workers = _workers(run.config, args)
 
     if not top["configs"]:
         raise ValueError("configs: expected a nonempty list")
@@ -623,71 +607,70 @@ def cmd_pipeline(args) -> int:
                for i, e in enumerate(top["configs"])]
     settings = [_optimize_settings(e) for e in entries]
     coverages = [_settings(_COVERAGE_CHECKS, e) for e in entries]
-    names = [c["name"] for c in coverages]
+    names = [c.pop("name") for c in coverages]
     for name in names:
         if not set(name) <= _SAFE_NAME:
             raise ValueError(f"pipeline config name {name!r} has unsafe characters")
     if len(set(names)) != len(names):
         raise ValueError("pipeline config names must be unique")
     vis_cfg = VisibilityConfig(**_settings(
-        _VISIBILITY_CHECKS, _section(config, "visibility", _VISIBILITY_CHECKS, "pipeline")))
-    scenario = _section(config, "scenario", _SCENARIO_CHECKS, "pipeline")
+        _VISIBILITY_CHECKS, _section(run.config, "visibility", _VISIBILITY_CHECKS, "pipeline")))
+    scenario = _section(run.config, "scenario", _SCENARIO_CHECKS, "pipeline")
     scenario_cfgs = [
         ScenarioConfig(**_settings(_SCENARIO_CHECKS, {**scenario, **_section(
             e, "scenario", _SCENARIO_CHECKS, f"pipeline configs[{i}]")}))
         for i, e in enumerate(entries)]
     fusion_cfg = FusionConfig(**_settings(
-        _FUSION_CHECKS, _section(config, "fusion", _FUSION_CHECKS, "pipeline")))
+        _FUSION_CHECKS, _section(run.config, "fusion", _FUSION_CHECKS, "pipeline")))
     evaluation = _settings(
-        _EVALUATION_CHECKS, _section(config, "evaluation", _EVALUATION_CHECKS, "pipeline"))
+        _EVALUATION_CHECKS, _section(run.config, "evaluation", _EVALUATION_CHECKS, "pipeline"))
 
-    manifest_path = out_dir / "pipeline.manifest"
-    manifest = manifest_path.name
-    lidar_matrix, radar_matrix = outputs = [out_dir / "lidar.vismatrix",
-                                            out_dir / "radar.vismatrix"]
-    _visibility_stage(scene, digest, vis_cfg, workers, outputs, manifest)
-    coverage_reports = []
-    summary_rows = []
-    used = []
-    for coverage, optimize, scenario_cfg in zip(coverages, settings, scenario_cfgs):
-        name = coverage.pop("name")
-        paths = [out_dir / f"{name}.{suffix}" for suffix in (
-            "solution", "coverage", "truth.frames", "lidar.frames", "radar.frames",
-            "fused.frames", "evaluation")]
-        sol_path, cov_path, truth, lidar, radar, fused_path, eval_path = paths
+    matrices = [out_dir / "lidar.vismatrix", out_dir / "radar.vismatrix"]
+    files = [[out_dir / f"{name}.{suffix}" for suffix in (
+        "solution", "coverage", "truth.frames", "lidar.frames", "radar.frames", "fused.frames",
+        "evaluation")] for name in names]
+    summary_path = out_dir / "summary.report"
 
-        solution = _optimize_stage(lidar_matrix, radar_matrix, optimize, sol_path, manifest)
-        report = _coverage_stage(lidar_matrix, radar_matrix, sol_path, name, coverage, cov_path,
-                                 manifest)
-        coverage_reports.append(report)
-        _simulate_stage(scene, digest, lidar_matrix, radar_matrix, sol_path, scenario_cfg,
-                        (truth, lidar, radar), manifest)
-        _fuse_stage(lidar, radar, fusion_cfg, fused_path, manifest)
-        eval_result, _ = _evaluate_stage(truth, fused_path, evaluation, None, eval_path, manifest)
-        outputs += paths
-        used.append({"name": name, **optimize, "theta": report.theta,
-                     "scenario": asdict(scenario_cfg)})
+    def stage(manifest: str):
+        """The subcommand chain for each configs[] entry, then the summary report."""
+        _visibility_stage(scene, digest, vis_cfg, workers, matrices, manifest)
+        reports, rows, used = [], [], []
+        for name, optimize, coverage, scenario_cfg, paths in zip(
+                names, settings, coverages, scenario_cfgs, files):
+            sol_path, cov_path, truth, lidar, radar, fused_path, eval_path = paths
+            solution, optimize_used = _optimize_stage(*matrices, optimize, sol_path, manifest)
+            report, coverage_used = _coverage_stage(*matrices, sol_path, name, coverage,
+                                                    cov_path, manifest)
+            _, scenario_used = _simulate_stage(scene, digest, *matrices, sol_path, scenario_cfg,
+                                               (truth, lidar, radar), manifest)
+            _fuse_stage(lidar, radar, fusion_cfg, fused_path, manifest)
+            (result, _), evaluation_used = _evaluate_stage(truth, fused_path, evaluation, None,
+                                                           eval_path, manifest)
+            reports.append(report)
+            used.append({**optimize_used, **coverage_used, "scenario": scenario_used})
+            rows.append({
+                "name": name, "objective": solution.objective, "optimal": solution.optimal,
+                "central_coverage": report.central_coverage, "total_cost": report.total_cost,
+                "sensor_count": report.sensor_count, "mean_ap": result.mean_ap})
+        summary: dict = {"configs": rows}
+        comparison = compare_configs(reports) if len(reports) >= 2 else None
+        if comparison is not None:
+            summary["comparison"] = comparison.to_record()
+        save_report(summary_path, "pipeline_summary", summary, manifest)
+        # Every configs[] entry is evaluated with the same settings.
+        return (rows, comparison), {
+            "workers": workers, "visibility": asdict(vis_cfg), "fusion": asdict(fusion_cfg),
+            "evaluation": evaluation_used, "configs": used}
 
-        summary_rows.append({
-            "name": name, "objective": solution.objective, "optimal": solution.optimal,
-            "central_coverage": report.central_coverage, "total_cost": report.total_cost,
-            "sensor_count": report.sensor_count, "mean_ap": eval_result.mean_ap})
-        print(f"{name}: objective {solution.objective:.9g},"
-              f" coverage {report.central_coverage:.1%}, mAP {eval_result.mean_ap:.3f}")
-
-    summary: dict = {"configs": summary_rows}
-    if len(coverage_reports) >= 2:
-        comparison = compare_configs(coverage_reports)
-        summary["comparison"] = comparison.to_record()
+    outputs = [*matrices, *(path for paths in files for path in paths), summary_path]
+    rows, comparison = run.stage(stage, [scene_file, args.config], outputs,
+                                 out_dir / "pipeline.manifest")
+    for row in rows:
+        print(f"{row['name']}: objective {row['objective']:.9g},"
+              f" coverage {row['central_coverage']:.1%}, mAP {row['mean_ap']:.3f}")
+    if comparison is not None:
         print()
         print(comparison.to_text(), end="")
-    summary_path = out_dir / "summary.report"
-    save_report(summary_path, "pipeline_summary", summary, manifest)
-    outputs.append(summary_path)
-    # Every configs[] entry is evaluated with the same settings.
-    _save_manifest(manifest_path, "pipeline", [scene_file, args.config], outputs, {
-        "workers": workers, "visibility": asdict(vis_cfg), "fusion": asdict(fusion_cfg),
-        "evaluation": _evaluation_used(eval_result), "configs": used}, started)
     print(f"wrote {summary_path}")
     return 0
 

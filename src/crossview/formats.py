@@ -162,10 +162,10 @@ def _tolist(value):
 
 
 def _json_body(payload: dict) -> str:
-    """Every JSON kind's body.  With no ``indent``, stdlib's C encoder runs;
-    it writes floats as ``float.__repr__`` does and tuples as lists."""
+    """Every JSON kind's body.  With no ``indent``, stdlib's C encoder runs; it writes
+    floats as ``float.__repr__`` does and tuples as lists.  No payload holds a cycle."""
     return json.dumps({"payload": payload}, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False, default=_tolist) + "\n"
+                      allow_nan=False, check_circular=False, default=_tolist) + "\n"
 
 
 def _string_keys(value, where: str) -> None:

@@ -10,7 +10,8 @@ of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, is_dataclass
 
 LIDAR = "lidar"
 RADAR = "radar"
@@ -129,6 +130,20 @@ def cell_center(grid: GridSpec, j: int) -> tuple[float, float, float]:
     )
 
 
+def _check_finite(value, where: str, out: list[str]) -> None:
+    """Report every NaN or inf in ``value`` by its key path: comparisons let NaN by."""
+    if is_dataclass(value):
+        value = vars(value)
+    elif isinstance(value, (tuple, list)):
+        value = dict(enumerate(value))
+    for key, item in value.items():
+        if isinstance(item, float):
+            if not math.isfinite(item):
+                out.append(f"{where}{key}: expected a finite number, got {item!r}")
+        elif isinstance(item, (tuple, list, dict)) or is_dataclass(item):
+            _check_finite(item, f"{where}{key}.", out)
+
+
 def _check_spec(spec: SensorSpec, owner: str, out: list[str]) -> None:
     if spec.modality not in MODALITIES:
         out.append(f"{owner}: unknown modality '{spec.modality}'")
@@ -158,6 +173,7 @@ def validate_scene(scene: Scene) -> list[str]:
     reports.
     """
     out: list[str] = []
+    _check_finite(scene, "", out)
     grid = scene.grid
     if grid.cell_size <= 0.0:
         out.append("grid: cell_size must be > 0")

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from crossview import (
     save_report,
     save_scene,
 )
-from crossview.cli import main
+from crossview.cli import build_parser, main
 from crossview.scene import MAX_BEAMS, MAX_GRID_SIDE
 
 from conftest import make_document, random_box, rehash, square_scene
@@ -341,16 +343,154 @@ def test_failed_export_leaves_the_old_model_whole(workspace, tmp_path, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.lp", "model.lp.manifest"]
 
 
-def test_manifest_sidecars(workspace):
-    manifest = load_manifest(workspace / "lidar.vismatrix.manifest")
-    assert manifest["command"] == "visibility"
-    assert manifest["outputs"] == ["lidar.vismatrix", "radar.vismatrix"]
-    scene_key = str(workspace / "scene.scene")
-    assert manifest["inputs"][scene_key] == file_sha256(workspace / "scene.scene")
-    assert manifest["config"]["samples_per_cell"] == 9
+def _payload(path) -> dict:
+    return json.loads(path.read_text().split("\n", 1)[1])["payload"]
+
+
+def _json(value):
+    """``value`` as a manifest reads it back: tuples become lists."""
+    return json.loads(json.dumps(value))
+
+
+class ManifestCase(NamedTuple):
+    """One command line, its paths relative to the folder it runs in, and the
+    manifest it must write there (None: it writes no file at all)."""
+
+    argv: list
+    manifest: str | None = None
+    inputs: list = []
+    outputs: list = []
+    config: dict = {}
+
+
+_BEST = {"budget": 4.0, "budget_mode": "count", "seen_threshold": 1.0}
+_PIPELINE_RUN = {"scene": "scene.scene", "scenario": {"seed": 3, "duration_frames": 6},
+                 "configs": [{"name": "dense", "budget": 4}, {"name": "lean", "budget": 2}]}
+_EVALUATED = {"matching_mode": "iou", "classes": list(CLASSES),
+              "thresholds": DEFAULT_IOU_THRESHOLDS}
+_PIPELINE_FILES = ("solution", "coverage", "truth.frames", "lidar.frames", "radar.frames",
+                   "fused.frames", "evaluation")
+
+# Every subcommand's runs, in the order they run in one folder; the keys are
+# the subcommands the parser registers.
+MANIFEST_CASES = {
+    "visibility": [ManifestCase(
+        ["--scene", "scene.scene", "--out-lidar", "lidar.vismatrix",
+         "--out-radar", "radar.vismatrix"],
+        "lidar.vismatrix.manifest", ["scene.scene"], ["lidar.vismatrix", "radar.vismatrix"],
+        {**asdict(VisibilityConfig()), "workers": 1})],
+    "optimize": [ManifestCase(
+        ["--lidar", "lidar.vismatrix", "--radar", "radar.vismatrix", "--budget", "4",
+         "--out", "best.solution"],
+        "best.solution.manifest", ["lidar.vismatrix", "radar.vismatrix"], ["best.solution"],
+        {**_BEST, "solver": "branch-bound"})],
+    "export-milp": [ManifestCase(
+        ["--lidar", "lidar.vismatrix", "--radar", "radar.vismatrix", "--budget", "4",
+         "--out", "model.lp"],
+        "model.lp.manifest", ["lidar.vismatrix", "radar.vismatrix"], ["model.lp"], _BEST)],
+    "coverage": [ManifestCase(
+        ["--lidar", "lidar.vismatrix", "--radar", "radar.vismatrix",
+         "--solution", "best.solution", "--out", "best.coverage"],
+        "best.coverage.manifest", ["lidar.vismatrix", "radar.vismatrix", "best.solution"],
+        ["best.coverage"], {"theta": 0.0, "name": "best"})],
+    "compare": [
+        ManifestCase(["best.coverage", "best.coverage", "--out", "cmp.report"],
+                     "cmp.report.manifest", ["best.coverage", "best.coverage"],
+                     ["cmp.report"]),
+        ManifestCase(["best.coverage", "best.coverage"])],
+    "simulate": [ManifestCase(
+        ["--scene", "scene.scene", "--lidar", "lidar.vismatrix", "--radar", "radar.vismatrix",
+         "--solution", "best.solution", "--seed", "5", "--frames", "8",
+         "--out-truth", "truth.frames", "--out-lidar", "lidar.frames",
+         "--out-radar", "radar.frames"],
+        "truth.frames.manifest",
+        ["scene.scene", "lidar.vismatrix", "radar.vismatrix", "best.solution"],
+        ["truth.frames", "lidar.frames", "radar.frames"],
+        asdict(ScenarioConfig(seed=5, duration_frames=8)))],
+    "fuse": [ManifestCase(
+        ["--lidar", "lidar.frames", "--radar", "radar.frames", "--out", "fused.frames"],
+        "fused.frames.manifest", ["lidar.frames", "radar.frames"], ["fused.frames"],
+        asdict(FusionConfig()))],
+    "evaluate": [
+        ManifestCase(["--truth", "truth.frames", "--predictions", "fused.frames",
+                      "--baseline", "best.evaluation0", "--out", "best.evaluation"],
+                     "best.evaluation.manifest",
+                     ["truth.frames", "fused.frames", "best.evaluation0"], ["best.evaluation"],
+                     _EVALUATED),
+        ManifestCase(["--truth", "truth.frames", "--predictions", "fused.frames"])],
+    "pipeline": [ManifestCase(
+        ["--config", "pipeline.json", "--out-dir", "out"],
+        "out/pipeline.manifest", ["scene.scene", "pipeline.json"],
+        ["lidar.vismatrix", "radar.vismatrix",
+         *(f"{name}.{suffix}" for name in ("dense", "lean") for suffix in _PIPELINE_FILES),
+         "summary.report"],
+        {"workers": 1, "visibility": asdict(VisibilityConfig()),
+         "fusion": asdict(FusionConfig()), "evaluation": _EVALUATED,
+         "configs": [{"name": name, "budget": budget, "budget_mode": "count",
+                      "seen_threshold": 1.0, "solver": "branch-bound", "theta": 0.0,
+                      "scenario": asdict(ScenarioConfig(seed=3, duration_frames=6))}
+                     for name, budget in (("dense", 4), ("lean", 2))]})],
+}
+
+
+@pytest.fixture(scope="module")
+def manifest_runs(tmp_path_factory):
+    """Runs every MANIFEST_CASES command line in one folder; returns the folder
+    and, for each run, the files it added there."""
+    root = tmp_path_factory.mktemp("manifests")
+    save_scene(root / "scene.scene", square_scene())
+    (root / "pipeline.json").write_text(json.dumps(_PIPELINE_RUN))
+    save_report(root / "best.evaluation0", "evaluation",
+                {"matching_mode": "iou", "mean_ap": 0.5, "per_class": {}})
+    added = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for command, cases in MANIFEST_CASES.items():
+            for k, case in enumerate(cases):
+                before = set(root.rglob("*"))
+                assert main([command, *case.argv]) == 0, (command, k)
+                added[command, k] = {str(p.relative_to(root))
+                                     for p in set(root.rglob("*")) - before if p.is_file()}
+    return root, added
+
+
+def _recorded_manifest(path) -> str:
+    """The manifest name a matrix or JSON-bodied data file records."""
+    if path.suffix == ".vismatrix":
+        return load_matrix(path).manifest
+    return _payload(path)["manifest"]
+
+
+def test_manifest_cases_cover_every_subcommand():
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert list(MANIFEST_CASES) == list(subcommands)
+
+
+@pytest.mark.parametrize("command, k", [
+    pytest.param(c, k, id=f"{c}-{'out' if case.manifest else 'no-out'}")
+    for c, cases in MANIFEST_CASES.items() for k, case in enumerate(cases)])
+def test_every_subcommand_writes_its_manifest(manifest_runs, command, k):
+    """A command writes its data files and one manifest beside its first output
+    (pipeline: in its --out-dir), or, without an output, no file at all."""
+    root, added = manifest_runs
+    case = MANIFEST_CASES[command][k]
+    if case.manifest is None:
+        assert added[command, k] == set()
+        return
+    folder = (root / case.manifest).parent
+    assert added[command, k] == {str((folder / name).relative_to(root))
+                                 for name in [*case.outputs, Path(case.manifest).name]}
+    manifest = load_manifest(root / case.manifest)
+    assert manifest["command"] == command
+    assert manifest["tool_version"] == crossview.__version__
+    assert manifest["inputs"] == {p: file_sha256(root / p) for p in case.inputs}
+    assert manifest["outputs"] == case.outputs
+    assert manifest["config"] == _json(case.config)
     assert manifest["wall_time_s"] > 0
-    # The data file points back at its manifest.
-    assert load_matrix(workspace / "lidar.vismatrix").manifest == "lidar.vismatrix.manifest"
+    for name in case.outputs:
+        if not name.endswith(".lp"):  # LP text has no field for it
+            assert _recorded_manifest(folder / name) == Path(case.manifest).name, name
 
 
 def test_evaluate_against_baseline(workspace, tmp_path, capsys):
@@ -599,10 +739,6 @@ def test_workers_must_be_positive(workspace, tmp_path, capsys):
     ])
     assert rc == 4
     assert "workers" in capsys.readouterr().err
-
-
-def _payload(path) -> dict:
-    return json.loads(path.read_text().split("\n", 1)[1])["payload"]
 
 
 BAD_SCENE_FIELDS = [

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from crossview import (
@@ -146,3 +149,45 @@ def test_occluder_corner_order_reported():
         radar_candidates=scene.radar_candidates,
     )
     assert any("corner" in v for v in validate_scene(bad))
+
+
+def _with(value, path: list[str], number: float):
+    """``value`` with ``number`` at the key path ``path`` (fields, tuple indices, dict keys)."""
+    if not path:
+        return number
+    key, rest = path[0], path[1:]
+    if isinstance(value, tuple):
+        k = int(key)
+        return (*value[:k], _with(value[k], rest, number), *value[k + 1:])
+    if isinstance(value, dict):
+        return {**value, int(key): _with(value.get(int(key)), rest, number)}
+    return replace(value, **{key: _with(getattr(value, key), rest, number)})
+
+
+NON_FINITE = [
+    ("grid.origin_xy.0", math.nan),
+    ("grid.origin_xy.1", -math.inf),
+    ("grid.cell_size", math.inf),
+    ("roi.weights.3", math.nan),
+    ("occluders.0.min_corner.2", math.nan),
+    ("occluders.0.max_corner.0", math.inf),
+    ("lidar_candidates.0.position.0", -math.inf),
+    ("lidar_candidates.1.position.1", math.nan),
+    ("radar_candidates.0.position.2", math.inf),
+    ("lidar_candidates.0.yaw_deg", math.nan),
+    ("radar_candidates.1.pitch_deg", -math.inf),
+    ("lidar_candidates.0.spec.max_range_m", math.inf),
+    ("radar_candidates.0.spec.rate_hz", math.nan),
+    ("radar_candidates.1.spec.unit_cost", math.inf),
+    ("lidar_candidates.1.spec.vfov_deg", math.nan),
+]
+
+
+@pytest.mark.parametrize("path, number", NON_FINITE, ids=[f"{p}={n}" for p, n in NON_FINITE])
+def test_non_finite_number_is_reported_by_its_path(path, number):
+    """A scene built through the API may hold NaN or inf anywhere (a scene file
+    may not); every such number is a violation, though a comparison lets NaN by."""
+    scene = square_scene(occluders=[((2.0, 2.0, 0.0), (4.0, 4.0, 3.0))])
+    assert validate_scene(scene) == []
+    violations = validate_scene(_with(scene, path.split("."), number))
+    assert f"{path}: expected a finite number, got {number!r}" in violations, violations

@@ -12,10 +12,11 @@ reference copy of its first loop using ``==``.  A faster rewrite must keep
 every IoU value, and hence every fused and evaluated byte, unchanged.
 
 ``iou_3d`` is the per-pair definition.  ``iou_3d_pairs`` computes it for
-many pairs of one file at once, the way fusion and evaluation use it: one
-numpy pass takes the same steps in the same order, and tests hold it to
-``iou_3d`` bit for bit.  ``same_key_pairs`` lists the pairs, such as every
-same-class pair of every frame, without a Python loop over pairs.
+many pairs at once in one numpy pass that takes the same steps in the same
+order; tests hold it to ``iou_3d`` bit for bit.  The box rules the other
+modules share live here too: ``class_pairs`` pairs boxes for fusion and
+evaluation, ``DetectionBox.from_columns`` builds a frames file's boxes with
+the constructor's checks and stores, and ``score_order`` sorts by score.
 """
 
 from __future__ import annotations
@@ -88,22 +89,57 @@ class DetectionBox:
             vx, vy = velocity
             if not (isfinite(vx) and isfinite(vy)):
                 raise ValueError("velocity components must be finite")
-            velocity = (float(vx), float(vy))
-        # One store per field, in field order: the instance keeps CPython's
-        # key-sharing dict, which __dict__.update would give up.
-        store = object.__setattr__
-        store(self, "center", (float(x), float(y), float(z)))
-        store(self, "size", (float(length), float(width), float(height)))
-        store(self, "yaw", normalize_yaw(float(yaw)))
-        store(self, "class_label", class_label)
-        store(self, "score", float(score))
-        store(self, "source", source)
-        store(self, "velocity", velocity)
+            velocity = (vx, vy)
+        _store(self, (x, y, z), (length, width, height), yaw, class_label, score, source, velocity)
+
+    @classmethod
+    def from_columns(cls, center, size, yaw, class_label, score, source, velocity):
+        """``[DetectionBox(*row) for row in zip(center, ..., velocity)]``, each check a
+        whole column at once, or None if the constructor would refuse any row (build
+        the rows one by one to learn which, and why)."""
+        n = len(center)
+        planar = [v for v in velocity if v is not None]
+        numbers = [*chain.from_iterable(center), *chain.from_iterable(size), *yaw, *score,
+                   *chain.from_iterable(planar)]
+        try:
+            if not ({3}.issuperset(map(len, chain(center, size)))
+                    and {2}.issuperset(map(len, planar))
+                    and all(map(math.isfinite, numbers))
+                    and min(numbers[3 * n:6 * n], default=1) > 0  # the sizes, 3 a row
+                    and 0 <= min(score, default=0) and max(score, default=0) <= 1
+                    and {*CLASSES}.issuperset(class_label) and {*SOURCES}.issuperset(source)):
+                return None
+        except (TypeError, OverflowError):  # a non-number, or an integer past the float range
+            return None
+        new = object.__new__
+        return [_store(new(cls), c, s, y, lab, sc, src, v)
+                for c, s, y, lab, sc, src, v in zip(center, size, yaw, class_label, score,
+                                                     source, velocity)]
 
     def sort_key(self) -> tuple:
         """Total deterministic order used for canonical tie-breaking."""
         return (self.center, self.size, self.yaw, self.class_label,
                 self.score, self.source)
+
+
+def _store(box, center, size, yaw, class_label, score, source, velocity) -> DetectionBox:
+    """``box`` with the constructor's conversions to float and its stores made: one
+    per field, in field order, so it keeps CPython's key-sharing dict, which
+    ``__dict__.update`` would give up."""
+    store = object.__setattr__
+    store(box, "center", (float(center[0]), float(center[1]), float(center[2])))
+    store(box, "size", (float(size[0]), float(size[1]), float(size[2])))
+    store(box, "yaw", normalize_yaw(float(yaw)))
+    store(box, "class_label", class_label)
+    store(box, "score", float(score))
+    store(box, "source", source)
+    store(box, "velocity", None if velocity is None else (float(velocity[0]), float(velocity[1])))
+    return box
+
+
+def score_order(box: DetectionBox) -> tuple:
+    """Sort key for boxes in descending score order, ties broken by ``sort_key``."""
+    return (-box.score, box.sort_key())
 
 
 def footprint(box: DetectionBox) -> list[tuple[float, float]]:
@@ -312,7 +348,7 @@ def iou_3d_pairs(boxes, ia, ib) -> np.ndarray:
     return iou
 
 
-def concat_groups(groups) -> tuple[list[DetectionBox], np.ndarray, np.ndarray]:
+def _concat_groups(groups) -> tuple[list[DetectionBox], np.ndarray, np.ndarray]:
     """The groups' boxes in one list, each box's group number, and each group's
     first position in the list."""
     starts = np.cumsum([0, *map(len, groups)])
@@ -320,7 +356,7 @@ def concat_groups(groups) -> tuple[list[DetectionBox], np.ndarray, np.ndarray]:
             np.repeat(np.arange(len(groups)), np.diff(starts)), starts)
 
 
-def same_key_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _same_key_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every ``(i, j)`` with ``left[i] == right[j]`` (integer keys), by i and then j."""
     order = np.argsort(right, kind="stable")
     start = np.searchsorted(right[order], left, "left")
@@ -328,6 +364,29 @@ def same_key_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.
     first = np.cumsum(counts) - counts
     i = np.repeat(np.arange(left.shape[0]), counts)
     return i, order[start[i] + np.arange(i.shape[0]) - first[i]]
+
+
+def class_pairs(left_groups, right_groups, keep) -> list[list[tuple[float, int, int]]]:
+    """Per group k, the ``(iou_3d(left_groups[k][i], right_groups[k][j]), i, j)`` of
+    every same-class pair whose IoU ``keep`` accepts, by i and then j.
+
+    ``keep`` maps an array of IoUs to a boolean array.  Every pair of every
+    group goes through one ``iou_3d_pairs`` call, so each IoU is ``iou_3d``'s.
+    """
+    (left, lgroup, lstarts), (right, rgroup, rstarts) = map(_concat_groups,
+                                                            (left_groups, right_groups))
+
+    def keys(group, flat):  # equal for boxes of one group and class, which pair up
+        return group * len(CLASSES) + [CLASSES.index(b.class_label) for b in flat]
+
+    li, ri = _same_key_pairs(keys(lgroup, left), keys(rgroup, right))
+    iou = iou_3d_pairs(left + right, li, ri + len(left))
+    hit = np.flatnonzero(keep(iou))
+    li, ri, group = li[hit], ri[hit], lgroup[li[hit]]
+    pairs = list(zip(iou[hit].tolist(), (li - lstarts[group]).tolist(),
+                     (ri - rstarts[group]).tolist()))
+    cuts = np.searchsorted(group, np.arange(len(left_groups) + 1)).tolist()
+    return [pairs[cuts[k]:cuts[k + 1]] for k in range(len(left_groups))]
 
 
 def center_distance_bev(a: DetectionBox, b: DetectionBox) -> float:

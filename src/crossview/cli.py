@@ -337,7 +337,7 @@ def _export_milp_stage(lidar_path, radar_path, settings: dict, path, manifest: s
 
 
 def cmd_export_milp(args) -> int:
-    run = _Run(args, _OPTIMIZE_CHECKS)
+    run = _Run(args, _OPTIMIZE_CHECKS.keys() - {"solver"})  # the model is the same for every solver
     settings = _optimize_settings(run.config, args)
     text = run.stage(partial(_export_milp_stage, args.lidar, args.radar, settings, args.out),
                      [args.lidar, args.radar], [args.out])

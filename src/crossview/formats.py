@@ -22,9 +22,10 @@ malformed numbers all raise ParseError naming the offending part as
 ``{field: check}`` table read by one loop, ``_record``; only the boxes of a
 frames file, the hot path of re-scoring, have a hand-written reader, and
 matrix bodies are text rows.  That reader checks a file's box records in
-bulk, a column at a time, and builds the boxes only once every check has
-passed; a file it has any doubt about goes through the record loop, which
-names the first fault, so every message is the record loop's.
+bulk, a column at a time: their JSON shapes here, the constructor's checks
+in ``DetectionBox.from_columns``.  A file it has any doubt about goes
+through the record loop, which names the first fault, so every message is
+the record loop's.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import CLASSES, SOURCES, DetectionBox, normalize_yaw
+from .boxes import DetectionBox, score_order
 from .coverage import CoverageReport
 from .metrics import FramePair, pair_frames
 from .placement import BUDGET_MODES
@@ -432,6 +433,8 @@ def save_matrix(path, mf: MatrixFile) -> None:
     if rows and not cols:  # its rows would be blank lines, which the loader skips
         raise ValueError(f"a {rows} x {cols} matrix has rows but no columns; "
                          "its file would not load")
+    if bad := [i for i in mf.ids if i.split() != [i]]:  # the ids line is split on whitespace
+        raise ValueError(f"candidate id {bad[0]!r} is not one token; its file would not load")
     if len(mf.cells) != cols:
         raise ValueError("cells length must match matrix columns")
     if mf.weights.shape != (cols,):
@@ -556,8 +559,6 @@ _JSON_NUMBERS = frozenset({int, float})
 _BOX_REQUIRED = frozenset({"center", "size", "yaw", "class_label", "score", "source"})
 _BOX_KEYS = _BOX_REQUIRED | {"velocity"}
 _FRAME_KEYS = frozenset({"frame_id", "boxes"})
-_CLASS_NAMES = frozenset(CLASSES)
-_SOURCE_NAMES = frozenset(SOURCES)
 
 
 def _is_numbers(value, n: int) -> bool:
@@ -593,8 +594,7 @@ def _box_from_record(rec) -> DetectionBox:
 
 def save_frames(path, frames: dict[str, list[DetectionBox]], manifest: str | None = None) -> None:
     # A box's instance dict is its record: its seven fields, tuples and floats.
-    records = [{"boxes": [vars(box) for box in sorted(frames[frame_id],
-                                                      key=lambda b: (-b.score, b.sort_key()))],
+    records = [{"boxes": [vars(box) for box in sorted(frames[frame_id], key=score_order)],
                 "frame_id": frame_id}
                for frame_id in sorted(frames)]
     payload: dict = {"frames": records}
@@ -603,19 +603,13 @@ def save_frames(path, frames: dict[str, list[DetectionBox]], manifest: str | Non
     _write_artifact(path, FRAMES_MAGIC, _json_body(payload))
 
 
-def _lists_of(lists, n: int) -> bool:
-    """Whether each entry of ``lists`` is a list of ``n`` entries."""
-    return set(map(type, lists)) <= {list} and set(map(len, lists)) <= {n}
-
-
 def _frames_in_bulk(frames: list) -> dict[str, list[DetectionBox]] | None:
-    """The boxes of a frames list checked column by column, or None on any doubt.
+    """The boxes of a frames list built column by column, or None on any doubt.
 
-    Each check is one the record loop makes, taken over the whole file at
-    once; a file it does not pass (a fault, or a box record without all
-    seven fields) goes to the record loop, which names the first fault.
-    Boxes are built only once every check has passed, with the
-    constructor's stores, so each is what the constructor builds.
+    The JSON shapes are checked here over the whole file at once, and
+    ``DetectionBox.from_columns`` runs the constructor's checks the same
+    way; a file that either does not pass (a fault, or a box record without
+    all seven fields) goes to the record loop, which names the first fault.
     """
     if set(map(type, frames)) - {dict} or any(f.keys() != _FRAME_KEYS for f in frames):
         return None
@@ -627,38 +621,18 @@ def _frames_in_bulk(frames: list) -> dict[str, list[DetectionBox]] | None:
     if set(map(type, records)) - {dict} or set(map(len, records)) - {len(_BOX_KEYS)}:
         return None
     try:
-        center, size, yaw, label, score, source, velocity = (
-            list(map(itemgetter(f.name), records)) for f in fields(DetectionBox))
+        columns = [list(map(itemgetter(f.name), records)) for f in fields(DetectionBox)]
     except KeyError:
         return None
+    center, size, yaw, _, score, _, velocity = columns
     planar = [v for v in velocity if v is not None]
-    if not (_lists_of(center, 3) and _lists_of(size, 3) and _lists_of(planar, 2)
-            and set(map(type, label)) <= {str} and set(map(type, source)) <= {str}
-            and _CLASS_NAMES.issuperset(label) and _SOURCE_NAMES.issuperset(source)):
+    if not ({list}.issuperset(map(type, chain(center, size, planar)))
+            and _JSON_NUMBERS.issuperset(map(type, chain(chain.from_iterable(center), yaw, score,
+                                                         chain.from_iterable(size + planar))))):
         return None
-    numbers = [*chain.from_iterable(center), *chain.from_iterable(size), *yaw, *score,
-               *chain.from_iterable(planar)]
-    types = set(map(type, numbers))
-    try:
-        if not (types <= _JSON_NUMBERS and all(map(math.isfinite, numbers))
-                and min(chain.from_iterable(size), default=1) > 0
-                and 0 <= min(score, default=0) and max(score, default=0) <= 1):
-            return None
-    except OverflowError:  # an integer past the float range
+    boxes = DetectionBox.from_columns(*columns)
+    if boxes is None:
         return None
-    as_floats = tuple if int not in types else (lambda v: tuple(map(float, v)))
-    new, store = object.__new__, object.__setattr__
-    boxes = []
-    for c, s, y, lab, sc, src, v in zip(center, size, yaw, label, score, source, velocity):
-        box = new(DetectionBox)
-        store(box, "center", as_floats(c))
-        store(box, "size", as_floats(s))
-        store(box, "yaw", normalize_yaw(float(y)))
-        store(box, "class_label", lab)
-        store(box, "score", float(sc))
-        store(box, "source", src)
-        store(box, "velocity", None if v is None else as_floats(v))
-        boxes.append(box)
     starts = list(accumulate(map(len, lists), initial=0))
     return {fid: boxes[starts[k]:starts[k + 1]] for k, fid in enumerate(ids)}
 

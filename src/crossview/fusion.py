@@ -6,8 +6,8 @@ contributes the velocity estimate.  Unmatched detections from either side
 pass through untouched, so every input box is accounted for exactly once:
 len(output) == len(lidar) + len(radar) - matches.
 
-``fuse_frames`` fuses a whole file's frames with one call of the IoU kernel
-``boxes.iou_3d_pairs`` over every same-class pair of every frame, which
+``fuse_frames`` fuses a whole file's frames, taking every frame's
+same-class pairs and their IoUs from one ``boxes.class_pairs`` call, which
 gives ``iou_3d``'s values bit for bit, and hands each frame its pairs.
 """
 
@@ -16,17 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .boxes import (
-    CLASSES,
-    DetectionBox,
-    concat_groups,
-    iou_3d,
-    iou_3d_pairs,
-    normalize_yaw,
-    same_key_pairs,
-)
+from .boxes import DetectionBox, class_pairs, iou_3d, normalize_yaw, score_order
 from .scene import LIDAR, RADAR
 
 
@@ -122,7 +112,7 @@ def fuse_late(
     out = fused
     out += [b for i, b in enumerate(lidar_detections) if i not in used_l]
     out += [b for i, b in enumerate(radar_detections) if i not in used_r]
-    out.sort(key=lambda b: (-b.score, b.sort_key()))
+    out.sort(key=score_order)
     return out
 
 
@@ -136,17 +126,5 @@ def fuse_frames(
     config = config or FusionConfig()
     ids = sorted(set(lidar) | set(radar))
     sides = [[side.get(fid, []) for fid in ids] for side in (lidar, radar)]
-    (lflat, lframe, lstarts), (rflat, rframe, rstarts) = map(concat_groups, sides)
-
-    def keys(frame, flat):  # equal for boxes of one frame and class, which pair up
-        return frame * len(CLASSES) + [CLASSES.index(b.class_label) for b in flat]
-
-    li, ri = same_key_pairs(keys(lframe, lflat), keys(rframe, rflat))
-    iou = iou_3d_pairs(lflat + rflat, li, ri + len(lflat))
-    hit = np.flatnonzero(iou >= config.iou_threshold)
-    frame = lframe[li[hit]]
-    pairs = list(zip(iou[hit].tolist(), (li[hit] - lstarts[frame]).tolist(),
-                     (ri[hit] - rstarts[frame]).tolist()))
-    cuts = np.searchsorted(frame, np.arange(len(ids) + 1)).tolist()
-    return {fid: fuse_late(l, r, config, pairs=pairs[cuts[k]:cuts[k + 1]])
-            for k, (fid, l, r) in enumerate(zip(ids, *sides))}
+    pairs = class_pairs(*sides, lambda iou: iou >= config.iou_threshold)
+    return {fid: fuse_late(l, r, config, pairs=p) for fid, l, r, p in zip(ids, *sides, pairs)}

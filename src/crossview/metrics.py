@@ -6,10 +6,10 @@ score order, each ground-truth box usable once.  Matches can be judged by
 101-point interpolated area under the precision-recall curve; classes with
 no ground truth anywhere have undefined AP and are skipped by the mean.
 
-In IoU mode an evaluation takes every IoU it may need, of every same-class
-prediction and truth pair of every frame, in one ``boxes.iou_3d_pairs``
-call, which gives ``iou_3d``'s values bit for bit, and scores each class
-from that table.
+In IoU mode an evaluation takes every nonzero IoU it may need, of every
+same-class prediction and truth pair of every frame, from one
+``boxes.class_pairs`` call, which gives ``iou_3d``'s values bit for bit,
+and scores each class from that table.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# iou_3d is the per-pair definition that iou_3d_pairs reproduces; the benchmark's
+# iou_3d is the per-pair definition that class_pairs reproduces; the benchmark's
 # tracer counts calls through this module's binding.
 from .boxes import CLASSES, DetectionBox, center_distance_bev, iou_3d  # noqa: F401
-from .boxes import concat_groups, iou_3d_pairs, same_key_pairs
+from .boxes import class_pairs, score_order
 
 DEFAULT_IOU_THRESHOLDS = {
     "car": 0.5,
@@ -96,7 +96,7 @@ def _groups(frames: list[FramePair], classes) -> list[tuple[str, str, list, list
         for frame in frames:
             preds = [b for b in frame.predictions if b.class_label == label]
             gts = [b for b in frame.ground_truth if b.class_label == label]
-            preds.sort(key=lambda b: (-b.score, b.sort_key()))
+            preds.sort(key=score_order)
             gts.sort(key=lambda b: b.sort_key())
             out.append((label, frame.frame_id, preds, gts))
     return out
@@ -104,18 +104,10 @@ def _groups(frames: list[FramePair], classes) -> list[tuple[str, str, list, list
 
 def _iou_tables(groups: list[tuple]) -> list[dict[tuple[int, int], float]]:
     """Per group, (prediction rank, truth rank) -> IoU for each pair whose IoU
-    is nonzero, from one ``iou_3d_pairs`` call over every pair of every group."""
-    preds, pkeys, pstarts = concat_groups([p for _, _, p, _ in groups])
-    gts, gkeys, gstarts = concat_groups([g for _, _, _, g in groups])
-    pi, gi = same_key_pairs(pkeys, gkeys)
-    iou = iou_3d_pairs(preds + gts, pi, gi + len(preds))
-    hit = np.flatnonzero(iou > 0.0)
-    group = pkeys[pi[hit]]
-    tables: list[dict] = [{} for _ in groups]
-    for k, p, g, m in zip(group.tolist(), (pi[hit] - pstarts[group]).tolist(),
-                          (gi[hit] - gstarts[group]).tolist(), iou[hit].tolist()):
-        tables[k][p, g] = m
-    return tables
+    is nonzero."""
+    pairs = class_pairs([p for _, _, p, _ in groups], [g for _, _, _, g in groups],
+                        lambda iou: iou > 0.0)
+    return [{(p, g): m for m, p, g in group} for group in pairs]
 
 
 def _match_frame(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, is_dataclass
+from numbers import Real
 
 LIDAR = "lidar"
 RADAR = "radar"
@@ -115,33 +116,35 @@ class Scene:
         return len(self.radar_candidates)
 
 
-def cell_center(grid: GridSpec, j: int) -> tuple[float, float, float]:
-    """Ground-level center of cell j.
-
-    Raises IndexError when j is outside the grid.
-    """
-    if not 0 <= j < grid.n_cells:
-        raise IndexError(f"cell index {j} outside grid with {grid.n_cells} cells")
-    row, col = divmod(j, grid.nx)
-    return (
-        grid.origin_xy[0] + (col + 0.5) * grid.cell_size,
-        grid.origin_xy[1] + (row + 0.5) * grid.cell_size,
-        0.0,
-    )
-
-
-def _check_finite(value, where: str, out: list[str]) -> None:
-    """Report every NaN or inf in ``value`` by its key path: comparisons let NaN by."""
-    if is_dataclass(value):
+def _check_values(value, where: str, out: list[str]) -> bool:
+    """Report by its key path every NaN or inf in ``value`` (comparisons let NaN by),
+    and every non-number where a number belongs, or non-string id or modality; True
+    if it found one of the latter, on which the comparisons would raise.  Only a
+    scene part's fields hold tuples, dicts or sets: their items are numbers or parts."""
+    part = is_dataclass(value)
+    if part:
         value = vars(value)
     elif isinstance(value, (tuple, list)):
         value = dict(enumerate(value))
+    elif isinstance(value, frozenset):  # ROI cells, keyed by themselves; an int is fine
+        value = {j: j for j in value if type(j) is not int}
+    wrong = False
     for key, item in value.items():
-        if isinstance(item, float):
-            if not math.isfinite(item):
+        if key in ("id", "modality"):
+            kind, expected = str, "a string"
+        elif isinstance(item, (int, float)):
+            if isinstance(item, float) and not math.isfinite(item):
                 out.append(f"{where}{key}: expected a finite number, got {item!r}")
-        elif isinstance(item, (tuple, list, dict)) or is_dataclass(item):
-            _check_finite(item, f"{where}{key}.", out)
+            continue
+        elif is_dataclass(item) or (part and isinstance(item, (tuple, list, dict, frozenset))):
+            wrong |= _check_values(item, f"{where}{key}.", out)
+            continue
+        else:  # a lidar's beams may be None
+            kind, expected = (Real, type(None)) if key == "beams" else Real, "a number"
+        if not isinstance(item, kind):
+            out.append(f"{where}{key}: expected {expected}, got {item!r}")
+            wrong = True
+    return wrong
 
 
 def _check_spec(spec: SensorSpec, owner: str, out: list[str]) -> None:
@@ -173,7 +176,8 @@ def validate_scene(scene: Scene) -> list[str]:
     reports.
     """
     out: list[str] = []
-    _check_finite(scene, "", out)
+    if _check_values(scene, "", out):
+        return out
     grid = scene.grid
     if grid.cell_size <= 0.0:
         out.append("grid: cell_size must be > 0")
@@ -203,6 +207,8 @@ def validate_scene(scene: Scene) -> list[str]:
         (scene.radar_candidates, RADAR),
     ):
         for mount in mounts:
+            if mount.id.split() != [mount.id]:  # matrix files list ids space-separated
+                out.append(f"candidate '{mount.id}': id must be one token, without whitespace")
             if mount.id in seen_ids:
                 out.append(f"candidate '{mount.id}': duplicate id")
             seen_ids.add(mount.id)

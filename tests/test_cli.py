@@ -7,7 +7,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -131,6 +131,21 @@ def test_invalid_scene_exits_4(tmp_path, capsys):
     ])
     assert rc == 4
     assert "scene:" in capsys.readouterr().err
+
+
+def test_candidate_id_with_whitespace_exits_4_before_the_ray_cast(tmp_path, capsys):
+    """Matrix files list ids space-separated, so ``optimize`` could not read
+    back a matrix holding such an id."""
+    scene = square_scene()
+    spaced = replace(scene.lidar_candidates[0], id="L 0")
+    path = tmp_path / "spaced.scene"
+    save_scene(path, replace(scene, lidar_candidates=(spaced, *scene.lidar_candidates[1:])))
+    rc = main(["visibility", "--scene", str(path), "--out-lidar", str(tmp_path / "l.vismatrix"),
+               "--out-radar", str(tmp_path / "r.vismatrix")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err == "error: scene: candidate 'L 0': id must be one token, without whitespace\n", err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spaced.scene"]
 
 
 def test_missing_budget_exits_4(workspace, tmp_path, capsys):
@@ -809,7 +824,8 @@ def test_pipeline_rejects_unknown_keys(tmp_path, capsys, change, message):
     ("optimize", {"budget": 150, "budget_mod": "cost"}, "budget_mod"),
     ("visibility", {"visibility": {"samples_per_cell": 1}}, "visibility"),
     ("fuse", {"iou_threshold": 0.2, "iou": 0.5}, "iou"),
-], ids=["optimize-typo", "visibility-nested", "fuse-extra"])
+    ("export-milp", {"budget": 2, "solver": "greedy"}, "solver"),
+], ids=["optimize-typo", "visibility-nested", "fuse-extra", "export-milp-solver"])
 def test_subcommand_config_rejects_unknown_keys(workspace, tmp_path, capsys, command, config,
                                                 key):
     cfg = tmp_path / "config.json"
@@ -823,6 +839,9 @@ def test_subcommand_config_rejects_unknown_keys(workspace, tmp_path, capsys, com
                        "--out-radar", str(tmp_path / "r.vismatrix")],
         "fuse": ["--lidar", str(tmp_path / "none.frames"), "--radar", str(tmp_path / "none.frames"),
                  "--out", str(tmp_path / "fused.frames")],
+        "export-milp": ["--lidar", str(workspace / "lidar.vismatrix"),
+                        "--radar", str(workspace / "radar.vismatrix"),
+                        "--out", str(tmp_path / "x.lp")],
     }[command]
     rc = main([command, *argv, "--config", str(cfg)])
     assert rc == 4

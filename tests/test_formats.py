@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from functools import partial
 
 import numpy as np
@@ -305,6 +306,17 @@ def test_empty_matrix_shapes_round_trip_or_are_refused(tmp_path, rows, cols):
     assert (loaded.cells, loaded.ids) == (mf.cells, mf.ids)
     save_matrix(tmp_path / "again.vismatrix", loaded)
     assert (tmp_path / "again.vismatrix").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["L 0", "", "L\t0", " L0", "L0\n"])
+def test_an_id_that_is_not_one_token_is_refused(tmp_path, bad):
+    """The ids line is split on whitespace, so such an id would load as a
+    different number of ids; it is refused before anything is written."""
+    mf = MatrixFile(matrix=VisibilityMatrix("lidar", np.zeros((2, 1))), scene_hash="ab" * 32,
+                    cells=(0,), weights=np.ones(1), costs=np.ones(2), ids=("L1", bad))
+    with pytest.raises(ValueError, match=re.escape(f"candidate id {bad!r} is not one token")):
+        save_matrix(tmp_path / "m.vismatrix", mf)
+    assert not list(tmp_path.iterdir())
 
 
 def _parse_floats_one_by_one(text: str, n: int, where: str) -> np.ndarray:

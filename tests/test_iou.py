@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from crossview import CLASSES, SOURCES, DetectionBox, center_distance_bev, iou_3d
 from crossview import boxes as boxes_module
-from crossview.boxes import _clip_pairs, _clip_polygon, _polygon_area, footprint, iou_3d_pairs
+from crossview.boxes import (
+    _clip_pairs,
+    _clip_polygon,
+    _polygon_area,
+    class_pairs,
+    footprint,
+    iou_3d_pairs,
+)
 
 from conftest import random_box, rescore_frames, shifted_copy
 from oracles import clip_polygon_reference, mc_iou_3d
@@ -346,6 +353,53 @@ def test_kernel_takes_any_pair_list():
     assert iou_3d_pairs([a, b], [], []).shape == (0,)
     assert iou_3d_pairs([], np.array([], dtype=int), []).shape == (0,)
     assert_kernel_is_iou_3d([a, b], [0, 1, 0, 1], [1, 0, 0, 1])
+
+
+# -- class_pairs: the one pairing of fusion and evaluation ----------------------
+
+KEEP_RULES = {"fusion": lambda iou: iou >= 0.3, "evaluation": lambda iou: iou > 0.0}
+
+
+def assert_class_pairs_are_the_pair_loop(left_groups, right_groups, keep):
+    """``class_pairs`` gives, group by group, what a per-pair ``iou_3d`` loop over
+    every same-class pair gives, by i and then j, each IoU bit for bit."""
+    got = class_pairs(left_groups, right_groups, keep)
+    want = [[(iou_3d(a, b), i, j) for i, a in enumerate(left) for j, b in enumerate(right)
+             if a.class_label == b.class_label and keep(iou_3d(a, b))]
+            for left, right in zip(left_groups, right_groups)]
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert [(i, j) for _, i, j in g] == [(i, j) for _, i, j in w], k
+        assert all(type(m) is float and type(i) is int and type(j) is int for m, i, j in g)
+        bits = [np.array([m for m, _, _ in pairs], dtype=float).view(np.uint64).tolist()
+                for pairs in (g, w)]
+        assert bits[0] == bits[1], k
+    return got
+
+
+@pytest.mark.parametrize("rule", sorted(KEEP_RULES))
+def test_class_pairs_on_empty_and_unmatched_groups(rule):
+    keep = KEEP_RULES[rule]
+    car, truck = box(), box(class_label="truck", source="radar")
+    assert class_pairs([], [], keep) == []
+    assert class_pairs([[], [car], []], [[truck], [], []], keep) == [[], [], []]
+    assert class_pairs([[car, car]], [[truck, truck]], keep) == [[]]
+    got = assert_class_pairs_are_the_pair_loop(
+        [[], [car, truck], [truck]], [[car], [truck, car, truck], []], keep)
+    assert got == [[], [(1.0, 0, 1), (1.0, 1, 0), (1.0, 1, 2)], []]
+
+
+@pytest.mark.parametrize("rule", sorted(KEEP_RULES))
+def test_class_pairs_on_a_seeded_scenario(rule):
+    """Every frame of a ``rescore``-sized deployment, lidar against radar and
+    truth against lidar, the pairs fusion and evaluation take."""
+    frames = rescore_frames(12)
+    for left, right in ((frames.lidar, frames.radar), (frames.ground_truth, frames.lidar)):
+        ids = sorted(set(left) | set(right))
+        got = assert_class_pairs_are_the_pair_loop([left.get(f, []) for f in ids],
+                                                   [right.get(f, []) for f in ids],
+                                                   KEEP_RULES[rule])
+        assert sum(map(len, got)) > 300
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

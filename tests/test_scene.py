@@ -14,28 +14,10 @@ from crossview import (
     RegionOfInterest,
     Scene,
     SensorSpec,
-    cell_center,
     validate_scene,
 )
 
 from conftest import WIDE_LIDAR, WIDE_RADAR, square_scene
-
-
-def test_cell_center_row_major():
-    grid = GridSpec(origin_xy=(10.0, 20.0), cell_size=4.0, nx=3, ny=2)
-    assert cell_center(grid, 0) == (12.0, 22.0, 0.0)
-    assert cell_center(grid, 2) == (20.0, 22.0, 0.0)
-    # Index 3 wraps to the second row.
-    assert cell_center(grid, 3) == (12.0, 26.0, 0.0)
-    assert cell_center(grid, 5) == (20.0, 26.0, 0.0)
-
-
-def test_cell_center_out_of_range():
-    grid = GridSpec(origin_xy=(0.0, 0.0), cell_size=1.0, nx=3, ny=2)
-    with pytest.raises(IndexError):
-        cell_center(grid, 6)
-    with pytest.raises(IndexError):
-        cell_center(grid, -1)
 
 
 def test_grid_n_cells():
@@ -191,3 +173,44 @@ def test_non_finite_number_is_reported_by_its_path(path, number):
     assert validate_scene(scene) == []
     violations = validate_scene(_with(scene, path.split("."), number))
     assert f"{path}: expected a finite number, got {number!r}" in violations, violations
+
+
+WRONG_KINDS = [
+    ("grid.cell_size", "2", "a number"),
+    ("grid.cell_size", None, "a number"),
+    ("grid.nx", "3", "a number"),
+    ("roi.weights.3", [1.0], "a number"),
+    ("occluders.0.min_corner.2", None, "a number"),
+    ("lidar_candidates.0.position.2", "5", "a number"),
+    ("lidar_candidates.1.spec.beams", "16", "a number"),
+    ("radar_candidates.0.spec.hfov_deg", None, "a number"),
+    ("radar_candidates.1.yaw_deg", "north", "a number"),
+    ("lidar_candidates.0.id", 7, "a string"),
+    ("radar_candidates.1.spec.modality", None, "a string"),
+]
+
+
+@pytest.mark.parametrize("path, value, expected", WRONG_KINDS,
+                         ids=[f"{p}={v!r}" for p, v, _ in WRONG_KINDS])
+def test_value_of_the_wrong_kind_is_reported_by_its_path(path, value, expected):
+    """A non-number where a number belongs, or a non-string id or modality, is a
+    violation, not a TypeError from the range checks, which then do not run."""
+    scene = square_scene(occluders=[((2.0, 2.0, 0.0), (4.0, 4.0, 3.0))])
+    violations = validate_scene(_with(scene, path.split("."), value))
+    assert violations == [f"{path}: expected {expected}, got {value!r}"]
+
+
+def test_non_number_roi_cell_is_reported():
+    scene = square_scene()
+    bad = replace(scene, roi=RegionOfInterest(cells=frozenset({0, 1, "2"})))
+    assert validate_scene(bad) == ["roi.cells.2: expected a number, got '2'"]
+
+
+@pytest.mark.parametrize("bad", ["L 0", "", "L\t0", "L0 "])
+def test_candidate_id_that_is_not_one_token_is_reported(bad):
+    """Matrix files list ids separated by whitespace, so an id must be one token."""
+    scene = square_scene()
+    spaced = replace(scene.lidar_candidates[0], id=bad)
+    violations = validate_scene(replace(scene, lidar_candidates=(spaced,
+                                                                 *scene.lidar_candidates[1:])))
+    assert violations == [f"candidate '{bad}': id must be one token, without whitespace"]

@@ -250,12 +250,10 @@ def cmd_visibility(args) -> int:
 
 
 def _load_matrix_pair(lidar_path, radar_path):
-    lf = load_matrix(lidar_path)
-    rf = load_matrix(radar_path)
-    if lf.matrix.modality != LIDAR:
-        raise ValueError(f"{lidar_path} holds a {lf.matrix.modality!r} matrix, expected lidar")
-    if rf.matrix.modality != RADAR:
-        raise ValueError(f"{radar_path} holds a {rf.matrix.modality!r} matrix, expected radar")
+    lf, rf = load_matrix(lidar_path), load_matrix(radar_path)
+    for path, mf, modality in ((lidar_path, lf, LIDAR), (radar_path, rf, RADAR)):
+        if mf.matrix.modality != modality:
+            raise ValueError(f"{path} holds a {mf.matrix.modality!r} matrix, expected {modality}")
     if lf.scene_hash != rf.scene_hash:
         _warn("matrix scene hashes differ; they may come from different scenes")
     if lf.cells != rf.cells:

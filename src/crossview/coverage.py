@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .placement import PlacementProblem, Selection
-from .scene import LIDAR, RADAR
+from .scene import LIDAR, MODALITIES, RADAR
 
 
 @dataclass(frozen=True)
@@ -37,12 +35,6 @@ class CoverageReport:
 
     def to_record(self) -> dict:
         return asdict(self)
-
-
-def _modality_covered(matrix: np.ndarray, ids: frozenset[int], theta: float) -> np.ndarray:
-    if not ids:
-        return np.zeros(matrix.shape[1], dtype=bool)
-    return matrix[sorted(ids)].max(axis=0) > theta
 
 
 def check_theta(theta: float, where: str = "theta") -> float:
@@ -65,21 +57,21 @@ def coverage_report(
     """
     check_theta(theta)
     problem.check_selection(selection)
-    lidar_cov = _modality_covered(problem.lidar_vis, selection.lidar_ids, theta)
-    radar_cov = _modality_covered(problem.radar_vis, selection.radar_ids, theta)
-    either = lidar_cov | radar_cov
+    covered = {m: (vis[sorted(selection.ids(m))] > theta).any(axis=0)
+               for m, vis in problem.vis.items()}
+    price = {m: problem.selection_price(Selection.of_picks((m, i) for i in selection.ids(m)))
+             for m in MODALITIES}
+    either = covered[LIDAR] | covered[RADAR]
     total = problem.n_cells
-    lidar_cost = problem.selection_price(Selection.of(lidar_ids=selection.lidar_ids))
-    radar_cost = problem.selection_price(Selection.of(radar_ids=selection.radar_ids))
     return CoverageReport(
         config_name=config_name,
         central_coverage=float(either.sum()) / total if total else 0.0,
         covered_cells=int(either.sum()),
         total_roi_cells=total,
-        total_cost=lidar_cost + radar_cost,
+        total_cost=price[LIDAR] + price[RADAR],
         sensor_count=selection.size,
-        per_modality_cost={LIDAR: lidar_cost, RADAR: radar_cost},
-        per_modality_covered={LIDAR: int(lidar_cov.sum()), RADAR: int(radar_cov.sum())},
+        per_modality_cost=price,
+        per_modality_covered={m: int(c.sum()) for m, c in covered.items()},
         theta=theta,
     )
 

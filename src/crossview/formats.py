@@ -155,18 +155,12 @@ def _read_artifact(path, magic: str) -> tuple[str, str]:
         raise ParseError(f"{path}: body is not UTF-8 text: {exc}") from exc
 
 
-def _tolist(value):
-    """``json.dumps``'s hook for numpy scalars and arrays; any other type is an error."""
-    if isinstance(value, (np.generic, np.ndarray)):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _json_body(payload: dict) -> str:
     """Every JSON kind's body.  With no ``indent``, stdlib's C encoder runs; it writes
-    floats as ``float.__repr__`` does and tuples as lists.  No payload holds a cycle."""
+    floats as ``float.__repr__`` does and tuples as lists, and refuses a numpy int or
+    array with its own TypeError.  No payload holds a cycle."""
     return json.dumps({"payload": payload}, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False, check_circular=False, default=_tolist) + "\n"
+                      allow_nan=False, check_circular=False) + "\n"
 
 
 def _string_keys(value, where: str) -> None:

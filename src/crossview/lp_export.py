@@ -13,10 +13,12 @@ external solver sees the same numbers the in-process solvers use.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .placement import PlacementProblem
-from .scene import LIDAR, RADAR
+from .scene import LIDAR, MODALITIES, RADAR
+
+# Each modality's pick variables and the name of its seen rows.
+_PICK = {LIDAR: "x", RADAR: "y"}
+_SEEN = {LIDAR: "seenl", RADAR: "seenr"}
 
 
 def _num(x: float) -> str:
@@ -46,7 +48,8 @@ def export_milp(problem: PlacementProblem) -> str:
         raise ValueError("cannot export a problem with no ROI cells")
     tau = problem.seen_threshold
     w = problem.weights
-    big_m = w * (problem.lidar_vis.sum(axis=0) + problem.radar_vis.sum(axis=0))
+    var = {m: [f"{_PICK[m]}{i}" for i in range(vis.shape[0])] for m, vis in problem.vis.items()}
+    big_m = w * sum(vis.sum(axis=0) for vis in problem.vis.values())
 
     lines: list[str] = []
     lines.append("\\ crossview placement model")
@@ -59,25 +62,21 @@ def export_milp(problem: PlacementProblem) -> str:
     lines.append("Subject To")
 
     spend = problem.unit_spend()
-    budget_terms = [(float(c), f"x{i}") for i, c in enumerate(spend[LIDAR])]
-    budget_terms += [(float(c), f"y{i}") for i, c in enumerate(spend[RADAR])]
-    budget_expr = _linexpr(budget_terms)
+    budget_expr = _linexpr([(float(c), v) for m in MODALITIES for c, v in zip(spend[m], var[m])])
     if budget_expr:
         lines.append(f" budget: {budget_expr} <= {_num(problem.budget)}")
 
     for j in range(n_c):
-        terms = [(float(problem.lidar_log[i, j]), f"x{i}") for i in range(n_l)]
-        terms.append((-tau, f"t{j}"))
-        lines.append(f" seenl{j}: {_linexpr(terms)} >= 0")
-        terms = [(float(problem.radar_log[i, j]), f"y{i}") for i in range(n_r)]
-        terms.append((-tau, f"t{j}"))
-        lines.append(f" seenr{j}: {_linexpr(terms)} >= 0")
+        for m, log in problem.log.items():
+            terms = [(float(c), v) for c, v in zip(log[:, j], var[m])]
+            terms.append((-tau, f"t{j}"))
+            lines.append(f" {_SEEN[m]}{j}: {_linexpr(terms)} >= 0")
 
     for j in range(n_c):
         mj = float(big_m[j])
         wj = float(w[j])
-        mass = [(wj * float(problem.lidar_vis[i, j]), f"x{i}") for i in range(n_l)]
-        mass += [(wj * float(problem.radar_vis[i, j]), f"y{i}") for i in range(n_r)]
+        mass = [(wj * float(c), v) for m, vis in problem.vis.items()
+                for c, v in zip(vis[:, j], var[m])]
         lines.append(f" cap{j}: {_linexpr([(1.0, f'z{j}'), (-mj, f't{j}')])} <= 0")
         neg_mass = [(-c, v) for c, v in mass]
         lines.append(f" mass{j}: {_linexpr([(1.0, f'z{j}')] + neg_mass)} <= 0")
@@ -88,9 +87,7 @@ def export_milp(problem: PlacementProblem) -> str:
     for j in range(n_c):
         lines.append(f" 0 <= z{j} <= {_num(float(big_m[j]))}")
     lines.append("Binaries")
-    names = [f"x{i}" for i in range(n_l)]
-    names += [f"y{i}" for i in range(n_r)]
-    names += [f"t{j}" for j in range(n_c)]
+    names = [v for m in MODALITIES for v in var[m]] + [f"t{j}" for j in range(n_c)]
     lines.append(" " + " ".join(names))
     lines.append("End")
     return "\n".join(lines) + "\n"

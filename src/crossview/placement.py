@@ -9,6 +9,11 @@ the detection probability ``visibility.detection_probability`` gives, and
 the simulator rolls against, reaches 1 - e^-threshold.  The test runs on the
 log sums, which add along a search, rather than on that probability.
 
+Both modalities enter as the same kind of data, so a ``PlacementProblem``
+holds each per-candidate quantity (visibility row, its log row, unit cost)
+as one table keyed by modality, in ``MODALITIES`` order, and its consumers
+loop over that order: lidar first, then radar.
+
 Solvers:
 
 * ``solve_exhaustive``  - reference enumeration, guarded to small instances.
@@ -30,7 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .scene import LIDAR, RADAR
+from .scene import LIDAR, MODALITIES, RADAR
 from .visibility import VisibilityMatrix, log_visibility
 
 BUDGET_MODES = ("count", "cost")
@@ -55,12 +60,22 @@ class Selection:
     def size(self) -> int:
         return len(self.lidar_ids) + len(self.radar_ids)
 
+    def ids(self, modality: str) -> frozenset[int]:
+        """The picks of one modality."""
+        return {LIDAR: self.lidar_ids, RADAR: self.radar_ids}[modality]
+
     def canonical_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (tuple(sorted(self.lidar_ids)), tuple(sorted(self.radar_ids)))
 
     @staticmethod
     def of(lidar_ids: Iterable[int] = (), radar_ids: Iterable[int] = ()) -> "Selection":
         return Selection(frozenset(lidar_ids), frozenset(radar_ids))
+
+    @staticmethod
+    def of_picks(picks: Iterable[tuple[str, int]]) -> "Selection":
+        """The selection of ``(modality, row index)`` pairs."""
+        picks = list(picks)
+        return Selection.of(*([i for m, i in picks if m == key] for key in MODALITIES))
 
 
 def check_budget(budget: float, seen_threshold: float) -> None:
@@ -73,18 +88,21 @@ def check_budget(budget: float, seen_threshold: float) -> None:
 
 @dataclass(frozen=True)
 class PlacementProblem:
-    """Immutable solver input: matrices, their log transforms, and budget."""
+    """Immutable solver input: per-modality tables, cell weights and budget.
 
-    lidar_vis: np.ndarray
-    radar_vis: np.ndarray
-    lidar_log: np.ndarray
-    radar_log: np.ndarray
+    ``vis``, ``log`` and ``costs`` map each modality, in ``MODALITIES`` order,
+    to its (candidates x cells) visibility matrix, that matrix's log
+    transform -log(1 - v), and its candidates' unit costs.  ``costs`` is None
+    for a problem without costs, which only a count budget allows.
+    """
+
+    vis: dict[str, np.ndarray]
+    log: dict[str, np.ndarray]
     weights: np.ndarray
     budget: float
     seen_threshold: float = 1.0
     budget_mode: str = "count"
-    lidar_costs: np.ndarray | None = None
-    radar_costs: np.ndarray | None = None
+    costs: dict[str, np.ndarray] | None = None
 
     @classmethod
     def from_matrices(
@@ -108,40 +126,38 @@ class PlacementProblem:
         if budget_mode not in BUDGET_MODES:
             raise ValueError(f"unknown budget_mode {budget_mode!r}")
         check_budget(budget, seen_threshold)
+        matrices = dict(zip(MODALITIES, (lidar, radar)))
+        costs = None
         if (lidar_costs is None) != (radar_costs is None):
             raise ValueError("lidar_costs and radar_costs come together")
         if lidar_costs is None:
             if budget_mode == "cost":
                 raise ValueError("cost budget requires lidar_costs and radar_costs")
         else:
-            lidar_costs = np.asarray(lidar_costs, dtype=float)
-            radar_costs = np.asarray(radar_costs, dtype=float)
-            if lidar_costs.shape != (lidar.n_candidates,):
-                raise ValueError("lidar_costs length must match candidate count")
-            if radar_costs.shape != (radar.n_candidates,):
-                raise ValueError("radar_costs length must match candidate count")
-            if not (np.all(lidar_costs >= 0) and np.all(radar_costs >= 0)):
+            costs = {m: np.asarray(c, dtype=float)
+                     for m, c in zip(MODALITIES, (lidar_costs, radar_costs))}
+            for m, c in costs.items():
+                if c.shape != (matrices[m].n_candidates,):
+                    raise ValueError(f"{m}_costs length must match candidate count")
+            if not all(np.all(c >= 0) for c in costs.values()):
                 raise ValueError("candidate costs must be nonnegative")
         return cls(
-            lidar_vis=lidar.values,
-            radar_vis=radar.values,
-            lidar_log=log_visibility(lidar),
-            radar_log=log_visibility(radar),
+            vis={m: matrix.values for m, matrix in matrices.items()},
+            log={m: log_visibility(matrix) for m, matrix in matrices.items()},
             weights=weights,
             budget=budget,
             seen_threshold=seen_threshold,
             budget_mode=budget_mode,
-            lidar_costs=lidar_costs,
-            radar_costs=radar_costs,
+            costs=costs,
         )
 
     @property
     def n_lidar(self) -> int:
-        return self.lidar_vis.shape[0]
+        return self.vis[LIDAR].shape[0]
 
     @property
     def n_radar(self) -> int:
-        return self.radar_vis.shape[0]
+        return self.vis[RADAR].shape[0]
 
     @property
     def n_cells(self) -> int:
@@ -149,21 +165,19 @@ class PlacementProblem:
 
     def check_selection(self, selection: Selection) -> None:
         """Raise IndexError unless every pick is a row of its modality's matrix."""
-        for i in selection.lidar_ids:
-            if not 0 <= i < self.n_lidar:
-                raise IndexError(f"lidar candidate index {i} out of range")
-        for i in selection.radar_ids:
-            if not 0 <= i < self.n_radar:
-                raise IndexError(f"radar candidate index {i} out of range")
+        for modality, vis in self.vis.items():
+            for i in selection.ids(modality):
+                if not 0 <= i < vis.shape[0]:
+                    raise IndexError(f"{modality} candidate index {i} out of range")
 
     def unit_spend(self) -> dict[str, np.ndarray]:
         """What one pick of each candidate spends of the budget, per modality:
         1 in count mode, its unit cost in cost mode."""
         if self.budget_mode == "count":
-            return {LIDAR: np.ones(self.n_lidar), RADAR: np.ones(self.n_radar)}
-        if self.lidar_costs is None or self.radar_costs is None:
+            return {m: np.ones(vis.shape[0]) for m, vis in self.vis.items()}
+        if self.costs is None:
             raise ValueError("the problem carries no unit costs")
-        return {LIDAR: self.lidar_costs, RADAR: self.radar_costs}
+        return self.costs
 
     def selection_cost(self, selection: Selection) -> float:
         """What ``selection`` spends of the budget: a count or money."""
@@ -173,13 +187,12 @@ class PlacementProblem:
 
     def selection_price(self, selection: Selection) -> float:
         """Money: the picks' unit costs summed in index order, whatever the mode."""
-        if self.lidar_costs is None or self.radar_costs is None:
+        if self.costs is None:
             raise ValueError("the problem carries no unit costs")
         total = 0.0
-        for i in sorted(selection.lidar_ids):
-            total += float(self.lidar_costs[i])
-        for i in sorted(selection.radar_ids):
-            total += float(self.radar_costs[i])
+        for modality, costs in self.costs.items():
+            for i in sorted(selection.ids(modality)):
+                total += float(costs[i])
         return total
 
 
@@ -201,14 +214,13 @@ def _sum_rows(matrix: np.ndarray, ids: Iterable[int]) -> np.ndarray:
 def evaluate_selection(problem: PlacementProblem, selection: Selection) -> PlacementSolution:
     """Score a selection; the budget is deliberately not enforced here."""
     problem.check_selection(selection)
-    tau = problem.seen_threshold
-    lidar_score = _sum_rows(problem.lidar_log, selection.lidar_ids)
-    radar_score = _sum_rows(problem.radar_log, selection.radar_ids)
-    seen = (lidar_score >= tau - SEEN_TOL) & (radar_score >= tau - SEEN_TOL)
-    mass = (
-        _sum_rows(problem.lidar_vis, selection.lidar_ids)
-        + _sum_rows(problem.radar_vis, selection.radar_ids)
-    ) * problem.weights
+    tau = problem.seen_threshold - SEEN_TOL
+    seen, mass = True, 0.0  # lidar rows, then radar rows
+    for modality in MODALITIES:
+        ids = selection.ids(modality)
+        seen = seen & (_sum_rows(problem.log[modality], ids) >= tau)
+        mass = mass + _sum_rows(problem.vis[modality], ids)
+    mass = mass * problem.weights
     objective = float(mass[seen].sum())
     return PlacementSolution(selection=selection, seen=seen, objective=objective)
 
@@ -225,10 +237,9 @@ def solve_exhaustive(problem: PlacementProblem) -> PlacementSolution:
         raise InstanceTooLargeError(
             f"{n_total} candidates exceeds the enumeration limit of {EXHAUSTIVE_LIMIT}"
         )
-    pool = [(LIDAR, i) for i in range(problem.n_lidar)]
-    pool += [(RADAR, i) for i in range(problem.n_radar)]
+    pool = [(m, i) for m, vis in problem.vis.items() for i in range(vis.shape[0])]
     if problem.budget_mode == "count":
-        max_size = min(n_total, int(problem.budget))
+        max_size = min(n_total, int(problem.budget + SEEN_TOL))  # what within_budget allows
     else:
         max_size = n_total
 
@@ -236,10 +247,7 @@ def solve_exhaustive(problem: PlacementProblem) -> PlacementSolution:
     best_key: tuple = ()
     for size in range(max_size + 1):
         for combo in combinations(pool, size):
-            selection = Selection.of(
-                (i for m, i in combo if m == LIDAR),
-                (i for m, i in combo if m == RADAR),
-            )
+            selection = Selection.of_picks(combo)
             if not within_budget(problem, selection):
                 continue
             cand = evaluate_selection(problem, selection)
@@ -341,13 +349,10 @@ class _BranchBound:
 
     def __init__(self, problem: PlacementProblem):
         self.problem = problem
-        self.logs = {LIDAR: problem.lidar_log, RADAR: problem.radar_log}
-        self.masses = {LIDAR: problem.lidar_vis * problem.weights,
-                       RADAR: problem.radar_vis * problem.weights}
+        self.masses = {m: vis * problem.weights for m, vis in problem.vis.items()}
         order = []
-        for modality, mass in self.masses.items():
+        for rank, (modality, mass) in enumerate(self.masses.items()):
             for i in range(mass.shape[0]):
-                rank = 0 if modality == LIDAR else 1
                 order.append((-float(mass[i].sum()), rank, i, modality))
         order.sort()
         self.order = [(modality, i) for _, _, i, modality in order]
@@ -365,15 +370,15 @@ class _BranchBound:
         # reverse adds in the same sequence as a loop from the back would.
         rows = {
             key: np.stack([np.zeros(problem.n_cells)]
-                          + [self.logs[key][i] for modality, i in reversed(self.order)
+                          + [problem.log[key][i] for modality, i in reversed(self.order)
                              if modality == key])
-            for key in (LIDAR, RADAR)
+            for key in MODALITIES
         }
         self.suffix_sum = {key: np.add.accumulate(r)[::-1] for key, r in rows.items()}
         self.suffix_max = {key: np.maximum.accumulate(r, out=r)[::-1] for key, r in rows.items()}
-        self.decided = {key: [0] * (n + 1) for key in (LIDAR, RADAR)}
+        self.decided = {key: [0] * (n + 1) for key in MODALITIES}
         for d, (modality, _) in enumerate(self.order):
-            for key in (LIDAR, RADAR):
+            for key in MODALITIES:
                 self.decided[key][d + 1] = self.decided[key][d] + (key == modality)
         spend = problem.unit_spend()
         self.costs = [float(spend[modality][i]) for modality, i in self.order]
@@ -382,7 +387,7 @@ class _BranchBound:
         self.cheapest_of = {
             key: self._cheapest([c if m == key else float("inf")
                                  for c, (m, _) in zip(self.costs, self.order)])
-            for key in (LIDAR, RADAR)
+            for key in MODALITIES
         }
 
         self.best_obj = -1.0
@@ -438,7 +443,7 @@ class _BranchBound:
         most = self._picks_left(0, 0.0)
         # Row k holds the sums of a node's k picks of that kind; a node only
         # ever writes the row above its own, which no pending node reads.
-        counts = {LIDAR: problem.n_lidar, RADAR: problem.n_radar, "mass": len(self.order)}
+        counts = {**{m: vis.shape[0] for m, vis in problem.vis.items()}, "mass": len(self.order)}
         acc = {key: np.zeros((min(most, count) + 1, n_cells)) for key, count in counts.items()}
         picked = [0] * most  # order positions of the current node's picks
         work = np.empty(n_cells)
@@ -465,16 +470,14 @@ class _BranchBound:
             if r == 0:
                 # No further pick fits, so every branch below excludes the
                 # rest and ends in this node's own selection.
-                chosen = [self.order[d] for d in picked[:n_l + n_r]]
-                self._offer(Selection.of((i for m, i in chosen if m == LIDAR),
-                                         (i for m, i in chosen if m == RADAR)))
+                self._offer(Selection.of_picks(self.order[d] for d in picked[:n_l + n_r]))
                 continue
             stack.append((depth + 1, n_l, n_r, spent))
             modality, i = self.order[depth]
             cost = self.costs[depth]
             if spent + cost <= problem.budget + SEEN_TOL:
                 k = n_l if modality == LIDAR else n_r
-                np.add(acc[modality][k], self.logs[modality][i], out=acc[modality][k + 1])
+                np.add(acc[modality][k], problem.log[modality][i], out=acc[modality][k + 1])
                 np.add(acc["mass"][n_l + n_r], self.masses[modality][i],
                        out=acc["mass"][n_l + n_r + 1])
                 picked[n_l + n_r] = depth

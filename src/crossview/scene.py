@@ -116,11 +116,17 @@ class Scene:
         return len(self.radar_candidates)
 
 
+# A scene part's fields that hold a fixed number of numbers, and those that hold
+# collections of numbers or parts; every other field holds one value.
+_VECTORS = {"origin_xy": 2, "position": 3, "min_corner": 3, "max_corner": 3}
+_COLLECTIONS = ("occluders", "lidar_candidates", "radar_candidates", "cells", "weights")
+
+
 def _check_values(value, where: str, out: list[str]) -> bool:
     """Report by its key path every NaN or inf in ``value`` (comparisons let NaN by),
-    and every non-number where a number belongs, or non-string id or modality; True
-    if it found one of the latter, on which the comparisons would raise.  Only a
-    scene part's fields hold tuples, dicts or sets: their items are numbers or parts."""
+    every non-number where a number belongs, every vector with the wrong number of
+    components, and every non-string id or modality; True if it found one of the
+    latter, on which the comparisons would raise or index past the end."""
     part = is_dataclass(value)
     if part:
         value = vars(value)
@@ -132,11 +138,19 @@ def _check_values(value, where: str, out: list[str]) -> bool:
     for key, item in value.items():
         if key in ("id", "modality"):
             kind, expected = str, "a string"
+        elif part and key in _VECTORS:
+            if isinstance(item, (tuple, list)) and len(item) == _VECTORS[key]:
+                wrong |= _check_values(item, f"{where}{key}.", out)
+            else:
+                out.append(f"{where}{key}: expected {_VECTORS[key]} numbers, got {item!r}")
+                wrong = True
+            continue
         elif isinstance(item, (int, float)):
             if isinstance(item, float) and not math.isfinite(item):
                 out.append(f"{where}{key}: expected a finite number, got {item!r}")
             continue
-        elif is_dataclass(item) or (part and isinstance(item, (tuple, list, dict, frozenset))):
+        elif is_dataclass(item) or (key in _COLLECTIONS and part
+                                    and isinstance(item, (tuple, list, dict, frozenset))):
             wrong |= _check_values(item, f"{where}{key}.", out)
             continue
         else:  # a lidar's beams may be None

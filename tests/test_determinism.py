@@ -39,9 +39,13 @@ from conftest import square_scene
 # matrices and the scene_hash of both solutions.  Every payload
 # (``json.loads`` of the body) equals the two-space-indented chain's, and
 # every matrix line but scene_hash is byte-identical.
+#
+# The two LP files (count budget 3, cost budget 240) were added later,
+# recorded from the chain as it stood, with no other digest re-recorded.
 GOLDEN = {
     "center.evaluation": "26c754146bd5ac931a3226d65c26ed7d25a30aa078dcb8afff9a5ce41966f5a4",
     "cost.coverage": "26ace1cb9636752666f9c7afed861e36eca5f6c2de3ecc878f2b7275b983af2b",
+    "cost.lp": "798623a018a850b61499866a600e3566a6b96f7649efcd43d5c7e25e729e46f9",
     "cost.solution": "763887ebce93133770b8a969155256890edf5e28c06b4998ea29667a9ac8ac3d",
     "fused.frames": "69a99ffbe44dc84e043ccf91067d6160a475ae7372d237560ff257f66cef7fca",
     "iou.evaluation": "dd37a821449274f803ea5e857de86411912625b0c180dc40e39d26d6d2f4790e",
@@ -49,6 +53,7 @@ GOLDEN = {
     "lidar.vismatrix": "162f0a507719f40b43390e678f03da5578d69246a2eb803c5fa91f602e032047",
     "plan.comparison": "459902f4c13e9e61ba613440e0a36da592b962d357b4c1112a9765d54cbc326c",
     "plan.coverage": "e851db9568512ac4909d49fc5a071f993bfc32f5317a0c6ad2e8922f2a02ac61",
+    "plan.lp": "871a4b26102642a86fa9508246f323efc39a7bb18fa3cfb8f3a1ad3de7dfd2cd",
     "plan.solution": "19a6dab1887c0394be6b97ece334cfb99ac6665b230c3f0a1bd6e2cffc63e214",
     "radar.frames": "40e43c8f75015e482a93c10bebfb3190107ca5ec7ba6b05de21f3b2baf11fec7",
     "radar.vismatrix": "5f0961308bfbbcdd55796f47511a1b8700f504a93cc1a41aa865624f42c1754d",
@@ -88,6 +93,10 @@ def test_seeded_chain_bytes_are_pinned(tmp_path, capsys):
         ["coverage", "--lidar", d + "lidar.vismatrix", "--radar", d + "radar.vismatrix",
          "--solution", d + "cost.solution", "--theta", "0.5", "--out", d + "cost.coverage"],
         ["compare", d + "plan.coverage", d + "cost.coverage", "--out", d + "plan.comparison"],
+        ["export-milp", "--lidar", d + "lidar.vismatrix", "--radar", d + "radar.vismatrix",
+         "--budget", "3", "--out", d + "plan.lp"],
+        ["export-milp", "--lidar", d + "lidar.vismatrix", "--radar", d + "radar.vismatrix",
+         "--budget-mode", "cost", "--budget", "240", "--out", d + "cost.lp"],
     ]
     for argv in commands:
         assert main(argv) == 0, argv

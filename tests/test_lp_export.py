@@ -140,7 +140,7 @@ def test_single_cell_structure():
     assert terms["x0"] == pytest.approx(1.2, abs=1e-12)
     assert terms["t0"] == -1.0
 
-    big_m = 2.0 * float(problem.lidar_vis[0, 0] + problem.radar_vis[0, 0])
+    big_m = 2.0 * float(problem.vis["lidar"][0, 0] + problem.vis["radar"][0, 0])
     terms, op, rhs = model["constraints"]["cap0"]
     assert terms == {"z0": 1.0, "t0": pytest.approx(-big_m)} and op == "<=" and rhs == 0.0
     terms, op, rhs = model["constraints"]["low0"]
@@ -155,12 +155,12 @@ def test_coefficients_round_trip_exactly():
     for j in range(problem.n_cells):
         seen_l = model["constraints"][f"seenl{j}"][0]
         for i in range(problem.n_lidar):
-            want = float(problem.lidar_log[i, j])
+            want = float(problem.log["lidar"][i, j])
             if want != 0.0:
                 assert seen_l[f"x{i}"] == want  # .17g is repr-exact
         mass = model["constraints"][f"mass{j}"][0]
         for i in range(problem.n_radar):
-            want = float(problem.weights[j] * problem.radar_vis[i, j])
+            want = float(problem.weights[j] * problem.vis["radar"][i, j])
             if want != 0.0:
                 assert mass[f"y{i}"] == -want
 

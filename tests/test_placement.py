@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -74,9 +75,9 @@ def test_seen_test_is_the_detection_model_thresholded():
             (i for i in range(problem.n_lidar) if rng.random() < 0.5),
             (i for i in range(problem.n_radar) if rng.random() < 0.5))
         level = -math.expm1(-problem.seen_threshold)
-        p_lidar = detection_probability(VisibilityMatrix("lidar", problem.lidar_vis),
+        p_lidar = detection_probability(VisibilityMatrix("lidar", problem.vis["lidar"]),
                                         selection.lidar_ids)
-        p_radar = detection_probability(VisibilityMatrix("radar", problem.radar_vis),
+        p_radar = detection_probability(VisibilityMatrix("radar", problem.vis["radar"]),
                                         selection.radar_ids)
         clear = (np.abs(p_lidar - level) > 1e-9) & (np.abs(p_radar - level) > 1e-9)
         seen = evaluate_selection(problem, selection).seen
@@ -179,6 +180,19 @@ def test_branch_bound_matches_exhaustive_cost_mode():
         assert bb.selection == ex.selection
 
 
+@pytest.mark.parametrize("offset", [-5e-10, 5e-10])
+def test_branch_bound_matches_exhaustive_on_count_budgets_off_an_integer(offset):
+    # within_budget allows k picks at a count budget of k - 5e-10, so
+    # enumeration must try selections of that size too.
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        problem = random_problem(rng, max_lidar=4, max_radar=4)
+        problem = replace(problem, budget=problem.budget + offset)
+        bb = solve_branch_bound(problem)
+        ex = solve_exhaustive(problem)
+        assert (bb.objective, bb.selection) == (ex.objective, ex.selection)
+
+
 @pytest.mark.parametrize("mode", ["count", "cost"])
 def test_branch_bound_finds_its_own_incumbent(mode, monkeypatch):
     # The exact search must not lean on the heuristic for a starting point.
@@ -219,9 +233,11 @@ def edge_problem(rng, mode: str, budget: float, identical: bool) -> PlacementPro
 @pytest.mark.parametrize("mode, budget", [
     ("cost", 0.0), ("cost", 0.1), ("cost", 0.3), ("cost", 0.6), ("cost", 1.0),
     ("count", 9), ("count", 12),
+    ("count", 2 - 5e-10), ("count", 2 + 5e-10), ("count", 3 - 5e-10), ("count", 3 + 5e-10),
 ])
 def test_branch_bound_matches_exhaustive_at_tolerance_edges(mode, budget):
     # Count budgets 9 and 12 exceed every instance's candidate count (<= 8).
+    # A count budget within SEEN_TOL of k allows k picks in both solvers.
     rng = np.random.default_rng([19, int(budget * 10)])
     for trial in range(40):
         problem = edge_problem(rng, mode, budget, identical=trial % 4 == 0)
@@ -420,8 +436,8 @@ def test_objective_matches_scalar_reference():
         problem = random_problem(rng)
         sol = solve_branch_bound(problem)
         expected = coverage_objective_reference(
-            problem.lidar_vis.tolist(),
-            problem.radar_vis.tolist(),
+            problem.vis["lidar"].tolist(),
+            problem.vis["radar"].tolist(),
             problem.weights.tolist(),
             sorted(sol.selection.lidar_ids),
             sorted(sol.selection.radar_ids),
@@ -505,21 +521,42 @@ def test_greedy_finds_obvious_optimum():
     assert greedy.objective == pytest.approx(4.0 * v, abs=1e-12)
 
 
-def test_from_matrices_validation():
-    with pytest.raises(ValueError):
-        make_problem([[0.5]], [[0.5, 0.5]])
-    with pytest.raises(ValueError):
-        make_problem([[0.5]], [[0.5]], weights=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        make_problem([[0.5]], [[0.5]], weights=[-1.0])
-    with pytest.raises(ValueError):
-        make_problem([[0.5]], [[0.5]], threshold=0.0)
-    with pytest.raises(ValueError):
-        make_problem([[0.5]], [[0.5]], budget=-1)
-    with pytest.raises(ValueError):
-        make_problem([[0.5]], [[0.5]], mode="weird")
-    with pytest.raises(ValueError):
-        make_problem([[0.5]], [[0.5]], mode="cost")  # costs missing
+@pytest.mark.parametrize("kwargs, message", [
+    ({"radar": [[0.5, 0.5]]}, "lidar and radar matrices disagree on cell count"),
+    ({"weights": [1.0, 2.0]}, "weights length must equal the ROI cell count"),
+    ({"weights": [[1.0]]}, "weights length must equal the ROI cell count"),
+    ({"weights": [-1.0]}, "cell weights must be nonnegative"),
+    ({"mode": "weird"}, "unknown budget_mode 'weird'"),
+    ({"budget": -1}, "budget must be finite and nonnegative, got -1"),
+    ({"budget": math.nan}, "budget must be finite and nonnegative, got nan"),
+    ({"threshold": 0.0}, "seen_threshold must be finite and positive, got 0.0"),
+    ({"threshold": math.inf}, "seen_threshold must be finite and positive, got inf"),
+    ({"lidar_costs": [1.0]}, "lidar_costs and radar_costs come together"),
+    ({"radar_costs": [1.0], "mode": "cost"}, "lidar_costs and radar_costs come together"),
+    ({"mode": "cost"}, "cost budget requires lidar_costs and radar_costs"),
+    ({"lidar_costs": [1.0, 2.0], "radar_costs": [1.0]},
+     "lidar_costs length must match candidate count"),
+    ({"lidar_costs": [1.0], "radar_costs": []}, "radar_costs length must match candidate count"),
+    ({"lidar_costs": [-1.0], "radar_costs": [1.0]}, "candidate costs must be nonnegative"),
+    ({"lidar_costs": [1.0], "radar_costs": [-0.5], "mode": "cost"},
+     "candidate costs must be nonnegative"),
+])
+def test_from_matrices_refusals_name_the_fault(kwargs, message):
+    args = {"lidar": [[0.5]], "radar": [[0.5]], **kwargs}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_problem(args.pop("lidar"), args.pop("radar"), **args)
+
+
+def test_a_count_problem_without_costs_spends_ones_but_has_no_price():
+    problem = make_problem([[0.5], [0.5]], [[0.5]])
+    spend = problem.unit_spend()
+    assert list(spend) == ["lidar", "radar"]
+    assert spend["lidar"].tolist() == [1.0, 1.0] and spend["radar"].tolist() == [1.0]
+    with pytest.raises(ValueError, match="^the problem carries no unit costs$"):
+        problem.selection_price(Selection.of([0], [0]))
+    # Only a problem switched to cost mode past ``from_matrices`` lacks them there.
+    with pytest.raises(ValueError, match="^the problem carries no unit costs$"):
+        replace(problem, budget_mode="cost").unit_spend()
 
 
 @pytest.mark.parametrize("solver", [solve_branch_bound, solve_exhaustive, solve_greedy])

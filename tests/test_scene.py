@@ -187,14 +187,25 @@ WRONG_KINDS = [
     ("radar_candidates.1.yaw_deg", "north", "a number"),
     ("lidar_candidates.0.id", 7, "a string"),
     ("radar_candidates.1.spec.modality", None, "a string"),
+    # The wrong shape: a tuple where a number belongs, or the wrong component count.
+    ("grid.cell_size", (2.0,), "a number"),
+    ("grid.nx", [3], "a number"),
+    ("lidar_candidates.1.spec.max_range_m", (90.0,), "a number"),
+    ("grid.origin_xy", (0.0,), "2 numbers"),
+    ("grid.origin_xy", (0.0, 0.0, 0.0), "2 numbers"),
+    ("occluders.0.min_corner", (2.0, 2.0), "3 numbers"),
+    ("occluders.0.max_corner", 4.0, "3 numbers"),
+    ("lidar_candidates.0.position", (1.0, 2.0), "3 numbers"),
+    ("radar_candidates.1.position", (1.0, 2.0, 3.0, 4.0), "3 numbers"),
 ]
 
 
 @pytest.mark.parametrize("path, value, expected", WRONG_KINDS,
                          ids=[f"{p}={v!r}" for p, v, _ in WRONG_KINDS])
 def test_value_of_the_wrong_kind_is_reported_by_its_path(path, value, expected):
-    """A non-number where a number belongs, or a non-string id or modality, is a
-    violation, not a TypeError from the range checks, which then do not run."""
+    """A non-number where a number belongs, a position, corner or origin with the
+    wrong number of components, or a non-string id or modality, is a violation, not
+    a TypeError or IndexError from the range checks, which then do not run."""
     scene = square_scene(occluders=[((2.0, 2.0, 0.0), (4.0, 4.0, 3.0))])
     violations = validate_scene(_with(scene, path.split("."), value))
     assert violations == [f"{path}: expected {expected}, got {value!r}"]

@@ -26,6 +26,11 @@ bulk, a column at a time: their JSON shapes here, the constructor's checks
 in ``DetectionBox.from_columns``.  A file it has any doubt about goes
 through the record loop, which names the first fault, so every message is
 the record loop's.
+
+The scene table ``_SCENE`` is the one statement of a scene's fields:
+``load_scene`` reads a file through it, and ``validate_scene`` a scene built
+in Python, turned into its file's data by ``scene_payload``.  A weight's
+cell key must be in the one form ``save_scene`` writes, ``str(int)``.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import json
 import math
 import os
 from contextlib import suppress
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from functools import partial
 from itertools import accumulate, chain
 from operator import itemgetter
@@ -338,10 +343,14 @@ def _boolean(value, where: str) -> bool:
 
 
 def _cell_key(key: str, where: str) -> int:
+    """A cell index in the one form ``save_scene`` writes, ``str(int)``, so no two
+    keys (``"3"`` and ``"03"``) name one cell."""
     try:
-        return int(key)
-    except ValueError as exc:
-        raise ParseError(f"{where}: bad cell key {key!r}") from exc
+        if str(cell := int(key)) == key:
+            return cell
+    except ValueError:
+        pass
+    raise ParseError(f"{where}: bad cell key {key!r}")
 
 
 # -- scenes -----------------------------------------------------------------
@@ -370,15 +379,24 @@ _SCENE = _build(Scene, {
 })
 
 
-def scene_payload(scene: Scene) -> dict:
-    weights = {str(j): w for j, w in sorted(scene.roi.weights.items())}
-    return {
-        "grid": asdict(scene.grid),
-        "roi": {"cells": scene.roi.sorted_cells(), "weights": weights},
-        "occluders": [asdict(o) for o in scene.occluders],
-        "lidar_candidates": [asdict(m) for m in scene.lidar_candidates],
-        "radar_candidates": [asdict(m) for m in scene.radar_candidates],
-    }
+def scene_payload(value):
+    """A scene, or any part of one, as the JSON data its file holds, for ``_SCENE``
+    to read: a part becomes a dict of its fields, a tuple or list a list, a
+    frozenset a sorted list, a dict one with str keys; anything else stays as it is."""
+    if isinstance(value, (int, float, str)):  # the leaves, most of a scene
+        return value
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: scene_payload(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, frozenset):
+        try:
+            value = sorted(value)
+        except TypeError:  # mixed kinds, which the reader refuses: order them by kind and text
+            value = sorted(value, key=lambda v: (type(v).__name__, repr(v)))
+    if isinstance(value, (tuple, list)):
+        return [scene_payload(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): scene_payload(v) for k, v in value.items()}
+    return value
 
 
 def scene_hash(scene: Scene) -> str:

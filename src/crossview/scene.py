@@ -5,14 +5,14 @@ that grid, a set of axis-aligned occluder boxes, and candidate sensor
 mounts for two modalities (lidar and radar).  Scenes are frozen after
 construction and safe to share across workers; all consistency checking
 lives in :func:`validate_scene`, which reports violations as data instead
-of raising.
+of raising.  Which kind, shape and finiteness each field must have is said
+once, by the scene file reader's table in :mod:`crossview.formats`, and
+:func:`validate_scene` reads a scene built here through that table.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, is_dataclass
-from numbers import Real
+from dataclasses import dataclass, field
 
 LIDAR = "lidar"
 RADAR = "radar"
@@ -116,51 +116,6 @@ class Scene:
         return len(self.radar_candidates)
 
 
-# A scene part's fields that hold a fixed number of numbers, and those that hold
-# collections of numbers or parts; every other field holds one value.
-_VECTORS = {"origin_xy": 2, "position": 3, "min_corner": 3, "max_corner": 3}
-_COLLECTIONS = ("occluders", "lidar_candidates", "radar_candidates", "cells", "weights")
-
-
-def _check_values(value, where: str, out: list[str]) -> bool:
-    """Report by its key path every NaN or inf in ``value`` (comparisons let NaN by),
-    every non-number where a number belongs, every vector with the wrong number of
-    components, and every non-string id or modality; True if it found one of the
-    latter, on which the comparisons would raise or index past the end."""
-    part = is_dataclass(value)
-    if part:
-        value = vars(value)
-    elif isinstance(value, (tuple, list)):
-        value = dict(enumerate(value))
-    elif isinstance(value, frozenset):  # ROI cells, keyed by themselves; an int is fine
-        value = {j: j for j in value if type(j) is not int}
-    wrong = False
-    for key, item in value.items():
-        if key in ("id", "modality"):
-            kind, expected = str, "a string"
-        elif part and key in _VECTORS:
-            if isinstance(item, (tuple, list)) and len(item) == _VECTORS[key]:
-                wrong |= _check_values(item, f"{where}{key}.", out)
-            else:
-                out.append(f"{where}{key}: expected {_VECTORS[key]} numbers, got {item!r}")
-                wrong = True
-            continue
-        elif isinstance(item, (int, float)):
-            if isinstance(item, float) and not math.isfinite(item):
-                out.append(f"{where}{key}: expected a finite number, got {item!r}")
-            continue
-        elif is_dataclass(item) or (key in _COLLECTIONS and part
-                                    and isinstance(item, (tuple, list, dict, frozenset))):
-            wrong |= _check_values(item, f"{where}{key}.", out)
-            continue
-        else:  # a lidar's beams may be None
-            kind, expected = (Real, type(None)) if key == "beams" else Real, "a number"
-        if not isinstance(item, kind):
-            out.append(f"{where}{key}: expected {expected}, got {item!r}")
-            wrong = True
-    return wrong
-
-
 def _check_spec(spec: SensorSpec, owner: str, out: list[str]) -> None:
     if spec.modality not in MODALITIES:
         out.append(f"{owner}: unknown modality '{spec.modality}'")
@@ -185,13 +140,27 @@ def _check_spec(spec: SensorSpec, owner: str, out: list[str]) -> None:
 def validate_scene(scene: Scene) -> list[str]:
     """Collect every invariant violation; an empty list means the scene is valid.
 
+    The scene is first read as ``load_scene`` reads its file, under the same
+    kinds and limits; the first fault, in the reader's words, or a scene that
+    would read back as another, is the one violation.  Only a scene that
+    reads back as itself gets the range checks, which report all they find.
     Violations are data, not failures: the function never raises on bad
     scenes and is side-effect free, so repeated calls return identical
     reports.
     """
+    # formats imports this module, so its file reader is imported at call time
+    from .formats import _SCENE, ParseError, scene_payload
+
+    try:
+        read = _SCENE(scene_payload(scene), "scene")
+    except ParseError as exc:
+        return [str(exc)]
+    except RecursionError:  # a list that holds itself, which no file can
+        return ["scene: a list or dict holds itself, or nests too deep for a file"]
+    if read != scene:
+        return ["scene: its file would read back as another scene: a list where a tuple "
+                "belongs, a dict for a part, cells not in a frozenset or a weight key not an int"]
     out: list[str] = []
-    if _check_values(scene, "", out):
-        return out
     grid = scene.grid
     if grid.cell_size <= 0.0:
         out.append("grid: cell_size must be > 0")

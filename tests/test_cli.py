@@ -757,28 +757,35 @@ def test_workers_must_be_positive(workspace, tmp_path, capsys):
 
 
 BAD_SCENE_FIELDS = [
-    (("grid",), None),
-    (("roi",), [1, 2]),
-    (("roi", "weights"), [1.0]),
-    (("roi", "weights", "3"), "heavy"),
-    (("occluders",), {}),
-    (("occluders", 0), "wall"),
-    (("lidar_candidates",), "L0"),
-    (("radar_candidates", 1), 7),
-    (("lidar_candidates", 0, "spec"), None),
-    (("lidar_candidates", 0, "spec", "hfov_deg"), "wide"),
-    (("radar_candidates", 0, "spec", "unit_cost"), "cheap"),
-    (("radar_candidates", 0, "yaw_deg"), "north"),
-    (("grid", "cell_size"), "2"),
-    (("grid", "nx"), True),
-    (("grid", "ny"), 10.0),
+    (("grid",), None, "grid: expected an object"),
+    (("roi",), [1, 2], "roi: expected an object"),
+    (("roi", "weights"), [1.0], "roi.weights: expected an object"),
+    (("roi", "weights", "3"), "heavy", "roi.weights.3: expected a number, got 'heavy'"),
+    (("occluders",), {}, "occluders: expected a list"),
+    (("occluders", 0), "wall", "occluders[0]: expected an object"),
+    (("lidar_candidates",), "L0", "lidar_candidates: expected a list"),
+    (("radar_candidates", 1), 7, "radar_candidates[1]: expected an object"),
+    (("lidar_candidates", 0, "spec"), None, "lidar_candidates[0].spec: expected an object"),
+    (("lidar_candidates", 0, "spec", "hfov_deg"), "wide",
+     "lidar_candidates[0].spec.hfov_deg: expected a number, got 'wide'"),
+    (("radar_candidates", 0, "spec", "unit_cost"), "cheap",
+     "radar_candidates[0].spec.unit_cost: expected a number, got 'cheap'"),
+    (("radar_candidates", 0, "yaw_deg"), "north",
+     "radar_candidates[0].yaw_deg: expected a number, got 'north'"),
+    (("grid", "cell_size"), "2", "grid.cell_size: expected a number, got '2'"),
+    (("grid", "nx"), True, "grid.nx: expected an integer, got True"),
+    (("grid", "ny"), 10.0, "grid.ny: expected an integer, got 10.0"),
+    # A weight's key is its cell as save_scene writes it, so no two keys name one
+    # cell (the file already weights cell 3) and "3_0" is not cell 30.
+    *((("roi", "weights", key), 3.0, f"roi.weights: bad cell key {key!r}")
+      for key in ("03", "3_0", " 3", "+3", "\u0663", "-0")),
 ]
 
 
-@pytest.mark.parametrize("where, value", BAD_SCENE_FIELDS, ids=[
-    ".".join(map(str, where)) + f"={value!r}" for where, value in BAD_SCENE_FIELDS])
-def test_malformed_scene_payload_exits_3(tmp_path, capsys, where, value):
-    """A hashed but malformed scene is a ParseError, never a traceback."""
+@pytest.mark.parametrize("where, value, message", BAD_SCENE_FIELDS, ids=[
+    ".".join(map(str, where)) + f"={value!r}" for where, value, _ in BAD_SCENE_FIELDS])
+def test_malformed_scene_payload_exits_3(tmp_path, capsys, where, value, message):
+    """A hashed but malformed scene is a ParseError naming its place, never a traceback."""
     path = tmp_path / "site.scene"
     save_scene(path, square_scene(occluders=[((4.0, 4.0, 0.0), (6.0, 6.0, 3.0))],
                                   weights={3: 2.0}))
@@ -796,7 +803,7 @@ def test_malformed_scene_payload_exits_3(tmp_path, capsys, where, value):
     ])
     err = capsys.readouterr().err
     assert rc == 3, err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err == f"error: {path}.{message}\n"
 
 
 @pytest.mark.parametrize("change, message", [

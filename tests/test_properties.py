@@ -1,4 +1,5 @@
-"""Property tests: config readers, file loaders and ``main`` are total.
+"""Property tests: config readers, file loaders, ``validate_scene`` and ``main``
+are total.
 
 Every stage's config reader, fed arbitrary JSON values for its keys, returns
 settings or raises ValueError (exit 4 in the CLI), and every loader, fed a
@@ -8,9 +9,11 @@ ParseError (exit 3).  Neither ever ends in a TypeError, AttributeError or
 OverflowError traceback, and ``main``, run on a mutated valid --config or
 matrix file, exits 0, 3 or 4, never 1.  ``load_frames``, which checks box
 records in bulk, raises the message or returns the boxes of the record loop
-it replaced (``oracles.load_frames_reference``) on mutated frames files.  The
-profile in ``conftest.py`` derandomizes Hypothesis, so every run tries the
-same inputs.
+it replaced (``oracles.load_frames_reference``) on mutated frames files.
+``validate_scene``, fed a valid scene with one value put in at any key path,
+returns a list of messages, and a scene it finds nothing in saves and loads
+back equal.  The profile in ``conftest.py`` derandomizes Hypothesis, so every
+run tries the same inputs.
 """
 
 from __future__ import annotations
@@ -28,10 +31,16 @@ from hypothesis import strategies as st
 
 from crossview import (
     CLASSES,
+    CandidateMount,
     FusionConfig,
+    GridSpec,
     MatrixFile,
     NoiseSpec,
+    Occluder,
+    RegionOfInterest,
     ScenarioConfig,
+    Scene,
+    SensorSpec,
     SolutionFile,
     VisibilityConfig,
     VisibilityMatrix,
@@ -47,6 +56,7 @@ from crossview import (
     save_report,
     save_scene,
     save_solution,
+    validate_scene,
 )
 from crossview import DetectionBox, cli
 from crossview.formats import (
@@ -60,6 +70,7 @@ from crossview.formats import (
 from conftest import make_document, random_box, rehash, rescore_frames, square_scene
 from oracles import load_frames_reference
 from test_cli import BAD_CONFIG_VALUES
+from test_scene import _with
 from test_detection_box import generated_init_dict_size
 
 # Keys and words the readers look for, so generated objects reach past the
@@ -241,6 +252,57 @@ def test_loader_returns_or_raises_parse_error(valid_files, kind, data):
         load(path)
     except ParseError:
         pass
+
+
+# -- validate_scene: the file reader's verdict on a scene built in Python ------
+
+SCENE = square_scene(nx=3, ny=2, occluders=[((1.0, 1.0, 0.0), (2.0, 2.0, 3.0))],
+                     weights={1: 2.0})
+PART_CLASSES = (Scene, GridSpec, RegionOfInterest, Occluder, SensorSpec, CandidateMount)
+# A value put into a scene: JSON data, numpy scalars, tuples and frozensets (the
+# containers a scene holds), its own parts and part classes.
+scene_values = (
+    json_values
+    | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64) | st.floats().map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.lists(st.floats() | st.integers(-1, 8), max_size=4).map(tuple)
+    | st.lists(json_values, max_size=2).map(tuple)
+    | st.frozensets(st.integers(-1, 8) | st.text(max_size=2) | st.booleans(), max_size=4)
+    | st.sampled_from([SCENE.grid, SCENE.roi, *SCENE.occluders, *SCENE.lidar_candidates,
+                       SCENE.radar_candidates[0].spec])
+    | st.sampled_from(PART_CLASSES)
+)
+
+
+def _scene_paths(value, path=()):
+    """The key path of every node below a scene part: fields, tuple entries, dict keys."""
+    if isinstance(value, PART_CLASSES):
+        items = [(f.name, getattr(value, f.name)) for f in fields(value)]
+    elif isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, tuple):
+        items = enumerate(value)
+    else:
+        return []
+    return [p for key, child in items
+            for p in [(*path, str(key)), *_scene_paths(child, (*path, str(key)))]]
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_validate_scene_is_total_and_a_valid_scene_survives_its_file(tmp_path_factory, data):
+    """``validate_scene`` returns a list of messages for any value at any place in
+    a scene, and a scene it finds nothing in saves and loads back equal."""
+    assert validate_scene(SCENE) == []
+    path = data.draw(st.sampled_from(_scene_paths(SCENE)))
+    scene = _with(SCENE, list(path), data.draw(scene_values))
+    violations = validate_scene(scene)
+    assert isinstance(violations, list) and all(isinstance(v, str) for v in violations)
+    event("valid" if not violations else "refused")
+    if not violations:
+        file = tmp_path_factory.getbasetemp() / "validated.scene"
+        save_scene(file, scene)
+        assert load_scene(file) == scene
 
 
 # -- the frames loader: checked in bulk, held to the record loop ----------------

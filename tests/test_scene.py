@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from crossview import (
@@ -16,6 +18,7 @@ from crossview import (
     SensorSpec,
     validate_scene,
 )
+from crossview.scene import MAX_BEAMS, MAX_GRID_SIDE
 
 from conftest import WIDE_LIDAR, WIDE_RADAR, square_scene
 
@@ -133,7 +136,7 @@ def test_occluder_corner_order_reported():
     assert any("corner" in v for v in validate_scene(bad))
 
 
-def _with(value, path: list[str], number: float):
+def _with(value, path: list[str], number):
     """``value`` with ``number`` at the key path ``path`` (fields, tuple indices, dict keys)."""
     if not path:
         return number
@@ -144,6 +147,12 @@ def _with(value, path: list[str], number: float):
     if isinstance(value, dict):
         return {**value, int(key): _with(value.get(int(key)), rest, number)}
     return replace(value, **{key: _with(getattr(value, key), rest, number)})
+
+
+def _where(path: str) -> str:
+    """The key path ``path`` as the file reader names it: under ``scene``, and a list
+    entry as ``[k]`` (a weight's key stays a key)."""
+    return re.sub(r"(?<!weights)\.(\d+)", r"[\1]", f"scene.{path}")
 
 
 NON_FINITE = [
@@ -162,62 +171,112 @@ NON_FINITE = [
     ("radar_candidates.0.spec.rate_hz", math.nan),
     ("radar_candidates.1.spec.unit_cost", math.inf),
     ("lidar_candidates.1.spec.vfov_deg", math.nan),
+    # Each of these failed a range check too, and was reported twice.
+    ("lidar_candidates.0.spec.hfov_deg", math.nan),
+    ("radar_candidates.0.spec.max_range_m", -math.inf),
 ]
 
 
 @pytest.mark.parametrize("path, number", NON_FINITE, ids=[f"{p}={n}" for p, n in NON_FINITE])
 def test_non_finite_number_is_reported_by_its_path(path, number):
     """A scene built through the API may hold NaN or inf anywhere (a scene file
-    may not); every such number is a violation, though a comparison lets NaN by."""
+    may not); such a number is the one violation, though a comparison lets NaN by."""
     scene = square_scene(occluders=[((2.0, 2.0, 0.0), (4.0, 4.0, 3.0))])
     assert validate_scene(scene) == []
     violations = validate_scene(_with(scene, path.split("."), number))
-    assert f"{path}: expected a finite number, got {number!r}" in violations, violations
+    assert violations == [f"{_where(path)}: expected a finite number, got {number!r}"]
 
 
 WRONG_KINDS = [
-    ("grid.cell_size", "2", "a number"),
-    ("grid.cell_size", None, "a number"),
-    ("grid.nx", "3", "a number"),
-    ("roi.weights.3", [1.0], "a number"),
-    ("occluders.0.min_corner.2", None, "a number"),
-    ("lidar_candidates.0.position.2", "5", "a number"),
-    ("lidar_candidates.1.spec.beams", "16", "a number"),
-    ("radar_candidates.0.spec.hfov_deg", None, "a number"),
-    ("radar_candidates.1.yaw_deg", "north", "a number"),
-    ("lidar_candidates.0.id", 7, "a string"),
-    ("radar_candidates.1.spec.modality", None, "a string"),
-    # The wrong shape: a tuple where a number belongs, or the wrong component count.
-    ("grid.cell_size", (2.0,), "a number"),
-    ("grid.nx", [3], "a number"),
-    ("lidar_candidates.1.spec.max_range_m", (90.0,), "a number"),
-    ("grid.origin_xy", (0.0,), "2 numbers"),
-    ("grid.origin_xy", (0.0, 0.0, 0.0), "2 numbers"),
-    ("occluders.0.min_corner", (2.0, 2.0), "3 numbers"),
-    ("occluders.0.max_corner", 4.0, "3 numbers"),
-    ("lidar_candidates.0.position", (1.0, 2.0), "3 numbers"),
-    ("radar_candidates.1.position", (1.0, 2.0, 3.0, 4.0), "3 numbers"),
+    ("grid.cell_size", "2", "expected a number, got '2'"),
+    ("grid.cell_size", None, "expected a number, got None"),
+    ("grid.nx", "3", "expected an integer, got '3'"),
+    ("roi.weights.3", [1.0], "expected a number, got [1.0]"),
+    ("occluders.0.min_corner.2", None, "expected a number, got None"),
+    ("lidar_candidates.0.position.2", "5", "expected a number, got '5'"),
+    ("lidar_candidates.1.spec.beams", "16", "expected an integer, got '16'"),
+    ("radar_candidates.0.spec.hfov_deg", None, "expected a number, got None"),
+    ("radar_candidates.1.yaw_deg", "north", "expected a number, got 'north'"),
+    ("lidar_candidates.0.id", 7, "expected a string, got 7"),
+    ("lidar_candidates.0.id", "", "expected a nonempty string"),
+    ("radar_candidates.1.spec.modality", None, "expected a string, got None"),
+    # The wrong shape: a tuple where a number belongs, or the wrong component count;
+    # the reader sees the tuple as the list its file would hold.
+    ("grid.cell_size", (2.0,), "expected a number, got [2.0]"),
+    ("grid.nx", [3], "expected an integer, got [3]"),
+    ("lidar_candidates.1.spec.max_range_m", (90.0,), "expected a number, got [90.0]"),
+    ("grid.origin_xy", (0.0,), "expected a list of 2 numbers"),
+    ("grid.origin_xy", (0.0, 0.0, 0.0), "expected a list of 2 numbers"),
+    ("occluders.0.min_corner", (2.0, 2.0), "expected a list of 3 numbers"),
+    ("occluders.0.max_corner", 4.0, "expected a list of 3 numbers"),
+    ("lidar_candidates.0.position", (1.0, 2.0), "expected a list of 3 numbers"),
+    ("radar_candidates.1.position", (1.0, 2.0, 3.0, 4.0), "expected a list of 3 numbers"),
+    # Something other than a collection of parts, or than a part.
+    ("occluders", 5, "expected a list"),
+    ("occluders.0", 1.0, "expected an object"),
+    ("grid", 3, "expected an object"),
+    ("lidar_candidates.0.spec", 1.0, "expected an object"),
+    ("lidar_candidates.0", "L0", "expected an object"),
+    ("roi", GridSpec, "expected an object"),
+    # The file reader's integer kinds and limits.
+    ("grid.nx", np.int64(10), "expected an integer, got np.int64(10)"),
+    ("grid.ny", 10.0, "expected an integer, got 10.0"),
+    ("grid.nx", MAX_GRID_SIDE + 1, f"expected an integer of at most {MAX_GRID_SIDE}, got "
+                                   f"{MAX_GRID_SIDE + 1}"),
+    ("lidar_candidates.1.spec.beams", MAX_BEAMS + 1,
+     f"expected an integer of at most {MAX_BEAMS}, got {MAX_BEAMS + 1}"),
+    ("radar_candidates.0.spec.unit_cost", True, "expected a number, got True"),
 ]
 
 
-@pytest.mark.parametrize("path, value, expected", WRONG_KINDS,
+@pytest.mark.parametrize("path, value, message", WRONG_KINDS,
                          ids=[f"{p}={v!r}" for p, v, _ in WRONG_KINDS])
-def test_value_of_the_wrong_kind_is_reported_by_its_path(path, value, expected):
-    """A non-number where a number belongs, a position, corner or origin with the
-    wrong number of components, or a non-string id or modality, is a violation, not
-    a TypeError or IndexError from the range checks, which then do not run."""
+def test_value_of_the_wrong_kind_is_reported_by_its_path(path, value, message):
+    """A value the file reader would refuse is the one violation, in the reader's
+    words, not a TypeError, AttributeError or IndexError from the range checks,
+    which then do not run."""
     scene = square_scene(occluders=[((2.0, 2.0, 0.0), (4.0, 4.0, 3.0))])
     violations = validate_scene(_with(scene, path.split("."), value))
-    assert violations == [f"{path}: expected {expected}, got {value!r}"]
+    assert violations == [f"{_where(path)}: {message}"]
 
 
 def test_non_number_roi_cell_is_reported():
     scene = square_scene()
     bad = replace(scene, roi=RegionOfInterest(cells=frozenset({0, 1, "2"})))
-    assert validate_scene(bad) == ["roi.cells.2: expected a number, got '2'"]
+    assert validate_scene(bad) == ["scene.roi.cells[2]: expected an integer, got '2'"]
 
 
-@pytest.mark.parametrize("bad", ["L 0", "", "L\t0", "L0 "])
+READ_BACK_AS_ANOTHER = {
+    "list-position": ("lidar_candidates.0.position", [1.0, 1.0, 6.0]),
+    "list-occluders": ("occluders", [Occluder((2.0, 2.0, 0.0), (4.0, 4.0, 3.0))]),
+    "tuple-cells": ("roi", RegionOfInterest(cells=tuple(range(100)))),
+    "dict-grid": ("grid", {"origin_xy": [0.0, 0.0], "cell_size": 2.0, "nx": 10, "ny": 10}),
+    "str-weight-key": ("roi", RegionOfInterest(frozenset(range(100)), {"3": 2.0})),
+    "both-weight-keys": ("roi", RegionOfInterest(frozenset(range(100)), {3: 1.0, "3": 2.0})),
+}
+
+
+@pytest.mark.parametrize("path, value", READ_BACK_AS_ANOTHER.values(),
+                         ids=READ_BACK_AS_ANOTHER.keys())
+def test_scene_that_reads_back_as_another_is_reported(path, value):
+    """A value the reader accepts but its file would not give back, so the scene
+    saved is not the scene planned with: a str weight key reads back as an int,
+    while ``weight_of`` looks the int up."""
+    scene = square_scene(occluders=[((2.0, 2.0, 0.0), (4.0, 4.0, 3.0))])
+    violations = validate_scene(_with(scene, path.split("."), value))
+    assert violations == [
+        "scene: its file would read back as another scene: a list where a tuple belongs, "
+        "a dict for a part, cells not in a frozenset or a weight key not an int"]
+
+
+def test_scene_that_holds_itself_is_reported():
+    cycle = []
+    cycle.append(cycle)
+    assert validate_scene(replace(square_scene(), occluders=cycle)) == [
+        "scene: a list or dict holds itself, or nests too deep for a file"]
+
+
+@pytest.mark.parametrize("bad", ["L 0", "L\t0", "L0 "])
 def test_candidate_id_that_is_not_one_token_is_reported(bad):
     """Matrix files list ids separated by whitespace, so an id must be one token."""
     scene = square_scene()

@@ -30,7 +30,6 @@ unwritable output path, 4 invalid values or scene, 1 unexpected failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 import traceback
@@ -44,7 +43,6 @@ from . import __version__
 from .boxes import CLASSES
 from .coverage import check_theta, compare_configs, coverage_report
 from .formats import (
-    CANNOT_WRITE,
     MatrixFile,
     ParseError,
     SolutionFile,
@@ -61,6 +59,7 @@ from .formats import (
     _optional,
     _require_keys,
     baseline_from_record,
+    cannot_write,
     coverage_from_record,
     file_sha256,
     load_frame_pairs,
@@ -69,6 +68,7 @@ from .formats import (
     load_report,
     load_scene_with_digest,
     load_solution,
+    parse_json,
     read_input,
     save_frames,
     save_manifest,
@@ -91,7 +91,7 @@ from .placement import (
     within_budget,
 )
 from .scenario import DROPOUT_RULES, NoiseSpec, ScenarioConfig, generate_scenario
-from .scene import LIDAR, MAX_DURATION_FRAMES, MAX_SAMPLES_PER_CELL, RADAR, validate_scene
+from .scene import LIDAR, MAX_DURATION_FRAMES, MAX_SAMPLES_PER_CELL, RADAR, range_violations
 from .visibility import VisibilityConfig, build_visibility
 
 SOLVERS = {"branch-bound": solve_branch_bound, "greedy": solve_greedy}
@@ -168,11 +168,7 @@ class _Run:
         self.command = args.command
         self.config = {}
         if (path := getattr(args, "config", None)) is not None:
-            data = read_input(path)
-            try:
-                obj = json.loads(data)
-            except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
-                raise ParseError(f"{path}: invalid JSON config: {exc}") from exc
+            obj = parse_json(read_input(path), f"{path}: invalid JSON config")
             self.config = _config_keys(_mapping(obj, path), allowed, path, required)
 
     def stage(self, stage, inputs, outputs, manifest=None):
@@ -193,9 +189,9 @@ class _Run:
 
 
 def _checked_scene(path):
-    """A valid scene and its file's header digest, which matrices record as its identity."""
+    """A valid scene (its reader checked the kinds) and its file's digest, its identity."""
     scene, digest = load_scene_with_digest(path)
-    violations = validate_scene(scene)
+    violations = range_violations(scene)
     if violations:
         raise ValueError("; ".join(f"scene: {v}" for v in violations))
     return scene, digest
@@ -215,8 +211,6 @@ def _workers(config: dict, args) -> int:
 def _visibility_stage(scene, digest: str, vis_cfg: VisibilityConfig, workers: int, paths,
                       manifest: str):
     """Ray-cast both modalities and save the lidar and radar matrix files."""
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     cells = tuple(scene.roi.sorted_cells())
     weights = np.array([scene.roi.weight_of(j) for j in cells])
     files = []
@@ -595,8 +589,10 @@ def cmd_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except CANNOT_WRITE as exc:
-        raise WriteError(out_dir, exc) from exc
+    except OSError as exc:
+        if cannot_write(exc):
+            raise WriteError(out_dir, exc) from exc
+        raise
     workers = _workers(run.config, args)
 
     if not top["configs"]:

@@ -27,14 +27,15 @@ in ``DetectionBox.from_columns``.  A file it has any doubt about goes
 through the record loop, which names the first fault, so every message is
 the record loop's.
 
-The scene table ``_SCENE`` is the one statement of a scene's fields:
-``load_scene`` reads a file through it, and ``validate_scene`` a scene built
-in Python, turned into its file's data by ``scene_payload``.  A weight's
-cell key must be in the one form ``save_scene`` writes, ``str(int)``.
+The scene table ``_SCENE`` is the one statement of a scene's fields: a file
+is read through it by ``load_scene``, and a scene built in Python, as
+``scene_payload`` turns it into file data, by ``validate_scene``, before the
+range rules of ``scene.range_violations``.  Weights key cells by ``str(int)``.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -63,6 +64,7 @@ from .scene import (
     RegionOfInterest,
     Scene,
     SensorSpec,
+    range_violations,
 )
 from .visibility import VisibilityMatrix
 
@@ -80,7 +82,7 @@ class ParseError(ValueError):
 
 
 class WriteError(Exception):
-    """An output path that cannot hold a file or may not be written (``CANNOT_WRITE``);
+    """An output path that cannot hold a file or may not be written (``cannot_write``);
     a full disk, say, is a failed write instead, and keeps its own OSError."""
 
     def __init__(self, path, exc: OSError):
@@ -88,9 +90,16 @@ class WriteError(Exception):
 
 
 # A missing folder, a folder in the file's place, a file in a folder's place, a
-# folder or file without write permission.
-CANNOT_WRITE = (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-                PermissionError)
+# folder or file without write permission, a name too long, a symlink loop.
+_CANNOT_WRITE = (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+                 PermissionError)
+_CANNOT_WRITE_ERRNOS = frozenset({errno.ENAMETOOLONG, errno.ELOOP})
+
+
+def cannot_write(exc: BaseException) -> bool:
+    """Whether ``exc`` says its path cannot hold a file or may not be written."""
+    return isinstance(exc, _CANNOT_WRITE) or (isinstance(exc, OSError)
+                                              and exc.errno in _CANNOT_WRITE_ERRNOS)
 
 
 def file_sha256(path) -> str:
@@ -116,7 +125,7 @@ def write_atomic(path, data: bytes) -> None:
     except BaseException as exc:
         with suppress(OSError):  # the temp file, or its folder, may not exist
             tmp.unlink()
-        if isinstance(exc, CANNOT_WRITE):
+        if cannot_write(exc):
             raise WriteError(path, exc) from exc
         raise
 
@@ -128,11 +137,14 @@ def _write_artifact(path, magic: str, body: str) -> None:
 
 
 def read_input(path) -> bytes:
-    """An input file's bytes; a path that names a directory, lies below a file,
-    or may not be read is a ParseError.  A missing file raises FileNotFoundError."""
+    """An input file's bytes; a path that cannot be read (a directory, a path
+    below a file, no permission, a name too long, a symlink loop) is a
+    ParseError.  A missing file raises FileNotFoundError."""
     try:
         return Path(path).read_bytes()
-    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
 
 
@@ -185,13 +197,22 @@ def _reject_constant(name: str):
     raise ParseError(f"non-finite JSON constant {name!r} is not allowed")
 
 
+def parse_json(text, what: str, **options):
+    """``json.loads(text, **options)``; text that does not parse is a ParseError
+    ``<what>: <json's reason>``."""
+    try:
+        return json.loads(text, **options)
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past int()'s digit limit, or lists or
+        # objects nested past the recursion limit
+        raise ParseError(f"{what}: {exc}") from exc
+
+
 def _load_document(path, expected_magic: str) -> tuple[dict, str]:
     """The payload of a JSON-bodied file, and its verified header digest."""
     text, digest = _read_artifact(path, expected_magic)
-    try:
-        body = json.loads(text, parse_constant=_reject_constant)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
-        raise ParseError(f"{path}: invalid or truncated JSON body: {exc}") from exc
+    body = parse_json(text, f"{path}: invalid or truncated JSON body",
+                      parse_constant=_reject_constant)
     return _record(body, {"payload": _mapping}, str(path))["payload"], digest
 
 
@@ -397,6 +418,27 @@ def scene_payload(value):
     if isinstance(value, dict):
         return {str(k): scene_payload(v) for k, v in value.items()}
     return value
+
+
+def validate_scene(scene: Scene) -> list[str]:
+    """Collect every invariant violation; an empty list means the scene is valid.
+
+    The scene is first read as ``load_scene`` reads its file, under the same
+    kinds and limits: the first fault, in the reader's words, a list that holds
+    itself, or a scene that would read back as another, is the one violation.
+    Only a scene that reads back as itself gets ``range_violations``, which
+    reports all it finds.  Never raises on bad scenes; side-effect free.
+    """
+    try:
+        read = _SCENE(scene_payload(scene), "scene")
+    except ParseError as exc:
+        return [str(exc)]
+    except RecursionError:  # a list that holds itself, which no file can
+        return ["scene: a list or dict holds itself, or nests too deep for a file"]
+    if read != scene:
+        return ["scene: its file would read back as another scene: a list where a tuple "
+                "belongs, a dict for a part, cells not in a frozenset or a weight key not an int"]
+    return range_violations(scene)
 
 
 def scene_hash(scene: Scene) -> str:

@@ -3,11 +3,10 @@
 A scene is a flat ground-plane grid, a weighted region of interest over
 that grid, a set of axis-aligned occluder boxes, and candidate sensor
 mounts for two modalities (lidar and radar).  Scenes are frozen after
-construction and safe to share across workers; all consistency checking
-lives in :func:`validate_scene`, which reports violations as data instead
-of raising.  Which kind, shape and finiteness each field must have is said
-once, by the scene file reader's table in :mod:`crossview.formats`, and
-:func:`validate_scene` reads a scene built here through that table.
+construction and safe to share across workers.  :func:`range_violations`
+states the ranges a scene's values must lie in; the kinds, shapes and limits
+of its fields are stated once, by the file reader's table in
+:mod:`crossview.formats`, whose ``validate_scene`` reports faults of both.
 """
 
 from __future__ import annotations
@@ -137,29 +136,8 @@ def _check_spec(spec: SensorSpec, owner: str, out: list[str]) -> None:
         out.append(f"{owner}: unit_cost must be >= 0")
 
 
-def validate_scene(scene: Scene) -> list[str]:
-    """Collect every invariant violation; an empty list means the scene is valid.
-
-    The scene is first read as ``load_scene`` reads its file, under the same
-    kinds and limits; the first fault, in the reader's words, or a scene that
-    would read back as another, is the one violation.  Only a scene that
-    reads back as itself gets the range checks, which report all they find.
-    Violations are data, not failures: the function never raises on bad
-    scenes and is side-effect free, so repeated calls return identical
-    reports.
-    """
-    # formats imports this module, so its file reader is imported at call time
-    from .formats import _SCENE, ParseError, scene_payload
-
-    try:
-        read = _SCENE(scene_payload(scene), "scene")
-    except ParseError as exc:
-        return [str(exc)]
-    except RecursionError:  # a list that holds itself, which no file can
-        return ["scene: a list or dict holds itself, or nests too deep for a file"]
-    if read != scene:
-        return ["scene: its file would read back as another scene: a list where a tuple "
-                "belongs, a dict for a part, cells not in a frozenset or a weight key not an int"]
+def range_violations(scene: Scene) -> list[str]:
+    """Range faults of a scene whose fields pass the file reader; on another it may raise."""
     out: list[str] = []
     grid = scene.grid
     if grid.cell_size <= 0.0:

@@ -308,7 +308,10 @@ def build_visibility(
     cfg: VisibilityConfig | None = None,
     workers: int = 1,
 ) -> tuple[VisibilityMatrix, VisibilityMatrix]:
-    """Compute the lidar and radar visibility matrices for a scene."""
+    """Compute the lidar and radar visibility matrices for a scene over
+    ``workers`` threads; one worker, the least allowed, runs serially."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     cfg = cfg or VisibilityConfig()
     cells = scene.roi.sorted_cells()
     lidar = _stack_rows(scene, scene.lidar_candidates, cells, cfg, workers)

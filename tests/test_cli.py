@@ -76,14 +76,21 @@ def test_missing_input_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["pipeline-scene-directory", "pipeline-scene-under-a-file",
-                                  "config-directory", "scene-directory"])
+                                  "config-directory", "scene-directory", "scene-name-too-long",
+                                  "scene-symlink-loop"])
 def test_input_path_that_is_no_file_exits_3(tmp_path, capsys, case):
-    """An input path naming a directory, or a path below a file, is unreadable input."""
+    """An input path naming a directory, a path below a file, a name too long
+    for the file system or a symlink loop is unreadable input."""
     save_scene(tmp_path / "scene.scene", square_scene())
     outputs = ["--out-lidar", str(tmp_path / "l.vismatrix"),
                "--out-radar", str(tmp_path / "r.vismatrix")]
     if case == "scene-directory":
         argv = ["visibility", "--scene", str(tmp_path), *outputs]
+    elif case == "scene-name-too-long":
+        argv = ["visibility", "--scene", str(tmp_path / ("s" * 300 + ".scene")), *outputs]
+    elif case == "scene-symlink-loop":
+        (tmp_path / "loop.scene").symlink_to(tmp_path / "loop.scene")
+        argv = ["visibility", "--scene", str(tmp_path / "loop.scene"), *outputs]
     elif case == "config-directory":
         argv = ["visibility", "--scene", str(tmp_path / "scene.scene"),
                 "--config", str(tmp_path), *outputs]
@@ -109,6 +116,30 @@ def test_malformed_input_exits_3(tmp_path, capsys):
     ])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("site", ["scene", "config"])
+def test_json_nested_past_the_recursion_limit_exits_3(tmp_path, capsys, site):
+    """A scene file (digest recomputed) or a --config whose JSON nests 100,000
+    lists deep is malformed input, not a traceback."""
+    deep = "[" * 100_000 + "]" * 100_000
+    scene, config = tmp_path / "site.scene", tmp_path / "config.json"
+    save_scene(scene, square_scene())
+    argv = ["visibility", "--scene", str(scene), "--out-lidar", str(tmp_path / "l.vismatrix"),
+            "--out-radar", str(tmp_path / "r.vismatrix")]
+    if site == "scene":
+        text = make_document("crossview.scene", {**_payload(scene), "grid": "@deep@"})
+        scene.write_text(rehash(text.replace('"@deep@"', deep)))
+        expected = f"error: {scene}: invalid or truncated JSON body: maximum recursion depth"
+    else:
+        config.write_text(json.dumps({"epsilon": "@deep@"}).replace('"@deep@"', deep))
+        argv += ["--config", str(config)]
+        expected = f"error: {config}: invalid JSON config: maximum recursion depth"
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith(expected) and "Traceback" not in err, err
+    assert not list(tmp_path.glob("*.vismatrix"))
 
 
 def test_invalid_scene_exits_4(tmp_path, capsys):
@@ -186,25 +217,35 @@ def test_exhaustive_is_no_solver_choice(workspace, tmp_path, capsys, where):
 
 
 @pytest.mark.parametrize("case", ["out-directory", "out-under-a-file", "out-in-a-missing-folder",
-                                  "pipeline-out-dir-is-a-file"])
+                                  "pipeline-out-dir-is-a-file", "out-lidar-name-too-long",
+                                  "out-under-a-symlink-loop", "pipeline-out-dir-name-too-long"])
 def test_output_path_that_cannot_hold_a_file_exits_3(workspace, tmp_path, capsys, case):
     """An output path that cannot be written as a file is a file error, like a bad input path."""
     (tmp_path / "a-file").write_text("")
     (tmp_path / "a-folder").mkdir()
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    long_name = "o" * 300
     target, reason = {
         "out-directory": (tmp_path / "a-folder", "Is a directory"),
         "out-under-a-file": (tmp_path / "a-file" / "x.solution", "Not a directory"),
         "out-in-a-missing-folder": (tmp_path / "missing" / "m.lp", "No such file or directory"),
         "pipeline-out-dir-is-a-file": (tmp_path / "a-file", "File exists"),
+        "out-lidar-name-too-long": (tmp_path / long_name, "File name too long"),
+        "out-under-a-symlink-loop": (tmp_path / "loop" / "x.solution",
+                                     "Too many levels of symbolic links"),
+        "pipeline-out-dir-name-too-long": (tmp_path / long_name, "File name too long"),
     }[case]
     matrices = ["--lidar", str(workspace / "lidar.vismatrix"),
                 "--radar", str(workspace / "radar.vismatrix"), "--budget", "2"]
-    if case == "pipeline-out-dir-is-a-file":
+    if case.startswith("pipeline-out-dir"):
         save_scene(tmp_path / "scene.scene", square_scene())
         cfg = tmp_path / "pipeline.json"
         cfg.write_text(json.dumps({"scene": "scene.scene",
                                    "configs": [{"name": "a", "budget": 2}]}))
         argv = ["pipeline", "--config", str(cfg), "--out-dir", str(target)]
+    elif case == "out-lidar-name-too-long":
+        argv = ["visibility", "--scene", str(workspace / "scene.scene"),
+                "--out-lidar", str(target), "--out-radar", str(tmp_path / "r.vismatrix")]
     elif case == "out-in-a-missing-folder":
         argv = ["export-milp", *matrices, "--out", str(target)]
     else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -710,3 +711,22 @@ def test_failed_write_leaves_the_target_whole(tmp_path, monkeypatch):
         save_scene(path, square_scene(weights={3: 2.0}))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["site.scene"]
+
+
+@pytest.mark.parametrize("code, is_path_fault", [
+    (errno.EACCES, True), (errno.EEXIST, True), (errno.EISDIR, True), (errno.ENOENT, True),
+    (errno.ENOTDIR, True), (errno.ENAMETOOLONG, True), (errno.ELOOP, True),
+    (errno.ENOSPC, False), (errno.EIO, False)])
+def test_only_a_path_that_cannot_hold_a_file_is_a_write_error(tmp_path, monkeypatch, code,
+                                                              is_path_fault):
+    """A path fault is WriteError (exit 3); a full disk or an I/O fault keeps its OSError."""
+    exc = OSError(code, os.strerror(code))
+    assert formats.cannot_write(exc) is is_path_fault
+
+    def fail(self, data):
+        raise exc
+
+    monkeypatch.setattr(type(tmp_path), "write_bytes", fail)
+    with pytest.raises(formats.WriteError if is_path_fault else OSError) as raised:
+        save_scene(tmp_path / "site.scene", square_scene())
+    assert isinstance(raised.value, formats.WriteError) is is_path_fault

@@ -1,0 +1,42 @@
+"""Module dependency order: every package import in ``src/crossview`` sits at
+the top of its module, so the import graph reads from the files' heads and no
+cycle hides behind an import made at call time.  ``scene`` is the graph's
+root: it imports no other package module."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import crossview
+
+MODULES = sorted(Path(crossview.__file__).parent.glob("*.py"))
+
+
+def _package_imports(tree: ast.AST):
+    """The line of every import of a ``crossview`` module under ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 or (node.module or "").split(".")[0] == "crossview":
+                yield node.lineno
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "crossview" for alias in node.names):
+                yield node.lineno
+
+
+def _function_body_imports(path: Path) -> list[int]:
+    tree = ast.parse(path.read_text(), str(path))
+    return sorted({line for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                   for line in _package_imports(node)})
+
+
+def test_no_package_import_inside_a_function():
+    assert len(MODULES) >= 12, MODULES
+    found = {path.name: lines for path in MODULES if (lines := _function_body_imports(path))}
+    assert found == {}
+
+
+def test_scene_imports_no_package_module():
+    path = Path(crossview.__file__).parent / "scene.py"
+    assert list(_package_imports(ast.parse(path.read_text()))) == []

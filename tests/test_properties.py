@@ -11,9 +11,10 @@ matrix file, exits 0, 3 or 4, never 1.  ``load_frames``, which checks box
 records in bulk, raises the message or returns the boxes of the record loop
 it replaced (``oracles.load_frames_reference``) on mutated frames files.
 ``validate_scene``, fed a valid scene with one value put in at any key path,
-returns a list of messages, and a scene it finds nothing in saves and loads
-back equal.  The profile in ``conftest.py`` derandomizes Hypothesis, so every
-run tries the same inputs.
+returns a list of messages, and a scene that reads back as itself saves and
+loads back equal, with the same report from the range rules alone.  The
+profile in ``conftest.py`` derandomizes Hypothesis, so every run tries the
+same inputs.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from crossview.formats import (
     baseline_from_record,
     coverage_from_record,
 )
+from crossview.scene import range_violations
 
 from conftest import make_document, random_box, rehash, rescore_frames, square_scene
 from oracles import load_frames_reference
@@ -292,17 +294,24 @@ def _scene_paths(value, path=()):
 @given(data=st.data())
 def test_validate_scene_is_total_and_a_valid_scene_survives_its_file(tmp_path_factory, data):
     """``validate_scene`` returns a list of messages for any value at any place in
-    a scene, and a scene it finds nothing in saves and loads back equal."""
+    a scene.  A scene that passes the table read and the read-back, range faults
+    allowed, saves and loads back equal, and the range rules alone, which are
+    all the CLI applies to a loaded scene, report on it what ``validate_scene``
+    does."""
     assert validate_scene(SCENE) == []
     path = data.draw(st.sampled_from(_scene_paths(SCENE)))
     scene = _with(SCENE, list(path), data.draw(scene_values))
     violations = validate_scene(scene)
     assert isinstance(violations, list) and all(isinstance(v, str) for v in violations)
-    event("valid" if not violations else "refused")
-    if not violations:
+    # The table read's and the read-back's messages name the scene; range faults its parts.
+    read_back = not any(v.startswith("scene") for v in violations)
+    event("valid" if not violations else "range faults" if read_back else "refused")
+    if read_back:
         file = tmp_path_factory.getbasetemp() / "validated.scene"
         save_scene(file, scene)
-        assert load_scene(file) == scene
+        loaded = load_scene(file)
+        assert loaded == scene
+        assert validate_scene(loaded) == range_violations(loaded) == violations
 
 
 # -- the frames loader: checked in bulk, held to the record loop ----------------

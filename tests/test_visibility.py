@@ -243,6 +243,13 @@ def test_workers_do_not_change_bits():
         assert np.array_equal(rvis.values, base_r.values)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_fewer_than_one_worker_is_refused(workers):
+    """The library refuses what the CLI refuses, in the CLI's words."""
+    with pytest.raises(ValueError, match="^workers must be at least 1$"):
+        build_visibility(square_scene(), workers=workers)
+
+
 def test_log_visibility_values():
     values = np.array([[0.0, 0.5, 1.0 - 1e-6]])
     logs = log_visibility(VisibilityMatrix("lidar", values))

@@ -9,12 +9,15 @@ one line with sorted keys and no whitespace between tokens; loaders accept
 any whitespace, so files written with the two-space indents of earlier
 builds still load.  A matrix body is plain header lines plus one row per
 candidate, printed to 9 significant digits, which reparse to the same text,
-so a load/save cycle is byte stable.  A matrix holds few distinct values (a
-visibility entry is a lattice fraction), so each distinct value is printed
-once per save and each distinct token parsed once per load; both conversions
-are correctly rounded, so this gives the bits one conversion per entry would.
-Writes go to a temp file that is then renamed over the target, so no reader
-sees half a file.
+so a load/save cycle is byte stable.  One rule set covers a matrix file:
+``_check_matrix`` states every rule its values keep; ``save_matrix`` runs it
+before writing and ``load_matrix`` after parsing, so the writer refuses what
+the reader would.  A matrix holds few distinct values (a visibility entry is
+a lattice fraction), so each distinct value is printed once per save and
+each distinct token parsed once per load; both conversions are correctly
+rounded, so this gives the bits one conversion per entry would.  Writes go
+to a temp file that is then renamed over the target, so no reader sees half
+a file.
 
 Loaders are strict: unknown fields, missing fields, version mismatches and
 malformed numbers all raise ParseError naming the offending part as
@@ -44,7 +47,7 @@ from contextlib import suppress
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from functools import partial
 from itertools import accumulate, chain
-from operator import itemgetter
+from operator import itemgetter, lt
 from pathlib import Path
 
 import numpy as np
@@ -139,13 +142,15 @@ def _write_artifact(path, magic: str, body: str) -> None:
 def read_input(path) -> bytes:
     """An input file's bytes; a path that cannot be read (a directory, a path
     below a file, no permission, a name too long, a symlink loop) is a
-    ParseError.  A missing file raises FileNotFoundError."""
+    ParseError, as is a name holding a NUL.  A missing file raises FileNotFoundError."""
     try:
         return Path(path).read_bytes()
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
+    except ValueError as exc:  # embedded null byte
+        raise ParseError(f"{path}: cannot read: {exc}") from exc
 
 
 def _read_artifact(path, magic: str) -> tuple[str, str]:
@@ -482,32 +487,49 @@ def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def save_matrix(path, mf: MatrixFile) -> None:
-    rows, cols = mf.matrix.values.shape
+def _check_matrix(mf: MatrixFile) -> None:
+    """Every value rule of a matrix file: ``save_matrix`` checks before it writes,
+    ``load_matrix`` after it parses.  Raises ValueError for the first rule broken."""
+    values, cells, ids = mf.matrix.values, mf.cells, mf.ids
+    rows, cols = values.shape
     if rows and not cols:  # its rows would be blank lines, which the loader skips
         raise ValueError(f"a {rows} x {cols} matrix has rows but no columns; "
                          "its file would not load")
-    if bad := [i for i in mf.ids if i.split() != [i]]:  # the ids line is split on whitespace
-        raise ValueError(f"candidate id {bad[0]!r} is not one token; its file would not load")
-    if len(mf.cells) != cols:
+    if len(cells) != cols:
         raise ValueError("cells length must match matrix columns")
     if mf.weights.shape != (cols,):
         raise ValueError("weights length must match matrix columns")
-    if mf.costs.shape != (rows,) or len(mf.ids) != rows:
+    if mf.costs.shape != (rows,) or len(ids) != rows:
         raise ValueError("costs and ids length must match matrix rows")
-    lines = [f"modality {mf.matrix.modality}"]
-    lines.append(f"rows {rows}")
-    lines.append(f"cols {cols}")
-    lines.append(f"epsilon {_fmt(mf.matrix.epsilon)}")
-    lines.append(f"scene_hash {mf.scene_hash}")
-    lines.append("cells " + " ".join(map(str, mf.cells)))
-    lines.append("weights " + " ".join(_fmt(w) for w in mf.weights))
-    lines.append("costs " + " ".join(_fmt(c) for c in mf.costs))
-    lines.append("ids " + " ".join(mf.ids))
+    for key, text in (("modality", mf.matrix.modality), ("scene_hash", mf.scene_hash),
+                      ("manifest", mf.manifest or "")):
+        if "\n" in text:  # a header field is one line
+            raise ValueError(f"{key} {text!r} holds a line break")
+    if bad := [i for i in ids if i.split() != [i]]:  # the ids line is split on whitespace
+        raise ValueError(f"candidate id {bad[0]!r} is not one token; its file would not load")
+    if (any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, cells)))
+            or not all(map(lt, (-1, *cells), cells))):
+        raise ValueError("cells must be strictly increasing nonnegative integers")
+    if len(set(ids)) != rows:
+        raise ValueError("ids must be unique")
+    if not np.isfinite(np.hstack([mf.matrix.epsilon, mf.weights, mf.costs])).all():
+        raise ValueError("epsilon, weights and costs must be finite")
+    # The largest entry as printed (0.9999999999 prints as 1); nan fails both tests.
+    if values.size and not (values.min() >= 0.0 and float(_fmt(values.max())) < 1.0):
+        raise ValueError("matrix entries must lie in [0, 1)")
+
+
+def save_matrix(path, mf: MatrixFile) -> None:
+    _check_matrix(mf)
+    rows, cols = mf.matrix.values.shape
+    lines = [f"modality {mf.matrix.modality}", f"rows {rows}", f"cols {cols}",
+             f"epsilon {_fmt(mf.matrix.epsilon)}", f"scene_hash {mf.scene_hash}",
+             "cells " + " ".join(map(str, mf.cells)),
+             "weights " + " ".join(_fmt(w) for w in mf.weights),
+             "costs " + " ".join(_fmt(c) for c in mf.costs), "ids " + " ".join(mf.ids)]
     if mf.manifest is not None:
         lines.append(f"manifest {mf.manifest}")
-    # One text per distinct bit pattern, so -0.0 and every nan payload print as
-    # one _fmt call per entry would.
+    # One _fmt call per distinct bit pattern, so -0.0 prints apart from 0.0.
     bits = np.ascontiguousarray(mf.matrix.values, dtype=np.float64).view(np.uint64)
     distinct, inverse = np.unique(bits, return_inverse=True)
     texts = np.array([_fmt(v) for v in distinct.view(np.float64)], dtype=object)
@@ -543,30 +565,27 @@ def _parse_floats(text: str, n: int, where: str, memo: _FloatMemo | None = None)
 
 
 def load_matrix(path) -> MatrixFile:
-    lines = _read_artifact(path, MATRIX_MAGIC)[0].splitlines()
+    lines = _read_artifact(path, MATRIX_MAGIC)[0].split("\n")  # the one separator written
     header: dict[str, str] = {}
     required = {"modality", "rows", "cols", "epsilon", "scene_hash",
                 "cells", "weights", "costs", "ids"}
     optional = {"manifest"}
     pos = 0
     while pos < len(lines):
-        key = lines[pos].split(" ", 1)[0]
+        key, _, text = lines[pos].partition(" ")
         if key not in required and key not in optional:
             break
         if key in header:
             raise ParseError(f"{path}: duplicate header field {key!r}")
-        parts = lines[pos].split(" ", 1)
-        header[key] = parts[1] if len(parts) == 2 else ""
+        header[key] = text
         pos += 1
     _require_keys(header, required, optional, str(path))
     try:
-        rows = int(header["rows"])
-        cols = int(header["cols"])
+        rows, cols = int(header["rows"]), int(header["cols"])
     except ValueError as exc:
         raise ParseError(f"{path}: rows/cols must be integers") from exc
     if rows < 0 or cols < 0:
         raise ParseError(f"{path}: rows/cols must be nonnegative")
-    modality = header["modality"]
     epsilon = float(_parse_floats(header["epsilon"], 1, f"{path}: epsilon")[0])
 
     cell_parts = header["cells"].split()
@@ -576,15 +595,11 @@ def load_matrix(path) -> MatrixFile:
         cells = tuple(map(int, cell_parts))
     except ValueError as exc:
         raise ParseError(f"{path}: cells must be integers") from exc
-    if cells and (cells[0] < 0 or not all(map(int.__lt__, cells, cells[1:]))):
-        raise ParseError(f"{path}: cells must be strictly increasing nonnegative integers")
     weights = _parse_floats(header["weights"], cols, f"{path}: weights")
     costs = _parse_floats(header["costs"], rows, f"{path}: costs")
     ids = tuple(header["ids"].split())
     if len(ids) != rows:
         raise ParseError(f"{path}: ids lists {len(ids)} entries, expected {rows}")
-    if len(set(ids)) != rows:
-        raise ParseError(f"{path}: ids must be unique")
 
     data_lines = [ln for ln in lines[pos:] if ln.strip()]
     if len(data_lines) != rows:
@@ -593,17 +608,13 @@ def load_matrix(path) -> MatrixFile:
     memo = _FloatMemo()
     for i, line in enumerate(data_lines):
         values[i] = _parse_floats(line, cols, f"{path}: matrix row {i}", memo)
-    if values.size and (values.min() < 0.0 or values.max() >= 1.0):
-        raise ParseError(f"{path}: matrix entries must lie in [0, 1)")
-    return MatrixFile(
-        matrix=VisibilityMatrix(modality, values, epsilon),
-        scene_hash=header["scene_hash"],
-        cells=cells,
-        weights=weights,
-        costs=costs,
-        ids=ids,
-        manifest=header.get("manifest"),
-    )
+    mf = MatrixFile(VisibilityMatrix(header["modality"], values, epsilon), header["scene_hash"],
+                    cells, weights, costs, ids, header.get("manifest"))
+    try:
+        _check_matrix(mf)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return mf
 
 
 # -- detection frames -------------------------------------------------------
@@ -647,6 +658,8 @@ def _box_from_record(rec) -> DetectionBox:
 
 
 def save_frames(path, frames: dict[str, list[DetectionBox]], manifest: str | None = None) -> None:
+    if bad := [fid for fid in frames if not isinstance(fid, str)]:  # the loader reads strings
+        raise TypeError(f"frames: frame id {bad[0]!r} is not a string")
     # A box's instance dict is its record: its seven fields, tuples and floats.
     records = [{"boxes": [vars(box) for box in sorted(frames[frame_id], key=score_order)],
                 "frame_id": frame_id}

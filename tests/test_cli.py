@@ -76,11 +76,11 @@ def test_missing_input_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["pipeline-scene-directory", "pipeline-scene-under-a-file",
-                                  "config-directory", "scene-directory", "scene-name-too-long",
-                                  "scene-symlink-loop"])
+                                  "pipeline-scene-nul", "config-directory", "scene-directory",
+                                  "scene-name-too-long", "scene-symlink-loop"])
 def test_input_path_that_is_no_file_exits_3(tmp_path, capsys, case):
     """An input path naming a directory, a path below a file, a name too long
-    for the file system or a symlink loop is unreadable input."""
+    for the file system, a symlink loop or a name holding a NUL is unreadable input."""
     save_scene(tmp_path / "scene.scene", square_scene())
     outputs = ["--out-lidar", str(tmp_path / "l.vismatrix"),
                "--out-radar", str(tmp_path / "r.vismatrix")]
@@ -95,7 +95,8 @@ def test_input_path_that_is_no_file_exits_3(tmp_path, capsys, case):
         argv = ["visibility", "--scene", str(tmp_path / "scene.scene"),
                 "--config", str(tmp_path), *outputs]
     else:
-        scene = "." if case == "pipeline-scene-directory" else "scene.scene/x"
+        scene = {"pipeline-scene-directory": ".", "pipeline-scene-under-a-file": "scene.scene/x",
+                 "pipeline-scene-nul": "scene\u0000.scene"}[case]
         cfg_path = tmp_path / "pipeline.json"
         cfg_path.write_text(json.dumps({"scene": scene, "configs": [{"name": "a", "budget": 1}]}))
         argv = ["pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
@@ -103,6 +104,8 @@ def test_input_path_that_is_no_file_exits_3(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert rc == 3, err
     assert err.startswith("error: ") and "cannot read" in err and "Traceback" not in err, err
+    if case == "pipeline-scene-nul":
+        assert err == f"error: {tmp_path}/scene\0.scene: cannot read: embedded null byte\n", err
 
 
 def test_malformed_input_exits_3(tmp_path, capsys):
@@ -255,6 +258,30 @@ def test_output_path_that_cannot_hold_a_file_exits_3(workspace, tmp_path, capsys
     assert rc == 3, err
     assert err == f"error: cannot write {target}: {reason}\n", err
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\x0c", "\r", "\n"],
+                         ids=["line-separator", "form-feed", "carriage-return", "newline"])
+def test_matrix_output_name_holding_a_line_separator(tmp_path, capsys, separator):
+    """A matrix file names its manifest in a header line.  A name holding a
+    line separator other than a newline reads back whole, so the next stage
+    takes the file; a newline would end the header line, so it is refused
+    before any file is written."""
+    save_scene(tmp_path / "scene.scene", square_scene())
+    lidar, radar = tmp_path / f"a{separator}b.vismatrix", tmp_path / "r.vismatrix"
+    rc = main(["visibility", "--scene", str(tmp_path / "scene.scene"),
+               "--out-lidar", str(lidar), "--out-radar", str(radar)])
+    err = capsys.readouterr().err
+    if separator == "\n":
+        assert rc == 4, err
+        assert err == f"error: manifest {lidar.name + '.manifest'!r} holds a line break\n", err
+        assert [p.name for p in tmp_path.iterdir()] == ["scene.scene"]
+        return
+    assert rc == 0, err
+    assert load_matrix(lidar).manifest == f"a{separator}b.vismatrix.manifest"
+    rc = main(["optimize", "--lidar", str(lidar), "--radar", str(radar), "--budget", "2",
+               "--out", str(tmp_path / "x.solution")])
+    assert rc == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["read", "write", "pipeline-out-dir"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -248,21 +249,27 @@ def test_save_matrix_validates_lengths(tmp_path):
 OTHER_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
 AWKWARD_VALUES = [1.0 - 1e-6, 5e-324, 2.5e-310, -0.0, 0.0, np.nan, -np.nan, OTHER_NAN,
                   np.inf, 1.0 / 3.0, 0.1234567891234]
+# The awkward values a matrix entry may take, and those no matrix file holds.
+ENTRY_VALUES = [v for v in AWKWARD_VALUES if 0.0 <= v < 1.0]
+REFUSED_ENTRIES = [v for v in AWKWARD_VALUES if v not in ENTRY_VALUES]
 
 
 def random_matrix_values(rng, rows: int, cols: int) -> np.ndarray:
-    """Lattice fractions clamped to 1 - 1e-6, a fifth of them replaced by awkward values."""
+    """Lattice fractions clamped to 1 - 1e-6, a fifth of them replaced by awkward
+    values that a matrix entry may take."""
     k = int(rng.choice([1, 4, 9, 16]))
     values = np.minimum(rng.integers(0, k + 1, (rows, cols)) / k, 1.0 - 1e-6)
     swap = rng.random((rows, cols)) < 0.2
-    values[swap] = rng.choice(AWKWARD_VALUES, int(swap.sum()))
+    values[swap] = rng.choice(ENTRY_VALUES, int(swap.sum()))
     return values
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (1, 1), (5, 7), (11, 300)])
 def test_matrix_bytes_match_the_per_value_writer(tmp_path, rows, cols):
     """Printing each distinct value once writes the bytes one print per entry did,
-    whatever the values' dtype or memory layout."""
+    whatever the values' dtype or memory layout.  A nan of any payload, an
+    infinity or an integer 1 is no entry the loader takes, so it is refused
+    before anything is written."""
     rng = np.random.default_rng([19, rows, cols])
     values = random_matrix_values(rng, rows, cols)
     wide = np.repeat(values, 2, axis=1)
@@ -273,15 +280,28 @@ def test_matrix_bytes_match_the_per_value_writer(tmp_path, rows, cols):
         "strided": wide[:, ::2],
         "reversed": np.ascontiguousarray(values[:, ::-1])[:, ::-1],
         "float32": values.astype(np.float32),
-        "int64": rng.integers(0, 2, (rows, cols)),
+        "int64": np.zeros((rows, cols), dtype=np.int64),
     }
-    for k, (layout, matrix) in enumerate(layouts.items()):
+    refused = {}
+    # 1 - 1e-10 lies below 1 but prints as 1.
+    for k, value in enumerate([*REFUSED_ENTRIES, 1.0 - 1e-10]):
+        swap = rng.random((rows, cols)) < 0.2
+        swap.flat[:1] = True
+        refused[f"refused-{k}"] = np.where(swap, value, values)
+    refused["int64-ones"] = rng.integers(0, 2, (rows, cols))
+    refused["int64-ones"].flat[:1] = 1
+    for k, (layout, matrix) in enumerate([*layouts.items(), *refused.items()]):
         mf = MatrixFile(matrix=VisibilityMatrix("radar", matrix), scene_hash="ab" * 32,
                         cells=tuple(range(0, 3 * cols, 3)), weights=rng.uniform(0.5, 2.0, cols),
                         costs=rng.uniform(10.0, 100.0, rows),
                         ids=tuple(f"R{i}" for i in range(rows)),
                         manifest="run.manifest" if k % 2 else None)
         path = tmp_path / f"{layout}.vismatrix"
+        if layout in refused and matrix.size:
+            with pytest.raises(ValueError, match=re.escape("matrix entries must lie in [0, 1)")):
+                save_matrix(path, mf)
+            assert not path.exists() and not list(tmp_path.glob("*.tmp")), layout
+            continue
         save_matrix(path, mf)
         body = matrix_body_reference(mf).encode()
         digest = hashlib.sha256(body).hexdigest()
@@ -317,6 +337,51 @@ def test_an_id_that_is_not_one_token_is_refused(tmp_path, bad):
                     cells=(0,), weights=np.ones(1), costs=np.ones(2), ids=("L1", bad))
     with pytest.raises(ValueError, match=re.escape(f"candidate id {bad!r} is not one token")):
         save_matrix(tmp_path / "m.vismatrix", mf)
+    assert not list(tmp_path.iterdir())
+
+
+def _with_matrix_fields(mf: MatrixFile, **changes) -> MatrixFile:
+    """``mf`` with some fields changed; ``modality``, ``values`` and ``epsilon``
+    change its matrix."""
+    matrix = {k: changes.pop(k, getattr(mf.matrix, k)) for k in ("modality", "values", "epsilon")}
+    return dataclasses.replace(mf, matrix=VisibilityMatrix(**matrix), **changes)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"ids": ("L0", "L0")}, "ids must be unique"),
+    ({"cells": (7, 3, 11)}, "cells must be strictly increasing nonnegative integers"),
+    ({"cells": (-1, 3, 11)}, "cells must be strictly increasing nonnegative integers"),
+    ({"cells": (3, 7, 11.0)}, "cells must be strictly increasing nonnegative integers"),
+    ({"weights": np.array([1.0, np.nan, 0.5])}, "epsilon, weights and costs must be finite"),
+    ({"costs": np.array([100.0, np.inf])}, "epsilon, weights and costs must be finite"),
+    ({"epsilon": np.nan}, "epsilon, weights and costs must be finite"),
+    ({"values": np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])}, "matrix entries must lie in [0, 1)"),
+    ({"values": np.array([[0.0, np.nan, 0.5], [0.0, 0.0, 0.0]])},
+     "matrix entries must lie in [0, 1)"),
+    ({"values": np.array([[0.0, -0.5, 0.5], [0.0, 0.0, 0.0]])},
+     "matrix entries must lie in [0, 1)"),
+    ({"manifest": "run\n.manifest"}, "manifest 'run\\n.manifest' holds a line break"),
+    ({"modality": "lidar\n"}, "modality 'lidar\\n' holds a line break"),
+    ({"scene_hash": "\n"}, "scene_hash '\\n' holds a line break"),
+], ids=["repeated-ids", "decreasing-cells", "negative-cell", "float-cell", "nan-weight",
+        "infinite-cost", "nan-epsilon", "entry-of-1", "nan-entry", "negative-entry",
+        "manifest-newline", "modality-newline", "scene-hash-newline"])
+def test_save_matrix_refuses_what_load_matrix_refuses(tmp_path, changes, message):
+    """Writer and reader check one rule set, so the writer writes no file its
+    reader would refuse, and says why in the reader's words."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_matrix(tmp_path / "m.vismatrix", _with_matrix_fields(sample_matrix_file(), **changes))
+    assert not list(tmp_path.iterdir())
+
+
+def test_save_frames_refuses_a_frame_id_that_is_not_a_string(tmp_path):
+    """The loader reads a frame id as a string only; a file keyed otherwise
+    would not load, so it is not written."""
+    box = random_box(np.random.default_rng(4))
+    for frames in ({0: [box]}, {"000000": [], 1.5: [box]}):
+        with pytest.raises(TypeError, match=re.escape(f"frame id {list(frames)[-1]!r} is not a "
+                                                      "string")):
+            save_frames(tmp_path / "a.frames", frames)
     assert not list(tmp_path.iterdir())
 
 

@@ -9,7 +9,10 @@ ParseError (exit 3).  Neither ever ends in a TypeError, AttributeError or
 OverflowError traceback, and ``main``, run on a mutated valid --config or
 matrix file, exits 0, 3 or 4, never 1.  ``load_frames``, which checks box
 records in bulk, raises the message or returns the boxes of the record loop
-it replaced (``oracles.load_frames_reference``) on mutated frames files.
+it replaced (``oracles.load_frames_reference``) on mutated frames files, and
+a mutated matrix file that loads also saves.  ``save_matrix``, fed matrix
+files that may break any rule of the format, refuses them before writing or
+writes a file that loads back as written and saves again to the same bytes.
 ``validate_scene``, fed a valid scene with one value put in at any key path,
 returns a list of messages, and a scene that reads back as itself saves and
 loads back equal, with the same report from the range rules alone.  The
@@ -72,6 +75,7 @@ from crossview.scene import range_violations
 from conftest import make_document, random_box, rehash, rescore_frames, square_scene
 from oracles import load_frames_reference
 from test_cli import BAD_CONFIG_VALUES
+from test_formats import AWKWARD_VALUES
 from test_scene import _with
 from test_detection_box import generated_init_dict_size
 
@@ -251,9 +255,94 @@ def test_loader_returns_or_raises_parse_error(valid_files, kind, data):
         text = make_document(magic, payload)
         path.write_text(rehash(text.replace('"@raw@"', raw)) if raw else text)
     try:
-        load(path)
+        loaded = load(path)
     except ParseError:
-        pass
+        return
+    if kind == "matrix":  # a file the reader takes, the writer writes
+        save_matrix(root / "resaved.vismatrix", loaded)
+
+
+# -- matrix files: the writer refuses what the reader would ------------------------
+
+# Each part of a drawn matrix file comes from a pool of values a matrix file
+# holds or, for the parts a draw picks as faulty, and for one matrix entry, from
+# a pool that adds values it may not hold.  Texts that hold line separators other than a newline are
+# fine; a lone "\u00a0" or "\u2028" id is whitespace to ``str.split``.
+FINE_ENTRIES = [v for v in AWKWARD_VALUES if 0.0 <= v < 1.0] + [0.25, 0.999999999]
+ANY_ENTRIES = [*AWKWARD_VALUES, -0.5, -5e-324, 1.0, 1.0 - 1e-10, 2.0]
+FINE_NUMBERS = [1.0, 0.5, 100.0, -2.0, -0.0, 5e-324, 1.0 / 3.0, 1.7976931348623157e308]
+ANY_NUMBERS = [*FINE_NUMBERS, np.nan, -np.inf, np.inf]
+FINE_TEXTS = ["lidar", "radar", "", " lead", "trail ", "a\u2028b", "x\ry", "\x0c", "0" * 64]
+ANY_TEXTS = [*FINE_TEXTS, "a\nb", "\n", "\r\n"]
+ANY_IDS = ["L0", "L1", "R0", "L 2", "L\t3", "", "\u00a0", "L\u20284", "\u2028"]
+MATRIX_PARTS = ("cells", "ids", "numbers", "texts", "shapes")
+
+
+@st.composite
+def matrix_files(draw):
+    """A MatrixFile whose parts named in a drawn set of faults, and one entry,
+    may break the format's rules: an entry outside [0, 1) or nan, cells that
+    repeat, fall or go negative, ids that repeat or hold whitespace, non-finite
+    numbers, texts that hold a newline, or lengths that do not match the matrix."""
+    faults = draw(st.sets(st.sampled_from(MATRIX_PARTS), max_size=2))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+
+    def pool(part, fine, anything):
+        return st.sampled_from(anything if part in faults else fine)
+
+    def length(n):
+        return n + (draw(st.sampled_from([-1, 1])) if "shapes" in faults and n else 0)
+
+    def some(strategy, n):
+        return draw(st.lists(strategy, min_size=n, max_size=n))
+
+    entries = some(st.sampled_from(FINE_ENTRIES), rows * cols)
+    if entries:  # one entry from the pool that adds values no entry may take
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(ANY_ENTRIES))
+    if "cells" in faults:
+        cells = some(st.integers(-2, 6), length(cols))
+    else:
+        cells = sorted(draw(st.sets(st.integers(0, 40), min_size=(n := length(cols)), max_size=n)))
+    ids = (some(st.sampled_from(ANY_IDS), length(rows)) if "ids" in faults
+           else [f"L{i}" for i in range(length(rows))])
+    numbers = pool("numbers", FINE_NUMBERS, ANY_NUMBERS)
+    texts = pool("texts", FINE_TEXTS, ANY_TEXTS)
+    return MatrixFile(
+        matrix=VisibilityMatrix(draw(texts), np.array(entries, dtype=float).reshape(rows, cols),
+                                draw(pool("numbers", [1e-6, 0.001], ANY_NUMBERS))),
+        scene_hash=draw(texts), cells=tuple(cells),
+        weights=np.array(some(numbers, length(cols))), costs=np.array(some(numbers, length(rows))),
+        ids=tuple(ids), manifest=draw(st.none() | texts))
+
+
+def _printed(values) -> np.ndarray:
+    """``values`` as a matrix file holds them: 9 significant digits."""
+    return np.array([float(format(float(v), ".9g")) for v in np.ravel(values)]).reshape(
+        np.shape(values))
+
+
+@settings(max_examples=400)
+@given(mf=matrix_files())
+def test_save_matrix_refuses_or_writes_a_file_that_loads_back(tmp_path_factory, mf):
+    """``save_matrix`` either refuses a matrix file before writing anything, or
+    writes one that ``load_matrix`` reads back as written, to 9 significant
+    digits, and that saves again to the same bytes."""
+    root = tmp_path_factory.mktemp("matrix")
+    try:
+        save_matrix(root / "a.vismatrix", mf)
+    except ValueError:
+        event("refused")
+        assert not list(root.iterdir())
+        return
+    event("written")
+    loaded = load_matrix(root / "a.vismatrix")
+    assert ((loaded.matrix.modality, loaded.scene_hash, loaded.manifest, loaded.cells, loaded.ids)
+            == (mf.matrix.modality, mf.scene_hash, mf.manifest, mf.cells, mf.ids))
+    for read, written in [(loaded.matrix.values, mf.matrix.values), (loaded.weights, mf.weights),
+                          (loaded.costs, mf.costs), (loaded.matrix.epsilon, mf.matrix.epsilon)]:
+        np.testing.assert_array_equal(read, _printed(written))
+    save_matrix(root / "b.vismatrix", loaded)
+    assert (root / "b.vismatrix").read_bytes() == (root / "a.vismatrix").read_bytes()
 
 
 # -- validate_scene: the file reader's verdict on a scene built in Python ------

@@ -13,17 +13,26 @@ every IoU value, and hence every fused and evaluated byte, unchanged.
 
 ``iou_3d`` is the per-pair definition.  ``iou_3d_pairs`` computes it for
 many pairs at once in one numpy pass that takes the same steps in the same
-order; tests hold it to ``iou_3d`` bit for bit.  The box rules the other
-modules share live here too: ``class_pairs`` pairs boxes for fusion and
-evaluation, ``DetectionBox.from_columns`` builds a frames file's boxes with
-the constructor's checks and stores, and ``score_order`` sorts by score.
+order; tests hold it to ``iou_3d`` bit for bit.
+
+``BoxTable`` holds the boxes of many frames as columns.  It is the one form
+in which frames are loaded, paired, fused, scored and written; a
+``{frame_id: [DetectionBox]}`` mapping, the public API's form, goes in
+through ``BoxTable.from_frames`` and comes out through ``BoxTable.frames``.
+A table's ``sort_rank`` stands for ``sort_key`` (equal keys, equal ranks),
+so orders and the kernel's canonical swap compare integers, not tuples.
+``value_fault`` states the constructor's value rules over whole columns,
+and ``class_pairs`` lists the same-frame, same-class pairs that fusion and
+evaluation match from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -89,32 +98,9 @@ class DetectionBox:
             vx, vy = velocity
             if not (isfinite(vx) and isfinite(vy)):
                 raise ValueError("velocity components must be finite")
-            velocity = (vx, vy)
-        _store(self, (x, y, z), (length, width, height), yaw, class_label, score, source, velocity)
-
-    @classmethod
-    def from_columns(cls, center, size, yaw, class_label, score, source, velocity):
-        """``[DetectionBox(*row) for row in zip(center, ..., velocity)]``, each check a
-        whole column at once, or None if the constructor would refuse any row (build
-        the rows one by one to learn which, and why)."""
-        n = len(center)
-        planar = [v for v in velocity if v is not None]
-        numbers = [*chain.from_iterable(center), *chain.from_iterable(size), *yaw, *score,
-                   *chain.from_iterable(planar)]
-        try:
-            if not ({3}.issuperset(map(len, chain(center, size)))
-                    and {2}.issuperset(map(len, planar))
-                    and all(map(math.isfinite, numbers))
-                    and min(numbers[3 * n:6 * n], default=1) > 0  # the sizes, 3 a row
-                    and 0 <= min(score, default=0) and max(score, default=0) <= 1
-                    and {*CLASSES}.issuperset(class_label) and {*SOURCES}.issuperset(source)):
-                return None
-        except (TypeError, OverflowError):  # a non-number, or an integer past the float range
-            return None
-        new = object.__new__
-        return [_store(new(cls), c, s, y, lab, sc, src, v)
-                for c, s, y, lab, sc, src, v in zip(center, size, yaw, class_label, score,
-                                                     source, velocity)]
+            velocity = (float(vx), float(vy))
+        _store(self, (float(x), float(y), float(z)), (float(length), float(width), float(height)),
+               normalize_yaw(float(yaw)), class_label, float(score), source, velocity)
 
     def sort_key(self) -> tuple:
         """Total deterministic order used for canonical tie-breaking."""
@@ -123,23 +109,155 @@ class DetectionBox:
 
 
 def _store(box, center, size, yaw, class_label, score, source, velocity) -> DetectionBox:
-    """``box`` with the constructor's conversions to float and its stores made: one
-    per field, in field order, so it keeps CPython's key-sharing dict, which
-    ``__dict__.update`` would give up."""
+    """``box`` with its fields stored as given (tuples of floats, a normalized yaw):
+    one store per field, in field order, so it keeps CPython's key-sharing dict,
+    which ``__dict__.update`` would give up."""
     store = object.__setattr__
-    store(box, "center", (float(center[0]), float(center[1]), float(center[2])))
-    store(box, "size", (float(size[0]), float(size[1]), float(size[2])))
-    store(box, "yaw", normalize_yaw(float(yaw)))
+    store(box, "center", center)
+    store(box, "size", size)
+    store(box, "yaw", yaw)
     store(box, "class_label", class_label)
-    store(box, "score", float(score))
+    store(box, "score", score)
     store(box, "source", source)
-    store(box, "velocity", None if velocity is None else (float(velocity[0]), float(velocity[1])))
+    store(box, "velocity", velocity)
     return box
 
 
-def score_order(box: DetectionBox) -> tuple:
-    """Sort key for boxes in descending score order, ties broken by ``sort_key``."""
-    return (-box.score, box.sort_key())
+# Codes of the table's class and source columns, and each code's place in name
+# order, which is how sort_key compares them.
+_CLASS_CODE = {label: k for k, label in enumerate(CLASSES)}
+_SOURCE_CODE = {source: k for k, source in enumerate(SOURCES)}
+_CLASS_RANK = np.argsort(np.argsort(CLASSES)).astype(np.int8)
+_SOURCE_RANK = np.argsort(np.argsort(SOURCES)).astype(np.int8)
+
+
+@dataclass(frozen=True, eq=False)
+class BoxTable:
+    """The boxes of many frames as columns, one row a box.
+
+    Frame ``k`` is ``frame_ids[k]``; its rows are ``offsets[k]:offsets[k + 1]``.
+    ``center`` and ``size`` are (n, 3) and ``velocity`` (n, 2) float arrays;
+    ``yaw`` (normalized, as ``DetectionBox`` stores it) and ``score`` are (n,)
+    floats; ``label`` and ``source`` are codes into ``CLASSES`` and
+    ``SOURCES``; ``has_velocity`` says which rows carry a velocity (the others
+    hold 0).  Every value is a ``DetectionBox`` field's, bit for bit, so a row
+    and the box it stands for write, pair, fuse and score alike.
+    """
+
+    frame_ids: tuple
+    offsets: np.ndarray
+    center: np.ndarray
+    size: np.ndarray
+    yaw: np.ndarray
+    score: np.ndarray
+    label: np.ndarray
+    source: np.ndarray
+    velocity: np.ndarray
+    has_velocity: np.ndarray
+
+    def __len__(self) -> int:
+        return self.yaw.shape[0]
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """Each row's frame index."""
+        return np.repeat(np.arange(len(self.frame_ids), dtype=np.int32), np.diff(self.offsets))
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The per-row arrays, in field order after ``offsets``."""
+        return (self.center, self.size, self.yaw, self.score, self.label, self.source,
+                self.velocity, self.has_velocity)
+
+    @cached_property
+    def sort_rank(self) -> np.ndarray:
+        """Each row's place in ``DetectionBox.sort_key`` order; rows with equal sort
+        keys share one.
+
+        Rows are sorted by center x; only runs of equal x go on to a
+        ``np.lexsort`` over the other keys, so distinct boxes take one argsort.
+        Keys compare as Python compares them: ``-0.0 == 0.0``, and class and
+        source names in string order.
+        """
+        keys = [*self.center.T, *self.size.T, self.yaw, _CLASS_RANK[self.label], self.score,
+                _SOURCE_RANK[self.source]]
+        n = len(self)
+        order = np.argsort(keys[0], kind="stable")
+        first = keys[0][order]
+        tie = first[1:] == first[:-1]
+        if tie.any():
+            run = np.cumsum(np.concatenate(([True], ~tie)))
+            tied = np.concatenate(([False], tie)) | np.concatenate((tie, [False]))
+            rows = order[tied]
+            order[tied] = rows[np.lexsort([*(k[rows] for k in reversed(keys[1:])), run[tied]])]
+        same = np.ones(max(n - 1, 0), dtype=bool)  # each sorted row's key equals the one before
+        for key in keys:
+            ordered = key[order]
+            same &= ordered[1:] == ordered[:-1]
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.concatenate(([0], np.cumsum(~same)))[:n]
+        return rank
+
+    @classmethod
+    def from_frames(cls, frames) -> BoxTable:
+        """The table of a ``{frame_id: boxes}`` mapping, frames in its order."""
+        ids = tuple(frames)
+        boxes = [box for fid in ids for box in frames[fid]]
+        n = len(boxes)
+
+        def floats(name, width=1):
+            values = map(attrgetter(name), boxes)
+            return np.fromiter(chain.from_iterable(values) if width > 1 else values, float,
+                               width * n)
+
+        def codes(name, code):
+            return np.fromiter(map(code.__getitem__, map(attrgetter(name), boxes)), np.int8, n)
+
+        planar = [box.velocity for box in boxes if box.velocity is not None]
+        has_velocity = np.array([box.velocity is not None for box in boxes], dtype=bool)
+        velocity = np.zeros((n, 2))
+        velocity[has_velocity] = np.array(planar, dtype=float).reshape(-1, 2)
+        return cls(ids, np.cumsum([0, *(len(frames[fid]) for fid in ids)]),
+                   floats("center", 3).reshape(n, 3), floats("size", 3).reshape(n, 3),
+                   floats("yaw"), floats("score"), codes("class_label", _CLASS_CODE),
+                   codes("source", _SOURCE_CODE), velocity, has_velocity)
+
+    @staticmethod
+    def concat(a: BoxTable, b: BoxTable) -> BoxTable:
+        """``a``'s frames and rows, then ``b``'s."""
+        return BoxTable(a.frame_ids + b.frame_ids,
+                        np.concatenate((a.offsets, b.offsets[1:] + len(a))),
+                        *map(np.concatenate, zip(a.columns, b.columns)))
+
+    def frames(self) -> dict:
+        """The table as ``{frame_id: boxes}``, each box built as the constructor would."""
+        new = object.__new__
+        velocity = [tuple(v) if has else None
+                    for v, has in zip(self.velocity.tolist(), self.has_velocity.tolist())]
+        boxes = [_store(new(DetectionBox), c, s, y, CLASSES[lab], sc, SOURCES[src], v)
+                 for c, s, y, lab, sc, src, v in zip(
+                     map(tuple, self.center.tolist()), map(tuple, self.size.tolist()),
+                     self.yaw.tolist(), self.label.tolist(), self.score.tolist(),
+                     self.source.tolist(), velocity)]
+        cuts = self.offsets.tolist()
+        return {fid: boxes[cuts[k]:cuts[k + 1]] for k, fid in enumerate(self.frame_ids)}
+
+
+def value_fault(center, size, yaw, score, velocity) -> tuple[int, str] | None:
+    """The first row of box columns that breaks one of ``DetectionBox``'s value
+    rules, with the ``ValueError`` text the constructor gives for it, or None."""
+    rules = [
+        (~(np.isfinite(center).all(axis=1) & np.isfinite(size).all(axis=1)
+           & np.isfinite(yaw) & np.isfinite(score)), "box fields must be finite numbers"),
+        (~(size > 0.0).all(axis=1), "size components must be positive"),
+        (~((score >= 0.0) & (score <= 1.0)), "score must lie in [0, 1], got {}"),
+        (~np.isfinite(velocity).all(axis=1), "velocity components must be finite"),
+    ]
+    bad = np.logical_or.reduce([broken for broken, _ in rules])
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    return row, next(text.format(float(score[row])) for broken, text in rules if broken[row])
 
 
 def footprint(box: DetectionBox) -> list[tuple[float, float]]:
@@ -290,30 +408,30 @@ def _clip_pairs(x, y, clip_x, clip_y):
 def iou_3d_pairs(boxes, ia, ib) -> np.ndarray:
     """``iou_3d(boxes[i], boxes[j])`` for every ``(i, j)`` of ``zip(ia, ib)``, bit for bit.
 
-    The pairs are taken in chunks of ``_CHUNK``, each in one pass that runs
-    iou_3d's steps in its order over every pair at once: the z overlap and
-    circle reject, then, on the pairs left, the canonical ``sort_key`` swap,
-    the clip of the footprints, the shoelace areas and the union.  Numpy's
-    per-element + - * / round as Python floats do and are not fused, and
-    cos, sin and hypot come from ``math`` once per box, so every value is
-    the scalar function's.
+    ``boxes`` is a ``BoxTable``, whose rows ``ia`` and ``ib`` index, or a
+    sequence of boxes, which is made one.  The pairs are taken in chunks of
+    ``_CHUNK``, each in one pass that runs iou_3d's steps in its order over
+    every pair at once: the z overlap and circle reject, then, on the pairs
+    left, the canonical swap (the row of lower ``sort_rank`` is the subject,
+    as the box of lower ``sort_key`` is in iou_3d), the clip of the
+    footprints, the shoelace areas and the union.  Numpy's per-element
+    + - * / round as Python floats do and are not fused, and cos, sin and
+    hypot come from ``math`` once per box, so every value is the scalar
+    function's.
     """
+    table = boxes if isinstance(boxes, BoxTable) else BoxTable.from_frames({"": list(boxes)})
     ia = np.asarray(ia, dtype=np.intp)
     ib = np.asarray(ib, dtype=np.intp)
     iou = np.zeros(ia.shape[0])
     if not ia.shape[0]:
         return iou
     with np.errstate(all="ignore"):  # iou_3d's float arithmetic overflows without a word
-        n = len(boxes)
-        center = np.fromiter(chain.from_iterable(b.center for b in boxes), float, 3 * n)
-        size = np.fromiter(chain.from_iterable(b.size for b in boxes), float, 3 * n)
-        center, size = center.reshape(n, 3), size.reshape(n, 3)
-        yaw = [b.yaw for b in boxes]
-        cx, cy, cz = center.T
-        length, width, height = size.T
+        cx, cy, cz = table.center.T
+        length, width, height = table.size.T
         bottom, top = cz - height / 2.0, cz + height / 2.0
         diagonal = np.array(list(map(math.hypot, length.tolist(), width.tolist())))
         # footprint(): corners (hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw).
+        yaw = table.yaw.tolist()
         c = np.array(list(map(math.cos, yaw)))[:, None]
         s = np.array(list(map(math.sin, yaw)))[:, None]
         hl, hw = length / 2.0, width / 2.0
@@ -321,7 +439,8 @@ def iou_3d_pairs(boxes, ia, ib) -> np.ndarray:
         ly = np.column_stack((hw, hw, -hw, -hw))
         fx = cx[:, None] + lx * c - ly * s
         fy = cy[:, None] + lx * s + ly * c
-        volume = _areas(fx, fy, np.full(n, 4)) * height
+        volume = _areas(fx, fy, np.full(len(table), 4)) * height
+        rank = table.sort_rank
 
         step = math.ceil(ia.shape[0] / math.ceil(ia.shape[0] / _CHUNK))  # equal chunks
         for first in range(0, ia.shape[0], step):
@@ -334,9 +453,7 @@ def iou_3d_pairs(boxes, ia, ib) -> np.ndarray:
             far = dx * dx + dy * dy > reach * reach * (1.0 + 1e-9)
             near = np.flatnonzero(~(dz <= 0.0) & ~far)
             a, b, dz = a[near], b[near], dz[near]
-            # The canonical swap: the box with the smaller sort key is the subject.
-            swap = np.array([boxes[j].sort_key() < boxes[i].sort_key()
-                             for i, j in zip(a.tolist(), b.tolist())], dtype=bool)
+            swap = rank[b] < rank[a]
             a, b = np.where(swap, b, a), np.where(swap, a, b)
             inter_bev = _areas(*_clip_pairs(fx[a], fy[a], fx[b], fy[b]))
             inter = inter_bev * dz
@@ -348,12 +465,16 @@ def iou_3d_pairs(boxes, ia, ib) -> np.ndarray:
     return iou
 
 
-def _concat_groups(groups) -> tuple[list[DetectionBox], np.ndarray, np.ndarray]:
-    """The groups' boxes in one list, each box's group number, and each group's
-    first position in the list."""
-    starts = np.cumsum([0, *map(len, groups)])
-    return ([b for group in groups for b in group],
-            np.repeat(np.arange(len(groups)), np.diff(starts)), starts)
+def frame_union(left: BoxTable, right: BoxTable) -> tuple[list, np.ndarray, np.ndarray]:
+    """The frame ids of either table, sorted, and each row's place in that list,
+    for ``left`` and for ``right``: frames of one id line up."""
+    ids = sorted({*left.frame_ids, *right.frame_ids})
+    at = {fid: k for k, fid in enumerate(ids)}
+
+    def rows(table):
+        return np.array([at[fid] for fid in table.frame_ids], dtype=np.intp)[table.frame]
+
+    return ids, rows(left), rows(right)
 
 
 def _same_key_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,27 +487,12 @@ def _same_key_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np
     return i, order[start[i] + np.arange(i.shape[0]) - first[i]]
 
 
-def class_pairs(left_groups, right_groups, keep) -> list[list[tuple[float, int, int]]]:
-    """Per group k, the ``(iou_3d(left_groups[k][i], right_groups[k][j]), i, j)`` of
-    every same-class pair whose IoU ``keep`` accepts, by i and then j.
-
-    ``keep`` maps an array of IoUs to a boolean array.  Every pair of every
-    group goes through one ``iou_3d_pairs`` call, so each IoU is ``iou_3d``'s.
-    """
-    (left, lgroup, lstarts), (right, rgroup, rstarts) = map(_concat_groups,
-                                                            (left_groups, right_groups))
-
-    def keys(group, flat):  # equal for boxes of one group and class, which pair up
-        return group * len(CLASSES) + [CLASSES.index(b.class_label) for b in flat]
-
-    li, ri = _same_key_pairs(keys(lgroup, left), keys(rgroup, right))
-    iou = iou_3d_pairs(left + right, li, ri + len(left))
-    hit = np.flatnonzero(keep(iou))
-    li, ri, group = li[hit], ri[hit], lgroup[li[hit]]
-    pairs = list(zip(iou[hit].tolist(), (li - lstarts[group]).tolist(),
-                     (ri - rstarts[group]).tolist()))
-    cuts = np.searchsorted(group, np.arange(len(left_groups) + 1)).tolist()
-    return [pairs[cuts[k]:cuts[k + 1]] for k in range(len(left_groups))]
+def class_pairs(left: BoxTable, right: BoxTable) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(i, j)`` with row i of ``left`` and row j of ``right`` in frames of
+    one id and of one class, by i and then j: the pairs that fusion and
+    evaluation match from."""
+    _, lu, ru = frame_union(left, right)
+    return _same_key_pairs(lu * len(CLASSES) + left.label, ru * len(CLASSES) + right.label)
 
 
 def center_distance_bev(a: DetectionBox, b: DetectionBox) -> float:

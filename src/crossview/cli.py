@@ -8,11 +8,13 @@ Each stage has one table of settings, {config key: check}, read by one loop
 (``_settings``), and one stage function: a subcommand passes them its
 --config dict and flags (each flag's dest is its config key), and
 ``pipeline`` passes the matching section of its own config.  Every stage
-after visibility takes its inputs as paths and reads them through the
-loaders, so ``pipeline``, which passes the paths its earlier stages wrote,
-writes the same data as the subcommand chain.  The checks are the file
-reader's (``formats``), with its rules and wording: an integer is a JSON
-integer, a number is finite, and an error names the key path, as in
+after visibility reads its inputs through the loaders: the matrix pair
+comes in loaded (a subcommand loads its --lidar and --radar, ``pipeline``
+loads the pair its visibility stage wrote, once for all its configs[]),
+and other inputs as paths, so ``pipeline`` writes the same data as the
+subcommand chain.  The checks are the file reader's (``formats``), with its
+rules and wording: an integer is a JSON integer, a number is finite, and an
+error names the key path, as in
 ``budget: expected a finite number, got inf``; but a bad config value or
 key exits 4, a malformed file 3.
 
@@ -62,7 +64,6 @@ from .formats import (
     cannot_write,
     coverage_from_record,
     file_sha256,
-    load_frame_pairs,
     load_frames,
     load_matrix,
     load_report,
@@ -77,7 +78,7 @@ from .formats import (
     save_solution,
     write_atomic,
 )
-from .fusion import FusionConfig, fuse_frames
+from .fusion import FusionConfig, fuse_late
 from .lp_export import export_milp
 from .metrics import MATCHING_MODES, check_threshold, evaluate_map
 from .placement import (
@@ -285,9 +286,8 @@ def _optimize_settings(config: dict, args=None) -> dict:
     return settings
 
 
-def _optimize_stage(lidar_path, radar_path, settings: dict, path, manifest: str):
+def _optimize_stage(lf: MatrixFile, rf: MatrixFile, settings: dict, path, manifest: str):
     """Solve the placement problem over the two matrix files and save its solution file."""
-    lf, rf = _load_matrix_pair(lidar_path, radar_path)
     solution = SOLVERS[settings["solver"]](_problem_from_files(lf, rf, settings))
     lidar_ids, radar_ids = solution.selection.canonical_key()
     sol_file = SolutionFile(
@@ -310,7 +310,8 @@ def _optimize_stage(lidar_path, radar_path, settings: dict, path, manifest: str)
 def cmd_optimize(args) -> int:
     run = _Run(args, _OPTIMIZE_CHECKS)
     settings = _optimize_settings(run.config, args)
-    sol_file = run.stage(partial(_optimize_stage, args.lidar, args.radar, settings, args.out),
+    lf, rf = _load_matrix_pair(args.lidar, args.radar)
+    sol_file = run.stage(partial(_optimize_stage, lf, rf, settings, args.out),
                          [args.lidar, args.radar], [args.out])
     print(f"objective {sol_file.objective:.9g} ({'optimal' if sol_file.optimal else 'heuristic'})")
     for modality, names in ((LIDAR, sol_file.lidar_candidate_ids),
@@ -320,9 +321,8 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _export_milp_stage(lidar_path, radar_path, settings: dict, path, manifest: str):
+def _export_milp_stage(lf: MatrixFile, rf: MatrixFile, settings: dict, path, manifest: str):
     """Save the placement problem over the two matrix files as LP text (no manifest field)."""
-    lf, rf = _load_matrix_pair(lidar_path, radar_path)
     text = export_milp(_problem_from_files(lf, rf, settings))
     write_atomic(path, text.encode("utf-8"))
     return text, {k: settings[k] for k in ("budget", "budget_mode", "seen_threshold")}
@@ -331,7 +331,8 @@ def _export_milp_stage(lidar_path, radar_path, settings: dict, path, manifest: s
 def cmd_export_milp(args) -> int:
     run = _Run(args, _OPTIMIZE_CHECKS.keys() - {"solver"})  # the model is the same for every solver
     settings = _optimize_settings(run.config, args)
-    text = run.stage(partial(_export_milp_stage, args.lidar, args.radar, settings, args.out),
+    lf, rf = _load_matrix_pair(args.lidar, args.radar)
+    text = run.stage(partial(_export_milp_stage, lf, rf, settings, args.out),
                      [args.lidar, args.radar], [args.out])
     print(f"wrote {args.out} ({len(text.splitlines())} lines)")
     return 0
@@ -370,10 +371,9 @@ def _load_selection(path, lf: MatrixFile, rf: MatrixFile):
     return problem, selection
 
 
-def _coverage_stage(lidar_path, radar_path, solution_path, name: str, settings: dict, path,
-                    manifest: str):
+def _coverage_stage(lf: MatrixFile, rf: MatrixFile, solution_path, name: str, settings: dict,
+                    path, manifest: str):
     """Score the solution file's coverage over the two matrix files and save its report."""
-    lf, rf = _load_matrix_pair(lidar_path, radar_path)
     problem, selection = _load_selection(solution_path, lf, rf)
     report = coverage_report(problem, selection, config_name=name, **settings)
     save_report(path, "coverage", report.to_record(), manifest)
@@ -384,8 +384,8 @@ def cmd_coverage(args) -> int:
     run = _Run(args, _COVERAGE_CHECKS)
     settings = _settings(_COVERAGE_CHECKS, run.config, args)
     name = settings.pop("name", Path(args.solution).stem)
-    report = run.stage(partial(_coverage_stage, args.lidar, args.radar, args.solution, name,
-                               settings, args.out),
+    lf, rf = _load_matrix_pair(args.lidar, args.radar)
+    report = run.stage(partial(_coverage_stage, lf, rf, args.solution, name, settings, args.out),
                        [args.lidar, args.radar, args.solution], [args.out])
     print(f"{name}: coverage {report.central_coverage:.1%}"
           f" ({report.covered_cells}/{report.total_roi_cells}),"
@@ -439,11 +439,10 @@ def _boxes(frames: dict) -> int:
     return sum(map(len, frames.values()))
 
 
-def _simulate_stage(scene, digest: str, lidar_path, radar_path, solution_path,
+def _simulate_stage(scene, digest: str, lf: MatrixFile, rf: MatrixFile, solution_path,
                     scenario_cfg: ScenarioConfig, paths, manifest: str):
     """Simulate traffic and detections for the solution file over the two matrix
     files; save the truth, lidar and radar frames."""
-    lf, rf = _load_matrix_pair(lidar_path, radar_path)
     if lf.scene_hash != digest:
         _warn("matrices were not built from this scene file")
     if lf.cells != tuple(scene.roi.sorted_cells()):
@@ -460,8 +459,9 @@ def cmd_simulate(args) -> int:
     scenario_cfg = ScenarioConfig(**_settings(_SCENARIO_CHECKS, run.config, args))
     scene, digest = _checked_scene(args.scene)
     outputs = [args.out_truth, args.out_lidar, args.out_radar]
-    result = run.stage(partial(_simulate_stage, scene, digest, args.lidar, args.radar,
-                               args.solution, scenario_cfg, outputs),
+    lf, rf = _load_matrix_pair(args.lidar, args.radar)
+    result = run.stage(partial(_simulate_stage, scene, digest, lf, rf, args.solution,
+                               scenario_cfg, outputs),
                        [args.scene, args.lidar, args.radar, args.solution], outputs)
     print(f"simulated {scenario_cfg.duration_frames} frames: {_boxes(result.ground_truth)} truth,"
           f" {_boxes(result.lidar)} lidar, {_boxes(result.radar)} radar boxes")
@@ -474,11 +474,11 @@ _FUSION_CHECKS = {"iou_threshold": _number}
 def _fuse_stage(lidar_path, radar_path, fusion_cfg: FusionConfig, path, manifest: str):
     """Late-fuse every frame id present in either frames file; save the fused
     frames.  Its result is the number of boxes read and written."""
-    lidar = load_frames(lidar_path)
-    radar = load_frames(radar_path)
-    fused = fuse_frames(lidar, radar, fusion_cfg)
+    lidar = load_frames(lidar_path, as_table=True)
+    radar = load_frames(radar_path, as_table=True)
+    fused = fuse_late(lidar, radar, fusion_cfg)
     save_frames(path, fused, manifest)
-    return (_boxes(lidar) + _boxes(radar), _boxes(fused)), asdict(fusion_cfg)
+    return (len(lidar) + len(radar), len(fused)), asdict(fusion_cfg)
 
 
 def cmd_fuse(args) -> int:
@@ -514,7 +514,8 @@ def _evaluate_stage(truth_path, predictions_path, settings: dict, baseline, path
     classes, and its evaluation report record, saved to ``path`` if that is
     set.  ``baseline`` (a report's name, mAP and per-class APs), if set, adds
     the deltas against that report.  The settings used have defaults filled in."""
-    result = evaluate_map(load_frame_pairs(truth_path, predictions_path), **settings)
+    tables = (load_frames(truth_path, as_table=True), load_frames(predictions_path, as_table=True))
+    result = evaluate_map(tables, **settings)
     record = {"matching_mode": result.matching_mode, "mean_ap": result.mean_ap, "per_class": {
         label: {"ap": r.ap, "threshold": r.threshold, "num_gt": r.num_gt,
                 "num_predictions": r.num_predictions}
@@ -628,14 +629,16 @@ def cmd_pipeline(args) -> int:
     def stage(manifest: str):
         """The subcommand chain for each configs[] entry, then the summary report."""
         _visibility_stage(scene, digest, vis_cfg, workers, matrices, manifest)
+        # Read back once, as the subcommands read the files: their values are the printed ones.
+        lf, rf = _load_matrix_pair(*matrices)
         reports, rows, used = [], [], []
         for name, optimize, coverage, scenario_cfg, paths in zip(
                 names, settings, coverages, scenario_cfgs, files):
             sol_path, cov_path, truth, lidar, radar, fused_path, eval_path = paths
-            solution, optimize_used = _optimize_stage(*matrices, optimize, sol_path, manifest)
-            report, coverage_used = _coverage_stage(*matrices, sol_path, name, coverage,
-                                                    cov_path, manifest)
-            _, scenario_used = _simulate_stage(scene, digest, *matrices, sol_path, scenario_cfg,
+            solution, optimize_used = _optimize_stage(lf, rf, optimize, sol_path, manifest)
+            report, coverage_used = _coverage_stage(lf, rf, sol_path, name, coverage, cov_path,
+                                                    manifest)
+            _, scenario_used = _simulate_stage(scene, digest, lf, rf, sol_path, scenario_cfg,
                                                (truth, lidar, radar), manifest)
             _fuse_stage(lidar, radar, fusion_cfg, fused_path, manifest)
             (result, _), evaluation_used = _evaluate_stage(truth, fused_path, evaluation, None,

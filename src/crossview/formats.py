@@ -24,11 +24,15 @@ malformed numbers all raise ParseError naming the offending part as
 ``<file>.<path>``, a list entry by its index.  Every JSON record is a
 ``{field: check}`` table read by one loop, ``_record``; only the boxes of a
 frames file, the hot path of re-scoring, have a hand-written reader, and
-matrix bodies are text rows.  That reader checks a file's box records in
-bulk, a column at a time: their JSON shapes here, the constructor's checks
-in ``DetectionBox.from_columns``.  A file it has any doubt about goes
-through the record loop, which names the first fault, so every message is
-the record loop's.
+matrix bodies are text rows.  That reader builds a ``boxes.BoxTable`` and no
+``DetectionBox``: it checks a file's box records a column at a time, their
+JSON shapes here and the constructor's value rules through
+``boxes.value_fault``.  A file it has any doubt about goes through the record
+loop, which names the first fault, so every message is the record loop's.
+``save_frames`` writes a table's rows as records; a ``{frame_id: boxes}``
+mapping is ordered as a table and written as its boxes' instance dicts.
+``load_frames`` returns the table itself (``as_table``) or turns it into
+boxes.
 
 The scene table ``_SCENE`` is the one statement of a scene's fields: a file
 is read through it by ``load_scene``, and a scene built in Python, as
@@ -52,7 +56,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import DetectionBox, score_order
+from .boxes import (
+    _CLASS_CODE,
+    _SOURCE_CODE,
+    CLASSES,
+    SOURCES,
+    BoxTable,
+    DetectionBox,
+    normalize_yaw,
+    value_fault,
+)
 from .coverage import CoverageReport
 from .metrics import FramePair, pair_frames
 from .placement import BUDGET_MODES
@@ -624,6 +637,8 @@ _JSON_NUMBERS = frozenset({int, float})
 _BOX_REQUIRED = frozenset({"center", "size", "yaw", "class_label", "score", "source"})
 _BOX_KEYS = _BOX_REQUIRED | {"velocity"}
 _FRAME_KEYS = frozenset({"frame_id", "boxes"})
+_CLASS_NAMES = np.array(CLASSES, dtype=object)
+_SOURCE_NAMES = np.array(SOURCES, dtype=object)
 
 
 def _is_numbers(value, n: int) -> bool:
@@ -657,26 +672,56 @@ def _box_from_record(rec) -> DetectionBox:
         raise ParseError(f": {exc}") from exc
 
 
-def save_frames(path, frames: dict[str, list[DetectionBox]], manifest: str | None = None) -> None:
-    if bad := [fid for fid in frames if not isinstance(fid, str)]:  # the loader reads strings
-        raise TypeError(f"frames: frame id {bad[0]!r} is not a string")
-    # A box's instance dict is its record: its seven fields, tuples and floats.
-    records = [{"boxes": [vars(box) for box in sorted(frames[frame_id], key=score_order)],
-                "frame_id": frame_id}
-               for frame_id in sorted(frames)]
+def _frame_records(table: BoxTable, boxes: list[DetectionBox] | None = None) -> list[dict]:
+    """A table's frames as file records: frames by id, each frame's boxes by
+    descending score, ties by ``sort_key``, and rows tied on both in table order.
+    ``boxes``, if given, are the table's rows as boxes, and a box's instance
+    dict is its record: its seven fields, tuples and floats."""
+    frames = sorted(range(len(table.frame_ids)), key=table.frame_ids.__getitem__)
+    at = np.empty(len(frames), dtype=np.intp)
+    at[frames] = np.arange(len(frames))
+    order = np.lexsort((table.sort_rank, -table.score, at[table.frame]))
+    if boxes is not None:
+        records = list(map(vars, map(boxes.__getitem__, order.tolist())))
+    else:
+        velocity = [None] * len(order)
+        moving = np.flatnonzero(table.has_velocity[order])
+        for k, v in zip(moving.tolist(), table.velocity[order[moving]].tolist()):
+            velocity[k] = v
+        records = [{"center": c, "class_label": label, "score": score, "size": size,
+                    "source": source, "velocity": v, "yaw": yaw}
+                   for c, size, yaw, score, label, source, v in zip(
+                       table.center[order].tolist(), table.size[order].tolist(),
+                       table.yaw[order].tolist(), table.score[order].tolist(),
+                       _CLASS_NAMES[table.label[order]].tolist(),
+                       _SOURCE_NAMES[table.source[order]].tolist(), velocity)]
+    cuts = [0, *accumulate(np.diff(table.offsets)[frames].tolist())]
+    return [{"boxes": records[cuts[k]:cuts[k + 1]], "frame_id": table.frame_ids[frame]}
+            for k, frame in enumerate(frames)]
+
+
+def save_frames(path, frames, manifest: str | None = None) -> None:
+    """Write ``frames``, a ``{frame_id: boxes}`` mapping or a ``BoxTable``."""
+    if isinstance(frames, BoxTable):
+        records = _frame_records(frames)
+    else:
+        if bad := [fid for fid in frames if not isinstance(fid, str)]:  # the loader reads strings
+            raise TypeError(f"frames: frame id {bad[0]!r} is not a string")
+        records = _frame_records(BoxTable.from_frames(frames),
+                                 [box for boxes in frames.values() for box in boxes])
     payload: dict = {"frames": records}
     if manifest is not None:
         payload["manifest"] = manifest
     _write_artifact(path, FRAMES_MAGIC, _json_body(payload))
 
 
-def _frames_in_bulk(frames: list) -> dict[str, list[DetectionBox]] | None:
-    """The boxes of a frames list built column by column, or None on any doubt.
+def _frames_table(frames: list) -> BoxTable | None:
+    """The table of a frames list, checked a column at a time, or None on any doubt.
 
-    The JSON shapes are checked here over the whole file at once, and
-    ``DetectionBox.from_columns`` runs the constructor's checks the same
-    way; a file that either does not pass (a fault, or a box record without
-    all seven fields) goes to the record loop, which names the first fault.
+    The JSON shapes are checked over the whole file at once, and then the
+    constructor's value rules through ``value_fault``; a file that does
+    not pass (a fault, or a box record without all seven fields) goes to
+    the record loop, which names the first fault.
     """
     if set(map(type, frames)) - {dict} or any(f.keys() != _FRAME_KEYS for f in frames):
         return None
@@ -691,28 +736,50 @@ def _frames_in_bulk(frames: list) -> dict[str, list[DetectionBox]] | None:
         columns = [list(map(itemgetter(f.name), records)) for f in fields(DetectionBox)]
     except KeyError:
         return None
-    center, size, yaw, _, score, _, velocity = columns
+    center, size, yaw, labels, score, sources, velocity = columns
     planar = [v for v in velocity if v is not None]
-    if not ({list}.issuperset(map(type, chain(center, size, planar)))
-            and _JSON_NUMBERS.issuperset(map(type, chain(chain.from_iterable(center), yaw, score,
-                                                         chain.from_iterable(size + planar))))):
+    n = len(records)
+    try:  # an unhashable name, or an integer past the float range
+        if not ({list}.issuperset(map(type, chain(center, size, planar)))
+                and {3}.issuperset(map(len, chain(center, size)))
+                and {2}.issuperset(map(len, planar))
+                and _JSON_NUMBERS.issuperset(map(type, chain(
+                    chain.from_iterable(center), yaw, score, chain.from_iterable(size + planar))))
+                and _CLASS_CODE.keys() >= set(labels) and _SOURCE_CODE.keys() >= set(sources)):
+            return None
+        has_velocity = np.array([v is not None for v in velocity], dtype=bool)
+        moving = np.zeros((n, 2))
+        moving[has_velocity] = np.fromiter(chain.from_iterable(planar), float,
+                                           2 * len(planar)).reshape(-1, 2)
+        table = BoxTable(
+            tuple(ids), np.array([0, *accumulate(map(len, lists))]),
+            np.fromiter(chain.from_iterable(center), float, 3 * n).reshape(n, 3),
+            np.fromiter(chain.from_iterable(size), float, 3 * n).reshape(n, 3),
+            np.fromiter(map(normalize_yaw, map(float, yaw)), float, n),
+            np.fromiter(score, float, n),
+            np.fromiter(map(_CLASS_CODE.__getitem__, labels), np.int8, n),
+            np.fromiter(map(_SOURCE_CODE.__getitem__, sources), np.int8, n),
+            moving, has_velocity)
+    except (TypeError, OverflowError):
         return None
-    boxes = DetectionBox.from_columns(*columns)
-    if boxes is None:
+    # An infinite yaw normalizes to nan, which the finiteness rule refuses too.
+    if value_fault(table.center, table.size, table.yaw, table.score, table.velocity) is not None:
         return None
-    starts = list(accumulate(map(len, lists), initial=0))
-    return {fid: boxes[starts[k]:starts[k + 1]] for k, fid in enumerate(ids)}
+    return table
 
 
-def load_frames(path) -> dict[str, list[DetectionBox]]:
+def load_frames(path, *, as_table: bool = False) -> dict[str, list[DetectionBox]] | BoxTable:
+    """A frames file as ``{frame_id: boxes}``, or with ``as_table`` as a
+    ``BoxTable``, which builds no box; a malformed file is a ParseError
+    naming its first fault."""
     payload = _load_document(path, FRAMES_MAGIC)[0]
     where = str(path)
     _require_keys(payload, {"frames"}, {"manifest"}, where)
     if not isinstance(payload["frames"], list):
         raise ParseError(f"{where}: frames must be a list")
-    out = _frames_in_bulk(payload["frames"])
-    if out is not None:
-        return out
+    table = _frames_table(payload["frames"])
+    if table is not None:
+        return table if as_table else table.frames()
     out = {}
     for k, rec in enumerate(payload["frames"]):
         boxes = None
@@ -734,7 +801,7 @@ def load_frames(path) -> dict[str, list[DetectionBox]]:
             at = "" if boxes is None else f".boxes[{len(boxes)}]"
             raise ParseError(f"{where}.frames[{k}]{at}{exc}") from exc
         out[frame_id] = boxes
-    return out
+    return BoxTable.from_frames(out) if as_table else out
 
 
 def load_frame_pairs(ground_truth_path, predictions_path) -> list[FramePair]:

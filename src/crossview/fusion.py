@@ -6,9 +6,14 @@ contributes the velocity estimate.  Unmatched detections from either side
 pass through untouched, so every input box is accounted for exactly once:
 len(output) == len(lidar) + len(radar) - matches.
 
-``fuse_frames`` fuses a whole file's frames, taking every frame's
-same-class pairs and their IoUs from one ``boxes.class_pairs`` call, which
-gives ``iou_3d``'s values bit for bit, and hands each frame its pairs.
+``fuse_late`` fuses either one frame's box lists or every frame of two
+``BoxTable``s at once.  A table's same-class pairs come from
+``boxes.class_pairs`` and their IoUs from one ``iou_3d_pairs`` call, one
+``np.lexsort`` puts them in greedy order, and the matches merge in one batch
+with ``math``'s sin, cos and atan2 per element.  Box lists go through the
+same code as one-frame tables, but take each pair's IoU from ``iou_3d``,
+which gives the kernel's bits and is the call the benchmark's tracer
+counts; ``fuse_frames`` fuses a ``{frame_id: boxes}`` mapping as a table.
 """
 
 from __future__ import annotations
@@ -16,8 +21,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boxes import DetectionBox, class_pairs, iou_3d, normalize_yaw, score_order
+import numpy as np
+
+from .boxes import (
+    SOURCES,
+    BoxTable,
+    DetectionBox,
+    class_pairs,
+    frame_union,
+    iou_3d,
+    iou_3d_pairs,
+    normalize_yaw,
+    value_fault,
+)
 from .scene import LIDAR, RADAR
+
+_FUSED = SOURCES.index("fused")
 
 
 @dataclass(frozen=True)
@@ -31,89 +50,107 @@ class FusionConfig:
             raise ValueError("iou_threshold must lie in (0, 1]")
 
 
-def _weights(a: DetectionBox, b: DetectionBox) -> tuple[float, float]:
-    total = a.score + b.score
-    if total == 0.0:
-        return 0.5, 0.5
-    return a.score / total, b.score / total
+def _source_fault(lidar: BoxTable, radar: BoxTable, lu, ru) -> tuple[int, str] | None:
+    """The first frame, in id order, holding a box of the wrong source, and
+    the error for its first such box, lidar checked first; None if there is none."""
+    faults = []
+    for name, table, frame, source in (("lidar", lidar, lu, LIDAR), ("radar", radar, ru, RADAR)):
+        bad = np.flatnonzero(table.source != SOURCES.index(source))
+        if bad.size:
+            row = bad[np.argmin(frame[bad])]
+            faults.append((int(frame[row]),
+                           f"{name}_detections contains a {SOURCES[table.source[row]]!r} box"))
+    return min(faults, key=lambda fault: fault[0]) if faults else None
 
 
-def _merge(lidar_box: DetectionBox, radar_box: DetectionBox) -> DetectionBox:
-    wl, wr = _weights(lidar_box, radar_box)
-    center = tuple(
-        wl * lc + wr * rc for lc, rc in zip(lidar_box.center, radar_box.center)
-    )
-    size = tuple(wl * ls + wr * rs for ls, rs in zip(lidar_box.size, radar_box.size))
-    # Circular mean keeps the merged heading sane across the +-pi seam.
-    sin_sum = wl * math.sin(lidar_box.yaw) + wr * math.sin(radar_box.yaw)
-    cos_sum = wl * math.cos(lidar_box.yaw) + wr * math.cos(radar_box.yaw)
-    yaw = normalize_yaw(math.atan2(sin_sum, cos_sum))
-    return DetectionBox(
-        center=center,
-        size=size,
-        yaw=yaw,
-        class_label=lidar_box.class_label,
-        score=max(lidar_box.score, radar_box.score),
-        source="fused",
-        velocity=radar_box.velocity,
-    )
+def _merge(both: BoxTable, l: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
+    """The ``BoxTable.columns`` of the boxes that lidar rows ``l`` and radar rows
+    ``r`` merge into, each value computed as one pair's merge computes it."""
+    ls, rs = both.score[l], both.score[r]
+    total = ls + rs
+    with np.errstate(all="ignore"):  # a zero total, and overflow, which the caller refuses
+        wl = np.where(total == 0.0, 0.5, ls / total)
+        wr = np.where(total == 0.0, 0.5, rs / total)
+        center = wl[:, None] * both.center[l] + wr[:, None] * both.center[r]
+        size = wl[:, None] * both.size[l] + wr[:, None] * both.size[r]
+        # Circular mean keeps the merged heading sane across the +-pi seam.
+        ly, ry = both.yaw[l].tolist(), both.yaw[r].tolist()
+        sin_sum = wl * np.array(list(map(math.sin, ly))) + wr * np.array(list(map(math.sin, ry)))
+        cos_sum = wl * np.array(list(map(math.cos, ly))) + wr * np.array(list(map(math.cos, ry)))
+    # Normalized twice: once as merged, once as DetectionBox stores a yaw.
+    yaw = [normalize_yaw(normalize_yaw(math.atan2(s, c)))
+           for s, c in zip(sin_sum.tolist(), cos_sum.tolist())]
+    return [center, size, np.array(yaw, dtype=float), np.where(rs > ls, rs, ls),  # max(l, r)
+            both.label[l], np.full(l.shape[0], _FUSED, dtype=both.source.dtype),
+            both.velocity[r], both.has_velocity[r]]
+
+
+def _fuse(lidar: BoxTable, radar: BoxTable, config: FusionConfig | None, measure) -> BoxTable:
+    """Fuse every frame id of either table; ``measure(both, ia, ib)`` gives the
+    IoU of rows ``ia`` and ``ib`` of the two tables' rows, lidar first."""
+    config = config or FusionConfig()
+    ids, lu, ru = frame_union(lidar, radar)
+    n = len(lidar)
+    both = BoxTable.concat(lidar, radar)
+    frame = np.concatenate((lu, ru))
+    li, ri = class_pairs(lidar, radar)
+    ri = ri + n
+    iou = np.asarray(measure(both, li, ri), dtype=float)
+    hit = np.flatnonzero(iou >= config.iou_threshold)
+    li, ri, iou = li[hit], ri[hit], iou[hit]
+    # Frame by frame, pairs by descending IoU, then by sort_key and index.
+    rank = both.sort_rank
+    order = np.lexsort((ri, li, rank[ri], rank[li], -iou, frame[li]))
+    used: set[int] = set()
+    matched = []
+    for i, j in zip(li[order].tolist(), ri[order].tolist()):
+        if i not in used and j not in used:
+            used.update((i, j))
+            matched.append((i, j))
+    ml, mr = np.array(matched, dtype=np.intp).reshape(-1, 2).T
+    merged = _merge(both, ml, mr)
+    center, size, yaw, score, _, _, velocity, _ = merged
+
+    source_fault = _source_fault(lidar, radar, lu, ru)
+    merge_fault = value_fault(center, size, yaw, score, velocity)
+    if merge_fault is not None:
+        row, text = merge_fault
+        # Frames are fused in id order, each after its sources are checked.
+        if source_fault is None or frame[ml[row]] < source_fault[0]:
+            raise ValueError(text)
+    if source_fault is not None:
+        raise ValueError(source_fault[1])
+
+    rest = np.ones(len(both), dtype=bool)
+    rest[ml] = rest[mr] = False
+    rest = np.flatnonzero(rest)
+    frame = np.concatenate((frame[ml], frame[rest]))
+    out = BoxTable(("",), np.array([0, frame.shape[0]]),  # every output box, as one frame
+                   *(np.concatenate((m, column[rest])) for m, column in zip(merged, both.columns)))
+    # Each frame in score order; boxes tied on it keep this order: merged
+    # boxes in match order, then unmatched lidar, then unmatched radar.
+    order = np.lexsort((out.sort_rank, -out.score, frame))
+    return BoxTable(tuple(ids), np.searchsorted(frame[order], np.arange(len(ids) + 1)),
+                    *(column[order] for column in out.columns))
 
 
 def fuse_late(
-    lidar_detections: list[DetectionBox],
-    radar_detections: list[DetectionBox],
+    lidar_detections: list[DetectionBox] | BoxTable,
+    radar_detections: list[DetectionBox] | BoxTable,
     config: FusionConfig | None = None,
-    pairs: list[tuple[float, int, int]] | None = None,
-) -> list[DetectionBox]:
-    """Fuse one frame of detections; returns boxes sorted by score.
+) -> list[DetectionBox] | BoxTable:
+    """Fuse one frame of detections, returned sorted by score; or, given two
+    tables, every frame id present in either, in id order, each frame's boxes
+    in score order, as a table."""
+    if isinstance(lidar_detections, BoxTable):
+        return _fuse(lidar_detections, radar_detections, config, iou_3d_pairs)
+    boxes = [*lidar_detections, *radar_detections]
 
-    ``pairs``, if given, are the ``(iou, lidar index, radar index)`` of every
-    same-class pair whose IoU reaches the threshold, as ``fuse_frames``
-    computes them; otherwise each pair's ``iou_3d`` is taken here.
-    """
-    config = config or FusionConfig()
-    for box in lidar_detections:
-        if box.source != LIDAR:
-            raise ValueError(f"lidar_detections contains a {box.source!r} box")
-    for box in radar_detections:
-        if box.source != RADAR:
-            raise ValueError(f"radar_detections contains a {box.source!r} box")
+    def measure(_, ia, ib):
+        return [iou_3d(boxes[i], boxes[j]) for i, j in zip(ia.tolist(), ib.tolist())]
 
-    if pairs is None:
-        pairs = []
-        for li, lbox in enumerate(lidar_detections):
-            for ri, rbox in enumerate(radar_detections):
-                if lbox.class_label != rbox.class_label:
-                    continue
-                iou = iou_3d(lbox, rbox)
-                if iou >= config.iou_threshold:
-                    pairs.append((iou, li, ri))
-    pairs = sorted(
-        pairs,
-        key=lambda p: (
-            -p[0],
-            lidar_detections[p[1]].sort_key(),
-            radar_detections[p[2]].sort_key(),
-            p[1],
-            p[2],
-        )
-    )
-
-    used_l: set[int] = set()
-    used_r: set[int] = set()
-    fused: list[DetectionBox] = []
-    for _, li, ri in pairs:
-        if li in used_l or ri in used_r:
-            continue
-        used_l.add(li)
-        used_r.add(ri)
-        fused.append(_merge(lidar_detections[li], radar_detections[ri]))
-
-    out = fused
-    out += [b for i, b in enumerate(lidar_detections) if i not in used_l]
-    out += [b for i, b in enumerate(radar_detections) if i not in used_r]
-    out.sort(key=score_order)
-    return out
+    sides = [BoxTable.from_frames({"": side}) for side in (lidar_detections, radar_detections)]
+    return _fuse(*sides, config, measure).frames()[""]
 
 
 def fuse_frames(
@@ -123,8 +160,4 @@ def fuse_frames(
 ) -> dict[str, list[DetectionBox]]:
     """``fuse_late`` for every frame id in either map, in id order, with one
     IoU kernel call over every same-class pair of every frame."""
-    config = config or FusionConfig()
-    ids = sorted(set(lidar) | set(radar))
-    sides = [[side.get(fid, []) for fid in ids] for side in (lidar, radar)]
-    pairs = class_pairs(*sides, lambda iou: iou >= config.iou_threshold)
-    return {fid: fuse_late(l, r, config, pairs=p) for fid, l, r, p in zip(ids, *sides, pairs)}
+    return fuse_late(BoxTable.from_frames(lidar), BoxTable.from_frames(radar), config).frames()

@@ -6,22 +6,27 @@ score order, each ground-truth box usable once.  Matches can be judged by
 101-point interpolated area under the precision-recall curve; classes with
 no ground truth anywhere have undefined AP and are skipped by the mean.
 
-In IoU mode an evaluation takes every nonzero IoU it may need, of every
-same-class prediction and truth pair of every frame, from one
-``boxes.class_pairs`` call, which gives ``iou_3d``'s values bit for bit,
-and scores each class from that table.
+``evaluate_map`` and ``evaluate_ap`` take frame pairs, or a
+``(ground_truth, predictions)`` pair of ``BoxTable``s, frames joined on id,
+and score both through one matcher on tables.  Groups (a class in a frame)
+are orders of one ``np.lexsort`` over class, frame, score and
+``sort_rank``; the candidate pairs come from ``boxes.class_pairs``, with
+IoUs from one ``iou_3d_pairs`` call (bit for bit ``iou_3d``) or center
+distances from ``math.hypot`` per pair, which numpy's hypot does not
+reproduce.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# iou_3d is the per-pair definition that class_pairs reproduces; the benchmark's
-# tracer counts calls through this module's binding.
-from .boxes import CLASSES, DetectionBox, center_distance_bev, iou_3d  # noqa: F401
-from .boxes import class_pairs, score_order
+# iou_3d is the per-pair definition that iou_3d_pairs reproduces; the benchmark's
+# tracer looks for this module's binding.
+from .boxes import CLASSES, BoxTable, DetectionBox, iou_3d  # noqa: F401
+from .boxes import class_pairs, frame_union, iou_3d_pairs
 
 DEFAULT_IOU_THRESHOLDS = {
     "car": 0.5,
@@ -87,70 +92,6 @@ def _check_frames(frames: list[FramePair]) -> None:
         raise ValueError("frame ids must be unique across the evaluation set")
 
 
-def _groups(frames: list[FramePair], classes) -> list[tuple[str, str, list, list]]:
-    """Class by class and frame by frame: the class, the frame id, the frame's
-    predictions of the class in descending score order and its truth of the
-    class in ``sort_key`` order."""
-    out = []
-    for label in classes:
-        for frame in frames:
-            preds = [b for b in frame.predictions if b.class_label == label]
-            gts = [b for b in frame.ground_truth if b.class_label == label]
-            preds.sort(key=score_order)
-            gts.sort(key=lambda b: b.sort_key())
-            out.append((label, frame.frame_id, preds, gts))
-    return out
-
-
-def _iou_tables(groups: list[tuple]) -> list[dict[tuple[int, int], float]]:
-    """Per group, (prediction rank, truth rank) -> IoU for each pair whose IoU
-    is nonzero."""
-    pairs = class_pairs([p for _, _, p, _ in groups], [g for _, _, _, g in groups],
-                        lambda iou: iou > 0.0)
-    return [{(p, g): m for m, p, g in group} for group in pairs]
-
-
-def _match_frame(
-    predictions: list[DetectionBox],
-    ground_truth: list[DetectionBox],
-    mode: str,
-    threshold: float,
-    ious: dict[tuple[int, int], float],
-) -> list[bool]:
-    """True/false-positive flags for predictions in score order.
-
-    IoU mode reads each pair's IoU from ``ious``, the frame's nonzero IoUs by
-    (prediction rank, truth rank); a missing pair has IoU 0, which no
-    positive threshold accepts.
-    """
-    taken = [False] * len(ground_truth)
-    flags = []
-    for p, pred in enumerate(predictions):
-        best = -1
-        best_metric = None
-        for g, gt in enumerate(ground_truth):
-            if taken[g]:
-                continue
-            if mode == "iou":
-                m = ious.get((p, g), 0.0)
-                if m < threshold:
-                    continue
-                if best_metric is None or m > best_metric:
-                    best, best_metric = g, m
-            else:
-                m = center_distance_bev(pred, gt)
-                if m > threshold:
-                    continue
-                if best_metric is None or m < best_metric:
-                    best, best_metric = g, m
-        if best >= 0:
-            taken[best] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
-
-
 def _interpolated_ap(recall: np.ndarray, precision: np.ndarray) -> float:
     # Precision envelope from the right, sampled at recall = 0.00 .. 1.00.
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
@@ -179,46 +120,95 @@ def _threshold(class_label: str, matching_mode: str, threshold: float | None) ->
     return check_threshold(threshold)
 
 
-def _evaluate(frames: list[FramePair], thresholds: dict[str, float],
-              matching_mode: str) -> dict[str, APResult]:
-    """AP per class of ``thresholds``; IoU mode measures every pair of every
-    class and frame in one kernel call."""
+def _tables(frames) -> tuple[BoxTable, BoxTable]:
+    """The truth and predictions tables of ``frames``: a pair of tables as it
+    is, frame pairs made tables, their frame ids checked."""
+    if len(frames) == 2 and all(isinstance(side, BoxTable) for side in frames):
+        return frames
     _check_frames(frames)
-    groups = _groups(frames, thresholds)
-    tables = _iou_tables(groups) if matching_mode == "iou" else [{} for _ in groups]
-    per_class: dict[str, list] = {label: [] for label in thresholds}
-    for (label, *group), ious in zip(groups, tables):
-        per_class[label].append((*group, ious))
-    return {label: _ap(label, per_class[label], matching_mode, threshold)
-            for label, threshold in thresholds.items()}
+    return (BoxTable.from_frames({f.frame_id: f.ground_truth for f in frames}),
+            BoxTable.from_frames({f.frame_id: f.predictions for f in frames}))
 
 
-def _ap(class_label, groups, matching_mode, threshold) -> APResult:
-    outcomes = []  # (score, frame_id, rank) -> tp flag
-    num_gt = 0
-    num_pred = 0
-    for frame_id, preds, gts, ious in groups:
-        num_gt += len(gts)
-        num_pred += len(preds)
-        for rank, flag in enumerate(_match_frame(preds, gts, matching_mode, threshold, ious)):
-            outcomes.append((preds[rank].score, frame_id, rank, flag))
+def _positions(order: np.ndarray) -> np.ndarray:
+    """Each row's place in ``order``."""
+    at = np.empty(order.shape[0], dtype=np.intp)
+    at[order] = np.arange(order.shape[0])
+    return at
 
+
+def _evaluate(truth: BoxTable, predictions: BoxTable, thresholds: dict[str, float],
+              matching_mode: str) -> dict[str, APResult]:
+    """AP per class of ``thresholds``, frames joined on id.
+
+    In each class and frame, predictions claim truth in descending score
+    order (ties by ``sort_key``), each taking the free truth box of the
+    class with the highest IoU, or the smallest center distance, within the
+    threshold; ties go to the truth box first in ``sort_key`` order.  The
+    candidate pairs of every class and frame are taken at once, sorted by
+    (prediction, metric, truth) with one ``np.lexsort``, and each
+    prediction claims the first free truth box of its pairs.
+    """
+    _, pu, tu = frame_union(predictions, truth)
+    n = len(predictions)
+    both = BoxTable.concat(predictions, truth)
+    rank = both.sort_rank
+    descending = -predictions.score
+    pred_at = _positions(np.lexsort((rank[:n], descending, pu, predictions.label)))
+    truth_at = _positions(np.lexsort((rank[n:], tu, truth.label)))
+    limit = np.full(len(CLASSES), np.nan)  # nan: a class not evaluated, whose pairs no test keeps
+    limit[[CLASSES.index(label) for label in thresholds]] = list(thresholds.values())
+    pi, ti = class_pairs(predictions, truth)
+    limit = limit[predictions.label[pi]]
+    if matching_mode == "iou":
+        metric = iou_3d_pairs(both, pi, ti + n)
+        keep = metric >= limit
+        metric = -metric  # the highest IoU first
+    else:
+        dx = predictions.center[pi, 0] - truth.center[ti, 0]
+        dy = predictions.center[pi, 1] - truth.center[ti, 1]
+        metric = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+        keep = metric <= limit
+    pi, ti, metric = pi[keep], ti[keep], metric[keep]
+    order = np.lexsort((truth_at[ti], metric, pred_at[pi]))
+    claimed: set[int] = set()
+    taken: set[int] = set()
+    for p, t in zip(pi[order].tolist(), ti[order].tolist()):
+        if p not in claimed and t not in taken:
+            claimed.add(p)
+            taken.add(t)
+    hit = np.zeros(n, dtype=bool)
+    hit[list(claimed)] = True
+
+    # Per class, outcomes by descending score, then frame id and rank in the
+    # frame, which is pred_at's order among equal scores of a class.
+    order = np.lexsort((pred_at, descending, predictions.label))
+    cuts = np.searchsorted(predictions.label[order], np.arange(len(CLASSES) + 1)).tolist()
+    num_gt = np.bincount(truth.label, minlength=len(CLASSES)).tolist()
+    hit = hit[order]
+    out = {}
+    for label, threshold in thresholds.items():
+        c = CLASSES.index(label)
+        out[label] = _ap(label, hit[cuts[c]:cuts[c + 1]], num_gt[c], matching_mode, threshold)
+    return out
+
+
+def _ap(class_label, hits: np.ndarray, num_gt: int, matching_mode, threshold) -> APResult:
+    """The class's AP from its predictions' true-positive flags in outcome order."""
+    num_pred = hits.shape[0]
     if num_gt == 0:
         return APResult(class_label, None, (), (), matching_mode, threshold, 0, num_pred)
-    if not outcomes:
+    if not num_pred:
         return APResult(class_label, 0.0, (), (), matching_mode, threshold, num_gt, 0)
-
-    outcomes.sort(key=lambda o: (-o[0], o[1], o[2]))
-    tp = np.cumsum([1.0 if o[3] else 0.0 for o in outcomes])
-    fp = np.cumsum([0.0 if o[3] else 1.0 for o in outcomes])
+    tp = np.cumsum(hits.astype(float))
+    fp = np.cumsum((~hits).astype(float))
     precision = tp / (tp + fp)
     recall = tp / num_gt
-    ap = _interpolated_ap(recall, precision)
     return APResult(
         class_label=class_label,
-        ap=ap,
-        precision_curve=tuple(float(p) for p in precision),
-        recall_curve=tuple(float(r) for r in recall),
+        ap=_interpolated_ap(recall, precision),
+        precision_curve=tuple(precision.tolist()),
+        recall_curve=tuple(recall.tolist()),
         matching_mode=matching_mode,
         threshold=threshold,
         num_gt=num_gt,
@@ -227,18 +217,18 @@ def _ap(class_label, groups, matching_mode, threshold) -> APResult:
 
 
 def evaluate_ap(
-    frames: list[FramePair],
+    frames: list[FramePair] | tuple[BoxTable, BoxTable],
     class_label: str,
     matching_mode: str = "iou",
     threshold: float | None = None,
 ) -> APResult:
     """AP for one class over all frames; None if the class has no truth."""
     threshold = _threshold(class_label, matching_mode, threshold)
-    return _evaluate(frames, {class_label: threshold}, matching_mode)[class_label]
+    return _evaluate(*_tables(frames), {class_label: threshold}, matching_mode)[class_label]
 
 
 def evaluate_map(
-    frames: list[FramePair],
+    frames: list[FramePair] | tuple[BoxTable, BoxTable],
     classes: tuple[str, ...] = CLASSES,
     matching_mode: str = "iou",
     thresholds: dict[str, float] | None = None,
@@ -247,7 +237,7 @@ def evaluate_map(
     used = {label: _threshold(label, matching_mode,
                               None if thresholds is None else thresholds.get(label))
             for label in classes}
-    per_class = _evaluate(frames, used, matching_mode) if used else {}
+    per_class = _evaluate(*_tables(frames), used, matching_mode) if used else {}
     defined = [r.ap for r in per_class.values() if r.ap is not None]
     if not defined:
         raise ValueError("no evaluable classes: every class lacks ground truth")

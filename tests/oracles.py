@@ -456,3 +456,127 @@ def load_frames_reference(path):
             raise ParseError(f"{where}.frames[{k}]{at}{exc}") from exc
         out[frame_id] = boxes
     return out
+
+
+def fuse_late_reference(lidar_detections, radar_detections, config=None):
+    """``fusion.fuse_late`` as it was before fusion ran on box tables: a per-pair
+    ``iou_3d`` loop, the pairs sorted by (-IoU, lidar ``sort_key``, radar
+    ``sort_key``, indices), greedy one-to-one matching, and one ``DetectionBox``
+    per merge.  ``fusion.fuse_late`` of tables must give the same boxes, repr for repr."""
+    from crossview import DetectionBox, FusionConfig, iou_3d
+    from crossview.boxes import normalize_yaw
+
+    def weights(a, b):
+        total = a.score + b.score
+        if total == 0.0:
+            return 0.5, 0.5
+        return a.score / total, b.score / total
+
+    def merge(lidar_box, radar_box):
+        wl, wr = weights(lidar_box, radar_box)
+        center = tuple(wl * lc + wr * rc for lc, rc in zip(lidar_box.center, radar_box.center))
+        size = tuple(wl * ls + wr * rs for ls, rs in zip(lidar_box.size, radar_box.size))
+        sin_sum = wl * math.sin(lidar_box.yaw) + wr * math.sin(radar_box.yaw)
+        cos_sum = wl * math.cos(lidar_box.yaw) + wr * math.cos(radar_box.yaw)
+        yaw = normalize_yaw(math.atan2(sin_sum, cos_sum))
+        return DetectionBox(center=center, size=size, yaw=yaw,
+                            class_label=lidar_box.class_label,
+                            score=max(lidar_box.score, radar_box.score), source="fused",
+                            velocity=radar_box.velocity)
+
+    config = config or FusionConfig()
+    for box in lidar_detections:
+        if box.source != "lidar":
+            raise ValueError(f"lidar_detections contains a {box.source!r} box")
+    for box in radar_detections:
+        if box.source != "radar":
+            raise ValueError(f"radar_detections contains a {box.source!r} box")
+    pairs = []
+    for li, lbox in enumerate(lidar_detections):
+        for ri, rbox in enumerate(radar_detections):
+            if lbox.class_label != rbox.class_label:
+                continue
+            iou = iou_3d(lbox, rbox)
+            if iou >= config.iou_threshold:
+                pairs.append((iou, li, ri))
+    pairs.sort(key=lambda p: (-p[0], lidar_detections[p[1]].sort_key(),
+                              radar_detections[p[2]].sort_key(), p[1], p[2]))
+    used_l, used_r, out = set(), set(), []
+    for _, li, ri in pairs:
+        if li in used_l or ri in used_r:
+            continue
+        used_l.add(li)
+        used_r.add(ri)
+        out.append(merge(lidar_detections[li], radar_detections[ri]))
+    out += [b for i, b in enumerate(lidar_detections) if i not in used_l]
+    out += [b for i, b in enumerate(radar_detections) if i not in used_r]
+    out.sort(key=lambda b: (-b.score, b.sort_key()))
+    return out
+
+
+def evaluate_map_reference(frames, classes, matching_mode, thresholds):
+    """``metrics.evaluate_map`` as it was before matching ran on box tables: per
+    class and frame, predictions in score order each scan the truth in
+    ``sort_key`` order for the best free box (``iou_3d`` or ``math.hypot``
+    center distance), and AP comes from the pooled outcomes.  ``thresholds``
+    maps every class to its threshold.  ``metrics.evaluate_map`` of tables
+    must return an equal ``MapResult``."""
+    from crossview import APResult, MapResult, iou_3d
+
+    per_class = {}
+    for label in classes:
+        threshold = thresholds[label]
+        outcomes, num_gt, num_pred = [], 0, 0
+        for frame in frames:
+            preds = sorted((b for b in frame.predictions if b.class_label == label),
+                           key=lambda b: (-b.score, b.sort_key()))
+            gts = sorted((b for b in frame.ground_truth if b.class_label == label),
+                         key=lambda b: b.sort_key())
+            num_gt += len(gts)
+            num_pred += len(preds)
+            taken = [False] * len(gts)
+            for rank, pred in enumerate(preds):
+                best, best_metric = -1, None
+                for g, gt in enumerate(gts):
+                    if taken[g]:
+                        continue
+                    if matching_mode == "iou":
+                        m = iou_3d(pred, gt)
+                        if m < threshold:
+                            continue
+                        if best_metric is None or m > best_metric:
+                            best, best_metric = g, m
+                    else:
+                        m = math.hypot(pred.center[0] - gt.center[0],
+                                       pred.center[1] - gt.center[1])
+                        if m > threshold:
+                            continue
+                        if best_metric is None or m < best_metric:
+                            best, best_metric = g, m
+                if best >= 0:
+                    taken[best] = True
+                outcomes.append((pred.score, frame.frame_id, rank, best >= 0))
+        if num_gt == 0:
+            per_class[label] = APResult(label, None, (), (), matching_mode, threshold, 0,
+                                        num_pred)
+            continue
+        if not outcomes:
+            per_class[label] = APResult(label, 0.0, (), (), matching_mode, threshold, num_gt, 0)
+            continue
+        outcomes.sort(key=lambda o: (-o[0], o[1], o[2]))
+        tp = np.cumsum([1.0 if o[3] else 0.0 for o in outcomes])
+        fp = np.cumsum([0.0 if o[3] else 1.0 for o in outcomes])
+        precision = tp / (tp + fp)
+        recall = tp / num_gt
+        envelope = np.maximum.accumulate(precision[::-1])[::-1]
+        idx = np.searchsorted(recall, np.arange(101) / 100.0, side="left")
+        points = np.where(idx < recall.shape[0],
+                          envelope[np.minimum(idx, recall.shape[0] - 1)], 0.0)
+        per_class[label] = APResult(label, float(np.sum(points) / 101.0),
+                                    tuple(float(p) for p in precision),
+                                    tuple(float(r) for r in recall), matching_mode, threshold,
+                                    num_gt, num_pred)
+    defined = [r.ap for r in per_class.values() if r.ap is not None]
+    if not defined:
+        raise ValueError("no evaluable classes: every class lacks ground truth")
+    return MapResult(per_class, float(np.sum(np.asarray(defined)) / len(defined)), matching_mode)

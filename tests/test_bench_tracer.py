@@ -14,6 +14,9 @@ import importlib.util
 from pathlib import Path
 
 from crossview import boxes, cli, fusion, metrics  # noqa: F401  (cli holds the traced main)
+from crossview.formats import load_frames, save_frames
+
+from conftest import rescore_frames
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -41,3 +44,31 @@ def test_tracer_installs_counts_and_uninstalls():
         tracer.uninstall()
     assert tracer.counts["fusion.iou_calls"] == 1 and tracer.counts["fusion.merges"] == 1
     assert fusion.iou_3d is metrics.iou_3d is boxes.iou_3d is iou_3d
+
+
+def test_fuse_and_evaluate_commands_land_in_their_spans(tmp_path):
+    """``fuse`` and ``evaluate`` load, fuse and score through ``load_frames``,
+    ``fuse_late`` and ``evaluate_map``, so their time is not the command
+    line's own, and the fuse span counts every merge of the file."""
+    frames = rescore_frames(3)
+    paths = {}
+    for name in ("ground_truth", "lidar", "radar"):
+        paths[name] = tmp_path / f"{name}.frames"
+        save_frames(paths[name], getattr(frames, name))
+    fused = tmp_path / "fused.frames"
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["fuse", "--lidar", str(paths["lidar"]), "--radar", str(paths["radar"]),
+                         "--out", str(fused)]) == 0
+        for mode in ("iou", "center_distance"):
+            assert cli.main(["evaluate", "--truth", str(paths["ground_truth"]),
+                             "--predictions", str(fused), "--mode", mode]) == 0
+    finally:
+        tracer.uninstall()
+    boxes_in = sum(len(b) for name in ("lidar", "radar") for b in getattr(frames, name).values())
+    merges = boxes_in - sum(map(len, load_frames(fused).values()))
+    assert merges > 0
+    assert tracer.counts["fusion.frames"] == 1 and tracer.counts["fusion.merges"] == merges
+    for group in ("formats.load_frames", "fusion.fuse", "metrics.evaluate"):
+        assert tracer.self_time[group] > 0.0, group

@@ -19,6 +19,7 @@ from crossview import (
     CLASSES,
     DEFAULT_IOU_THRESHOLDS,
     FusionConfig,
+    ParseError,
     ScenarioConfig,
     Scene,
     VisibilityConfig,
@@ -32,10 +33,12 @@ from crossview import (
     save_report,
     save_scene,
 )
+from crossview import cli
 from crossview.cli import build_parser, main
 from crossview.scene import MAX_BEAMS, MAX_GRID_SIDE
 
 from conftest import make_document, random_box, rehash, square_scene
+from oracles import load_frames_reference
 
 
 @pytest.fixture(scope="module")
@@ -1307,6 +1310,46 @@ def test_malformed_frames_payload_exits_3(tmp_path, capsys, where, value):
     assert len(where) < 5 or where[4] in err, err
 
 
+# Faults that the loader's column checks must hand to the record loop, which
+# names them; with the cases above, each exits 3 with the record loop's text,
+# from the frames file read by fuse (--lidar) and by evaluate (--truth).
+COLUMN_FAULTS = BAD_FRAMES_FIELDS + [
+    (("frames", 0, "boxes", 0, "center", 1), 10 ** 400),
+    (("frames", 0, "boxes", 0, "size", 2), 10 ** 400),
+    (("frames", 0, "boxes", 1, "score"), True),
+    (("frames", 0, "boxes", 1, "size", 0), False),
+    (("frames", 0, "boxes", 0, "velocity"), []),
+    (("frames", 0, "boxes", 0, "velocity"), [1.0, True]),
+    (("frames", 0, "boxes", 0, "center"), 5),
+    (("frames", 0, "boxes", 1, "center"), {"x": 1}),
+    (("frames", 0, "boxes", 0, "size", 1), 0),
+    (("frames", 0, "boxes", 1, "size", 2), -0.0),
+    (("frames", 0, "boxes", 0, "score"), -1e-300),
+    (("frames", 0, "boxes", 1, "source"), "radar "),
+]
+
+
+@pytest.mark.parametrize("where, value", COLUMN_FAULTS, ids=[
+    ".".join(map(str, where)) + f"={str(value)[:12]!r}" for where, value in COLUMN_FAULTS])
+def test_malformed_frames_exit_3_with_the_record_loops_text(tmp_path, capsys, where, value):
+    path = tmp_path / "lidar.frames"
+    payload = _frames_file(path)
+    save_frames(tmp_path / "radar.frames", {})
+    parent = payload
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    path.write_text(make_document("crossview.frames", payload))
+    with pytest.raises(ParseError) as refused:
+        load_frames_reference(path)
+    for argv in (["fuse", "--lidar", str(path), "--radar", str(tmp_path / "radar.frames"),
+                  "--out", str(tmp_path / "fused.frames")],
+                 ["evaluate", "--truth", str(path), "--predictions",
+                  str(tmp_path / "radar.frames")]):
+        rc = main(argv)
+        assert (rc, capsys.readouterr().err) == (3, f"error: {refused.value}\n"), argv
+
+
 # JSON number literals past the float range, spliced into a hashed file as
 # text: ``1e400`` loads as inf, a long integer overflows float().  Integers
 # that size arrays (grid sides, lidar beams) stop at a documented maximum.
@@ -1354,6 +1397,27 @@ def test_out_of_range_number_exits_3(tmp_path, capsys, kind, where, literal, fie
     assert rc == 3, err
     assert err.startswith("error: ") and field in err and "Traceback" not in err, err
     assert not list(tmp_path.glob("*.vismatrix")) and not (tmp_path / "fused.frames").exists()
+
+
+def test_pipeline_loads_the_matrix_pair_once(tmp_path, capsys, monkeypatch):
+    """Three configs[] entries share one load of each matrix file."""
+    save_scene(tmp_path / "scene.scene", square_scene())
+    (tmp_path / "pipeline.json").write_text(json.dumps({
+        "scene": "scene.scene", "visibility": {"samples_per_cell": 1},
+        "configs": [{"name": "a", "budget": 1}, {"name": "b", "budget": 2},
+                    {"name": "c", "budget": 3}],
+        "scenario": {"duration_frames": 2}}))
+    loaded = []
+
+    def counted(path):
+        loaded.append(Path(path).name)
+        return load_matrix(path)
+
+    monkeypatch.setattr(cli, "load_matrix", counted)
+    assert main(["pipeline", "--config", str(tmp_path / "pipeline.json"),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert loaded == ["lidar.vismatrix", "radar.vismatrix"]
 
 
 def test_pipeline_matches_subcommand_chain(tmp_path, capsys):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from crossview import file_sha256, save_scene
+from crossview import DetectionBox, boxes, file_sha256, save_scene
 from crossview.cli import main
 
 from conftest import square_scene
@@ -61,7 +61,8 @@ GOLDEN = {
 }
 
 
-def test_seeded_chain_bytes_are_pinned(tmp_path, capsys):
+def _chain(tmp_path) -> list[list[str]]:
+    """The seeded chain's inputs, written to ``tmp_path``, and its command lines."""
     save_scene(tmp_path / "site.scene", square_scene(
         occluders=[((8.0, 8.0, 0.0), (11.0, 12.0, 4.0))], weights={3: 2.0, 40: 0.5}))
     (tmp_path / "traffic.json").write_text(json.dumps({
@@ -71,7 +72,7 @@ def test_seeded_chain_bytes_are_pinned(tmp_path, capsys):
                         "velocity_sigma": 0.2},
     }))
     d = str(tmp_path) + "/"
-    commands = [
+    return [
         ["visibility", "--scene", d + "site.scene", "--samples-per-cell", "4",
          "--out-lidar", d + "lidar.vismatrix", "--out-radar", d + "radar.vismatrix"],
         ["optimize", "--lidar", d + "lidar.vismatrix", "--radar", d + "radar.vismatrix",
@@ -98,9 +99,33 @@ def test_seeded_chain_bytes_are_pinned(tmp_path, capsys):
         ["export-milp", "--lidar", d + "lidar.vismatrix", "--radar", d + "radar.vismatrix",
          "--budget-mode", "cost", "--budget", "240", "--out", d + "cost.lp"],
     ]
-    for argv in commands:
+
+
+def test_seeded_chain_bytes_are_pinned(tmp_path, capsys):
+    for argv in _chain(tmp_path):
         assert main(argv) == 0, argv
     capsys.readouterr()
     digests = {p.name: file_sha256(p) for p in sorted(tmp_path.iterdir())
                if p.suffix not in (".manifest", ".json", ".scene")}
     assert digests == GOLDEN
+
+
+def test_fuse_and_evaluate_build_no_boxes(tmp_path, capsys, monkeypatch):
+    """The command line's fuse and evaluate (both modes) run on box tables: with
+    every way of building a ``DetectionBox`` refused, they still write the
+    pinned bytes."""
+    commands = _chain(tmp_path)
+    assert [argv[0] for argv in commands[3:6]] == ["fuse", "evaluate", "evaluate"]
+    for argv in commands[:3]:
+        assert main(argv) == 0, argv
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DetectionBox was built")
+
+    monkeypatch.setattr(boxes, "_store", refuse)
+    monkeypatch.setattr(DetectionBox, "__init__", refuse)
+    for argv in commands[3:6]:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+    capsys.readouterr()
+    for name in ("fused.frames", "iou.evaluation", "center.evaluation"):
+        assert file_sha256(tmp_path / name) == GOLDEN[name], name

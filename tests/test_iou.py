@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from crossview import CLASSES, SOURCES, DetectionBox, center_distance_bev, iou_3d
 from crossview import boxes as boxes_module
 from crossview.boxes import (
+    BoxTable,
     _clip_pairs,
     _clip_polygon,
     _polygon_area,
@@ -360,10 +361,28 @@ def test_kernel_takes_any_pair_list():
 KEEP_RULES = {"fusion": lambda iou: iou >= 0.3, "evaluation": lambda iou: iou > 0.0}
 
 
+def group_pairs(left_groups, right_groups, keep):
+    """Per group k, the ``(iou, i, j)`` that ``class_pairs`` and one ``iou_3d_pairs``
+    call give for ``left_groups[k][i]`` and ``right_groups[k][j]``, for each IoU that
+    ``keep`` accepts.  Group k is frame ``f"{k:06d}"`` of two tables, so frames
+    sort in group order."""
+    left, right = (BoxTable.from_frames({f"{k:06d}": g for k, g in enumerate(groups)})
+                   for groups in (left_groups, right_groups))
+    li, ri = class_pairs(left, right)
+    iou = iou_3d_pairs(BoxTable.concat(left, right), li, ri + len(left))
+    hit = np.flatnonzero(keep(iou))
+    out = [[] for _ in left_groups]
+    for m, i, j in zip(iou[hit].tolist(), li[hit].tolist(), ri[hit].tolist()):
+        k = int(left.frame[i])
+        assert right.frame_ids[right.frame[j]] == left.frame_ids[k]
+        out[k].append((m, i - int(left.offsets[k]), j - int(right.offsets[right.frame[j]])))
+    return out
+
+
 def assert_class_pairs_are_the_pair_loop(left_groups, right_groups, keep):
     """``class_pairs`` gives, group by group, what a per-pair ``iou_3d`` loop over
     every same-class pair gives, by i and then j, each IoU bit for bit."""
-    got = class_pairs(left_groups, right_groups, keep)
+    got = group_pairs(left_groups, right_groups, keep)
     want = [[(iou_3d(a, b), i, j) for i, a in enumerate(left) for j, b in enumerate(right)
              if a.class_label == b.class_label and keep(iou_3d(a, b))]
             for left, right in zip(left_groups, right_groups)]
@@ -381,9 +400,9 @@ def assert_class_pairs_are_the_pair_loop(left_groups, right_groups, keep):
 def test_class_pairs_on_empty_and_unmatched_groups(rule):
     keep = KEEP_RULES[rule]
     car, truck = box(), box(class_label="truck", source="radar")
-    assert class_pairs([], [], keep) == []
-    assert class_pairs([[], [car], []], [[truck], [], []], keep) == [[], [], []]
-    assert class_pairs([[car, car]], [[truck, truck]], keep) == [[]]
+    assert group_pairs([], [], keep) == []
+    assert group_pairs([[], [car], []], [[truck], [], []], keep) == [[], [], []]
+    assert group_pairs([[car, car]], [[truck, truck]], keep) == [[]]
     got = assert_class_pairs_are_the_pair_loop(
         [[], [car, truck], [truck]], [[car], [truck, car, truck], []], keep)
     assert got == [[], [(1.0, 0, 1), (1.0, 1, 0), (1.0, 1, 2)], []]

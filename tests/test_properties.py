@@ -66,7 +66,7 @@ from crossview import DetectionBox, cli
 from crossview.formats import (
     FRAMES_MAGIC,
     ParseError,
-    _frames_in_bulk,
+    _frames_table,
     baseline_from_record,
     coverage_from_record,
 )
@@ -484,7 +484,7 @@ def test_bulk_loaded_boxes_are_constructor_boxes(tmp_path, frames_payload):
     payload["frames"][0]["boxes"][0].update(center=[1, -2, 0], size=[4, 2, 1], yaw=3, score=1)
     path = tmp_path / "a.frames"
     path.write_text(make_document(FRAMES_MAGIC, payload, indent=None))
-    assert _frames_in_bulk(json.loads(json.dumps(payload["frames"]))) is not None
+    assert _frames_table(json.loads(json.dumps(payload["frames"]))) is not None
     loaded = load_frames(path)
     built = {f["frame_id"]: [DetectionBox(**b) for b in f["boxes"]] for f in payload["frames"]}
     assert loaded == built and list(loaded) == list(built)

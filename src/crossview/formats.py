@@ -22,17 +22,17 @@ a file.
 Loaders are strict: unknown fields, missing fields, version mismatches and
 malformed numbers all raise ParseError naming the offending part as
 ``<file>.<path>``, a list entry by its index.  Every JSON record is a
-``{field: check}`` table read by one loop, ``_record``; only the boxes of a
-frames file, the hot path of re-scoring, have a hand-written reader, and
-matrix bodies are text rows.  That reader builds a ``boxes.BoxTable`` and no
-``DetectionBox``: it checks a file's box records a column at a time, their
-JSON shapes here and the constructor's value rules through
-``boxes.value_fault``.  A file it has any doubt about goes through the record
-loop, which names the first fault, so every message is the record loop's.
-``save_frames`` writes a table's rows as records; a ``{frame_id: boxes}``
-mapping is ordered as a table and written as its boxes' instance dicts.
-``load_frames`` returns the table itself (``as_table``) or turns it into
-boxes.
+``{field: check}`` table read by one loop, ``_record``; only a frames file,
+the hot path of re-scoring, has a hand-written reader, and matrix bodies are
+text rows.  A frames file has one reader, ``_frames_table``, which builds a
+``boxes.BoxTable`` and no ``DetectionBox``: it checks the frame records in
+order and the box records a column at a time, their JSON shapes here and the
+constructor's value rules through ``boxes.value_fault``.  Only a check that
+fails sends the box records, one by one, through ``_box_from_record`` to
+name the first fault.  ``load_frames`` returns the table itself
+(``as_table``) or turns it into boxes.  It has one writer: ``save_frames``
+turns a ``{frame_id: boxes}`` mapping into a table, refuses frame ids the
+reader would refuse, and writes the table's rows as records.
 
 The scene table ``_SCENE`` is the one statement of a scene's fields: a file
 is read through it by ``load_scene``, and a scene built in Python, as
@@ -649,12 +649,9 @@ def _box_from_record(rec) -> DetectionBox:
     """Check one box record's types; DetectionBox checks the ranges.
 
     Messages name the field relative to the box, and the caller adds the
-    box's location, so a well-formed box costs no message strings.
+    box's location.
     """
-    if not isinstance(rec, dict):
-        raise ParseError(": expected an object")
-    if rec.keys() != _BOX_KEYS:
-        _require_keys(rec, _BOX_REQUIRED, {"velocity"}, "")
+    _require_keys(_mapping(rec, ""), _BOX_REQUIRED, {"velocity"}, "")
     center, size, velocity = rec["center"], rec["size"], rec.get("velocity")
     if not _is_numbers(center, 3):
         raise ParseError(f".center: expected a list of 3 numbers, got {center!r}")
@@ -672,75 +669,62 @@ def _box_from_record(rec) -> DetectionBox:
         raise ParseError(f": {exc}") from exc
 
 
-def _frame_records(table: BoxTable, boxes: list[DetectionBox] | None = None) -> list[dict]:
+def _frame_records(table: BoxTable) -> list[dict]:
     """A table's frames as file records: frames by id, each frame's boxes by
-    descending score, ties by ``sort_key``, and rows tied on both in table order.
-    ``boxes``, if given, are the table's rows as boxes, and a box's instance
-    dict is its record: its seven fields, tuples and floats."""
+    descending score, ties by ``sort_key``, and rows tied on both in table order."""
     frames = sorted(range(len(table.frame_ids)), key=table.frame_ids.__getitem__)
     at = np.empty(len(frames), dtype=np.intp)
     at[frames] = np.arange(len(frames))
     order = np.lexsort((table.sort_rank, -table.score, at[table.frame]))
-    if boxes is not None:
-        records = list(map(vars, map(boxes.__getitem__, order.tolist())))
-    else:
-        velocity = [None] * len(order)
-        moving = np.flatnonzero(table.has_velocity[order])
-        for k, v in zip(moving.tolist(), table.velocity[order[moving]].tolist()):
-            velocity[k] = v
-        records = [{"center": c, "class_label": label, "score": score, "size": size,
-                    "source": source, "velocity": v, "yaw": yaw}
-                   for c, size, yaw, score, label, source, v in zip(
-                       table.center[order].tolist(), table.size[order].tolist(),
-                       table.yaw[order].tolist(), table.score[order].tolist(),
-                       _CLASS_NAMES[table.label[order]].tolist(),
-                       _SOURCE_NAMES[table.source[order]].tolist(), velocity)]
+    velocity = [None] * len(order)
+    moving = np.flatnonzero(table.has_velocity[order])
+    for k, v in zip(moving.tolist(), table.velocity[order[moving]].tolist()):
+        velocity[k] = v
+    records = [{"center": c, "class_label": label, "score": score, "size": size,
+                "source": source, "velocity": v, "yaw": yaw}
+               for c, size, yaw, score, label, source, v in zip(
+                   table.center[order].tolist(), table.size[order].tolist(),
+                   table.yaw[order].tolist(), table.score[order].tolist(),
+                   _CLASS_NAMES[table.label[order]].tolist(),
+                   _SOURCE_NAMES[table.source[order]].tolist(), velocity)]
     cuts = [0, *accumulate(np.diff(table.offsets)[frames].tolist())]
     return [{"boxes": records[cuts[k]:cuts[k + 1]], "frame_id": table.frame_ids[frame]}
             for k, frame in enumerate(frames)]
 
 
 def save_frames(path, frames, manifest: str | None = None) -> None:
-    """Write ``frames``, a ``{frame_id: boxes}`` mapping or a ``BoxTable``."""
-    if isinstance(frames, BoxTable):
-        records = _frame_records(frames)
-    else:
-        if bad := [fid for fid in frames if not isinstance(fid, str)]:  # the loader reads strings
-            raise TypeError(f"frames: frame id {bad[0]!r} is not a string")
-        records = _frame_records(BoxTable.from_frames(frames),
-                                 [box for boxes in frames.values() for box in boxes])
-    payload: dict = {"frames": records}
+    """Write ``frames``, a ``{frame_id: boxes}`` mapping or a ``BoxTable``; its
+    frame ids must be distinct strings, as the loader reads them."""
+    table = frames if isinstance(frames, BoxTable) else BoxTable.from_frames(frames)
+    seen = set()
+    for fid in table.frame_ids:
+        if not isinstance(fid, str):
+            raise TypeError(f"frames: frame id {fid!r} is not a string")
+        if fid in seen:
+            raise ValueError(f"frames: duplicate frame id {fid!r}")
+        seen.add(fid)
+    payload: dict = {"frames": _frame_records(table)}
     if manifest is not None:
         payload["manifest"] = manifest
     _write_artifact(path, FRAMES_MAGIC, _json_body(payload))
 
 
-def _frames_table(frames: list) -> BoxTable | None:
-    """The table of a frames list, checked a column at a time, or None on any doubt.
-
-    The JSON shapes are checked over the whole file at once, and then the
-    constructor's value rules through ``value_fault``; a file that does
-    not pass (a fault, or a box record without all seven fields) goes to
-    the record loop, which names the first fault.
-    """
-    if set(map(type, frames)) - {dict} or any(f.keys() != _FRAME_KEYS for f in frames):
+def _box_table(frames: dict) -> BoxTable | None:
+    """The table of ``{frame_id: box records}``, checked a column at a time:
+    the JSON shapes, then the constructor's value rules through ``value_fault``.
+    None if a record is at fault."""
+    records = list(chain.from_iterable(frames.values()))
+    if set(map(type, records)) - {dict}:
         return None
-    ids = [f["frame_id"] for f in frames]
-    lists = [f["boxes"] for f in frames]
-    if set(map(type, ids)) - {str} or len(set(ids)) != len(ids) or set(map(type, lists)) - {list}:
-        return None
-    records = list(chain.from_iterable(lists))
-    if set(map(type, records)) - {dict} or set(map(len, records)) - {len(_BOX_KEYS)}:
-        return None
-    try:
-        columns = [list(map(itemgetter(f.name), records)) for f in fields(DetectionBox)]
-    except KeyError:
-        return None
-    center, size, yaw, labels, score, sources, velocity = columns
-    planar = [v for v in velocity if v is not None]
+    if len(_BOX_REQUIRED) in set(map(len, records)):  # a box that leaves out its velocity
+        records = [{"velocity": None, **rec} for rec in records]
     n = len(records)
-    try:  # an unhashable name, or an integer past the float range
-        if not ({list}.issuperset(map(type, chain(center, size, planar)))
+    try:  # a missing field, an unhashable name, or an integer past the float range
+        center, size, yaw, labels, score, sources, velocity = [
+            list(map(itemgetter(f.name), records)) for f in fields(DetectionBox)]
+        planar = [v for v in velocity if v is not None]
+        if not ({len(_BOX_KEYS)}.issuperset(map(len, records))
+                and {list}.issuperset(map(type, chain(center, size, planar)))
                 and {3}.issuperset(map(len, chain(center, size)))
                 and {2}.issuperset(map(len, planar))
                 and _JSON_NUMBERS.issuperset(map(type, chain(
@@ -752,7 +736,7 @@ def _frames_table(frames: list) -> BoxTable | None:
         moving[has_velocity] = np.fromiter(chain.from_iterable(planar), float,
                                            2 * len(planar)).reshape(-1, 2)
         table = BoxTable(
-            tuple(ids), np.array([0, *accumulate(map(len, lists))]),
+            tuple(frames), np.array([0, *accumulate(map(len, frames.values()))]),
             np.fromiter(chain.from_iterable(center), float, 3 * n).reshape(n, 3),
             np.fromiter(chain.from_iterable(size), float, 3 * n).reshape(n, 3),
             np.fromiter(map(normalize_yaw, map(float, yaw)), float, n),
@@ -760,11 +744,47 @@ def _frames_table(frames: list) -> BoxTable | None:
             np.fromiter(map(_CLASS_CODE.__getitem__, labels), np.int8, n),
             np.fromiter(map(_SOURCE_CODE.__getitem__, sources), np.int8, n),
             moving, has_velocity)
-    except (TypeError, OverflowError):
+    except (KeyError, TypeError, OverflowError):
         return None
     # An infinite yaw normalizes to nan, which the finiteness rule refuses too.
     if value_fault(table.center, table.size, table.yaw, table.score, table.velocity) is not None:
         return None
+    return table
+
+
+def _frames_table(frames: list, where: str) -> BoxTable:
+    """The table of a frames list, or a ParseError naming its first fault.
+
+    Frame records are checked in order, up to the first faulty one, and the
+    box records of the frames before it by ``_box_table``.  Only if that
+    refuses them are they read again, one by one in file order, by
+    ``_box_from_record``, to name the first faulty box; with none, the
+    faulty frame is named.
+    """
+    out, fault = {}, None
+    for k, rec in enumerate(frames):
+        try:
+            _require_keys(_mapping(rec, ""), _FRAME_KEYS, set(), "")
+            frame_id = rec["frame_id"]
+            if not isinstance(frame_id, str):
+                raise ParseError(f".frame_id: expected a string, got {frame_id!r}")
+            if frame_id in out:
+                raise ParseError(f": duplicate frame_id {frame_id!r}")
+            if not isinstance(rec["boxes"], list):
+                raise ParseError(".boxes: expected a list")
+        except ParseError as exc:
+            fault = ParseError(f"{where}.frames[{k}]{exc}")
+            break
+        out[frame_id] = rec["boxes"]
+    table = _box_table(out)
+    if table is None or fault is not None:
+        for k, boxes in enumerate(out.values()):
+            for j, rec in enumerate(boxes):
+                try:
+                    _box_from_record(rec)
+                except ParseError as exc:
+                    raise ParseError(f"{where}.frames[{k}].boxes[{j}]{exc}") from exc
+        raise fault  # _box_table refuses only records that _box_from_record refuses
     return table
 
 
@@ -777,31 +797,8 @@ def load_frames(path, *, as_table: bool = False) -> dict[str, list[DetectionBox]
     _require_keys(payload, {"frames"}, {"manifest"}, where)
     if not isinstance(payload["frames"], list):
         raise ParseError(f"{where}: frames must be a list")
-    table = _frames_table(payload["frames"])
-    if table is not None:
-        return table if as_table else table.frames()
-    out = {}
-    for k, rec in enumerate(payload["frames"]):
-        boxes = None
-        try:
-            if not isinstance(rec, dict):
-                raise ParseError(": expected an object")
-            _require_keys(rec, {"frame_id", "boxes"}, set(), "")
-            frame_id = rec["frame_id"]
-            if not isinstance(frame_id, str):
-                raise ParseError(f".frame_id: expected a string, got {frame_id!r}")
-            if frame_id in out:
-                raise ParseError(f": duplicate frame_id {frame_id!r}")
-            if not isinstance(rec["boxes"], list):
-                raise ParseError(".boxes: expected a list")
-            boxes = []
-            for b in rec["boxes"]:
-                boxes.append(_box_from_record(b))
-        except ParseError as exc:
-            at = "" if boxes is None else f".boxes[{len(boxes)}]"
-            raise ParseError(f"{where}.frames[{k}]{at}{exc}") from exc
-        out[frame_id] = boxes
-    return BoxTable.from_frames(out) if as_table else out
+    table = _frames_table(payload["frames"], where)
+    return table if as_table else table.frames()
 
 
 def load_frame_pairs(ground_truth_path, predictions_path) -> list[FramePair]:

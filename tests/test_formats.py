@@ -40,6 +40,7 @@ from crossview import (
 )
 
 from crossview import formats
+from crossview.boxes import BoxTable
 from crossview.formats import FRAMES_MAGIC
 
 from conftest import make_document, random_box, rehash, square_scene
@@ -381,6 +382,19 @@ def test_save_frames_refuses_a_frame_id_that_is_not_a_string(tmp_path):
     for frames in ({0: [box]}, {"000000": [], 1.5: [box]}):
         with pytest.raises(TypeError, match=re.escape(f"frame id {list(frames)[-1]!r} is not a "
                                                       "string")):
+            save_frames(tmp_path / "a.frames", frames)
+    assert not list(tmp_path.iterdir())
+
+
+def test_save_frames_refuses_a_table_its_loader_would(tmp_path):
+    """A table's frame ids pass the mapping's rule too: a non-string id, or
+    one that two concatenated tables share, is refused before any write."""
+    box = random_box(np.random.default_rng(4))
+    table = BoxTable.from_frames({"a": [box]})
+    cases = ((BoxTable.from_frames({1: [box]}), TypeError, "frame id 1 is not a string"),
+             (BoxTable.concat(table, table), ValueError, "duplicate frame id 'a'"))
+    for frames, error, message in cases:
+        with pytest.raises(error, match=re.escape(f"frames: {message}")):
             save_frames(tmp_path / "a.frames", frames)
     assert not list(tmp_path.iterdir())
 

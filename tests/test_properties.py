@@ -9,8 +9,9 @@ ParseError (exit 3).  Neither ever ends in a TypeError, AttributeError or
 OverflowError traceback, and ``main``, run on a mutated valid --config or
 matrix file, exits 0, 3 or 4, never 1.  ``load_frames``, which checks box
 records in bulk, raises the message or returns the boxes of the record loop
-it replaced (``oracles.load_frames_reference``) on mutated frames files, and
-a mutated matrix file that loads also saves.  ``save_matrix``, fed matrix
+it replaced (``oracles.load_frames_reference``) on frames files with one or
+two edits, so that two faults compete to be named first, and a mutated
+matrix file that loads also saves.  ``save_matrix``, fed matrix
 files that may break any rule of the format, refuses them before writing or
 writes a file that loads back as written and saves again to the same bytes.
 ``validate_scene``, fed a valid scene with one value put in at any key path,
@@ -30,7 +31,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 from crossview import (
@@ -425,8 +426,22 @@ def _outcome(load, path):
 
 
 def _mutate(data, payload) -> str | None:
-    """One edit of a frames payload in place; returns a raw literal that
-    replaces the node set to "@raw@" in the file's text, if one was drawn."""
+    """One or two edits of a frames payload in place, so that faults in two
+    places, frames or boxes, compete to be named first; returns a raw literal
+    that replaces each node set to "@raw@" in the file's text, if one was
+    drawn.  A second edit whose target the first removed or replaced is not
+    made, and the draw is rejected."""
+    raw = _edit(data, payload)
+    if data.draw(st.booleans()):
+        try:
+            raw = _edit(data, payload) or raw
+        except (KeyError, IndexError, TypeError):
+            reject()
+    return raw
+
+
+def _edit(data, payload) -> str | None:
+    """One edit of a frames payload in place, and its raw literal, if any."""
     frames = payload["frames"]
     boxes = [b for f in frames for b in f["boxes"]]
     box = data.draw(st.sampled_from(boxes))
@@ -445,7 +460,7 @@ def _mutate(data, payload) -> str | None:
             key = data.draw(st.sampled_from(["extra", "frame_id", "boxes", "velocity", "yaw"]))
             record[key] = 1
     elif kind == "duplicate":
-        frames[data.draw(st.integers(1, len(frames) - 1))]["frame_id"] = frames[0]["frame_id"]
+        data.draw(st.sampled_from(frames[1:]))["frame_id"] = frames[0]["frame_id"]
     elif kind == "length":
         key = data.draw(st.sampled_from(["center", "size", "velocity"]))
         box[key] = [1.0] * data.draw(st.sampled_from([0, 1, 2, 3, 4]))
@@ -484,7 +499,7 @@ def test_bulk_loaded_boxes_are_constructor_boxes(tmp_path, frames_payload):
     payload["frames"][0]["boxes"][0].update(center=[1, -2, 0], size=[4, 2, 1], yaw=3, score=1)
     path = tmp_path / "a.frames"
     path.write_text(make_document(FRAMES_MAGIC, payload, indent=None))
-    assert _frames_table(json.loads(json.dumps(payload["frames"]))) is not None
+    assert _frames_table(json.loads(json.dumps(payload["frames"])), "a.frames") is not None
     loaded = load_frames(path)
     built = {f["frame_id"]: [DetectionBox(**b) for b in f["boxes"]] for f in payload["frames"]}
     assert loaded == built and list(loaded) == list(built)
@@ -494,6 +509,32 @@ def test_bulk_loaded_boxes_are_constructor_boxes(tmp_path, frames_payload):
     # Each keeps the key-sharing instance dict the constructor's one-by-one stores give.
     sizes = [sys.getsizeof(vars(b)) for b in sum(loaded.values(), [])]
     assert max(sizes) <= generated_init_dict_size()
+
+
+def test_valid_files_never_reach_the_constructor(tmp_path, frames_payload, monkeypatch):
+    """A valid file loads as a table without one ``DetectionBox`` built, also
+    when box records in several frames leave out their optional velocity,
+    beside records that carry it, and the table holds the record loop's boxes."""
+    payload = json.loads(json.dumps(frames_payload))
+    for frame in payload["frames"]:
+        for box in frame["boxes"][::2]:
+            del box["velocity"]
+    path = tmp_path / "a.frames"
+    path.write_text(make_document(FRAMES_MAGIC, payload, indent=None))
+    calls = []
+    init = DetectionBox.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DetectionBox, "__init__", counted)
+    table = load_frames(path, as_table=True)
+    monkeypatch.undo()
+    assert calls == []
+    assert repr(table.frames()) == repr(load_frames_reference(path))
+    assert {len(box) for frame in payload["frames"][:3] for box in frame["boxes"]} == {6, 7}
+    assert {box.get("velocity") is None for box in payload["frames"][0]["boxes"]} == {True, False}
 
 
 # A valid --config for every command, on ``square_scene`` with one sample

@@ -30,9 +30,15 @@ order and the box records a column at a time, their JSON shapes here and the
 constructor's value rules through ``boxes.value_fault``.  Only a check that
 fails sends the box records, one by one, through ``_box_from_record`` to
 name the first fault.  ``load_frames`` returns the table itself
-(``as_table``) or turns it into boxes.  It has one writer: ``save_frames``
+(``as_table``) or turns it into boxes.  A frames body is parsed by orjson,
+every other kind by stdlib json; text orjson refuses, and a document the
+checks refuse, are parsed again by stdlib json and checked again, so every
+fault is named in the words of the other kinds.  A document that passes the
+checks reads the same under both parsers: each value in it is checked, and
+both give a number the same float.  It has one writer: ``save_frames``
 turns a ``{frame_id: boxes}`` mapping into a table, refuses frame ids the
-reader would refuse, and writes the table's rows as records.
+reader would refuse, and writes the table's rows as records, whose dicts it
+builds in sorted key order, so json's encoder runs without a key sort.
 
 The scene table ``_SCENE`` is the one statement of a scene's fields: a file
 is read through it by ``load_scene``, and a scene built in Python, as
@@ -55,6 +61,7 @@ from operator import itemgetter, lt
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .boxes import (
     _CLASS_CODE,
@@ -190,11 +197,12 @@ def _read_artifact(path, magic: str) -> tuple[str, str]:
         raise ParseError(f"{path}: body is not UTF-8 text: {exc}") from exc
 
 
-def _json_body(payload: dict) -> str:
+def _json_body(payload: dict, sort_keys: bool = True) -> str:
     """Every JSON kind's body.  With no ``indent``, stdlib's C encoder runs; it writes
     floats as ``float.__repr__`` does and tuples as lists, and refuses a numpy int or
-    array with its own TypeError.  No payload holds a cycle."""
-    return json.dumps({"payload": payload}, sort_keys=True, separators=(",", ":"),
+    array with its own TypeError.  No payload holds a cycle.  Only a payload whose
+    every dict is built in sorted key order may pass ``sort_keys=False``."""
+    return json.dumps({"payload": payload}, sort_keys=sort_keys, separators=(",", ":"),
                       allow_nan=False, check_circular=False) + "\n"
 
 
@@ -226,12 +234,20 @@ def parse_json(text, what: str, **options):
         raise ParseError(f"{what}: {exc}") from exc
 
 
+def _parse_body(text: str, path):
+    """A JSON body parsed by stdlib json, which names every fault of its text."""
+    return parse_json(text, f"{path}: invalid or truncated JSON body",
+                      parse_constant=_reject_constant)
+
+
+def _payload(body, where: str) -> dict:
+    return _record(body, {"payload": _mapping}, where)["payload"]
+
+
 def _load_document(path, expected_magic: str) -> tuple[dict, str]:
     """The payload of a JSON-bodied file, and its verified header digest."""
     text, digest = _read_artifact(path, expected_magic)
-    body = parse_json(text, f"{path}: invalid or truncated JSON body",
-                      parse_constant=_reject_constant)
-    return _record(body, {"payload": _mapping}, str(path))["payload"], digest
+    return _payload(_parse_body(text, path), str(path)), digest
 
 
 def _require_keys(d: dict, required, optional, where: str) -> None:
@@ -706,7 +722,8 @@ def save_frames(path, frames, manifest: str | None = None) -> None:
     payload: dict = {"frames": _frame_records(table)}
     if manifest is not None:
         payload["manifest"] = manifest
-    _write_artifact(path, FRAMES_MAGIC, _json_body(payload))
+    # Every dict here, records included, is built in sorted key order.
+    _write_artifact(path, FRAMES_MAGIC, _json_body(payload, sort_keys=False))
 
 
 def _box_table(frames: dict) -> BoxTable | None:
@@ -788,16 +805,31 @@ def _frames_table(frames: list, where: str) -> BoxTable:
     return table
 
 
-def load_frames(path, *, as_table: bool = False) -> dict[str, list[DetectionBox]] | BoxTable:
-    """A frames file as ``{frame_id: boxes}``, or with ``as_table`` as a
-    ``BoxTable``, which builds no box; a malformed file is a ParseError
-    naming its first fault."""
-    payload = _load_document(path, FRAMES_MAGIC)[0]
-    where = str(path)
+def _frames_document(body, where: str) -> BoxTable:
+    """The table of a parsed frames body, or a ParseError naming its first fault."""
+    payload = _payload(body, where)
     _require_keys(payload, {"frames"}, {"manifest"}, where)
     if not isinstance(payload["frames"], list):
         raise ParseError(f"{where}: frames must be a list")
-    table = _frames_table(payload["frames"], where)
+    if "manifest" in payload:
+        _string(payload["manifest"], f"{where}.manifest")
+    return _frames_table(payload["frames"], where)
+
+
+def load_frames(path, *, as_table: bool = False) -> dict[str, list[DetectionBox]] | BoxTable:
+    """A frames file as ``{frame_id: boxes}``, or with ``as_table`` as a
+    ``BoxTable``, which builds no box; a malformed file is a ParseError
+    naming its first fault.
+
+    orjson parses the body.  Text it refuses, and a document a check refuses,
+    are parsed again by stdlib json and checked again, so every fault is
+    named in stdlib's and the checks' words.
+    """
+    text, where = _read_artifact(path, FRAMES_MAGIC)[0], str(path)
+    try:
+        table = _frames_document(orjson.loads(text), where)
+    except (ValueError, RecursionError):  # ParseError, orjson's JSONDecodeError, a deep repr
+        table = _frames_document(_parse_body(text, path), where)
     return table if as_table else table.frames()
 
 

@@ -396,9 +396,10 @@ def matrix_body_reference(mf) -> str:
 
 def load_frames_reference(path):
     """``formats.load_frames`` as it was before it checked a file's box records
-    in bulk: one record at a time, each type-checked and then built by the
-    ``DetectionBox`` constructor, which checks the ranges.  The loader must
-    raise the same ParseError text or return equal boxes."""
+    in bulk: stdlib json parses the body, then one record at a time is
+    type-checked and built by the ``DetectionBox`` constructor, which checks
+    the ranges.  The loader must raise the same ParseError text or return
+    equal boxes."""
     from crossview import DetectionBox
     from crossview.formats import FRAMES_MAGIC, ParseError, _load_document, _require_keys
 
@@ -434,6 +435,8 @@ def load_frames_reference(path):
     _require_keys(payload, {"frames"}, {"manifest"}, where)
     if not isinstance(payload["frames"], list):
         raise ParseError(f"{where}: frames must be a list")
+    if not isinstance(payload.get("manifest", ""), str):
+        raise ParseError(f"{where}.manifest: expected a string, got {payload['manifest']!r}")
     out = {}
     for k, rec in enumerate(payload["frames"]):
         boxes = None

@@ -124,10 +124,10 @@ def test_malformed_input_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("site", ["scene", "config"])
+@pytest.mark.parametrize("site", ["scene", "config", "frames"])
 def test_json_nested_past_the_recursion_limit_exits_3(tmp_path, capsys, site):
-    """A scene file (digest recomputed) or a --config whose JSON nests 100,000
-    lists deep is malformed input, not a traceback."""
+    """A scene or frames file (digest recomputed) or a --config whose JSON nests
+    100,000 lists deep is malformed input, not a traceback."""
     deep = "[" * 100_000 + "]" * 100_000
     scene, config = tmp_path / "site.scene", tmp_path / "config.json"
     save_scene(scene, square_scene())
@@ -137,6 +137,16 @@ def test_json_nested_past_the_recursion_limit_exits_3(tmp_path, capsys, site):
         text = make_document("crossview.scene", {**_payload(scene), "grid": "@deep@"})
         scene.write_text(rehash(text.replace('"@deep@"', deep)))
         expected = f"error: {scene}: invalid or truncated JSON body: maximum recursion depth"
+    elif site == "frames":
+        frames = tmp_path / "lidar.frames"
+        payload = _frames_file(frames)
+        payload["frames"][0]["boxes"][0]["center"] = "@deep@"
+        text = make_document("crossview.frames", payload)
+        frames.write_text(rehash(text.replace('"@deep@"', deep)))
+        save_frames(tmp_path / "radar.frames", {})
+        argv = ["fuse", "--lidar", str(frames), "--radar", str(tmp_path / "radar.frames"),
+                "--out", str(tmp_path / "fused.frames")]
+        expected = f"error: {frames}: invalid or truncated JSON body: maximum recursion depth"
     else:
         config.write_text(json.dumps({"epsilon": "@deep@"}).replace('"@deep@"', deep))
         argv += ["--config", str(config)]
@@ -145,7 +155,7 @@ def test_json_nested_past_the_recursion_limit_exits_3(tmp_path, capsys, site):
     err = capsys.readouterr().err
     assert rc == 3, err
     assert err.startswith(expected) and "Traceback" not in err, err
-    assert not list(tmp_path.glob("*.vismatrix"))
+    assert not list(tmp_path.glob("*.vismatrix")) and not (tmp_path / "fused.frames").exists()
 
 
 def test_invalid_scene_exits_4(tmp_path, capsys):
@@ -1308,6 +1318,20 @@ def test_malformed_frames_payload_exits_3(tmp_path, capsys, where, value):
     location = "".join(f"[{w}]" if isinstance(w, int) else f".{w}" for w in where[:4])
     assert f"lidar.frames{location}" in err, err
     assert len(where) < 5 or where[4] in err, err
+
+
+@pytest.mark.parametrize("manifest", [5, {"a": [1]}], ids=["number", "object"])
+def test_frames_manifest_must_be_a_string(tmp_path, capsys, manifest):
+    """A frames file's manifest is read as a report's or a solution's is."""
+    path = tmp_path / "lidar.frames"
+    payload = _frames_file(path)
+    save_frames(tmp_path / "radar.frames", {})
+    path.write_text(make_document("crossview.frames", {**payload, "manifest": manifest}))
+    rc = main(["fuse", "--lidar", str(path), "--radar", str(tmp_path / "radar.frames"),
+               "--out", str(tmp_path / "fused.frames")])
+    err = capsys.readouterr().err
+    assert (rc, err) == (3, f"error: {path}.manifest: expected a string, got {manifest!r}\n")
+    assert not (tmp_path / "fused.frames").exists()
 
 
 # Faults that the loader's column checks must hand to the record loop, which

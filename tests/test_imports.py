@@ -1,12 +1,17 @@
 """Module dependency order: every package import in ``src/crossview`` sits at
 the top of its module, so the import graph reads from the files' heads and no
 cycle hides behind an import made at call time.  ``scene`` is the graph's
-root: it imports no other package module."""
+root: it imports no other package module.  Every other package a module
+imports is in the standard library or declared in ``pyproject.toml``."""
 
 from __future__ import annotations
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import crossview
 
@@ -40,3 +45,25 @@ def test_no_package_import_inside_a_function():
 def test_scene_imports_no_package_module():
     path = Path(crossview.__file__).parent / "scene.py"
     assert list(_package_imports(ast.parse(path.read_text()))) == []
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower()
+                for req in pyproject["project"]["dependencies"]}
+    imported = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "crossview":
+                    imported.setdefault(top, path.name)
+    assert {"numpy", "orjson"} <= imported.keys()
+    assert {name: module for name, module in imported.items() if name not in declared} == {}

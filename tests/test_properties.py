@@ -7,13 +7,15 @@ valid file with one node of its payload (or, for a matrix, one token or line
 of its text) replaced and the header digest recomputed, returns or raises
 ParseError (exit 3).  Neither ever ends in a TypeError, AttributeError or
 OverflowError traceback, and ``main``, run on a mutated valid --config or
-matrix file, exits 0, 3 or 4, never 1.  ``load_frames``, which checks box
-records in bulk, raises the message or returns the boxes of the record loop
-it replaced (``oracles.load_frames_reference``) on frames files with one or
-two edits, so that two faults compete to be named first, and a mutated
-matrix file that loads also saves.  ``save_matrix``, fed matrix
-files that may break any rule of the format, refuses them before writing or
-writes a file that loads back as written and saves again to the same bytes.
+matrix file, exits 0, 3 or 4, never 1.  ``load_frames``, which parses with
+orjson and checks box records in bulk, raises the message or returns the
+boxes of the stdlib-parsed record loop it replaced
+(``oracles.load_frames_reference``) on frames files with one or two edits,
+so that two faults compete to be named first, texts the two parsers read
+apart among them; a mutated matrix file that loads also saves.
+``save_matrix``, fed matrix files that may break any rule of the format,
+refuses them before writing or writes a file that loads back as written and
+saves again to the same bytes.
 ``validate_scene``, fed a valid scene with one value put in at any key path,
 returns a list of messages, and a scene that reads back as itself saves and
 loads back equal, with the same report from the range rules alone.  The
@@ -63,7 +65,7 @@ from crossview import (
     save_solution,
     validate_scene,
 )
-from crossview import DetectionBox, cli
+from crossview import DetectionBox, cli, formats
 from crossview.formats import (
     FRAMES_MAGIC,
     ParseError,
@@ -425,33 +427,39 @@ def _outcome(load, path):
         return str(exc)
 
 
-def _mutate(data, payload) -> str | None:
+def _mutate(data, payload) -> list:
     """One or two edits of a frames payload in place, so that faults in two
-    places, frames or boxes, compete to be named first; returns a raw literal
-    that replaces each node set to "@raw@" in the file's text, if one was
-    drawn.  A second edit whose target the first removed or replaced is not
-    made, and the draw is rejected."""
-    raw = _edit(data, payload)
+    places, frames or boxes, compete to be named first; returns the edits,
+    if any were drawn, to make on the file's text once it is written.  A
+    second edit whose target the first removed or replaced is not made, and
+    the draw is rejected."""
+    edits = [_edit(data, payload)]
     if data.draw(st.booleans()):
         try:
-            raw = _edit(data, payload) or raw
+            edits.append(_edit(data, payload))
         except (KeyError, IndexError, TypeError):
             reject()
-    return raw
+    return [edit for edit in edits if edit]
 
 
-def _edit(data, payload) -> str | None:
-    """One edit of a frames payload in place, and its raw literal, if any."""
+def _splice(raw: str):
+    """A text edit that puts the literal ``raw`` in place of each node set to "@raw@"."""
+    return lambda text: text.replace('"@raw@"', raw)
+
+
+def _edit(data, payload):
+    """One edit of a frames payload in place, and its text edit, if any."""
     frames = payload["frames"]
     boxes = [b for f in frames for b in f["boxes"]]
     box = data.draw(st.sampled_from(boxes))
     kind = data.draw(st.sampled_from(["node", "raw", "missing", "extra", "duplicate", "length",
-                                      "class", "source", "size", "score", "integers"]))
+                                      "class", "source", "size", "score", "integers",
+                                      "split", "surrogate", "bom", "deep"]))
     if kind in ("node", "raw"):
         where = data.draw(st.sampled_from(_nodes(payload)))
         raw = data.draw(st.sampled_from(RAW_NUMBERS)) if kind == "raw" else None
         _set(payload, where, "@raw@" if raw else data.draw(json_values | st.just(True)))
-        return raw
+        return raw and _splice(raw)
     if kind in ("missing", "extra"):
         record = data.draw(st.sampled_from([payload, *frames, box]))
         if kind == "missing":
@@ -471,6 +479,26 @@ def _edit(data, payload) -> str | None:
         box["size"][data.draw(st.integers(0, 2))] = data.draw(st.sampled_from([0, 0.0, -0.0, -1.5]))
     elif kind == "score":
         box["score"] = data.draw(st.sampled_from([-1e-300, -0.0, 0, 1, 1.0000000000000002, 2]))
+    # Texts that orjson, the loader's parser, reads otherwise than stdlib json,
+    # the reference's, or refuses where stdlib parses them.
+    elif kind == "split":  # orjson reads the integers as floats
+        key = data.draw(st.sampled_from(["center", "size", "velocity", "yaw", "score"]))
+        if isinstance(box.get(key), list) and box[key]:
+            box[key][data.draw(st.integers(0, len(box[key]) - 1))] = "@raw@"
+        else:
+            box[key] = "@raw@"
+        return _splice(data.draw(st.sampled_from([str(2 ** 64), str(10 ** 30), "1e400", "NaN"])))
+    elif kind == "surrogate":  # written as the escape \ud800, which orjson refuses
+        data.draw(st.sampled_from(frames))["frame_id"] = data.draw(
+            st.sampled_from(["\ud800", "a\ud800", "\udfff"]))
+    elif kind == "bom":
+        return lambda text: text.replace("\n", "\n\ufeff", 1)
+    elif kind == "deep":  # within orjson's nesting limit of 1,024
+        if data.draw(st.booleans()):
+            box["center"] = "@raw@"
+        else:
+            payload["manifest"] = "@raw@"
+        return _splice("[" * 1000 + "]" * 1000)
     else:  # JSON integers where floats were: a valid file that stores them as floats
         box["center"] = [1, -2, 0]
         box["size"] = [4, 2, 1]
@@ -481,10 +509,12 @@ def _edit(data, payload) -> str | None:
 @given(data=st.data())
 def test_frames_loader_is_the_record_loop_on_mutated_files(tmp_path_factory, frames_payload, data):
     payload = json.loads(json.dumps(frames_payload))
-    raw = _mutate(data, payload)
+    edits = _mutate(data, payload)
     text = make_document(FRAMES_MAGIC, payload, indent=None)
+    for edit in edits:
+        text = edit(text)
     path = tmp_path_factory.mktemp("mutated") / "m.frames"
-    path.write_text(rehash(text.replace('"@raw@"', raw)) if raw else text)
+    path.write_bytes(rehash(text).encode())
     got, want = _outcome(load_frames, path), _outcome(load_frames_reference, path)
     assert got == want
     event("refused" if isinstance(got, str) else "loaded")
@@ -535,6 +565,37 @@ def test_valid_files_never_reach_the_constructor(tmp_path, frames_payload, monke
     assert repr(table.frames()) == repr(load_frames_reference(path))
     assert {len(box) for frame in payload["frames"][:3] for box in frame["boxes"]} == {6, 7}
     assert {box.get("velocity") is None for box in payload["frames"][0]["boxes"]} == {True, False}
+
+
+def test_a_valid_file_is_parsed_once(tmp_path, frames_payload, monkeypatch):
+    """orjson's parse is the only one a valid file gets, with velocity in every
+    box record or left out of some, with a manifest or without: stdlib json,
+    which names faults, is not called.  A faulty file still reaches it."""
+    with_manifest = json.loads(json.dumps(frames_payload))
+    lean = json.loads(json.dumps(frames_payload))
+    del lean["manifest"]
+    for frame in lean["frames"]:
+        for box in frame["boxes"][::2]:
+            del box["velocity"]
+    faulty = json.loads(json.dumps(frames_payload))
+    faulty["frames"][0]["boxes"][0]["score"] = 2
+    paths = {}
+    for name, payload in (("with_manifest", with_manifest), ("lean", lean), ("faulty", faulty)):
+        paths[name] = tmp_path / f"{name}.frames"
+        paths[name].write_text(make_document(FRAMES_MAGIC, payload, indent=None))
+    want = {name: repr(load_frames_reference(paths[name])) for name in ("with_manifest", "lean")}
+
+    class Reparsed(Exception):
+        pass
+
+    def reparse(*args, **kwargs):
+        raise Reparsed
+
+    monkeypatch.setattr(formats, "parse_json", reparse)
+    for name, boxes in want.items():
+        assert repr(load_frames(paths[name], as_table=True).frames()) == boxes, name
+    with pytest.raises(Reparsed):
+        load_frames(paths["faulty"], as_table=True)
 
 
 # A valid --config for every command, on ``square_scene`` with one sample

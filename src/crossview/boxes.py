@@ -21,9 +21,11 @@ in which frames are loaded, paired, fused, scored and written; a
 through ``BoxTable.from_frames`` and comes out through ``BoxTable.frames``.
 A table's ``sort_rank`` stands for ``sort_key`` (equal keys, equal ranks),
 so orders and the kernel's canonical swap compare integers, not tuples.
-``value_fault`` states the constructor's value rules over whole columns,
-and ``class_pairs`` lists the same-frame, same-class pairs that fusion and
-evaluation match from.
+A table's frame ids are distinct; its constructor refuses one that repeats.
+``value_fault`` states the constructor's value rules over whole columns.
+Fusion and evaluation share two steps: ``pair_tables`` joins two tables and
+lists their same-frame, same-class pairs, and ``claim`` matches pairs
+greedily, one to one, in the order the caller ranks them.
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ _SOURCE_RANK = np.argsort(np.argsort(SOURCES)).astype(np.int8)
 class BoxTable:
     """The boxes of many frames as columns, one row a box.
 
-    Frame ``k`` is ``frame_ids[k]``; its rows are ``offsets[k]:offsets[k + 1]``.
+    Frame ``k`` is ``frame_ids[k]``, an id no other frame of the table has; its
+    rows are ``offsets[k]:offsets[k + 1]``.
     ``center`` and ``size`` are (n, 3) and ``velocity`` (n, 2) float arrays;
     ``yaw`` (normalized, as ``DetectionBox`` stores it) and ``score`` are (n,)
     floats; ``label`` and ``source`` are codes into ``CLASSES`` and
@@ -154,6 +157,12 @@ class BoxTable:
     source: np.ndarray
     velocity: np.ndarray
     has_velocity: np.ndarray
+
+    def __post_init__(self) -> None:
+        ids = self.frame_ids
+        if len(set(ids)) != len(ids):
+            twice = next(fid for k, fid in enumerate(ids) if fid in ids[:k])
+            raise ValueError(f"frame ids must be unique: {twice!r} appears twice")
 
     def __len__(self) -> int:
         return self.yaw.shape[0]
@@ -221,13 +230,6 @@ class BoxTable:
                    floats("center", 3).reshape(n, 3), floats("size", 3).reshape(n, 3),
                    floats("yaw"), floats("score"), codes("class_label", _CLASS_CODE),
                    codes("source", _SOURCE_CODE), velocity, has_velocity)
-
-    @staticmethod
-    def concat(a: BoxTable, b: BoxTable) -> BoxTable:
-        """``a``'s frames and rows, then ``b``'s."""
-        return BoxTable(a.frame_ids + b.frame_ids,
-                        np.concatenate((a.offsets, b.offsets[1:] + len(a))),
-                        *map(np.concatenate, zip(a.columns, b.columns)))
 
     def frames(self) -> dict:
         """The table as ``{frame_id: boxes}``, each box built as the constructor would."""
@@ -465,34 +467,42 @@ def iou_3d_pairs(boxes, ia, ib) -> np.ndarray:
     return iou
 
 
-def frame_union(left: BoxTable, right: BoxTable) -> tuple[list, np.ndarray, np.ndarray]:
-    """The frame ids of either table, sorted, and each row's place in that list,
-    for ``left`` and for ``right``: frames of one id line up."""
+def pair_tables(left: BoxTable, right: BoxTable):
+    """``(both, ids, frame, i, j)``: ``left``'s rows then ``right``'s as one
+    one-frame table, the frame ids of either table sorted, each row's place in
+    ``ids``, and every ``(i, j)`` of a ``left`` row and a ``right`` row, as rows
+    of ``both``, in frames of one id and of one class, by i and then j: the
+    pairs that fusion and evaluation match from."""
     ids = sorted({*left.frame_ids, *right.frame_ids})
     at = {fid: k for k, fid in enumerate(ids)}
-
-    def rows(table):
-        return np.array([at[fid] for fid in table.frame_ids], dtype=np.intp)[table.frame]
-
-    return ids, rows(left), rows(right)
-
-
-def _same_key_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every ``(i, j)`` with ``left[i] == right[j]`` (integer keys), by i and then j."""
-    order = np.argsort(right, kind="stable")
-    start = np.searchsorted(right[order], left, "left")
-    counts = np.searchsorted(right[order], left, "right") - start
+    places = np.array([at[fid] for fid in (*left.frame_ids, *right.frame_ids)], dtype=np.intp)
+    frame = places[np.concatenate((left.frame, right.frame + len(left.frame_ids)))]
+    n = len(left)
+    both = BoxTable(("",), np.array([0, frame.shape[0]]),
+                    *map(np.concatenate, zip(left.columns, right.columns)))
+    key = frame * len(CLASSES) + both.label
+    order = np.argsort(key[n:], kind="stable") + n  # right's rows by key
+    start = np.searchsorted(key[order], key[:n], "left")
+    counts = np.searchsorted(key[order], key[:n], "right") - start
     first = np.cumsum(counts) - counts
-    i = np.repeat(np.arange(left.shape[0]), counts)
-    return i, order[start[i] + np.arange(i.shape[0]) - first[i]]
+    i = np.repeat(np.arange(n), counts)
+    return both, ids, frame, i, order[start[i] + np.arange(i.shape[0]) - first[i]]
 
 
-def class_pairs(left: BoxTable, right: BoxTable) -> tuple[np.ndarray, np.ndarray]:
-    """Every ``(i, j)`` with row i of ``left`` and row j of ``right`` in frames of
-    one id and of one class, by i and then j: the pairs that fusion and
-    evaluation match from."""
-    _, lu, ru = frame_union(left, right)
-    return _same_key_pairs(lu * len(CLASSES) + left.label, ru * len(CLASSES) + right.label)
+def claim(i: np.ndarray, j: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs a greedy one-to-one match takes, in match order: pair
+    ``(i[k], j[k])``, for each k of ``order``, is taken if neither of its
+    rows is taken yet.  No row may be both an i and a j, as in ``pair_tables``."""
+    used: set[int] = set()
+    add = used.add
+    taken_i, taken_j = [], []
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if a not in used and b not in used:
+            add(a)
+            add(b)
+            taken_i.append(a)
+            taken_j.append(b)
+    return np.array(taken_i, dtype=np.intp), np.array(taken_j, dtype=np.intp)
 
 
 def center_distance_bev(a: DetectionBox, b: DetectionBox) -> float:

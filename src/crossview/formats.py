@@ -36,9 +36,10 @@ checks refuse, are parsed again by stdlib json and checked again, so every
 fault is named in the words of the other kinds.  A document that passes the
 checks reads the same under both parsers: each value in it is checked, and
 both give a number the same float.  It has one writer: ``save_frames``
-turns a ``{frame_id: boxes}`` mapping into a table, refuses frame ids the
-reader would refuse, and writes the table's rows as records, whose dicts it
-builds in sorted key order, so json's encoder runs without a key sort.
+turns a ``{frame_id: boxes}`` mapping into a table, whose frame ids are
+distinct, refuses a frame id that is not a string, as the reader would, and
+writes the table's rows as records, whose dicts it builds in sorted key
+order, so json's encoder runs without a key sort.
 
 The scene table ``_SCENE`` is the one statement of a scene's fields: a file
 is read through it by ``load_scene``, and a scene built in Python, as
@@ -650,8 +651,8 @@ def load_matrix(path) -> MatrixFile:
 
 # The types a JSON number loads as; ``true`` loads as a bool, which is neither.
 _JSON_NUMBERS = frozenset({int, float})
-_BOX_REQUIRED = frozenset({"center", "size", "yaw", "class_label", "score", "source"})
-_BOX_KEYS = _BOX_REQUIRED | {"velocity"}
+_BOX_KEYS = frozenset(f.name for f in fields(DetectionBox))
+_BOX_REQUIRED = _BOX_KEYS - {"velocity"}
 _FRAME_KEYS = frozenset({"frame_id", "boxes"})
 _CLASS_NAMES = np.array(CLASSES, dtype=object)
 _SOURCE_NAMES = np.array(SOURCES, dtype=object)
@@ -712,13 +713,9 @@ def save_frames(path, frames, manifest: str | None = None) -> None:
     """Write ``frames``, a ``{frame_id: boxes}`` mapping or a ``BoxTable``; its
     frame ids must be distinct strings, as the loader reads them."""
     table = frames if isinstance(frames, BoxTable) else BoxTable.from_frames(frames)
-    seen = set()
     for fid in table.frame_ids:
         if not isinstance(fid, str):
             raise TypeError(f"frames: frame id {fid!r} is not a string")
-        if fid in seen:
-            raise ValueError(f"frames: duplicate frame id {fid!r}")
-        seen.add(fid)
     payload: dict = {"frames": _frame_records(table)}
     if manifest is not None:
         payload["manifest"] = manifest

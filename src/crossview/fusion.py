@@ -7,13 +7,14 @@ pass through untouched, so every input box is accounted for exactly once:
 len(output) == len(lidar) + len(radar) - matches.
 
 ``fuse_late`` fuses either one frame's box lists or every frame of two
-``BoxTable``s at once.  A table's same-class pairs come from
-``boxes.class_pairs`` and their IoUs from one ``iou_3d_pairs`` call, one
-``np.lexsort`` puts them in greedy order, and the matches merge in one batch
-with ``math``'s sin, cos and atan2 per element.  Box lists go through the
-same code as one-frame tables, but take each pair's IoU from ``iou_3d``,
-which gives the kernel's bits and is the call the benchmark's tracer
-counts; ``fuse_frames`` fuses a ``{frame_id: boxes}`` mapping as a table.
+``BoxTable``s at once.  ``boxes.pair_tables`` joins the tables and lists
+their same-class pairs, whose IoUs come from one ``iou_3d_pairs`` call; one
+``np.lexsort`` puts them in greedy order, ``boxes.claim`` matches them, and
+the matches merge in one batch with ``math``'s sin, cos and atan2 per
+element.  Box lists go through the same code as one-frame tables, but take
+each pair's IoU from ``iou_3d``, which gives the kernel's bits and is the
+call the benchmark's tracer counts; ``fuse_frames`` fuses a
+``{frame_id: boxes}`` mapping as a table.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .boxes import (
     SOURCES,
     BoxTable,
     DetectionBox,
-    class_pairs,
-    frame_union,
+    claim,
     iou_3d,
     iou_3d_pairs,
     normalize_yaw,
+    pair_tables,
     value_fault,
 )
 from .scene import LIDAR, RADAR
@@ -89,29 +90,18 @@ def _fuse(lidar: BoxTable, radar: BoxTable, config: FusionConfig | None, measure
     """Fuse every frame id of either table; ``measure(both, ia, ib)`` gives the
     IoU of rows ``ia`` and ``ib`` of the two tables' rows, lidar first."""
     config = config or FusionConfig()
-    ids, lu, ru = frame_union(lidar, radar)
-    n = len(lidar)
-    both = BoxTable.concat(lidar, radar)
-    frame = np.concatenate((lu, ru))
-    li, ri = class_pairs(lidar, radar)
-    ri = ri + n
+    both, ids, frame, li, ri = pair_tables(lidar, radar)
     iou = np.asarray(measure(both, li, ri), dtype=float)
     hit = np.flatnonzero(iou >= config.iou_threshold)
     li, ri, iou = li[hit], ri[hit], iou[hit]
-    # Frame by frame, pairs by descending IoU, then by sort_key and index.
+    # Frame by frame, pairs by descending IoU, then by sort_key, and then by
+    # index, the order pair_tables lists them in, which the stable sort keeps.
     rank = both.sort_rank
-    order = np.lexsort((ri, li, rank[ri], rank[li], -iou, frame[li]))
-    used: set[int] = set()
-    matched = []
-    for i, j in zip(li[order].tolist(), ri[order].tolist()):
-        if i not in used and j not in used:
-            used.update((i, j))
-            matched.append((i, j))
-    ml, mr = np.array(matched, dtype=np.intp).reshape(-1, 2).T
+    ml, mr = claim(li, ri, np.lexsort((rank[ri], rank[li], -iou, frame[li])))
     merged = _merge(both, ml, mr)
     center, size, yaw, score, _, _, velocity, _ = merged
 
-    source_fault = _source_fault(lidar, radar, lu, ru)
+    source_fault = _source_fault(lidar, radar, frame[:len(lidar)], frame[len(lidar):])
     merge_fault = value_fault(center, size, yaw, score, velocity)
     if merge_fault is not None:
         row, text = merge_fault
@@ -142,6 +132,9 @@ def fuse_late(
     """Fuse one frame of detections, returned sorted by score; or, given two
     tables, every frame id present in either, in id order, each frame's boxes
     in score order, as a table."""
+    if isinstance(lidar_detections, BoxTable) != isinstance(radar_detections, BoxTable):
+        raise TypeError("fuse_late takes two BoxTables or two lists of DetectionBox, "
+                        "not one of each")
     if isinstance(lidar_detections, BoxTable):
         return _fuse(lidar_detections, radar_detections, config, iou_3d_pairs)
     boxes = [*lidar_detections, *radar_detections]

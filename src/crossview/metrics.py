@@ -10,10 +10,11 @@ no ground truth anywhere have undefined AP and are skipped by the mean.
 ``(ground_truth, predictions)`` pair of ``BoxTable``s, frames joined on id,
 and score both through one matcher on tables.  Groups (a class in a frame)
 are orders of one ``np.lexsort`` over class, frame, score and
-``sort_rank``; the candidate pairs come from ``boxes.class_pairs``, with
-IoUs from one ``iou_3d_pairs`` call (bit for bit ``iou_3d``) or center
-distances from ``math.hypot`` per pair, which numpy's hypot does not
-reproduce.
+``sort_rank``; ``boxes.pair_tables`` joins the tables and lists the
+candidate pairs, with IoUs from one ``iou_3d_pairs`` call (bit for bit
+``iou_3d``) or center distances from ``math.hypot`` per pair, which numpy's
+hypot does not reproduce, and ``boxes.claim``, fusion's matcher too, lets
+each prediction claim its truth box.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 # iou_3d is the per-pair definition that iou_3d_pairs reproduces; the benchmark's
 # tracer looks for this module's binding.
 from .boxes import CLASSES, BoxTable, DetectionBox, iou_3d  # noqa: F401
-from .boxes import class_pairs, frame_union, iou_3d_pairs
+from .boxes import claim, iou_3d_pairs, pair_tables
 
 DEFAULT_IOU_THRESHOLDS = {
     "car": 0.5,
@@ -123,18 +124,15 @@ def _threshold(class_label: str, matching_mode: str, threshold: float | None) ->
 def _tables(frames) -> tuple[BoxTable, BoxTable]:
     """The truth and predictions tables of ``frames``: a pair of tables as it
     is, frame pairs made tables, their frame ids checked."""
-    if len(frames) == 2 and all(isinstance(side, BoxTable) for side in frames):
+    tables = [isinstance(side, BoxTable) for side in frames]
+    if tables == [True, True]:
         return frames
+    if any(tables):
+        raise TypeError("frames must be a list of FramePair or a (ground_truth, "
+                        "predictions) pair of BoxTables")
     _check_frames(frames)
     return (BoxTable.from_frames({f.frame_id: f.ground_truth for f in frames}),
             BoxTable.from_frames({f.frame_id: f.predictions for f in frames}))
-
-
-def _positions(order: np.ndarray) -> np.ndarray:
-    """Each row's place in ``order``."""
-    at = np.empty(order.shape[0], dtype=np.intp)
-    at[order] = np.arange(order.shape[0])
-    return at
 
 
 def _evaluate(truth: BoxTable, predictions: BoxTable, thresholds: dict[str, float],
@@ -146,43 +144,33 @@ def _evaluate(truth: BoxTable, predictions: BoxTable, thresholds: dict[str, floa
     class with the highest IoU, or the smallest center distance, within the
     threshold; ties go to the truth box first in ``sort_key`` order.  The
     candidate pairs of every class and frame are taken at once, sorted by
-    (prediction, metric, truth) with one ``np.lexsort``, and each
-    prediction claims the first free truth box of its pairs.
+    (prediction, metric, truth ``sort_rank``, row) with one ``np.lexsort``,
+    and each prediction claims the first free truth box of its pairs.
     """
-    _, pu, tu = frame_union(predictions, truth)
+    both, _, frame, pi, ti = pair_tables(predictions, truth)
     n = len(predictions)
-    both = BoxTable.concat(predictions, truth)
     rank = both.sort_rank
-    descending = -predictions.score
-    pred_at = _positions(np.lexsort((rank[:n], descending, pu, predictions.label)))
-    truth_at = _positions(np.lexsort((rank[n:], tu, truth.label)))
+    # Per class, outcomes by descending score, then frame id and rank in the
+    # frame.  In one class and frame that is the claim order, and claims in
+    # others take other truth boxes, so the matcher takes this order too.
+    order = np.lexsort((rank[:n], frame[:n], -predictions.score, predictions.label))
+    pred_at = np.argsort(order)  # each prediction's place in order
     limit = np.full(len(CLASSES), np.nan)  # nan: a class not evaluated, whose pairs no test keeps
     limit[[CLASSES.index(label) for label in thresholds]] = list(thresholds.values())
-    pi, ti = class_pairs(predictions, truth)
     limit = limit[predictions.label[pi]]
     if matching_mode == "iou":
-        metric = iou_3d_pairs(both, pi, ti + n)
+        metric = iou_3d_pairs(both, pi, ti)
         keep = metric >= limit
         metric = -metric  # the highest IoU first
     else:
-        dx = predictions.center[pi, 0] - truth.center[ti, 0]
-        dy = predictions.center[pi, 1] - truth.center[ti, 1]
+        dx = both.center[pi, 0] - both.center[ti, 0]
+        dy = both.center[pi, 1] - both.center[ti, 1]
         metric = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
         keep = metric <= limit
     pi, ti, metric = pi[keep], ti[keep], metric[keep]
-    order = np.lexsort((truth_at[ti], metric, pred_at[pi]))
-    claimed: set[int] = set()
-    taken: set[int] = set()
-    for p, t in zip(pi[order].tolist(), ti[order].tolist()):
-        if p not in claimed and t not in taken:
-            claimed.add(p)
-            taken.add(t)
     hit = np.zeros(n, dtype=bool)
-    hit[list(claimed)] = True
+    hit[claim(pi, ti, np.lexsort((rank[ti], metric, pred_at[pi])))[0]] = True
 
-    # Per class, outcomes by descending score, then frame id and rank in the
-    # frame, which is pred_at's order among equal scores of a class.
-    order = np.lexsort((pred_at, descending, predictions.label))
     cuts = np.searchsorted(predictions.label[order], np.arange(len(CLASSES) + 1)).tolist()
     num_gt = np.bincount(truth.label, minlength=len(CLASSES)).tolist()
     hit = hit[order]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crossview import DetectionBox, FusionConfig, fuse_late, iou_3d
+from crossview.boxes import BoxTable
 from crossview.fusion import fuse_frames
 
 from conftest import random_box, rescore_frames, shifted_copy
@@ -144,6 +145,14 @@ def test_empty_inputs():
     assert fuse_late([l], []) == [l]
     r = make_box(source="radar")
     assert fuse_late([], [r]) == [r]
+
+
+def test_mixed_input_forms_rejected():
+    table = BoxTable.from_frames({"000000": [make_box()]})
+    boxes = [make_box(source="radar")]
+    for lidar, radar in ((table, boxes), (boxes, table)):
+        with pytest.raises(TypeError, match="two BoxTables or two lists of DetectionBox"):
+            fuse_late(lidar, radar)
 
 
 def test_config_validation():

@@ -16,9 +16,9 @@ from crossview.boxes import (
     _clip_pairs,
     _clip_polygon,
     _polygon_area,
-    class_pairs,
     footprint,
     iou_3d_pairs,
+    pair_tables,
 )
 
 from conftest import random_box, rescore_frames, shifted_copy
@@ -356,31 +356,34 @@ def test_kernel_takes_any_pair_list():
     assert_kernel_is_iou_3d([a, b], [0, 1, 0, 1], [1, 0, 0, 1])
 
 
-# -- class_pairs: the one pairing of fusion and evaluation ----------------------
+# -- pair_tables: the one pairing of fusion and evaluation ---------------------
 
 KEEP_RULES = {"fusion": lambda iou: iou >= 0.3, "evaluation": lambda iou: iou > 0.0}
 
 
 def group_pairs(left_groups, right_groups, keep):
-    """Per group k, the ``(iou, i, j)`` that ``class_pairs`` and one ``iou_3d_pairs``
+    """Per group k, the ``(iou, i, j)`` that ``pair_tables`` and one ``iou_3d_pairs``
     call give for ``left_groups[k][i]`` and ``right_groups[k][j]``, for each IoU that
     ``keep`` accepts.  Group k is frame ``f"{k:06d}"`` of two tables, so frames
-    sort in group order."""
+    sort in group order.  Each row's frame place is checked against its frame id."""
     left, right = (BoxTable.from_frames({f"{k:06d}": g for k, g in enumerate(groups)})
                    for groups in (left_groups, right_groups))
-    li, ri = class_pairs(left, right)
-    iou = iou_3d_pairs(BoxTable.concat(left, right), li, ri + len(left))
+    both, ids, frame, li, ri = pair_tables(left, right)
+    assert ids == sorted({*left.frame_ids, *right.frame_ids})
+    row_ids = [table.frame_ids[f] for table in (left, right) for f in table.frame.tolist()]
+    assert [ids[f] for f in frame.tolist()] == row_ids
+    iou = iou_3d_pairs(both, li, ri)
     hit = np.flatnonzero(keep(iou))
     out = [[] for _ in left_groups]
-    for m, i, j in zip(iou[hit].tolist(), li[hit].tolist(), ri[hit].tolist()):
+    for m, i, j in zip(iou[hit].tolist(), li[hit].tolist(), (ri[hit] - len(left)).tolist()):
         k = int(left.frame[i])
         assert right.frame_ids[right.frame[j]] == left.frame_ids[k]
         out[k].append((m, i - int(left.offsets[k]), j - int(right.offsets[right.frame[j]])))
     return out
 
 
-def assert_class_pairs_are_the_pair_loop(left_groups, right_groups, keep):
-    """``class_pairs`` gives, group by group, what a per-pair ``iou_3d`` loop over
+def assert_pair_tables_is_the_pair_loop(left_groups, right_groups, keep):
+    """``pair_tables`` gives, group by group, what a per-pair ``iou_3d`` loop over
     every same-class pair gives, by i and then j, each IoU bit for bit."""
     got = group_pairs(left_groups, right_groups, keep)
     want = [[(iou_3d(a, b), i, j) for i, a in enumerate(left) for j, b in enumerate(right)
@@ -397,27 +400,27 @@ def assert_class_pairs_are_the_pair_loop(left_groups, right_groups, keep):
 
 
 @pytest.mark.parametrize("rule", sorted(KEEP_RULES))
-def test_class_pairs_on_empty_and_unmatched_groups(rule):
+def test_pair_tables_on_empty_and_unmatched_groups(rule):
     keep = KEEP_RULES[rule]
     car, truck = box(), box(class_label="truck", source="radar")
     assert group_pairs([], [], keep) == []
     assert group_pairs([[], [car], []], [[truck], [], []], keep) == [[], [], []]
     assert group_pairs([[car, car]], [[truck, truck]], keep) == [[]]
-    got = assert_class_pairs_are_the_pair_loop(
+    got = assert_pair_tables_is_the_pair_loop(
         [[], [car, truck], [truck]], [[car], [truck, car, truck], []], keep)
     assert got == [[], [(1.0, 0, 1), (1.0, 1, 0), (1.0, 1, 2)], []]
 
 
 @pytest.mark.parametrize("rule", sorted(KEEP_RULES))
-def test_class_pairs_on_a_seeded_scenario(rule):
+def test_pair_tables_on_a_seeded_scenario(rule):
     """Every frame of a ``rescore``-sized deployment, lidar against radar and
     truth against lidar, the pairs fusion and evaluation take."""
     frames = rescore_frames(12)
     for left, right in ((frames.lidar, frames.radar), (frames.ground_truth, frames.lidar)):
         ids = sorted(set(left) | set(right))
-        got = assert_class_pairs_are_the_pair_loop([left.get(f, []) for f in ids],
-                                                   [right.get(f, []) for f in ids],
-                                                   KEEP_RULES[rule])
+        got = assert_pair_tables_is_the_pair_loop([left.get(f, []) for f in ids],
+                                                  [right.get(f, []) for f in ids],
+                                                  KEEP_RULES[rule])
         assert sum(map(len, got)) > 300
 
 

@@ -14,6 +14,7 @@ from crossview import (
     evaluate_map,
     pair_frames,
 )
+from crossview.boxes import BoxTable
 
 from conftest import random_box, rescore_frames, shifted_copy
 from oracles import ap_frames_reference
@@ -206,6 +207,21 @@ def test_duplicate_frame_ids_rejected():
     f = FramePair.of("000000", [], [gt_box((0.0, 0.0, 1.0))])
     with pytest.raises(ValueError, match="unique"):
         evaluate_ap([f, f], "car")
+    truth = BoxTable.from_frames({f.frame_id: f.ground_truth})
+    with pytest.raises(ValueError, match="unique"):
+        evaluate_ap((BoxTable((f.frame_id, f.frame_id), np.array([0, 1, 2]),
+                              *(np.concatenate((c, c)) for c in truth.columns)),
+                     BoxTable.from_frames({})), "car")
+
+
+def test_mixed_input_forms_rejected():
+    f = FramePair.of("000000", [pred_box((0.0, 0.0, 1.0), 0.9)], [gt_box((0.0, 0.0, 1.0))])
+    table = BoxTable.from_frames({f.frame_id: f.ground_truth})
+    for frames in ((table, [f]), ([f], table), [f, table], (table,), (table, table, table)):
+        with pytest.raises(TypeError, match="list of FramePair or a .* pair of BoxTables"):
+            evaluate_map(frames, classes=("car",))
+        with pytest.raises(TypeError, match="list of FramePair or a .* pair of BoxTables"):
+            evaluate_ap(frames, "car")
 
 
 def test_frame_permutation_invariance():

@@ -37,9 +37,12 @@ fault is named in the words of the other kinds.  A document that passes the
 checks reads the same under both parsers: each value in it is checked, and
 both give a number the same float.  It has one writer: ``save_frames``
 turns a ``{frame_id: boxes}`` mapping into a table, whose frame ids are
-distinct, refuses a frame id that is not a string, as the reader would, and
-writes the table's rows as records, whose dicts it builds in sorted key
-order, so json's encoder runs without a key sort.
+distinct, refuses a frame id or manifest that is not a string and a value
+``boxes.value_fault`` names, as the reader would, and writes the table's rows
+as records, the text ``_json_body`` would write, byte for byte.  orjson
+encodes each frame's records, whose dicts are built in sorted key order;
+stdlib json encodes the frame ids, the manifest, and the records of a frame
+holding a float that orjson writes in another form than ``float.__repr__``.
 
 The scene table ``_SCENE`` is the one statement of a scene's fields: a file
 is read through it by ``load_scene``, and a scene built in Python, as
@@ -154,10 +157,9 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
-def _write_artifact(path, magic: str, body: str) -> None:
+def _write_artifact(path, magic: str, body: bytes) -> None:
     """Write the header line and ``body`` through ``write_atomic``."""
-    data = body.encode("utf-8")
-    write_atomic(path, f"{magic} {FORMAT_VERSION} {_body_digest(data)}\n".encode() + data)
+    write_atomic(path, f"{magic} {FORMAT_VERSION} {_body_digest(body)}\n".encode() + body)
 
 
 def read_input(path) -> bytes:
@@ -198,13 +200,14 @@ def _read_artifact(path, magic: str) -> tuple[str, str]:
         raise ParseError(f"{path}: body is not UTF-8 text: {exc}") from exc
 
 
-def _json_body(payload: dict, sort_keys: bool = True) -> str:
-    """Every JSON kind's body.  With no ``indent``, stdlib's C encoder runs; it writes
-    floats as ``float.__repr__`` does and tuples as lists, and refuses a numpy int or
-    array with its own TypeError.  No payload holds a cycle.  Only a payload whose
-    every dict is built in sorted key order may pass ``sort_keys=False``."""
-    return json.dumps({"payload": payload}, sort_keys=sort_keys, separators=(",", ":"),
-                      allow_nan=False, check_circular=False) + "\n"
+def _json_body(payload: dict) -> bytes:
+    """The body of every JSON kind but frames, whose writer gives the same text.
+    With no ``indent``, stdlib's C encoder runs; it writes floats as
+    ``float.__repr__`` does, tuples as lists and every character past ASCII as
+    an escape, and refuses a numpy int or array with its own TypeError.  No
+    payload holds a cycle."""
+    return (json.dumps({"payload": payload}, sort_keys=True, separators=(",", ":"),
+                       allow_nan=False, check_circular=False) + "\n").encode()
 
 
 def _string_keys(value, where: str) -> None:
@@ -481,7 +484,7 @@ def scene_hash(scene: Scene) -> str:
 
     A loaded scene's identity is its own file's digest (``load_scene_with_digest``).
     """
-    return _body_digest(_json_body(scene_payload(scene)).encode("utf-8"))
+    return _body_digest(_json_body(scene_payload(scene)))
 
 
 def save_scene(path, scene: Scene) -> None:
@@ -564,7 +567,7 @@ def save_matrix(path, mf: MatrixFile) -> None:
     distinct, inverse = np.unique(bits, return_inverse=True)
     texts = np.array([_fmt(v) for v in distinct.view(np.float64)], dtype=object)
     lines.extend(" ".join(row) for row in texts[inverse.reshape(rows, cols)].tolist())
-    _write_artifact(path, MATRIX_MAGIC, "\n".join(lines) + "\n")
+    _write_artifact(path, MATRIX_MAGIC, ("\n".join(lines) + "\n").encode())
 
 
 class _FloatMemo(dict):
@@ -686,9 +689,10 @@ def _box_from_record(rec) -> DetectionBox:
         raise ParseError(f": {exc}") from exc
 
 
-def _frame_records(table: BoxTable) -> list[dict]:
-    """A table's frames as file records: frames by id, each frame's boxes by
-    descending score, ties by ``sort_key``, and rows tied on both in table order."""
+def _frame_records(table: BoxTable) -> list[tuple[int, list[dict]]]:
+    """A table's frames as (frame index, box records) pairs: frames by id, each
+    frame's boxes by descending score, ties by ``sort_key``, and rows tied on both
+    in table order.  Every record's dict is built in sorted key order."""
     frames = sorted(range(len(table.frame_ids)), key=table.frame_ids.__getitem__)
     at = np.empty(len(frames), dtype=np.intp)
     at[frames] = np.arange(len(frames))
@@ -705,22 +709,50 @@ def _frame_records(table: BoxTable) -> list[dict]:
                    _CLASS_NAMES[table.label[order]].tolist(),
                    _SOURCE_NAMES[table.source[order]].tolist(), velocity)]
     cuts = [0, *accumulate(np.diff(table.offsets)[frames].tolist())]
-    return [{"boxes": records[cuts[k]:cuts[k + 1]], "frame_id": table.frame_ids[frame]}
-            for k, frame in enumerate(frames)]
+    return [(frame, records[cuts[k]:cuts[k + 1]]) for k, frame in enumerate(frames)]
+
+
+def _repr_form_frames(table: BoxTable) -> np.ndarray:
+    """Which frames hold a float that orjson writes in another form than
+    ``float.__repr__``: a magnitude in [1e-9, 1e-4) (``0.0000514``, ``2.5e-7``)
+    or from 1e16 (``1e16``).  orjson writes every other float as repr does."""
+    values = np.abs(np.hstack((table.center, table.size, table.yaw[:, None],
+                               table.score[:, None], table.velocity)))
+    rows = (((values >= 1e-9) & (values < 1e-4)) | (values >= 1e16)).any(axis=1)
+    marked = np.zeros(len(table.frame_ids), dtype=bool)
+    marked[table.frame[rows]] = True
+    return marked
 
 
 def save_frames(path, frames, manifest: str | None = None) -> None:
     """Write ``frames``, a ``{frame_id: boxes}`` mapping or a ``BoxTable``; its
-    frame ids must be distinct strings, as the loader reads them."""
+    frame ids must be distinct strings, its manifest a string and its values
+    ones ``DetectionBox`` takes, as the loader reads them.
+
+    The body is the text ``_json_body`` would write, byte for byte.  orjson
+    encodes each frame's box records; stdlib json encodes the frame ids, the
+    manifest, and the records of a frame that ``_repr_form_frames`` marks.
+    """
     table = frames if isinstance(frames, BoxTable) else BoxTable.from_frames(frames)
     for fid in table.frame_ids:
         if not isinstance(fid, str):
             raise TypeError(f"frames: frame id {fid!r} is not a string")
-    payload: dict = {"frames": _frame_records(table)}
-    if manifest is not None:
-        payload["manifest"] = manifest
-    # Every dict here, records included, is built in sorted key order.
-    _write_artifact(path, FRAMES_MAGIC, _json_body(payload, sort_keys=False))
+    if manifest is not None and not isinstance(manifest, str):
+        raise TypeError(f"frames: manifest {manifest!r} is not a string")
+    fault = value_fault(table.center, table.size, table.yaw, table.score, table.velocity)
+    if fault is not None:
+        row, text = fault
+        frame = int(table.frame[row])
+        raise ValueError(f"frames: frame {table.frame_ids[frame]!r} box "
+                         f"{row - int(table.offsets[frame])}: {text}")
+    marked = _repr_form_frames(table).tolist()
+    chunks = [b'{"boxes":%s,"frame_id":%s}' % (
+        json.dumps(records, separators=(",", ":")).encode() if marked[frame]
+        else orjson.dumps(records), json.dumps(table.frame_ids[frame]).encode())
+        for frame, records in _frame_records(table)]
+    tail = b"" if manifest is None else b',"manifest":' + json.dumps(manifest).encode()
+    _write_artifact(path, FRAMES_MAGIC,
+                    b'{"payload":{"frames":[%s]%s}}\n' % (b",".join(chunks), tail))
 
 
 def _box_table(frames: dict) -> BoxTable | None:

@@ -40,7 +40,7 @@ from crossview import (
 )
 
 from crossview import formats
-from crossview.boxes import BoxTable
+from crossview.boxes import CLASSES, SOURCES, BoxTable
 from crossview.formats import FRAMES_MAGIC
 
 from conftest import make_document, random_box, rehash, square_scene
@@ -398,6 +398,35 @@ def test_save_frames_refuses_a_table_its_loader_would(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("column, value, message", [
+    ("size", (-1.0, 1.0, 1.0), "size components must be positive"),
+    ("score", 2.0, "score must lie in [0, 1], got 2.0"),
+    ("center", (float("nan"), 0.0, 1.0), "box fields must be finite numbers"),
+    ("velocity", (0.0, float("inf")), "velocity components must be finite"),
+])
+def test_save_frames_refuses_values_its_loader_would(tmp_path, column, value, message):
+    """A table built in Python keeps the constructor's value rules: the writer
+    names the frame and box that break one, in the constructor's words, and
+    writes no file its loader would refuse, nor a null in a float's place."""
+    rng = np.random.default_rng(4)
+    table = BoxTable.from_frames({"a": [random_box(rng)],
+                                  "b": [random_box(rng), random_box(rng, source="radar")]})
+    getattr(table, column)[2] = value
+    with pytest.raises(ValueError, match=re.escape(f"frames: frame 'b' box 1: {message}")):
+        save_frames(tmp_path / "a.frames", table)
+    assert not list(tmp_path.iterdir())
+    (tmp_path / "ref.frames").write_text(
+        make_document(FRAMES_MAGIC, _frames_payload(table.frames()), indent=None))
+    with pytest.raises(ParseError):
+        load_frames(tmp_path / "ref.frames")
+
+
+def test_save_frames_refuses_a_manifest_that_is_not_a_string(tmp_path):
+    with pytest.raises(TypeError, match=re.escape("frames: manifest 5 is not a string")):
+        save_frames(tmp_path / "a.frames", {}, 5)
+    assert not list(tmp_path.iterdir())
+
+
 def _parse_floats_one_by_one(text: str, n: int, where: str) -> np.ndarray:
     """The matrix parse as it was, one Python ``float()`` per value."""
     parts = text.split()
@@ -554,6 +583,68 @@ def test_save_frames_matches_generic_envelope(tmp_path, case):
     expected = make_document(FRAMES_MAGIC, _frames_payload(frames, manifest), indent=None)
     assert (tmp_path / "x.frames").read_text() == expected
     assert load_frames(tmp_path / "x.frames").keys() == frames.keys()
+
+
+# Each bound of the magnitudes at which orjson's float text is not
+# ``float.__repr__``'s, [1e-9, 1e-4) and from 1e16, with its neighbours and
+# both signs, and the extremes.
+_BOUNDS = [float(np.nextafter(b, toward)) for b in (1e-9, 1e-4, 1e16)
+           for toward in (0.0, b, np.inf)]
+_EDGES = [*_BOUNDS, *(-b for b in _BOUNDS), 0.0, -0.0, 5e-324, -5e-324,
+          float(np.finfo(float).max), -float(np.finfo(float).max)]
+_ODD_TEXTS = ['q"uote', "back\\slash", "ctl\x00\x01\x1f\t\n", "del\x7f", "\u00e9\u6771",
+              "\U0001f600", "lone\ud800", "\udfff", "f0:1e5,0.00001", "[1e16]", ""]
+_WIDTH = {"center": 3, "size": 3, "yaw": 1, "score": 1, "velocity": 2}
+_ADMITS = {"center": np.isfinite, "size": lambda v: v > 0.0, "yaw": np.isfinite,
+           "score": lambda v: (v >= 0.0) & (v <= 1.0), "velocity": np.isfinite}
+
+
+def _plain(v: np.ndarray) -> np.ndarray:
+    a = np.abs(v)
+    return ~(((a >= 1e-9) & (a < 1e-4)) | (a >= 1e16))
+
+
+def _doubles(rng, n: int, column: str, keep=np.isfinite) -> np.ndarray:
+    """``n`` rows of ``column`` values drawn by their 64 bits, every magnitude
+    alike, that the column's rule and ``keep`` pass."""
+    size = n * _WIDTH[column]
+    drawn = rng.integers(0, 2**64, size=8 * size + 64, dtype=np.uint64).view(np.float64)
+    drawn = drawn[np.isfinite(drawn)]
+    return drawn[_ADMITS[column](drawn) & keep(drawn)][:size].reshape(n, _WIDTH[column])
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_save_frames_text_is_stdlib_json_on_any_value(tmp_path, seed):
+    """orjson encodes box records, so this holds the writer, under whatever
+    orjson release is installed, to stdlib's text: frames of random doubles of
+    every magnitude, frames of only those orjson writes as repr does, one frame
+    per edge value holding it alone, and ids and manifests with characters
+    neither encoder writes as they are."""
+    rng = np.random.default_rng(seed)
+    counts = [*rng.integers(0, 9, size=int(rng.integers(1, 12))).tolist(), *[1] * len(_EDGES)]
+    n, edge_rows = sum(counts), range(sum(counts) - len(_EDGES), sum(counts))
+    plain = np.repeat(rng.random(len(counts)) < 0.5, counts)
+    plain[edge_rows] = True
+    columns = {c: np.where(plain[:, None], _doubles(rng, n, c, _plain), _doubles(rng, n, c))
+               for c in _WIDTH}
+    for row, edge in zip(edge_rows, _EDGES):
+        column = str(rng.choice([c for c in _WIDTH if _ADMITS[c](edge)]))
+        columns[column][row, rng.integers(_WIDTH[column])] = edge
+    has_velocity = rng.random(n) < 0.5
+    has_velocity[edge_rows] = True
+    odd = [_ODD_TEXTS[k] for k in rng.permutation(len(_ODD_TEXTS))[:3]]
+    ids = [*odd, *(f"{k:06d}" for k in range(len(counts) - len(odd)))]
+    table = BoxTable(
+        tuple(ids), np.array([0, *np.cumsum(counts)]), columns["center"], columns["size"],
+        columns["yaw"][:, 0], columns["score"][:, 0],
+        rng.integers(0, len(CLASSES), n).astype(np.int8),
+        rng.integers(0, len(SOURCES), n).astype(np.int8),
+        np.where(has_velocity[:, None], columns["velocity"], 0.0), has_velocity)
+    manifest = [None, *_ODD_TEXTS][int(rng.integers(len(_ODD_TEXTS) + 1))]
+    save_frames(tmp_path / "x.frames", table, manifest)
+    expected = make_document(FRAMES_MAGIC, _frames_payload(table.frames(), manifest), indent=None)
+    assert (tmp_path / "x.frames").read_text() == expected
+    assert load_frames(tmp_path / "x.frames", as_table=True).frame_ids == tuple(sorted(ids))
 
 
 def test_load_frame_pairs_unions_ids(tmp_path):

@@ -16,9 +16,11 @@ many pairs at once in one numpy pass that takes the same steps in the same
 order; tests hold it to ``iou_3d`` bit for bit.
 
 ``BoxTable`` holds the boxes of many frames as columns.  It is the one form
-in which frames are loaded, paired, fused, scored and written; a
-``{frame_id: [DetectionBox]}`` mapping, the public API's form, goes in
-through ``BoxTable.from_frames`` and comes out through ``BoxTable.frames``.
+in which frames are loaded, paired, fused, scored and written.  Per-box values
+go in through ``BoxTable.of`` and come out through ``BoxTable.values``, so this
+module alone decides how a table stores a box; a ``{frame_id: [DetectionBox]}``
+mapping, the public API's form, goes in through ``BoxTable.from_frames`` and
+comes out through ``BoxTable.frames``, both over those two.
 A table's ``sort_rank`` stands for ``sort_key`` (equal keys, equal ranks),
 so orders and the kernel's canonical swap compare integers, not tuples.
 A table's frame ids are distinct; its constructor refuses one that repeats.
@@ -31,9 +33,9 @@ greedily, one to one, in the order the caller ranks them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter
 
 import numpy as np
@@ -125,10 +127,12 @@ def _store(box, center, size, yaw, class_label, score, source, velocity) -> Dete
     return box
 
 
-# Codes of the table's class and source columns, and each code's place in name
-# order, which is how sort_key compares them.
+# Codes of the table's class and source columns, the name of each code, and each
+# code's place in name order, which is how sort_key compares them.
 _CLASS_CODE = {label: k for k, label in enumerate(CLASSES)}
 _SOURCE_CODE = {source: k for k, source in enumerate(SOURCES)}
+_CLASS_NAMES = np.array(CLASSES, dtype=object)
+_SOURCE_NAMES = np.array(SOURCES, dtype=object)
 _CLASS_RANK = np.argsort(np.argsort(CLASSES)).astype(np.int8)
 _SOURCE_RANK = np.argsort(np.argsort(SOURCES)).astype(np.int8)
 
@@ -186,8 +190,10 @@ class BoxTable:
         Rows are sorted by center x; only runs of equal x go on to a
         ``np.lexsort`` over the other keys, so distinct boxes take one argsort.
         Keys compare as Python compares them: ``-0.0 == 0.0``, and class and
-        source names in string order.
+        source names in string order.  A code outside ``CLASSES`` or ``SOURCES``
+        is a ValueError naming its box.
         """
+        self._check_codes()
         keys = [*self.center.T, *self.size.T, self.yaw, _CLASS_RANK[self.label], self.score,
                 _SOURCE_RANK[self.source]]
         n = len(self)
@@ -208,39 +214,69 @@ class BoxTable:
         return rank
 
     @classmethod
+    def of(cls, frame_ids, counts, center, size, yaw, class_label, score, source,
+           velocity) -> BoxTable:
+        """The table of per-box values, lists in ``DetectionBox`` field order,
+        ``counts[k]`` boxes to frame ``frame_ids[k]``; yaws come normalized and
+        velocities as None or a pair.  An unknown name raises KeyError, an
+        unhashable one TypeError, an integer past the float range OverflowError."""
+        n = len(yaw)
+        planar = [v for v in velocity if v is not None]
+        has_velocity = np.array([v is not None for v in velocity], dtype=bool)
+        moving = np.zeros((n, 2))
+        moving[has_velocity] = np.fromiter(chain.from_iterable(planar), float,
+                                           2 * len(planar)).reshape(-1, 2)
+        return cls(tuple(frame_ids), np.array([0, *accumulate(counts)]),
+                   np.fromiter(chain.from_iterable(center), float, 3 * n).reshape(n, 3),
+                   np.fromiter(chain.from_iterable(size), float, 3 * n).reshape(n, 3),
+                   np.fromiter(yaw, float, n), np.fromiter(score, float, n),
+                   np.fromiter(map(_CLASS_CODE.__getitem__, class_label), np.int8, n),
+                   np.fromiter(map(_SOURCE_CODE.__getitem__, source), np.int8, n),
+                   moving, has_velocity)
+
+    @classmethod
     def from_frames(cls, frames) -> BoxTable:
         """The table of a ``{frame_id: boxes}`` mapping, frames in its order."""
-        ids = tuple(frames)
-        boxes = [box for fid in ids for box in frames[fid]]
-        n = len(boxes)
+        boxes = list(chain.from_iterable(frames.values()))
+        return cls.of(frames, map(len, frames.values()),
+                      *(list(map(attrgetter(f.name), boxes)) for f in fields(DetectionBox)))
 
-        def floats(name, width=1):
-            values = map(attrgetter(name), boxes)
-            return np.fromiter(chain.from_iterable(values) if width > 1 else values, float,
-                               width * n)
+    def _check_codes(self) -> None:
+        """Refuse a class or source code outside ``CLASSES`` or ``SOURCES``, which
+        names no class or source: a ValueError naming the first such box."""
+        for codes, names, what in ((self.label, CLASSES, "class"),
+                                   (self.source, SOURCES, "source")):
+            bad = (codes < 0) | (codes >= len(names))
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise ValueError(f"{self.box_name(row)}: unknown {what} code {codes[row]}")
 
-        def codes(name, code):
-            return np.fromiter(map(code.__getitem__, map(attrgetter(name), boxes)), np.int8, n)
+    def box_name(self, row: int) -> str:
+        """Row ``row`` named as its frame id and its place in that frame."""
+        frame = int(self.frame[row])
+        return f"frame {self.frame_ids[frame]!r} box {row - int(self.offsets[frame])}"
 
-        planar = [box.velocity for box in boxes if box.velocity is not None]
-        has_velocity = np.array([box.velocity is not None for box in boxes], dtype=bool)
-        velocity = np.zeros((n, 2))
-        velocity[has_velocity] = np.array(planar, dtype=float).reshape(-1, 2)
-        return cls(ids, np.cumsum([0, *(len(frames[fid]) for fid in ids)]),
-                   floats("center", 3).reshape(n, 3), floats("size", 3).reshape(n, 3),
-                   floats("yaw"), floats("score"), codes("class_label", _CLASS_CODE),
-                   codes("source", _SOURCE_CODE), velocity, has_velocity)
+    def values(self, order) -> tuple[list, ...]:
+        """Rows ``order`` (an index array) as ``of`` takes them: lists in
+        ``DetectionBox`` field order, centers and sizes as lists, class and source
+        names, and each velocity a list or None.  A class or source code outside
+        ``CLASSES`` or ``SOURCES``, in any row, is a ValueError naming its box."""
+        self._check_codes()
+        label, source = self.label[order], self.source[order]
+        velocity = [None] * len(label)
+        moving = np.flatnonzero(self.has_velocity[order])
+        for k, v in zip(moving.tolist(), self.velocity[order[moving]].tolist()):
+            velocity[k] = v
+        return (self.center[order].tolist(), self.size[order].tolist(), self.yaw[order].tolist(),
+                _CLASS_NAMES[label].tolist(), self.score[order].tolist(),
+                _SOURCE_NAMES[source].tolist(), velocity)
 
     def frames(self) -> dict:
         """The table as ``{frame_id: boxes}``, each box built as the constructor would."""
         new = object.__new__
-        velocity = [tuple(v) if has else None
-                    for v, has in zip(self.velocity.tolist(), self.has_velocity.tolist())]
-        boxes = [_store(new(DetectionBox), c, s, y, CLASSES[lab], sc, SOURCES[src], v)
-                 for c, s, y, lab, sc, src, v in zip(
-                     map(tuple, self.center.tolist()), map(tuple, self.size.tolist()),
-                     self.yaw.tolist(), self.label.tolist(), self.score.tolist(),
-                     self.source.tolist(), velocity)]
+        boxes = [_store(new(DetectionBox), tuple(c), tuple(s), y, lab, sc, src,
+                        None if v is None else tuple(v))
+                 for c, s, y, lab, sc, src, v in zip(*self.values(np.arange(len(self))))]
         cuts = self.offsets.tolist()
         return {fid: boxes[cuts[k]:cuts[k + 1]] for k, fid in enumerate(self.frame_ids)}
 

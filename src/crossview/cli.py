@@ -540,8 +540,8 @@ def _evaluate_stage(truth_path, predictions_path, settings: dict, baseline, path
 def cmd_evaluate(args) -> int:
     run = _Run(args, _EVALUATION_CHECKS)
     settings = _settings(_EVALUATION_CHECKS, run.config, args)
-    if args.threshold is not None:
-        settings["thresholds"] = dict.fromkeys(CLASSES, check_threshold(args.threshold))
+    if flag := _settings({"threshold": _ranged(check_threshold)}, {}, args):
+        settings["thresholds"] = dict.fromkeys(CLASSES, flag["threshold"])
     baseline = None
     if args.baseline:
         # Checked before the stage, so a bad baseline writes and prints nothing.

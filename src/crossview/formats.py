@@ -26,23 +26,24 @@ malformed numbers all raise ParseError naming the offending part as
 the hot path of re-scoring, has a hand-written reader, and matrix bodies are
 text rows.  A frames file has one reader, ``_frames_table``, which builds a
 ``boxes.BoxTable`` and no ``DetectionBox``: it checks the frame records in
-order and the box records a column at a time, their JSON shapes here and the
-constructor's value rules through ``boxes.value_fault``.  Only a check that
-fails sends the box records, one by one, through ``_box_from_record`` to
-name the first fault.  ``load_frames`` returns the table itself
-(``as_table``) or turns it into boxes.  A frames body is parsed by orjson,
-every other kind by stdlib json; text orjson refuses, and a document the
-checks refuse, are parsed again by stdlib json and checked again, so every
-fault is named in the words of the other kinds.  A document that passes the
-checks reads the same under both parsers: each value in it is checked, and
-both give a number the same float.  It has one writer: ``save_frames``
-turns a ``{frame_id: boxes}`` mapping into a table, whose frame ids are
-distinct, refuses a frame id or manifest that is not a string and a value
-``boxes.value_fault`` names, as the reader would, and writes the table's rows
-as records, the text ``_json_body`` would write, byte for byte.  orjson
-encodes each frame's records, whose dicts are built in sorted key order;
-stdlib json encodes the frame ids, the manifest, and the records of a frame
-holding a float that orjson writes in another form than ``float.__repr__``.
+order and the box records a column at a time: their JSON shapes here, their
+names as ``BoxTable.of`` builds the table, and the constructor's value rules
+through ``boxes.value_fault``.  Only a check that fails sends the box
+records, one by one, through ``_box_from_record`` to name the first fault.
+``load_frames`` returns the table itself (``as_table``) or turns it into
+boxes.  A frames body is parsed by orjson, every other kind by stdlib json;
+text orjson refuses, and a document the checks refuse, are parsed again by
+stdlib json and checked again, so every fault is named in the words of the
+other kinds.  A document that passes the checks reads the same under both
+parsers: each value in it is checked, and both give a number the same float.
+It has one writer: ``save_frames`` turns a ``{frame_id: boxes}`` mapping into
+a table, whose frame ids are distinct, refuses a frame id or manifest that is
+not a string and a value ``boxes.value_fault`` names, as the reader would,
+and writes the rows ``BoxTable.values`` gives as records, the text
+``_json_body`` would write, byte for byte.  orjson encodes each frame's
+records, whose dicts are built in sorted key order; stdlib json encodes the
+frame ids, the manifest, and the records of a frame holding a float that
+orjson writes in another form than ``float.__repr__``.
 
 The scene table ``_SCENE`` is the one statement of a scene's fields: a file
 is read through it by ``load_scene``, and a scene built in Python, as
@@ -67,16 +68,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .boxes import (
-    _CLASS_CODE,
-    _SOURCE_CODE,
-    CLASSES,
-    SOURCES,
-    BoxTable,
-    DetectionBox,
-    normalize_yaw,
-    value_fault,
-)
+from .boxes import BoxTable, DetectionBox, normalize_yaw, value_fault
 from .coverage import CoverageReport
 from .metrics import FramePair, pair_frames
 from .placement import BUDGET_MODES
@@ -657,8 +649,6 @@ _JSON_NUMBERS = frozenset({int, float})
 _BOX_KEYS = frozenset(f.name for f in fields(DetectionBox))
 _BOX_REQUIRED = _BOX_KEYS - {"velocity"}
 _FRAME_KEYS = frozenset({"frame_id", "boxes"})
-_CLASS_NAMES = np.array(CLASSES, dtype=object)
-_SOURCE_NAMES = np.array(SOURCES, dtype=object)
 
 
 def _is_numbers(value, n: int) -> bool:
@@ -697,17 +687,9 @@ def _frame_records(table: BoxTable) -> list[tuple[int, list[dict]]]:
     at = np.empty(len(frames), dtype=np.intp)
     at[frames] = np.arange(len(frames))
     order = np.lexsort((table.sort_rank, -table.score, at[table.frame]))
-    velocity = [None] * len(order)
-    moving = np.flatnonzero(table.has_velocity[order])
-    for k, v in zip(moving.tolist(), table.velocity[order[moving]].tolist()):
-        velocity[k] = v
     records = [{"center": c, "class_label": label, "score": score, "size": size,
                 "source": source, "velocity": v, "yaw": yaw}
-               for c, size, yaw, score, label, source, v in zip(
-                   table.center[order].tolist(), table.size[order].tolist(),
-                   table.yaw[order].tolist(), table.score[order].tolist(),
-                   _CLASS_NAMES[table.label[order]].tolist(),
-                   _SOURCE_NAMES[table.source[order]].tolist(), velocity)]
+               for c, size, yaw, label, score, source, v in zip(*table.values(order))]
     cuts = [0, *accumulate(np.diff(table.offsets)[frames].tolist())]
     return [(frame, records[cuts[k]:cuts[k + 1]]) for k, frame in enumerate(frames)]
 
@@ -741,15 +723,16 @@ def save_frames(path, frames, manifest: str | None = None) -> None:
         raise TypeError(f"frames: manifest {manifest!r} is not a string")
     fault = value_fault(table.center, table.size, table.yaw, table.score, table.velocity)
     if fault is not None:
-        row, text = fault
-        frame = int(table.frame[row])
-        raise ValueError(f"frames: frame {table.frame_ids[frame]!r} box "
-                         f"{row - int(table.offsets[frame])}: {text}")
+        raise ValueError(f"frames: {table.box_name(fault[0])}: {fault[1]}")
+    try:
+        framed = _frame_records(table)
+    except ValueError as exc:  # a class or source code the table does not hold
+        raise ValueError(f"frames: {exc}") from None
     marked = _repr_form_frames(table).tolist()
     chunks = [b'{"boxes":%s,"frame_id":%s}' % (
         json.dumps(records, separators=(",", ":")).encode() if marked[frame]
         else orjson.dumps(records), json.dumps(table.frame_ids[frame]).encode())
-        for frame, records in _frame_records(table)]
+        for frame, records in framed]
     tail = b"" if manifest is None else b',"manifest":' + json.dumps(manifest).encode()
     _write_artifact(path, FRAMES_MAGIC,
                     b'{"payload":{"frames":[%s]%s}}\n' % (b",".join(chunks), tail))
@@ -764,8 +747,7 @@ def _box_table(frames: dict) -> BoxTable | None:
         return None
     if len(_BOX_REQUIRED) in set(map(len, records)):  # a box that leaves out its velocity
         records = [{"velocity": None, **rec} for rec in records]
-    n = len(records)
-    try:  # a missing field, an unhashable name, or an integer past the float range
+    try:  # a missing field, an unknown or unhashable name, or an integer past the float range
         center, size, yaw, labels, score, sources, velocity = [
             list(map(itemgetter(f.name), records)) for f in fields(DetectionBox)]
         planar = [v for v in velocity if v is not None]
@@ -774,22 +756,11 @@ def _box_table(frames: dict) -> BoxTable | None:
                 and {3}.issuperset(map(len, chain(center, size)))
                 and {2}.issuperset(map(len, planar))
                 and _JSON_NUMBERS.issuperset(map(type, chain(
-                    chain.from_iterable(center), yaw, score, chain.from_iterable(size + planar))))
-                and _CLASS_CODE.keys() >= set(labels) and _SOURCE_CODE.keys() >= set(sources)):
+                    chain.from_iterable(center), yaw, score, chain.from_iterable(size + planar))))):
             return None
-        has_velocity = np.array([v is not None for v in velocity], dtype=bool)
-        moving = np.zeros((n, 2))
-        moving[has_velocity] = np.fromiter(chain.from_iterable(planar), float,
-                                           2 * len(planar)).reshape(-1, 2)
-        table = BoxTable(
-            tuple(frames), np.array([0, *accumulate(map(len, frames.values()))]),
-            np.fromiter(chain.from_iterable(center), float, 3 * n).reshape(n, 3),
-            np.fromiter(chain.from_iterable(size), float, 3 * n).reshape(n, 3),
-            np.fromiter(map(normalize_yaw, map(float, yaw)), float, n),
-            np.fromiter(score, float, n),
-            np.fromiter(map(_CLASS_CODE.__getitem__, labels), np.int8, n),
-            np.fromiter(map(_SOURCE_CODE.__getitem__, sources), np.int8, n),
-            moving, has_velocity)
+        table = BoxTable.of(frames, map(len, frames.values()), center, size,
+                            list(map(normalize_yaw, map(float, yaw))), labels, score, sources,
+                            velocity)
     except (KeyError, TypeError, OverflowError):
         return None
     # An infinite yaw normalizes to nan, which the finiteness rule refuses too.

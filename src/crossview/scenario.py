@@ -20,7 +20,7 @@ import numpy as np
 
 from .boxes import CLASSES, DetectionBox
 from .placement import Selection
-from .scene import LIDAR, RADAR, Scene
+from .scene import LIDAR, MAX_SPAWN_RATE, RADAR, Scene
 from .visibility import VisibilityMatrix, detection_probability
 
 CLASS_SIZES = {
@@ -98,6 +98,9 @@ class ScenarioConfig:
                 raise ValueError(f"class_mix has unknown class {label!r}")
             if rate < 0:
                 raise ValueError(f"class_mix rate for {label!r} must be nonnegative")
+            if rate > MAX_SPAWN_RATE:
+                raise ValueError(f"class_mix rate for {label!r} must be at most "
+                                 f"{MAX_SPAWN_RATE:g}, got {rate!r}")
         for label, (lo, hi) in self.speed_ranges.items():
             if label not in CLASSES:
                 raise ValueError(f"speed_ranges has unknown class {label!r}")

@@ -18,12 +18,13 @@ RADAR = "radar"
 MODALITIES = (LIDAR, RADAR)
 
 # The largest counts a scene file (grid side, lidar channels) or a --config
-# (probe points per cell, frames) may declare: they size arrays or a loop, so
-# a value past them is refused before any work starts.
+# (probe points per cell, frames, spawns per class per frame) may declare: they
+# size arrays or a loop, so a value past them is refused before any work starts.
 MAX_GRID_SIDE = 100_000
 MAX_BEAMS = 4_096
 MAX_SAMPLES_PER_CELL = 10_000
 MAX_DURATION_FRAMES = 1_000_000
+MAX_SPAWN_RATE = 1_000.0
 # The smallest visibility epsilon: entries are clamped to 1 - epsilon, and
 # matrix rows print 9 significant digits, where 1 - 4e-10 prints as 1 (which
 # the loader refuses) while 1 - 5e-10 still prints below 1.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,7 +36,7 @@ from crossview import (
 )
 from crossview import cli
 from crossview.cli import build_parser, main
-from crossview.scene import MAX_BEAMS, MAX_GRID_SIDE
+from crossview.scene import MAX_BEAMS, MAX_GRID_SIDE, MAX_SPAWN_RATE
 
 from conftest import make_document, random_box, rehash, square_scene
 from oracles import load_frames_reference
@@ -1582,6 +1583,33 @@ def test_infinite_budget_flag_exits_4(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 4, err
     assert err.startswith("error: budget: expected a finite number, got inf"), err
+
+
+@pytest.mark.parametrize("value", ["inf", "1e309", "-inf", "nan"])
+def test_non_finite_evaluate_threshold_flag_exits_4_before_any_read(tmp_path, capsys, value):
+    # --threshold inf used to run the whole evaluation and then fail writing
+    # the report, naming no setting; without --out it exited 0.
+    missing = str(tmp_path / "missing.frames")
+    rc = main(["evaluate", "--truth", missing, "--predictions", missing,
+               f"--threshold={value}", "--out", str(tmp_path / "e.report")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err == f"error: threshold: expected a finite number, got {float(value)!r}\n", err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_refuses_a_spawn_rate_past_its_maximum(workspace, tmp_path, capsys):
+    """A rate just above ``MAX_SPAWN_RATE`` is refused before the scene is read;
+    a rate of 1e9 once ran for more than ten minutes."""
+    cfg = tmp_path / "busy.json"
+    cfg.write_text(json.dumps({"class_mix": {"car": math.nextafter(MAX_SPAWN_RATE, math.inf)}}))
+    rc = main(["simulate", "--lidar", str(workspace / "lidar.vismatrix"),
+               "--radar", str(workspace / "radar.vismatrix"), "--config", str(cfg),
+               *_simulate_args(workspace, tmp_path / "missing.solution", tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("error: class_mix rate for 'car' must be at most 1000, got "), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["busy.json"]
 
 
 # The line that starts each field's numbers in a matrix file (data rows

@@ -421,6 +421,27 @@ def test_save_frames_refuses_values_its_loader_would(tmp_path, column, value, me
         load_frames(tmp_path / "ref.frames")
 
 
+@pytest.mark.parametrize("column, code, message", [
+    ("label", -1, "unknown class code -1"),
+    ("label", len(CLASSES), "unknown class code 6"),
+    ("source", -1, "unknown source code -1"),
+    ("source", len(SOURCES), "unknown source code 4"),
+], ids=["class-1", "class-past-the-last", "source-1", "source-past-the-last"])
+def test_a_table_never_writes_a_code_it_does_not_hold(tmp_path, column, code, message):
+    """A class or source code outside CLASSES or SOURCES names no class or
+    source: the writer refuses it, naming the frame and box, writes nothing, and
+    ``frames()`` builds no box from it (-1 once read as the last name)."""
+    rng = np.random.default_rng(4)
+    table = BoxTable.from_frames({"a": [random_box(rng)],
+                                  "b": [random_box(rng), random_box(rng, source="radar")]})
+    getattr(table, column)[2] = code
+    with pytest.raises(ValueError, match=re.escape(f"frames: frame 'b' box 1: {message}")):
+        save_frames(tmp_path / "a.frames", table)
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ValueError, match=re.escape(f"frame 'b' box 1: {message}")):
+        table.frames()
+
+
 def test_save_frames_refuses_a_manifest_that_is_not_a_string(tmp_path):
     with pytest.raises(TypeError, match=re.escape("frames: manifest 5 is not a string")):
         save_frames(tmp_path / "a.frames", {}, 5)

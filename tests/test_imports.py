@@ -67,3 +67,20 @@ def test_every_third_party_import_is_a_declared_dependency():
                     imported.setdefault(top, path.name)
     assert {"numpy", "orjson"} <= imported.keys()
     assert {name: module for name, module in imported.items() if name not in declared} == {}
+
+
+def test_no_module_but_boxes_uses_a_private_name_of_boxes():
+    """How a table stores a box (name codes, the velocity mask) is decided in
+    ``boxes`` alone: ``BoxTable.of`` and ``BoxTable.values`` are the way in and
+    out, and no other module imports or reads one of its underscore names."""
+    found = []
+    for path in MODULES:
+        if path.name == "boxes.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "boxes":
+                found += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "boxes" and node.attr.startswith("_")):
+                found.append((path.name, node.attr))
+    assert found == []

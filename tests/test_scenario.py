@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from crossview import (
     generate_scenario,
 )
 from crossview.scenario import DEFAULT_SPEED_RANGES
+from crossview.scene import MAX_SPAWN_RATE
 
 from conftest import square_scene
 
@@ -167,6 +169,17 @@ def test_matrix_roi_mismatch_rejected(observed_scene):
 def test_bad_candidate_index(observed_scene):
     with pytest.raises(IndexError):
         run(observed_scene, Selection.of([5], [0]))
+
+
+def test_class_mix_rate_stops_at_its_maximum():
+    """A spawn rate sizes the simulation's loop, so past ``MAX_SPAWN_RATE`` it
+    is refused when the config is built; the cap itself is taken.  No
+    simulation runs here."""
+    assert ScenarioConfig(class_mix={"car": MAX_SPAWN_RATE}).class_mix == {"car": 1000.0}
+    above = math.nextafter(MAX_SPAWN_RATE, math.inf)
+    with pytest.raises(ValueError, match=re.escape(
+            f"class_mix rate for 'bus' must be at most 1000, got {above!r}")):
+        ScenarioConfig(class_mix={"car": 1.0, "bus": above})
 
 
 def test_config_validation():
